@@ -22,7 +22,7 @@ import numpy as np
 
 from .arithmetic import von_mangoldt
 from .represent import _scan_block
-from .sieve import CoverageError, PrimeTable, TwinIndex, squarefree_mask
+from .sieve import CoverageError, PrimeTable, TwinIndex, build_prime_table, squarefree_mask
 from .singular import singular_series_many
 
 __all__ = [
@@ -62,13 +62,8 @@ def von_mangoldt_table(limit: int) -> np.ndarray:
     """
     if limit < 1:
         raise ValueError(f"von_mangoldt_table requires limit >= 1, got {limit}")
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
     table = np.zeros(limit + 1, dtype=np.float64)
-    for p in np.flatnonzero(flags):
+    for p in build_prime_table(max(limit, 2)).primes():  # at limit = 1, p = 2 sets nothing
         p = int(p)
         logp = math.log(p)
         pk = p

@@ -23,13 +23,13 @@ checkpoint interruptions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +56,7 @@ from .sieve import (
 )
 from .singular import singular_series, tail_partial
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 DEFAULT_CUTOFF = 10**5
 DEFAULT_SHARD_SIZE = 1 << 20
@@ -65,38 +65,6 @@ EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
-
-
-@dataclass
-class RunConfig:
-    """Validated parameters of one invocation; built before any compute."""
-
-    subcommand: str
-    limit: int | None = None
-    range: tuple[int, int] | None = None
-    mode: Mode | None = None
-    cutoff: int = DEFAULT_CUTOFF
-    x: tuple[int, ...] | None = None
-    y: int | None = None
-    workers: int = 1
-    output_format: str = "csv"
-    checkpoint_path: str | None = None
-
-    def validate(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.output_format not in ("csv", "jsonl"):
-            raise ValueError(f"format must be csv or jsonl, got {self.output_format}")
-        if self.range is not None:
-            lo, hi = self.range
-            if lo < 1 or hi < lo:
-                raise ValueError(f"bad range {lo}:{hi}")
-        if self.cutoff < 3:
-            raise ValueError(f"cutoff must be >= 3, got {self.cutoff}")
-        if self.x is not None and any(x < 1 for x in self.x):
-            raise ValueError(f"x values must be positive, got {self.x}")
-        if self.limit is not None and self.limit < 2:
-            raise ValueError(f"limit must be >= 2, got {self.limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,19 +160,27 @@ _RECORD_HEADER = ["q", "p", "n", "p_over_cbrt_q", "n_over_log_q"]
 
 
 class _RecordSink:
-    """Appends per-q record rows; tracks byte offsets for resume truncation."""
+    """Appends per-q record rows to a path or, for '-', to stdout (never resumed);
+    tracks byte offsets for resume truncation."""
 
     def __init__(self, path: str, fmt: str, resume_bytes: int | None):
         self.fmt = fmt
-        if resume_bytes is None:
+        self._own = path != "-"
+        if not self._own:
+            self._fh = sys.stdout
+        elif resume_bytes is None:
             self._fh = open(path, "w", encoding="utf-8")
-            if fmt == "csv":
-                self._fh.write(",".join(_RECORD_HEADER) + "\n")
         else:
-            fh = open(path, "r+", encoding="utf-8")
-            fh.truncate(resume_bytes)
-            fh.seek(0, os.SEEK_END)
-            self._fh = fh
+            size = os.path.getsize(path)
+            if size < resume_bytes:
+                raise ValueError(
+                    f"records file {path} has {size} bytes, checkpoint expects {resume_bytes}"
+                )
+            self._fh = open(path, "r+", encoding="utf-8")
+            self._fh.truncate(resume_bytes)
+            self._fh.seek(0, os.SEEK_END)
+        if resume_bytes is None and fmt == "csv":
+            self._fh.write(",".join(_RECORD_HEADER) + "\n")
 
     def write_shard(self, qs, ps, ns) -> None:
         if len(qs) == 0:
@@ -232,59 +208,79 @@ class _RecordSink:
                     + "\n"
                 )
 
-    def tell(self) -> int:
+    def sync(self) -> int:
+        """Make the rows written so far durable; returns the file's byte length."""
         self._fh.flush()
+        os.fsync(self._fh.fileno())
         return self._fh.tell()
 
     def close(self) -> None:
-        self._fh.close()
+        if self._own:
+            self._fh.close()
+        else:
+            self._fh.flush()
 
 
 class _Checkpoint:
     """Plain-text checkpoint: META line, one JSON line per completed shard,
-    and a final DONE line carrying a digest of the merged summary."""
+    and a final DONE line carrying a digest of the merged summary.
+
+    Each line is appended with fsync.  A last line without its newline is
+    an append torn by a crash: load ignores it and the next append
+    overwrites it."""
 
     def __init__(self, path: str):
         self.path = path
         self.meta: dict | None = None
         self.shards: list[dict] = []
         self.done_hash: str | None = None
+        self.size = 0  # bytes of complete lines
 
     @classmethod
     def load(cls, path: str) -> "_Checkpoint":
         cp = cls(path)
         if not os.path.exists(path):
             return cp
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                kind, _, payload = line.partition(" ")
-                if kind == "META":
-                    cp.meta = json.loads(payload)
-                elif kind == "SHARD":
-                    cp.shards.append(json.loads(payload))
-                elif kind == "DONE":
-                    cp.done_hash = payload.strip()
-                else:
-                    raise ValueError(f"{path}: unrecognized checkpoint line {kind!r}")
+        with open(path, "rb") as fh:
+            data = fh.read()
+        cp.size = data.rfind(b"\n") + 1
+        for line in data[: cp.size].decode("utf-8").splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            kind, _, payload = line.partition(" ")
+            if kind == "META":
+                cp.meta = json.loads(payload)
+            elif kind == "SHARD":
+                cp.shards.append(json.loads(payload))
+            elif kind == "DONE":
+                cp.done_hash = payload.strip()
+            else:
+                raise ValueError(f"{path}: unrecognized checkpoint line {kind!r}")
         return cp
+
+    def _append(self, line: str) -> None:
+        data = line.encode("utf-8")
+        with open(self.path, "r+b" if self.size else "wb") as fh:
+            fh.truncate(self.size)
+            fh.seek(self.size)
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        self.size += len(data)
 
     def start(self, meta: dict) -> None:
         self.meta = meta
-        with open(self.path, "w", encoding="utf-8") as fh:
-            fh.write("META " + json.dumps(meta, sort_keys=True) + "\n")
+        self.size = 0
+        self._append("META " + json.dumps(meta, sort_keys=True) + "\n")
 
     def append_shard(self, entry: dict) -> None:
         self.shards.append(entry)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write("SHARD " + json.dumps(entry, sort_keys=True) + "\n")
+        self._append("SHARD " + json.dumps(entry, sort_keys=True) + "\n")
 
     def finish(self, digest: str) -> None:
         self.done_hash = digest
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write("DONE " + digest + "\n")
+        self._append("DONE " + digest + "\n")
 
 
 _VERIFY_HEADER = [
@@ -330,7 +326,7 @@ def _summary_digest(total: ShardSummary) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _run_sharded_verify(args, mode: Mode, lo: int, hi: int):
+def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = False):
     """Shared engine for verify and stats: returns (total summary, rep arrays).
 
     Shards are processed in ascending range order; with workers > 1 the
@@ -361,71 +357,47 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int):
         for entry, expect in zip(completed, bounds):
             if (entry["summary"]["lo"], entry["summary"]["hi"]) != expect:
                 raise ValueError(f"checkpoint shard {entry['summary']['lo']} misaligned")
-    elif checkpoint is not None:
-        checkpoint.start(meta)
 
     sink = None
     if args.emit_records:
-        if args.emit_records == "-" and args.checkpoint:
-            raise ValueError("cannot resume records emitted to stdout; use a file path")
         resume_bytes = completed[-1]["records_bytes"] if completed else None
-        if args.emit_records == "-":
-            sink = None  # handled separately below
-        else:
-            sink = _RecordSink(args.emit_records, args.format, resume_bytes)
+        sink = _RecordSink(args.emit_records, args.format, resume_bytes)
+    if checkpoint is not None and checkpoint.meta is None:
+        checkpoint.start(meta)
 
     summaries = [ShardSummary.from_json_dict(e["summary"]) for e in completed]
     pending = bounds[len(completed) :]
-    keep_arrays = getattr(args, "_keep_arrays", False)
     arrays: list[tuple] = []
-    stop_after = getattr(args, "stop_after_shards", None)
-    produced = 0
-
-    def handle(result) -> bool:
-        """Fold one freshly computed shard; returns False to stop early."""
-        nonlocal produced
-        summary, qs, ps, ns = result
+    _WORKER_CTX.update(
+        {"mode": mode, "twins": twins, "table": table, "include_small": args.include_small}
+    )
+    try:
+        with contextlib.ExitStack() as stack:
+            results = map(_run_shard, pending)
+            if args.workers > 1 and pending:
+                pool = stack.enter_context(
+                    multiprocessing.get_context("fork").Pool(processes=args.workers)
+                )
+                results = pool.imap(_run_shard, pending)
+            for summary, qs, ps, ns in results:
+                if sink is not None:
+                    sink.write_shard(qs, ps, ns)
+                if keep_arrays:
+                    arrays.append((qs, ps, ns))
+                summaries.append(summary)
+                if checkpoint is not None:
+                    records_bytes = sink.sync() if sink is not None else 0
+                    checkpoint.append_shard(
+                        {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
+                    )
+                del qs, ps, ns  # free this shard's arrays before the next one is computed
+                produced = len(summaries) - len(completed)
+                if args.stop_after_shards is not None and produced >= args.stop_after_shards:
+                    break
+    finally:
+        _WORKER_CTX.clear()
         if sink is not None:
-            sink.write_shard(qs, ps, ns)
-        elif args.emit_records == "-":
-            _stdout_records(args.format, qs, ps, ns, first=(produced == 0 and not completed))
-        if keep_arrays:
-            arrays.append((qs, ps, ns))
-        summaries.append(summary)
-        if checkpoint is not None:
-            entry = {
-                "summary": summary.to_json_dict(),
-                "records_bytes": sink.tell() if sink is not None else 0,
-            }
-            checkpoint.append_shard(entry)
-        produced += 1
-        return not (stop_after is not None and produced >= stop_after)
-
-    if pending:
-        if args.workers > 1:
-            ctx = multiprocessing.get_context("fork")
-            _WORKER_CTX.update(
-                {"mode": mode, "twins": twins, "table": table, "include_small": args.include_small}
-            )
-            with ctx.Pool(processes=args.workers) as pool:
-                for result in pool.imap(_run_shard, pending):
-                    if not handle(result):
-                        pool.terminate()
-                        break
-            _WORKER_CTX.clear()
-        else:
-            _WORKER_CTX.update(
-                {"mode": mode, "twins": twins, "table": table, "include_small": args.include_small}
-            )
-            try:
-                for shard in pending:
-                    if not handle(_run_shard(shard)):
-                        break
-            finally:
-                _WORKER_CTX.clear()
-
-    if sink is not None:
-        sink.close()
+            sink.close()
 
     if len(summaries) < len(bounds):
         return None, None  # interrupted (stop_after): caller exits without summary
@@ -434,31 +406,6 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int):
     if checkpoint is not None and checkpoint.done_hash is None:
         checkpoint.finish(_summary_digest(total))
     return total, arrays
-
-
-def _stdout_records(fmt: str, qs, ps, ns, first: bool) -> None:
-    if first and fmt == "csv":
-        sys.stdout.write(",".join(_RECORD_HEADER) + "\n")
-    if len(qs) == 0:
-        return
-    ratio = ps / np.cbrt(qs.astype(np.float64))
-    nlog = ns / np.log(qs.astype(np.float64))
-    for q, p, n, r, g in zip(qs, ps, ns, ratio, nlog):
-        if fmt == "csv":
-            sys.stdout.write(f"{q},{p},{n},{r:.6f},{g:.6f}\n")
-        else:
-            sys.stdout.write(
-                json.dumps(
-                    {
-                        "q": int(q),
-                        "p": int(p),
-                        "n": int(n),
-                        "p_over_cbrt_q": float(f"{r:.6f}"),
-                        "n_over_log_q": float(f"{g:.6f}"),
-                    }
-                )
-                + "\n"
-            )
 
 
 def _cmd_verify(args) -> int:
@@ -482,8 +429,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stats(args) -> int:
     lo, hi = args.range
-    args._keep_arrays = True
-    total, arrays = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi)
+    total, arrays = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, keep_arrays=True)
     if total is None:
         return EXIT_OK
     qs = np.concatenate([a[0] for a in arrays]) if arrays else np.zeros(0, np.int64)
@@ -707,8 +653,23 @@ def _parse_xs(text: str) -> tuple[int, ...]:
 def _add_output_flags(sub) -> None:
     sub.add_argument("--out", default=None, help="report path ('-' or omitted: stdout)")
     sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    sub.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    # the CPUs this process may run on, not every CPU of the machine
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    sub.add_argument("--workers", type=int, default=cpus or 1)
     sub.add_argument("--cache", default=None, help="binary prime-table cache to load")
+
+
+def _add_shard_flags(sub) -> None:
+    """The range, sharding, checkpoint and record flags shared by verify and stats."""
+    sub.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
+    sub.add_argument("--include-small", action="store_true",
+                     help="count q in {2,3} (no admissible n) as failures")
+    sub.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE)
+    sub.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs")
+    sub.add_argument("--emit-records", default=None, metavar="PATH",
+                     help="stream per-q records to PATH ('-': stdout)")
+    sub.add_argument("--stop-after-shards", type=int, default=None,
+                     help="stop after N shards (testing aid for checkpoint resume)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -720,26 +681,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify representability over a q-range")
     p.add_argument("--mode", choices=("twin", "prime", "sun"), required=True)
-    p.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
-    p.add_argument("--include-small", action="store_true",
-                   help="count q in {2,3} (no admissible n) as failures")
-    p.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE)
-    p.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs")
-    p.add_argument("--emit-records", default=None, metavar="PATH",
-                   help="stream per-q records to PATH ('-': stdout)")
-    p.add_argument("--stop-after-shards", type=int, default=None,
-                   help="stop after N shards (testing aid for checkpoint resume)")
+    _add_shard_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="bucketed growth statistics of the minimal twin map")
-    p.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
     p.add_argument("--bucket", type=int, required=True)
-    p.add_argument("--include-small", action="store_true")
-    p.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE)
-    p.add_argument("--checkpoint", default=None)
-    p.add_argument("--emit-records", default=None, metavar="PATH")
-    p.add_argument("--stop-after-shards", type=int, default=None)
+    _add_shard_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_stats)
 
@@ -787,32 +735,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    xs = getattr(args, "x", None)
-    if isinstance(xs, int):
-        xs = (xs,)
-    return RunConfig(
-        subcommand=args.subcommand,
-        limit=getattr(args, "limit", None),
-        range=getattr(args, "range", None),
-        mode=Mode(args.mode) if getattr(args, "mode", None) else None,
-        cutoff=getattr(args, "cutoff", DEFAULT_CUTOFF),
-        x=xs,
-        y=getattr(args, "y", None),
-        workers=getattr(args, "workers", 1),
-        output_format=getattr(args, "format", "csv"),
-        checkpoint_path=getattr(args, "checkpoint", None),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        config.validate()
+        # bounds no library call enforces, checked before any table or file exists
+        if args.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers}")
+        lo, hi = getattr(args, "range", (1, 1))
+        if lo < 1 or hi < lo:
+            raise ValueError(f"bad range {lo}:{hi}")
+        if getattr(args, "cutoff", 3) < 3:
+            raise ValueError(f"cutoff must be >= 3, got {args.cutoff}")
         if getattr(args, "shard_size", 1) < 1:
             raise ValueError("shard-size must be positive")
+        if getattr(args, "checkpoint", None) and args.emit_records == "-":
+            raise ValueError("cannot resume records emitted to stdout; use a file path")
         return args.func(args)
     except (ValueError, CoverageError, OverflowError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -149,7 +149,7 @@ def find_any_prime_representation(q: int, table: PrimeTable) -> Representation |
     return None
 
 
-def _scan_block(qs: np.ndarray, odd_mask: np.ndarray, ascending: bool = False):
+def _scan_block(qs: np.ndarray, odd_mask: np.ndarray):
     """Vectorized representation scan over a block of odd q >= 5.
 
     odd_mask[m >> 1] must answer membership (twin or prime) for every
@@ -164,7 +164,7 @@ def _scan_block(qs: np.ndarray, odd_mask: np.ndarray, ascending: bool = False):
         return p_out, n_out, found
     nmax = _n_max_vector(qs)
     idx = np.flatnonzero(nmax >= 1)
-    cur = np.ones(len(idx), dtype=np.int64) if ascending else nmax[idx].copy()
+    cur = nmax[idx].copy()
     while idx.size:
         p = qs[idx] - cur * (cur + 1)
         hit = odd_mask[p >> 1]
@@ -175,8 +175,8 @@ def _scan_block(qs: np.ndarray, odd_mask: np.ndarray, ascending: bool = False):
             found[h] = True
         keep = ~hit
         idx = idx[keep]
-        cur = cur[keep] + (1 if ascending else -1)
-        alive = cur <= nmax[idx] if ascending else cur >= 1
+        cur = cur[keep] - 1
+        alive = cur >= 1
         if not alive.all():
             idx = idx[alive]
             cur = cur[alive]
@@ -360,9 +360,8 @@ class VerificationReport:
     ns: np.ndarray
 
     def representations(self) -> list[Representation]:
-        mode = Mode.TWIN_MIN if self.mode == Mode.TWIN_MIN else self.mode
         return [
-            Representation(q=int(q), p=int(p), n=int(n), mode=mode)
+            Representation(q=int(q), p=int(p), n=int(n), mode=self.mode)
             for q, p, n in zip(self.qs, self.ps, self.ns)
         ]
 

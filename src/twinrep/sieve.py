@@ -97,7 +97,9 @@ def build_prime_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> P
         raise ResourceLimitError(f"cannot allocate sieve bits for limit={limit}") from exc
 
     root = math.isqrt(limit)
-    base = _simple_odd_primes(root)
+    # Python ints keep the per-segment offset arithmetic fast; the list holds
+    # only the primes up to sqrt(limit)
+    base = build_prime_table(root).primes()[1:].tolist() if root >= 3 else []
     for lo in range(3, limit + 1, segment_size):
         hi = min(lo + segment_size, limit + 1)  # values [lo, hi)
         for p in base:
@@ -108,18 +110,6 @@ def build_prime_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> P
                 continue
             bits[start >> 1 : (hi + 1) >> 1 : p] = False
     return PrimeTable(limit=limit, odd_bits=bits, segment_size=segment_size)
-
-
-def _simple_odd_primes(limit: int) -> list[int]:
-    """Odd primes <= limit by a plain non-segmented sieve (base primes)."""
-    if limit < 3:
-        return []
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return [int(p) for p in np.flatnonzero(flags) if p % 2 == 1]
 
 
 def prime_count(table: PrimeTable, x: int) -> int:
@@ -229,15 +219,10 @@ def mu_phi_tables(upto: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if upto < 1:
         raise ValueError(f"mu_phi_tables requires upto >= 1, got {upto}")
-    flags = np.ones(upto + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(upto) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
     mu = np.ones(upto + 1, dtype=np.int8)
     mu[0] = 0
     phi = np.arange(upto + 1, dtype=np.int64)
-    for p in np.flatnonzero(flags):
+    for p in build_prime_table(max(upto, 2)).primes():  # at upto = 1, p = 2 touches nothing
         p = int(p)
         mu[p::p] *= -1
         if p * p <= upto:

@@ -2,8 +2,11 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinrep.cli import main
 
@@ -249,3 +252,112 @@ class TestOtherCommands:
             assert code == 0
             outs.append(open(path, "rb").read())
         assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "twin", "--range", "5:100", "--workers", "0"],
+    ["mirsky", "--y", "100", "--workers", "0"],
+    ["verify", "--mode", "twin", "--range", "50:10"],
+    ["verify", "--mode", "twin", "--range", "0:100"],
+    ["singular", "--pmax", "1", "--cutoff", "2"],
+    ["verify", "--mode", "twin", "--range", "5:100", "--shard-size", "0"],
+    ["sieve-cache", "--limit", "1", "--cache-out", os.devnull],
+    ["variance", "--x", "0"],
+    ["density", "--x", "0"],
+])
+def test_invalid_arguments_return_2(argv):
+    code, _, err = run_cli(argv)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+class TestRecordsToStdout:
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stdout_is_records_then_summary(self, tmp_path, fmt, workers):
+        base = ["verify", "--mode", "twin", "--range", "5:40000", "--shard-size", "9000",
+                "--format", fmt, "--workers", workers]
+        rec, out = tmp_path / "rec", tmp_path / "out"
+        assert run_cli(base + ["--emit-records", str(rec), "--out", str(out)])[0] == 0
+        code, stdout, _ = run_cli(base + ["--emit-records", "-"])
+        assert code == 0
+        assert stdout == rec.read_text() + out.read_text()
+
+
+_SINGLE_SHARD: dict = {}
+
+
+def _verify_bytes(mode, fmt, extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        out, rec = os.path.join(tmp, "out"), os.path.join(tmp, "rec")
+        code, _, err = run_cli(["verify", "--mode", mode, "--range", "5:3000", "--format", fmt,
+                                "--out", out, "--emit-records", rec] + extra)
+        assert code == 0, err
+        with open(out, "rb") as fo, open(rec, "rb") as fr:
+            return fo.read(), fr.read()
+
+
+@settings(max_examples=25, deadline=None)
+@given(mode=st.sampled_from(["twin", "prime", "sun"]), fmt=st.sampled_from(["csv", "jsonl"]),
+       shard_size=st.integers(1, 3500), workers=st.sampled_from(["1", "2"]))
+def test_any_sharding_matches_single_shard(mode, fmt, shard_size, workers):
+    key = (mode, fmt)
+    if key not in _SINGLE_SHARD:
+        _SINGLE_SHARD[key] = _verify_bytes(mode, fmt, ["--shard-size", "3000", "--workers", "1"])
+    got = _verify_bytes(mode, fmt, ["--shard-size", str(shard_size), "--workers", workers])
+    assert got == _SINGLE_SHARD[key]
+
+
+class TestResumeFaults:
+    BASE = ["verify", "--mode", "twin", "--range", "5:90000", "--shard-size", "11000",
+            "--workers", "1"]
+
+    def _interrupted(self, tmp_path):
+        paths = {k: str(tmp_path / k) for k in ("ck", "out", "rec", "ref-out", "ref-rec")}
+        assert run_cli(self.BASE + ["--out", paths["ref-out"],
+                                    "--emit-records", paths["ref-rec"]])[0] == 0
+        assert run_cli(self.BASE + ["--out", paths["out"], "--emit-records", paths["rec"],
+                                    "--checkpoint", paths["ck"],
+                                    "--stop-after-shards", "3"])[0] == 0
+        return paths
+
+    def _resume(self, paths):
+        return run_cli(self.BASE + ["--out", paths["out"], "--emit-records", paths["rec"],
+                                    "--checkpoint", paths["ck"]])
+
+    def test_torn_last_checkpoint_line_is_dropped(self, tmp_path):
+        paths = self._interrupted(tmp_path)
+        with open(paths["ck"], "a") as fh:
+            fh.write('SHARD {"records_bytes": 12')
+        code, _, err = self._resume(paths)
+        assert code == 0, err
+        lines = open(paths["ck"]).read().splitlines()
+        assert lines[-1].startswith("DONE ") and len(lines) == 1 + 9 + 1  # META, shards, DONE
+        assert open(paths["out"], "rb").read() == open(paths["ref-out"], "rb").read()
+        assert open(paths["rec"], "rb").read() == open(paths["ref-rec"], "rb").read()
+
+    def test_short_records_file_is_exit_2(self, tmp_path):
+        paths = self._interrupted(tmp_path)
+        os.truncate(paths["rec"], 100)
+        checkpoint = open(paths["ck"], "rb").read()
+        code, _, err = self._resume(paths)
+        assert code == 2
+        assert "records" in err
+        assert os.path.getsize(paths["rec"]) == 100
+        assert open(paths["ck"], "rb").read() == checkpoint
+        assert not os.path.exists(paths["out"])
+
+    def test_stdout_records_with_checkpoint_leave_no_file(self, tmp_path):
+        cp = tmp_path / "ck"
+        code, out, err = run_cli(self.BASE + ["--emit-records", "-", "--checkpoint", str(cp)])
+        assert (code, out) == (2, "")
+        assert "stdout" in err
+        assert not cp.exists()
+
+
+def test_workers_default_is_usable_cpus():
+    from twinrep.cli import build_parser
+
+    args = build_parser().parse_args(["mirsky", "--y", "10"])
+    expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert args.workers == expected
