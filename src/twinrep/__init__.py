@@ -26,6 +26,7 @@ from .asymptotic import (
     exception_count,
     psi,
     variance_sum,
+    variance_sweep,
     von_mangoldt_table,
 )
 from .expsum import (

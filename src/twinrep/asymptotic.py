@@ -8,14 +8,23 @@ x grows.  The x/2 normalization of the main term is hard-coded; the
 n^2 + k analogue's S * x normalization is available behind a flag for
 comparison only.
 
-All floating sums run in a fixed ascending order with compensated
-accumulation (math.fsum for gathered blocks, a Kahan accumulator for
-streamed squares), so every result is bit-reproducible.
+variance_sweep evaluates many (x, y) at once: the kappa sets are nested
+in y, so the squarefree kappa, their singular values and one von
+Mangoldt table are built for the largest y and each run takes a prefix.
+
+psi sums are exact.  Every nonzero von Mangoldt value is log p >=
+log 2 > 1/2 and below 2^6, so it is an integer multiple of 2^-53 below
+2^59.  Scaled by 2^53, the gathered values of a block of rows are
+summed exactly in two int64 limbs; the joined Python integer divided by
+2^53 is correctly rounded, which is exactly what math.fsum returns.
+The squared residuals are streamed through a Kahan accumulator in
+ascending p, so every result is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +42,7 @@ __all__ = [
     "von_mangoldt_table",
     "psi",
     "variance_sum",
+    "variance_sweep",
     "exception_count",
     "density_report",
 ]
@@ -75,13 +85,44 @@ def von_mangoldt_table(limit: int) -> np.ndarray:
 
 _INT63_MAX = (1 << 63) - 1
 
+# psi blocks: gathered values scaled to integers, split into a low limb of
+# _LIMB_BITS bits and the high rest (< 2^33), so a row of x < 2^30 cells
+# sums in int64 without overflow.  A table long enough to gather x^2 + x
+# has far fewer than 2^60 entries, so x < 2^30 always holds.
+_PSI_SCALE = 2**53
+_LIMB_BITS = 26
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_BLOCK_CELLS = 1 << 13  # 64 KB temporaries; 1 << 15 raised the variance CLI peak RSS 0.6 MB
+
+
+def _psi_rows(lam: np.ndarray, ps: np.ndarray, x: int) -> list[float]:
+    """psi_p(x) for each p in ps from a von Mangoldt table, equal to math.fsum.
+
+    Values outside {0} and [1/2, 64) are not integer multiples of 2^-53
+    below 2^59, so the integer sum would not be exact: they are rejected.
+    """
+    n = np.arange(1, x + 1, dtype=np.int64)
+    nsq = n * n + n
+    rows = max(1, _BLOCK_CELLS // x)
+    out: list[float] = []
+    for start in range(0, len(ps), rows):
+        block = lam[ps[start : start + rows, None] + nsq]
+        if not np.all(((block >= 0.5) & (block < 64.0)) | (block == 0.0)):
+            raise ValueError("psi needs von Mangoldt values: 0 or in [1/2, 64)")
+        units = (block * float(_PSI_SCALE)).astype(np.int64)
+        high = (units >> _LIMB_BITS).sum(axis=1).tolist()
+        low = (units & _LIMB_MASK).sum(axis=1).tolist()
+        out.extend(((h << _LIMB_BITS) + l) / _PSI_SCALE for h, l in zip(high, low))
+    return out
+
 
 def psi(p: int, x: int, lam: np.ndarray | None = None) -> float:
     """Sum of von Mangoldt over n^2 + n + p for 1 <= n <= x.
 
-    Terms are generated in ascending n and combined with math.fsum
-    (exactly rounded).  Passing a precomputed von_mangoldt_table as
-    ``lam`` avoids per-term prime-power detection; both paths produce
+    The scalar path generates terms in ascending n and combines them
+    with math.fsum (exactly rounded).  Passing a precomputed
+    von_mangoldt_table as ``lam`` gathers the terms and sums them
+    exactly in integers (see the module docstring); both paths produce
     identical floats.
     """
     if x < 0:
@@ -95,8 +136,7 @@ def psi(p: int, x: int, lam: np.ndarray | None = None) -> float:
     if lam is not None:
         if x * x + x + p >= len(lam):
             raise CoverageError(f"von Mangoldt table too short for x={x}, p={p}")
-        n = np.arange(1, x + 1, dtype=np.int64)
-        return math.fsum((lam[n * n + n + p]).tolist())
+        return _psi_rows(lam, np.array([p], dtype=np.int64), x)[0]
     return math.fsum(von_mangoldt(n * n + n + p) for n in range(1, x + 1))
 
 
@@ -147,50 +187,73 @@ def variance_sum(
     Kahan compensation.  With baier_zhao=True the main term is S * x
     instead of S * x / 2 (comparison normalization only).
     """
-    if x < 1:
-        raise ValueError(f"variance_sum requires x >= 1, got {x}")
-    if y < 1:
-        raise ValueError(f"variance_sum requires y >= 1, got {y}")
-    if y > x * x:
-        raise ValueError(f"region violation: y={y} exceeds x^2={x * x}; need y <= x^2")
+    return variance_sweep([(x, y)], cutoff, table, baier_zhao, keep_terms)[0]
+
+
+def variance_sweep(
+    runs: Iterable[tuple[int, int]],
+    cutoff: int,
+    table: PrimeTable,
+    baier_zhao: bool = False,
+    keep_terms: bool = False,
+) -> list[VarianceReport]:
+    """variance_sum at every (x, y) of runs, one report per run in the given order.
+
+    Every (x, y) is validated before any work.  The squarefree kappa up to
+    the largest y, their singular values and one von Mangoldt table are
+    computed once; each run takes the prefix kappa <= y.  Each report is
+    bit-identical to its own variance_sum call.
+    """
+    runs = list(runs)
+    for x, y in runs:
+        if x < 1:
+            raise ValueError(f"variance_sum requires x >= 1, got {x}")
+        if y < 1:
+            raise ValueError(f"variance_sum requires y >= 1, got {y}")
+        if y > x * x:
+            raise ValueError(f"region violation: y={y} exceeds x^2={x * x}; need y <= x^2")
     if cutoff < 3:
         raise ValueError(f"variance_sum requires cutoff >= 3, got {cutoff}")
-    p_top = (y + 1) // 4
+    if not runs:
+        return []
+    p_top = (max(y for _, y in runs) + 1) // 4
     needed = max(cutoff, p_top, math.isqrt(4 * p_top) if p_top else 0)
     if needed > table.limit:
         raise CoverageError(f"variance_sum needs table limit >= {needed}, have {table.limit}")
 
     primes = table.primes()
-    ps = primes[4 * primes - 1 <= y]
-    if len(ps):
-        kappas = 4 * ps - 1
-        ps = ps[squarefree_mask(kappas, table)]
-    acc = KahanSum()
-    terms: list[VarianceTerm] | None = [] if keep_terms else None
-    if len(ps):
-        kappas = 4 * ps - 1
-        svals = singular_series_many(kappas, cutoff, table)
-        lam = von_mangoldt_table(x * x + x + int(ps[-1]))
-        n = np.arange(1, x + 1, dtype=np.int64)
-        nsq = n * n + n
-        scale = float(x) if baier_zhao else x / 2.0
-        for p, kappa, s in zip(ps, kappas, svals):
-            psi_p = math.fsum((lam[nsq + int(p)]).tolist())
-            main = s * scale
-            residual = psi_p - main
-            acc.add(residual * residual)
-            if terms is not None:
-                terms.append(
-                    VarianceTerm(
-                        p=int(p), kappa=int(kappa), psi_value=psi_p,
-                        singular_value=float(s), main_term=main, residual=residual,
-                    )
-                )
-    lhs = acc.value
-    return VarianceReport(
-        x=x, y=y, cutoff=cutoff, term_count=int(len(ps)),
-        lhs=lhs, ratio=lhs / (float(y) * x * x), terms=terms,
-    )
+    ps = primes[primes <= p_top]  # 4p - 1 <= y exactly when p <= (y + 1) // 4
+    ps = ps[squarefree_mask(4 * ps - 1, table)]
+    kappas = 4 * ps - 1
+    svals = singular_series_many(kappas, cutoff, table) if len(ps) else np.zeros(0)
+    counts = np.searchsorted(kappas, [y for _, y in runs], side="right").tolist()
+    tops = [x * x + x + int(ps[k - 1]) for (x, _), k in zip(runs, counts) if k]
+    lam = von_mangoldt_table(max(tops)) if tops else None
+
+    reports = []
+    for (x, y), k in zip(runs, counts):
+        acc = KahanSum()
+        terms: list[VarianceTerm] | None = [] if keep_terms else None
+        if k:
+            psis = np.array(_psi_rows(lam, ps[:k], x))
+            main = svals[:k] * (float(x) if baier_zhao else x / 2.0)
+            residual = psis - main
+            for sq in (residual * residual).tolist():
+                acc.add(sq)
+            if keep_terms:
+                terms = [
+                    VarianceTerm(p=p, kappa=kappa, psi_value=psi_p, singular_value=s,
+                                 main_term=m, residual=r)
+                    for p, kappa, psi_p, s, m, r in zip(
+                        ps[:k].tolist(), kappas[:k].tolist(), psis.tolist(),
+                        svals[:k].tolist(), main.tolist(), residual.tolist())
+                ]
+        lhs = acc.value
+        reports.append(VarianceReport(
+            x=x, y=y, cutoff=cutoff, term_count=k,
+            lhs=lhs, ratio=lhs / (float(y) * x * x), terms=terms,
+        ))
+    return reports
 
 
 def exception_count(y: int, x: int, table: PrimeTable, return_exceptions: bool = False):

@@ -33,7 +33,7 @@ import sys
 
 import numpy as np
 
-from .asymptotic import density_report, variance_sum
+from .asymptotic import density_report, variance_sweep
 from .expsum import evaluate_sigma
 from .represent import (
     Mode,
@@ -358,6 +358,16 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
             if (entry["summary"]["lo"], entry["summary"]["hi"]) != expect:
                 raise ValueError(f"checkpoint shard {entry['summary']['lo']} misaligned")
 
+    if checkpoint is not None and checkpoint.done_hash is not None:
+        # a complete checkpoint must still fold to the digest it recorded;
+        # merge_summaries folds into its first part, hence the fresh parse
+        if len(completed) != len(bounds) or checkpoint.done_hash != _summary_digest(
+            merge_summaries([ShardSummary.from_json_dict(e["summary"]) for e in completed])
+        ):
+            raise ValueError(
+                f"checkpoint {args.checkpoint} shards do not match its DONE digest"
+            )
+
     sink = None
     if args.emit_records:
         resume_bytes = completed[-1]["records_bytes"] if completed else None
@@ -367,6 +377,11 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
 
     summaries = [ShardSummary.from_json_dict(e["summary"]) for e in completed]
     pending = bounds[len(completed) :]
+    if args.stop_after_shards is not None:
+        # submit only the shards to run: leaving the pool while workers still
+        # write results lets terminate() kill one holding the result queue's
+        # lock, and the pool's task handler then waits on it forever
+        pending = pending[: max(args.stop_after_shards, 1)]
     arrays: list[tuple] = []
     _WORKER_CTX.update(
         {"mode": mode, "twins": twins, "table": table, "include_small": args.include_small}
@@ -391,9 +406,6 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
                         {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
                     )
                 del qs, ps, ns  # free this shard's arrays before the next one is computed
-                produced = len(summaries) - len(completed)
-                if args.stop_after_shards is not None and produced >= args.stop_after_shards:
-                    break
     finally:
         _WORKER_CTX.clear()
         if sink is not None:
@@ -514,25 +526,22 @@ def _cmd_variance(args) -> int:
     if args.emit_records and len(xs) != 1:
         print("error: --emit-records needs a single --x value", file=sys.stderr)
         return EXIT_BAD_INPUT
-    runs = []
-    for x in xs:
-        y = args.y if args.y is not None else x * x
-        if y > x * x:
-            print(f"error: region violation: y={y} > x^2={x * x}", file=sys.stderr)
-            return EXIT_BAD_INPUT
-        runs.append((x, y))
+    runs = [(x, args.y if args.y is not None else x * x) for x in xs]
+    # size the table for 0 <= y <= x^2 only: the sweep rejects a run outside
+    # that region before any output exists, and no table is built for it
     needed = max(
-        max(args.cutoff, (y + 1) // 4, math.isqrt(y) + 1) for _, y in runs
+        max(args.cutoff, (y + 1) // 4, math.isqrt(y) + 1)
+        for y in (min(max(y, 0), x * x) for x, y in runs)
     )
     table = _acquire_table(args, needed)
+    reports = variance_sweep(
+        runs, args.cutoff, table,
+        baier_zhao=args.baier_zhao, keep_terms=bool(args.emit_records),
+    )
     writer = ReportWriter(
         ["x", "y", "cutoff", "term_count", "lhs", "ratio"], args.format, args.out
     )
-    for x, y in runs:
-        report = variance_sum(
-            x, y, args.cutoff, table,
-            baier_zhao=args.baier_zhao, keep_terms=bool(args.emit_records),
-        )
+    for report in reports:
         writer.row(
             {
                 "x": report.x,

@@ -88,10 +88,13 @@ def singular_series(kappa: int, cutoff: int, table: PrimeTable) -> SingularValue
 def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> np.ndarray:
     """Vectorized truncated product for many kappa at once.
 
-    Streams one odd prime ell at a time: a quadratic-residue lookup
-    table mod ell turns the symbol into a gather, and every kappa's
-    running product sees the factors in the same ascending-ell order as
-    the scalar path, so the two agree bit for bit.
+    Streams one odd prime ell at a time.  The residues r^2 mod ell for
+    r = 1..(ell-1)/2 are all the nonzero squares, so a table over the
+    residues a mod ell holds the factor 1.0 - 1/d at the squares,
+    1.0 at a = 0 and 1.0 - (-1)/d elsewhere, with d = ell - 1.0.  These
+    are the floats the scalar path computes for the symbols 1, 0 and
+    -1, and every kappa's running product sees them in the same
+    ascending-ell order, so the two agree bit for bit.
     """
     kappas = np.asarray(kappas, dtype=np.int64)
     if cutoff < 3:
@@ -99,21 +102,17 @@ def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> 
     if cutoff > table.limit:
         raise CoverageError(f"cutoff {cutoff} exceeds table limit {table.limit}")
     values = np.ones(len(kappas), dtype=np.float64)
+    neg_kappas = -kappas
     primes = table.primes()
     for ell in primes[(primes >= 3) & (primes <= cutoff)]:
         ell = int(ell)
-        chi = _legendre_table(ell)
-        values *= 1.0 - chi[(-kappas) % ell] / (ell - 1.0)
+        d = ell - 1.0
+        r = np.arange(1, (ell - 1) // 2 + 1, dtype=np.int64)
+        factor = np.full(ell, 1.0 - (-1) / d)
+        factor[r * r % ell] = 1.0 - 1 / d
+        factor[0] = 1.0
+        values *= factor[neg_kappas % ell]
     return values
-
-
-def _legendre_table(ell: int) -> np.ndarray:
-    """chi[a] = Legendre symbol (a / ell) for an odd prime ell, as int8."""
-    r = np.arange(ell, dtype=np.int64)
-    chi = np.full(ell, -1, dtype=np.int8)
-    chi[(r * r) % ell] = 1
-    chi[0] = 0
-    return chi
 
 
 def _series_terms(kappa: int, lo: int, hi: int, mu: np.ndarray, phi: np.ndarray) -> list[float]:

@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinrep.arithmetic import is_prime_64, von_mangoldt
 from twinrep.asymptotic import (
     KahanSum,
+    VarianceReport,
+    VarianceTerm,
+    _psi_rows,
     density_report,
     exception_count,
     psi,
     variance_sum,
+    variance_sweep,
     von_mangoldt_table,
 )
-from twinrep.sieve import CoverageError, build_twin_index
+from twinrep.sieve import CoverageError, build_prime_table, build_twin_index, squarefree_mask
+from twinrep.singular import singular_series_many
 
 
 class TestVonMangoldtTable:
@@ -62,6 +69,46 @@ class TestPsi:
             psi(3, -1)
         with pytest.raises(OverflowError):
             psi(3, 4 * 10**9)
+
+    def test_rejects_values_the_integer_sum_cannot_hold(self):
+        for bad in (0.25, 64.0, -1.0):
+            lam = np.full(20, 1.0)
+            lam[5] = bad  # n = 1, p = 3
+            with pytest.raises(ValueError, match="von Mangoldt"):
+                psi(3, 2, lam=lam)
+
+
+_PSI_X = 300
+_PSI_P = [int(p) for p in build_prime_table(2000).primes()]
+
+
+@pytest.fixture(scope="module")
+def lam_psi():
+    return von_mangoldt_table(_PSI_X * _PSI_X + _PSI_X + max(_PSI_P))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(_PSI_P), x=st.integers(0, _PSI_X))
+def test_limb_sum_equals_fsum_and_scalar(lam_psi, p, x):
+    n = np.arange(1, x + 1, dtype=np.int64)
+    expected = math.fsum(lam_psi[n * n + n + p].tolist())
+    assert psi(p, x, lam=lam_psi) == expected == psi(p, x)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), x=st.integers(1, 600), rows=st.integers(1, 200))
+def test_limb_rows_equal_fsum_on_any_admissible_values(seed, x, rows):
+    # values anywhere in {0} and [1/2, 64), many one ulp apart, over blocks
+    # of rows that split at the gather limit
+    rng = np.random.default_rng(seed)
+    size = x * x + x + 200
+    lam = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1, 6, size))
+    lam[rng.random(size) < 0.5] = 0.0
+    lam[rng.random(size) < 0.1] = 0.5 + 2.0**-53 * rng.integers(1, 1 << 20, 1)[0]
+    offsets = np.sort(rng.integers(0, 200, rows)).astype(np.int64)
+    n = np.arange(1, x + 1, dtype=np.int64)
+    expected = [math.fsum(lam[n * n + n + c].tolist()) for c in offsets]
+    assert _psi_rows(lam, offsets, x) == expected
 
 
 class TestVarianceSum:
@@ -116,6 +163,61 @@ class TestVarianceSum:
     def test_ratio_normalization(self, table_1e5):
         report = variance_sum(100, 9999, 1000, table_1e5)
         assert report.ratio == report.lhs / (9999.0 * 100 * 100)
+
+
+def _reference_variance(x, y, cutoff, table, baier_zhao=False):
+    """One run computed on its own: its own kappa set, its own table, a
+    math.fsum loop per p."""
+    primes = table.primes()
+    ps = primes[4 * primes - 1 <= y]
+    ps = ps[squarefree_mask(4 * ps - 1, table)]
+    acc = KahanSum()
+    terms = []
+    if len(ps):
+        kappas = 4 * ps - 1
+        svals = singular_series_many(kappas, cutoff, table)
+        lam = von_mangoldt_table(x * x + x + int(ps[-1]))
+        n = np.arange(1, x + 1, dtype=np.int64)
+        scale = float(x) if baier_zhao else x / 2.0
+        for p, kappa, s in zip(ps.tolist(), kappas.tolist(), svals.tolist()):
+            psi_p = math.fsum(lam[n * n + n + p].tolist())
+            main = s * scale
+            residual = psi_p - main
+            acc.add(residual * residual)
+            terms.append(VarianceTerm(p, kappa, psi_p, s, main, residual))
+    return VarianceReport(x, y, cutoff, len(terms), acc.value,
+                          acc.value / (float(y) * x * x), terms)
+
+
+@st.composite
+def _variance_runs(draw):
+    runs = [(2, 4), (7, 43)]  # y < 7: no kappa, zero terms; y = 43 is a kappa
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.integers(1, 70))
+        runs.append((x, draw(st.integers(1, x * x))))
+    runs.append(runs[-1])  # a repeated run
+    return draw(st.permutations(runs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(runs=_variance_runs(), cutoff=st.sampled_from([3, 97, 500]), baier_zhao=st.booleans())
+def test_sweep_equals_single_runs(table_1e5, runs, cutoff, baier_zhao):
+    reports = variance_sweep(runs, cutoff, table_1e5, baier_zhao, keep_terms=True)
+    assert [(r.x, r.y) for r in reports] == runs
+    for (x, y), report in zip(runs, reports):
+        assert report == variance_sum(x, y, cutoff, table_1e5, baier_zhao, keep_terms=True)
+        assert report == _reference_variance(x, y, cutoff, table_1e5, baier_zhao)
+
+
+class TestVarianceSweep:
+    def test_validates_every_run_first(self, table_1e5):
+        with pytest.raises(ValueError, match="region"):
+            variance_sweep([(10, 100), (10, 101)], 100, table_1e5)
+        with pytest.raises(ValueError, match="x >= 1"):
+            variance_sweep([(10, 100), (0, 1)], 100, table_1e5)
+
+    def test_empty(self, table_1e5):
+        assert variance_sweep([], 100, table_1e5) == []
 
 
 class TestExceptionCount:

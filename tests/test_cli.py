@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -190,6 +191,36 @@ class TestOtherCommands:
     def test_variance_region_violation(self):
         assert run_cli(["variance", "--x", "10", "--y", "101"])[0] == 2
 
+    def test_variance_sweep_rows_are_single_runs_in_order(self):
+        code, out, _ = run_cli(["variance", "--x", "60,40,60", "--cutoff", "2000"])
+        assert code == 0
+        singles = [run_cli(["variance", "--x", x, "--cutoff", "2000"]) for x in ("60", "40")]
+        assert [c for c, _, _ in singles] == [0, 0]
+        header, row60 = singles[0][1].splitlines(keepends=True)
+        _, row40 = singles[1][1].splitlines(keepends=True)
+        assert out == header + row60 + row40 + row60
+
+    def test_variance_records_bytes_pinned(self, tmp_path):
+        # SHA-256 of the file the fsum-per-p implementation wrote
+        rec = tmp_path / "terms.csv"
+        code, _, _ = run_cli(["variance", "--x", "60", "--cutoff", "2000",
+                              "--emit-records", str(rec)])
+        assert code == 0
+        assert hashlib.sha256(rec.read_bytes()).hexdigest() == (
+            "4b7779da4d24e45d80018212b43d5ce85870e9bad6c65f569338a6eb8dfa0acf"
+        )
+
+    @pytest.mark.parametrize("extra", [["--x", "0"], ["--x", "10", "--y", "0"],
+                                       ["--x", "10", "--y", "101"]])
+    def test_variance_rejects_before_writing(self, tmp_path, extra):
+        argv = ["variance", "--cutoff", "400"] + extra
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        path = tmp_path / "out.csv"
+        assert run_cli(argv + ["--out", str(path)])[0] == 2
+        assert not path.exists()
+
     def test_variance_records(self, tmp_path):
         rec = str(tmp_path / "terms.csv")
         code, _, _ = run_cli(["variance", "--x", "40", "--cutoff", "500",
@@ -346,6 +377,23 @@ class TestResumeFaults:
         assert os.path.getsize(paths["rec"]) == 100
         assert open(paths["ck"], "rb").read() == checkpoint
         assert not os.path.exists(paths["out"])
+
+    def test_complete_checkpoint_with_wrong_digest_is_exit_2(self, tmp_path):
+        cp = tmp_path / "ck"
+        base = ["verify", "--mode", "twin", "--range", "5:30000", "--shard-size", "8000",
+                "--checkpoint", str(cp)]
+        assert run_cli(base)[0] == 0
+        lines = cp.read_text().splitlines(keepends=True)
+        assert lines[-1].startswith("DONE ")
+        kind, payload = lines[1].split(" ", 1)
+        entry = json.loads(payload)
+        entry["summary"]["checked"] = 7
+        lines[1] = f"{kind} {json.dumps(entry, sort_keys=True)}\n"
+        cp.write_text("".join(lines))
+        code, out, err = run_cli(base)
+        assert (code, out) == (2, "")
+        assert "DONE digest" in err
+        assert cp.read_text() == "".join(lines)
 
     def test_stdout_records_with_checkpoint_leave_no_file(self, tmp_path):
         cp = tmp_path / "ck"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinrep.arithmetic import euler_phi, is_squarefree, jacobi, mobius
 from twinrep.sieve import CoverageError
@@ -67,6 +69,19 @@ class TestBatchEvaluation:
         batch = singular_series_many(kappas, 10**4, table_1e5)
         for kappa, value in zip(kappas, batch):
             assert singular_series(int(kappa), 10**4, table_1e5).value == value
+
+    # p = 2 and 3 give the smallest kappa; p = 2, 7, 13, 23 give kappa = 7,
+    # 27, 51, 91, which share a factor with an ell the product passes
+    @settings(max_examples=25, deadline=None)
+    @given(extra=st.lists(st.integers(0, 2261), max_size=12), cutoff=st.integers(3, 3000))
+    def test_matches_scalar_bitwise_random(self, table_1e5, extra, cutoff):
+        primes = table_1e5.primes()
+        ps = sorted({2, 3, 7, 13, 23} | {int(primes[i]) for i in extra})
+        kappas = np.array([4 * p - 1 for p in ps], dtype=np.int64)
+        batch = singular_series_many(kappas, cutoff, table_1e5)
+        assert batch.tolist() == [
+            singular_series(int(k), cutoff, table_1e5).value for k in kappas
+        ]
 
 
 class TestTailPartial:
