@@ -357,7 +357,10 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
         for entry, expect in zip(completed, bounds):
             if (entry["summary"]["lo"], entry["summary"]["hi"]) != expect:
                 raise ValueError(f"checkpoint shard {entry['summary']['lo']} misaligned")
+    summaries = [ShardSummary.from_json_dict(e["summary"]) for e in completed]
 
+    resume_bytes = completed[-1]["records_bytes"] if completed else None
+    sink = None
     if checkpoint is not None and checkpoint.done_hash is not None:
         # a complete checkpoint must still fold to the digest it recorded;
         # merge_summaries folds into its first part, hence the fresh parse
@@ -367,15 +370,17 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
             raise ValueError(
                 f"checkpoint {args.checkpoint} shards do not match its DONE digest"
             )
-
-    sink = None
-    if args.emit_records:
-        resume_bytes = completed[-1]["records_bytes"] if completed else None
+        # nothing is left to write, so the records file is only checked, never opened
+        if args.emit_records and os.path.getsize(args.emit_records) != resume_bytes:
+            raise ValueError(
+                f"records file {args.emit_records} has {os.path.getsize(args.emit_records)} "
+                f"bytes, complete checkpoint expects {resume_bytes}"
+            )
+    elif args.emit_records:
         sink = _RecordSink(args.emit_records, args.format, resume_bytes)
     if checkpoint is not None and checkpoint.meta is None:
         checkpoint.start(meta)
 
-    summaries = [ShardSummary.from_json_dict(e["summary"]) for e in completed]
     pending = bounds[len(completed) :]
     if args.stop_after_shards is not None:
         # submit only the shards to run: leaving the pool while workers still
@@ -442,11 +447,7 @@ def _cmd_verify(args) -> int:
 def _cmd_stats(args) -> int:
     lo, hi = args.range
     total, arrays = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, keep_arrays=True)
-    if total is None:
-        return EXIT_OK
-    qs = np.concatenate([a[0] for a in arrays]) if arrays else np.zeros(0, np.int64)
-    ps = np.concatenate([a[1] for a in arrays]) if arrays else np.zeros(0, np.int64)
-    ns = np.concatenate([a[2] for a in arrays]) if arrays else np.zeros(0, np.int64)
+    qs, ps, ns = (np.concatenate(column) for column in zip(*arrays))  # every shard ran
     if len(qs) == 0:
         print("error: no representations found in range", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -760,6 +761,9 @@ def main(argv=None) -> int:
             raise ValueError("shard-size must be positive")
         if getattr(args, "checkpoint", None) and args.emit_records == "-":
             raise ValueError("cannot resume records emitted to stdout; use a file path")
+        if args.subcommand == "stats" and (args.checkpoint or args.stop_after_shards is not None):
+            # growth rows need every shard's per-q arrays; a checkpoint keeps digests only
+            raise ValueError("stats does not resume: drop --checkpoint and --stop-after-shards")
         return args.func(args)
     except (ValueError, CoverageError, OverflowError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -190,6 +190,12 @@ class ShardSummary:
     Merging left to right over adjacent shards reproduces the digest of
     the combined range exactly, which is what makes sharded and
     checkpoint-resumed runs equal a single pass.
+
+    same_n_order_violations counts represented q with p + n(n+1) != q.
+    Where that identity holds, p = q - n(n+1) increases with q at fixed
+    n, so the order lemma needs no separate walk; and same_n_first /
+    same_n_last, the first and last p of each n in ascending q, are the
+    least and greatest p of that n.
     """
 
     lo: int
@@ -209,52 +215,44 @@ class ShardSummary:
     same_n_last: dict = field(default_factory=dict)  # n -> last p in shard
 
     _EXAMPLE_CAP = 32
+    _N_DICTS = ("same_n_first", "same_n_last")
 
     def absorb_block(self, qs, ps, ns, found) -> None:
         """Fold one scanned block (qs ascending, following prior blocks)."""
-        self.checked += int(len(qs))
-        if not found.all():
-            self.failures.extend(int(q) for q in qs[~found])
+        block = ShardSummary(lo=self.lo, hi=self.hi, checked=int(len(qs)))
+        block.failures = qs[~found].tolist()
         qf, pf, nf = qs[found], ps[found], ns[found]
-        self.represented += int(len(qf))
-        if len(qf) == 0:
-            return
-        ratio = pf / np.cbrt(qf.astype(np.float64))
-        i = int(np.flatnonzero(ratio == ratio.min())[0])  # smallest q on ties
-        if self.min_ratio is None or (float(ratio[i]), int(qf[i])) < (self.min_ratio, self.min_ratio_q):
-            self.min_ratio, self.min_ratio_q = float(ratio[i]), int(qf[i])
-        nlog = nf / np.log(qf.astype(np.float64))
-        j = int(np.flatnonzero(nlog == nlog.max())[0])
-        if self.max_nlog is None or (-float(nlog[j]), int(qf[j])) < (-self.max_nlog, self.max_nlog_q):
-            self.max_nlog, self.max_nlog_q = float(nlog[j]), int(qf[j])
-        dich = (2 * pf < qf) & (2 * nf * nf < qf)
-        self.dichotomy_violations += int(np.count_nonzero(dich))
-        for q in qf[dich][: self._EXAMPLE_CAP]:
-            if len(self.dichotomy_examples) < self._EXAMPLE_CAP:
-                self.dichotomy_examples.append(int(q))
-        self.sqrt_bound_violations += int(np.count_nonzero(nf * nf > qf))
-        # adjacent-pair monotonicity of p within each n class, q ascending
-        order = np.argsort(nf, kind="stable")
-        ns_s, ps_s = nf[order], pf[order]
-        same = ns_s[1:] == ns_s[:-1]
-        self.same_n_order_violations += int(np.count_nonzero(same & (ps_s[1:] <= ps_s[:-1])))
-        starts = np.flatnonzero(np.concatenate(([True], ~same)))
-        for k in starts:
-            n_val, first_p = int(ns_s[k]), int(ps_s[k])
-            prev = self.same_n_last.get(n_val)
-            if prev is not None and prev >= first_p:
-                self.same_n_order_violations += 1
-            if n_val not in self.same_n_first:
-                self.same_n_first[n_val] = first_p
-        ends = np.concatenate((starts[1:] - 1, [len(ns_s) - 1]))
-        for k in ends:
-            self.same_n_last[int(ns_s[k])] = int(ps_s[k])
+        block.represented = int(len(qf))
+        if len(qf):
+            ratio = pf / np.cbrt(qf.astype(np.float64))
+            i = int(np.argmin(ratio))  # first index, so the smallest q on ties
+            block.min_ratio, block.min_ratio_q = float(ratio[i]), int(qf[i])
+            nlog = nf / np.log(qf.astype(np.float64))
+            j = int(np.argmax(nlog))
+            block.max_nlog, block.max_nlog_q = float(nlog[j]), int(qf[j])
+            dich = (2 * pf < qf) & (2 * nf * nf < qf)
+            block.dichotomy_violations = int(np.count_nonzero(dich))
+            block.dichotomy_examples = qf[dich][: self._EXAMPLE_CAP].tolist()
+            block.sqrt_bound_violations = int(np.count_nonzero(nf * nf > qf))
+            block.same_n_order_violations = int(np.count_nonzero(pf + nf * (nf + 1) != qf))
+            present = np.flatnonzero(np.bincount(nf))
+            least = np.full(int(nf.max()) + 1, np.iinfo(np.int64).max)
+            np.minimum.at(least, nf, pf)
+            greatest = np.zeros_like(least)
+            np.maximum.at(greatest, nf, pf)
+            block.same_n_first = dict(zip(present.tolist(), least[present].tolist()))
+            block.same_n_last = dict(zip(present.tolist(), greatest[present].tolist()))
+        self._fold(block)
 
     def merge(self, nxt: "ShardSummary") -> None:
         """Append the digest of the range immediately after this one."""
         if nxt.lo < self.hi:
             raise ValueError(f"shard order violated: {self.lo}:{self.hi} then {nxt.lo}:{nxt.hi}")
         self.hi = nxt.hi
+        self._fold(nxt)
+
+    def _fold(self, nxt: "ShardSummary") -> None:
+        """Add the counts and extrema of the q that follow this digest's."""
         self.checked += nxt.checked
         self.represented += nxt.represented
         self.failures.extend(nxt.failures)
@@ -265,55 +263,30 @@ class ShardSummary:
             if self.max_nlog is None or (-nxt.max_nlog, nxt.max_nlog_q) < (-self.max_nlog, self.max_nlog_q):
                 self.max_nlog, self.max_nlog_q = nxt.max_nlog, nxt.max_nlog_q
         self.dichotomy_violations += nxt.dichotomy_violations
-        for q in nxt.dichotomy_examples:
-            if len(self.dichotomy_examples) < self._EXAMPLE_CAP:
-                self.dichotomy_examples.append(q)
+        room = self._EXAMPLE_CAP - len(self.dichotomy_examples)
+        self.dichotomy_examples.extend(nxt.dichotomy_examples[: max(room, 0)])
         self.sqrt_bound_violations += nxt.sqrt_bound_violations
         self.same_n_order_violations += nxt.same_n_order_violations
-        for n_val, first_p in nxt.same_n_first.items():
-            prev = self.same_n_last.get(n_val)
-            if prev is not None and prev >= first_p:
-                self.same_n_order_violations += 1
-            if n_val not in self.same_n_first:
-                self.same_n_first[n_val] = first_p
+        self.same_n_first = nxt.same_n_first | self.same_n_first  # earlier p wins
         self.same_n_last.update(nxt.same_n_last)
 
     def to_json_dict(self) -> dict:
-        return {
-            "lo": self.lo,
-            "hi": self.hi,
-            "checked": self.checked,
-            "represented": self.represented,
-            "failures": self.failures,
-            "min_ratio": self.min_ratio,
-            "min_ratio_q": self.min_ratio_q,
-            "max_nlog": self.max_nlog,
-            "max_nlog_q": self.max_nlog_q,
-            "dichotomy_violations": self.dichotomy_violations,
-            "dichotomy_examples": self.dichotomy_examples,
-            "sqrt_bound_violations": self.sqrt_bound_violations,
-            "same_n_order_violations": self.same_n_order_violations,
-            "same_n_first": {str(k): v for k, v in self.same_n_first.items()},
-            "same_n_last": {str(k): v for k, v in self.same_n_last.items()},
-        }
+        out = asdict(self)
+        for key in self._N_DICTS:
+            out[key] = {str(k): v for k, v in out[key].items()}
+        return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ShardSummary":
-        out = cls(lo=d["lo"], hi=d["hi"])
-        out.checked = d["checked"]
-        out.represented = d["represented"]
-        out.failures = list(d["failures"])
-        out.min_ratio = d["min_ratio"]
-        out.min_ratio_q = d["min_ratio_q"]
-        out.max_nlog = d["max_nlog"]
-        out.max_nlog_q = d["max_nlog_q"]
-        out.dichotomy_violations = d["dichotomy_violations"]
-        out.dichotomy_examples = list(d["dichotomy_examples"])
-        out.sqrt_bound_violations = d["sqrt_bound_violations"]
-        out.same_n_order_violations = d["same_n_order_violations"]
-        out.same_n_first = {int(k): v for k, v in d["same_n_first"].items()}
-        out.same_n_last = {int(k): v for k, v in d["same_n_last"].items()}
-        return out
+        names = {f.name for f in fields(cls)}
+        if d.keys() != names:  # no field may silently take its default
+            raise ValueError(f"shard summary fields differ: {sorted(d.keys() ^ names)}")
+        # fresh lists: merge_summaries folds into its first part
+        values = dict(d, failures=list(d["failures"]),
+                      dichotomy_examples=list(d["dichotomy_examples"]))
+        for key in cls._N_DICTS:
+            values[key] = {int(k): v for k, v in d[key].items()}
+        return cls(**values)
 
 
 def merge_summaries(parts: list[ShardSummary]) -> ShardSummary:
@@ -367,14 +340,14 @@ class VerificationReport:
 
 
 def _domain(lo: int, hi: int, mode: Mode, table: PrimeTable) -> np.ndarray:
-    """Admissible q values (>= 5) in [lo, hi] for the given mode."""
+    """Admissible q values (>= 5) in [lo, hi] for the given mode.
+
+    Reads only the range's own odd_bits, so a shard costs O(hi - lo).
+    """
+    first = max(lo, 5) >> 1  # index of the least odd m >= max(lo, 5)
     if mode == Mode.SUN_ODD:
-        start = max(lo, 5)
-        if start % 2 == 0:
-            start += 1
-        return np.arange(start, hi + 1, 2, dtype=np.int64)
-    primes = table.primes()
-    return primes[(primes >= max(lo, 5)) & (primes <= hi)]
+        return np.arange(2 * first + 1, hi + 1, 2, dtype=np.int64)
+    return (np.flatnonzero(table.odd_bits[first : (hi + 1) >> 1]) + first) * 2 + 1
 
 
 def verify_range(

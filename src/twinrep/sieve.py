@@ -99,7 +99,9 @@ def build_prime_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> P
     root = math.isqrt(limit)
     # Python ints keep the per-segment offset arithmetic fast; the list holds
     # only the primes up to sqrt(limit)
-    base = build_prime_table(root).primes()[1:].tolist() if root >= 3 else []
+    base = []
+    if root >= 3:
+        base = (np.flatnonzero(build_prime_table(root).odd_bits) * 2 + 1).tolist()
     for lo in range(3, limit + 1, segment_size):
         hi = min(lo + segment_size, limit + 1)  # values [lo, hi)
         for p in base:
@@ -156,11 +158,10 @@ def build_twin_index(table: PrimeTable) -> TwinIndex:
         raise ValueError(f"twin index needs table.limit >= 5, got {table.limit}")
     coverage = table.limit - 2
     bits = table.odd_bits
-    below = np.zeros_like(bits)
-    below[1:] = bits[:-1]  # below[i] <-> 2i - 1 prime
-    above = np.zeros_like(bits)
-    above[:-1] = bits[1:]  # above[i] <-> 2i + 3 prime
-    mask = bits & (below | above)
+    mask = np.zeros_like(bits)
+    mask[1:] = bits[:-1]  # 2i - 1 prime
+    mask[:-1] |= bits[1:]  # or 2i + 3 prime
+    mask &= bits
     mask[(coverage >> 1) + 1 :] = False  # p + 2 undecidable past coverage
     twins = np.flatnonzero(mask).astype(np.int64) * 2 + 1
     return TwinIndex(coverage=coverage, twins=twins, odd_mask=mask)

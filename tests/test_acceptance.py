@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from twinrep.arithmetic import is_prime_64, is_squarefree, ramanujan_sum
-from twinrep.asymptotic import density_report, exception_count, variance_sum
+from twinrep.asymptotic import density_report, exception_count, variance_sweep
 from twinrep.cli import main as cli_main
 from twinrep.expsum import sigma_bruteforce, sigma_closed, sigma_complex_check
 from twinrep.represent import (
@@ -206,6 +206,11 @@ def test_criterion_2_dichotomy_zero_exceptions(desk_run):
 def test_criterion_3_same_n_forces_smaller_p(desk_run):
     _, _, report, _ = desk_run
     assert report.stats["same_n_order_violations"] == 0
+    # that stat counts failures of p + n(n+1) = q; the lemma itself is checked here:
+    # within each n, in ascending q, p increases strictly
+    order = np.argsort(report.ns, kind="stable")
+    ns, ps = report.ns[order], report.ps[order]
+    assert not np.any((ns[1:] == ns[:-1]) & (ps[1:] <= ps[:-1]))
 
 
 # -- criterion 4: exponential-sum identities ---------------------------------
@@ -310,10 +315,9 @@ def test_criterion_4_runtime_budget():
 def test_criterion_5_variance_ratio_strictly_decreasing(table_1m):
     start = time.perf_counter()
     ratios = []
-    for x in (250, 500, 1000, 2000):
-        report = variance_sum(x, x * x, 10**5, table_1m)
+    for report in variance_sweep([(x, x * x) for x in (250, 500, 1000, 2000)], 10**5, table_1m):
         ratios.append(report.ratio)
-        print(f"\n  x={x}: terms={report.term_count} ratio={report.ratio:.8f}")
+        print(f"\n  x={report.x}: terms={report.term_count} ratio={report.ratio:.8f}")
     elapsed = time.perf_counter() - start
     assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
     print(f"  variance sweep in {elapsed:.1f}s (budget 600s)")

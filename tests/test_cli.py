@@ -395,6 +395,47 @@ class TestResumeFaults:
         assert "DONE digest" in err
         assert cp.read_text() == "".join(lines)
 
+    @pytest.mark.parametrize("edit", ["drop", "add"])
+    def test_shard_line_with_other_fields_is_exit_2(self, tmp_path, edit):
+        paths = self._interrupted(tmp_path)
+        lines = open(paths["ck"]).read().splitlines(keepends=True)
+        kind, payload = lines[1].split(" ", 1)
+        entry = json.loads(payload)
+        if edit == "drop":
+            del entry["summary"]["checked"]
+        else:
+            entry["summary"]["extra"] = 0
+        lines[1] = f"{kind} {json.dumps(entry, sort_keys=True)}\n"
+        open(paths["ck"], "w").write("".join(lines))
+        records = open(paths["rec"], "rb").read()
+        code, out, err = self._resume(paths)
+        assert (code, out) == (2, "")
+        assert "fields differ" in err
+        assert open(paths["ck"]).read() == "".join(lines)
+        assert open(paths["rec"], "rb").read() == records
+        assert not os.path.exists(paths["out"])
+
+    def test_complete_checkpoint_keeps_records_file(self, tmp_path):
+        # the DONE digest does not cover records_bytes, so only the size check catches this
+        cp, rec = tmp_path / "ck", tmp_path / "rec"
+        base = ["verify", "--mode", "twin", "--range", "5:30000", "--shard-size", "8000",
+                "--checkpoint", str(cp), "--emit-records", str(rec), "--workers", "1"]
+        assert run_cli(base)[0] == 0
+        records = rec.read_bytes()
+        assert len(records) == 105_539
+        lines = cp.read_text().splitlines(keepends=True)
+        kind, payload = lines[-2].split(" ", 1)
+        entry = json.loads(payload)
+        entry["records_bytes"] = 100
+        lines[-2] = f"{kind} {json.dumps(entry, sort_keys=True)}\n"
+        cp.write_text("".join(lines))
+        code, out, err = run_cli(base + ["--out", str(tmp_path / "out")])
+        assert (code, out) == (2, "")
+        assert "records" in err
+        assert rec.read_bytes() == records
+        assert cp.read_text() == "".join(lines)
+        assert not (tmp_path / "out").exists()
+
     def test_stdout_records_with_checkpoint_leave_no_file(self, tmp_path):
         cp = tmp_path / "ck"
         code, out, err = run_cli(self.BASE + ["--emit-records", "-", "--checkpoint", str(cp)])
@@ -409,3 +450,31 @@ def test_workers_default_is_usable_cpus():
     args = build_parser().parse_args(["mirsky", "--y", "10"])
     expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert args.workers == expected
+
+
+@pytest.mark.parametrize("mode, digest", [
+    ("twin", "1b31fe9e654cad73d3984ab3604bad3484b73dff2b20a14db052d28f6da7ae4e"),
+    ("sun", "1c39adfb6d96e945dae6467dfefa12c678497db387c2a3e056d57b6bcef954b3"),
+])
+def test_checkpoint_bytes_pinned(tmp_path, mode, digest):
+    # SHA-256 of the checkpoint the argsort and per-n walk digest wrote
+    cp = tmp_path / "ck"
+    code, _, err = run_cli(["verify", "--mode", mode, "--range", "5:30000",
+                            "--shard-size", "8000", "--checkpoint", str(cp)])
+    assert code == 0, err
+    assert hashlib.sha256(cp.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("extra", [["--checkpoint", "F", "--stop-after-shards", "3"],
+                                   ["--checkpoint", "F"], ["--stop-after-shards", "3"]])
+def test_stats_does_not_resume(tmp_path, extra):
+    # growth rows need every shard's per-q arrays, which a checkpoint does not keep
+    out = tmp_path / "out"
+    argv = ["stats", "--range", "5:60000", "--bucket", "20000", "--shard-size", "9000",
+            "--workers", "1", "--out", str(out)]
+    argv += [str(tmp_path / a) if a == "F" else a for a in extra]
+    for _ in range(2):  # the interrupted run, then its resume
+        code, stdout, err = run_cli(argv)
+        assert (code, stdout) == (2, "")
+        assert "stats does not resume" in err
+        assert list(tmp_path.iterdir()) == []

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinrep.represent import (
     Mode,
@@ -183,10 +185,43 @@ class TestVerifyRange:
         with pytest.raises(CoverageError):
             verify_range(5, 10**5, Mode.TWIN_MIN, small_twins, table_1e5)
 
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
+           small=st.booleans(), hi=st.integers(5, 6000), block=st.integers(1, 700),
+           cuts=st.lists(st.integers(6, 6000), max_size=6, unique=True))
+    def test_any_blocks_and_shards_match_single_pass(self, table_1e6, twins_1e6,
+                                                     mode, small, hi, block, cuts):
+        lo = 2 if small else 5
+        whole = verify_range(lo, hi, mode, twins_1e6, table_1e6, include_small=small)
+        cuts = sorted(c for c in cuts if c <= hi)
+        bounds = zip([lo] + cuts, [c - 1 for c in cuts] + [hi])
+        parts = [
+            verify_range(a, b, mode, twins_1e6, table_1e6, include_small=small,
+                         block_size=block).summary
+            for a, b in bounds
+        ]
+        assert merge_summaries(parts).to_json_dict() == whole.summary.to_json_dict()
+        # same_n_first/last against a walk in ascending q
+        first, last = {}, {}
+        for p, n in zip(whole.ps.tolist(), whole.ns.tolist()):
+            first.setdefault(n, p)
+            last[n] = p
+        assert whole.summary.same_n_first == first
+        assert whole.summary.same_n_last == last
+
     def test_summary_json_round_trip(self, table_1e6, twins_1e6):
         report = verify_range(5, 30_000, Mode.TWIN_MIN, twins_1e6, table_1e6)
         clone = ShardSummary.from_json_dict(report.summary.to_json_dict())
         assert summary_stats(clone) == report.stats
+        assert clone == report.summary
+
+    def test_from_json_dict_copies_lists(self):
+        # merge_summaries folds into its first part; the parsed dict must not change
+        first = ShardSummary(lo=1, hi=10, failures=[2], dichotomy_examples=[11]).to_json_dict()
+        second = ShardSummary(lo=11, hi=20, failures=[13], dichotomy_examples=[19]).to_json_dict()
+        merged = merge_summaries([ShardSummary.from_json_dict(d) for d in (first, second)])
+        assert (merged.failures, merged.dichotomy_examples) == ([2, 13], [11, 19])
+        assert (first["failures"], first["dichotomy_examples"]) == ([2], [11])
 
 
 class TestLemmaChecks:
