@@ -91,8 +91,128 @@ def _json_cell(value):
     return value
 
 
+def _format_row(header: list[str], values: dict, fmt: str) -> str:
+    """One CSV or JSONL line: the scalar rule every writer's output follows."""
+    if fmt == "csv":
+        return ",".join(_fmt_cell(values[k]) for k in header) + "\n"
+    return json.dumps({k: _json_cell(values[k]) for k in header}) + "\n"
+
+
+# Rows per chunk of the column formatter.  A chunk's byte matrix and digit
+# temporaries stay near a megabyte, where one buffer per shard would double
+# the peak RSS of a records run, and numpy's per-call cost stays small.
+_RECORD_CHUNK_ROWS = 1 << 14
+
+
+def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(r, exact): r = rint(x * 1e6) as int64, and where r * 1e-6 is f"{x:.6f}".
+
+    1e6 is a double, so y = x * 1e6 lies within half a spacing of the exact
+    product.  Where y is more than one spacing from the half-integer between
+    its neighbouring integers (and below 2**52, where that spacing is at most
+    1/2), the exact product lies strictly inside the same half-open unit as
+    y, so rint(y) is its correctly rounded value, which is what Python's
+    formatting prints.  A set sign bit (-0.0 prints "-0.000000"), a NaN or an
+    infinity is never exact.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = x * 1e6
+        exact = (
+            ~np.signbit(x)
+            & (y < 2.0**52)
+            & (np.abs(y - (np.floor(y) + 0.5)) > np.spacing(y))
+        )
+    return np.rint(np.where(exact, y, 0.0)).astype(np.int64), exact
+
+
+# digit field kinds: a whole number, six zero-padded decimals, and six
+# decimals without their trailing zeros (one kept)
+_WHOLE, _SIX, _SIX_TRIMMED = range(3)
+
+
+def _format_rows(header: list[str], columns: list[np.ndarray], fmt: str) -> bytes:
+    """The bytes _format_row writes for each row of int64 / float64 columns.
+
+    Each row is laid out as literals and right-aligned digit fields in one
+    uint8 matrix of fixed width; a mask of the bytes each row keeps (not a
+    leading or trimmed zero) compacts the matrix into the rows' bytes.  A
+    float prints as r // 10**6, '.' and the six digits of r % 10**6 (CSV),
+    or those digits trimmed (JSONL, which prints repr(float) of the
+    6-decimal value: for values in [1e-4, 1e9) that value has at most 15
+    significant digits, so its trimmed string is the shortest that
+    round-trips).  A row with a negative int, a float _micro_units cannot
+    round exactly, or a JSONL float outside that interval is formatted by
+    _format_row and spliced in place.
+    """
+    rows = len(columns[0])
+    scalar = np.zeros(rows, dtype=bool)
+    parts: list = []  # literal bytes alternating with (values, kind) fields
+    for i, (key, col) in enumerate(zip(header, columns)):
+        if fmt == "csv":
+            parts.append(b"," if i else b"")
+        else:
+            parts.append(("{" if i == 0 else ", ").encode() + json.dumps(key).encode() + b": ")
+        if col.dtype.kind != "f":
+            scalar |= col < 0
+            parts.append((col, _WHOLE))
+            continue
+        r, exact = _micro_units(col)
+        if fmt == "csv":
+            scalar |= ~exact
+        else:
+            scalar |= ~(exact & (r >= 100) & (r < 10**15))
+        whole, frac = np.divmod(r, 10**6)
+        parts += [(whole, _WHOLE), b".", (frac, _SIX if fmt == "csv" else _SIX_TRIMMED)]
+    parts.append(b"\n" if fmt == "csv" else b"}\n")
+
+    spans = [
+        len(p) if isinstance(p, bytes)
+        else 6 if p[1] != _WHOLE
+        else len(str(max(int(p[0].max(initial=0)), 0)))
+        for p in parts
+    ]
+    # one template row holds every literal; digit fields overwrite the rest
+    template = b"".join(p if isinstance(p, bytes) else b"0" * n for p, n in zip(parts, spans))
+    matrix = np.empty((rows, len(template)), dtype=np.uint8)
+    matrix[:] = np.frombuffer(template, dtype=np.uint8)
+    keep = np.ones(matrix.shape, dtype=bool)
+    at = 0
+    for part, span in zip(parts, spans):
+        if not isinstance(part, bytes):
+            values, kind = part
+            for k in range(span):  # the k-th least significant digit
+                col = at + span - 1 - k
+                if kind == _WHOLE and k:
+                    keep[:, col] = values > 0
+                quotient = values // 10  # numpy divides by a scalar far faster than divmod
+                digit = values - 10 * quotient
+                if kind == _SIX_TRIMMED and k < span - 1:
+                    nonzero = digit != 0 if k == 0 else nonzero | (digit != 0)
+                    keep[:, col] = nonzero
+                digit += 48
+                matrix[:, col] = digit
+                values = quotient
+        at += span
+
+    keep[scalar] = False
+    fast = matrix[keep]
+    if not scalar.any():
+        return fast.tobytes()
+    ends = np.cumsum(keep.sum(axis=1))  # a scalar row adds nothing to fast
+    out, start = [], 0
+    for i in np.flatnonzero(scalar):
+        row = {k: col[i].item() for k, col in zip(header, columns)}
+        out += [fast[start : ends[i]].tobytes(), _format_row(header, row, fmt).encode()]
+        start = ends[i]
+    out.append(fast[start:].tobytes())
+    return b"".join(out)
+
+
 class ReportWriter:
-    """Streams rows as CSV or JSONL to a path or stdout, deterministically."""
+    """Streams rows as CSV or JSONL to a path or stdout, deterministically.
+
+    Rows are formatted one at a time by _format_row: reports hold few rows,
+    and numpy's per-call cost would outweigh any vector formatting."""
 
     def __init__(self, header: list[str], fmt: str, path: str | None):
         self.header = header
@@ -103,12 +223,7 @@ class ReportWriter:
             self._fh.write(",".join(header) + "\n")
 
     def row(self, values: dict) -> None:
-        if self.fmt == "csv":
-            self._fh.write(",".join(_fmt_cell(values[k]) for k in self.header) + "\n")
-        else:
-            self._fh.write(
-                json.dumps({k: _json_cell(values[k]) for k in self.header}) + "\n"
-            )
+        self._fh.write(_format_row(self.header, values, self.fmt))
 
     def close(self) -> None:
         if self._own:
@@ -161,7 +276,8 @@ _RECORD_HEADER = ["q", "p", "n", "p_over_cbrt_q", "n_over_log_q"]
 
 class _RecordSink:
     """Appends per-q record rows to a path or, for '-', to stdout (never resumed);
-    tracks byte offsets for resume truncation."""
+    tracks byte offsets for resume truncation.  A file is opened in binary
+    mode, so tell() and truncate() are plain byte offsets."""
 
     def __init__(self, path: str, fmt: str, resume_bytes: int | None):
         self.fmt = fmt
@@ -169,44 +285,29 @@ class _RecordSink:
         if not self._own:
             self._fh = sys.stdout
         elif resume_bytes is None:
-            self._fh = open(path, "w", encoding="utf-8")
+            self._fh = open(path, "wb")
         else:
             size = os.path.getsize(path)
             if size < resume_bytes:
                 raise ValueError(
                     f"records file {path} has {size} bytes, checkpoint expects {resume_bytes}"
                 )
-            self._fh = open(path, "r+", encoding="utf-8")
+            self._fh = open(path, "r+b")
             self._fh.truncate(resume_bytes)
             self._fh.seek(0, os.SEEK_END)
         if resume_bytes is None and fmt == "csv":
-            self._fh.write(",".join(_RECORD_HEADER) + "\n")
+            self._write((",".join(_RECORD_HEADER) + "\n").encode())
+
+    def _write(self, data: bytes) -> None:
+        # stdout may be a text stream with no binary buffer, such as an io.StringIO
+        self._fh.write(data if self._own else data.decode("ascii"))
 
     def write_shard(self, qs, ps, ns) -> None:
-        if len(qs) == 0:
-            return
-        ratio = ps / np.cbrt(qs.astype(np.float64))
-        nlog = ns / np.log(qs.astype(np.float64))
-        if self.fmt == "csv":
-            lines = [
-                f"{q},{p},{n},{r:.6f},{g:.6f}\n"
-                for q, p, n, r, g in zip(qs, ps, ns, ratio, nlog)
-            ]
-            self._fh.writelines(lines)
-        else:
-            for q, p, n, r, g in zip(qs, ps, ns, ratio, nlog):
-                self._fh.write(
-                    json.dumps(
-                        {
-                            "q": int(q),
-                            "p": int(p),
-                            "n": int(n),
-                            "p_over_cbrt_q": float(f"{r:.6f}"),
-                            "n_over_log_q": float(f"{g:.6f}"),
-                        }
-                    )
-                    + "\n"
-                )
+        for start in range(0, len(qs), _RECORD_CHUNK_ROWS):
+            q, p, n = (a[start : start + _RECORD_CHUNK_ROWS] for a in (qs, ps, ns))
+            qf = q.astype(np.float64)
+            columns = [q, p, n, p / np.cbrt(qf), n / np.log(qf)]
+            self._write(_format_rows(_RECORD_HEADER, columns, self.fmt))
 
     def sync(self) -> int:
         """Make the rows written so far durable; returns the file's byte length."""

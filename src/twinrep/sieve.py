@@ -266,5 +266,9 @@ def load_prime_table(path: str) -> PrimeTable:
         raise ValueError(f"{path}: checksum mismatch, cache is corrupt")
     if nbits != (limit + 1) // 2:
         raise ValueError(f"{path}: inconsistent header (limit vs bit count)")
+    need = (nbits + 7) // 8
+    if len(payload) != need:
+        # unpackbits(count=nbits) would pad a short payload with composites
+        raise ValueError(f"{path}: payload has {len(payload)} bytes, {nbits} bits need {need}")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits).astype(bool)
     return PrimeTable(limit=int(limit), odd_bits=bits, segment_size=int(segment_size))

@@ -2,14 +2,16 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinrep.cli import main
+from twinrep.cli import _format_rows, _json_cell, main
 
 
 def run_cli(argv):
@@ -478,3 +480,82 @@ def test_stats_does_not_resume(tmp_path, extra):
         assert (code, stdout) == (2, "")
         assert "stats does not resume" in err
         assert list(tmp_path.iterdir()) == []
+
+
+_RECORD_DIGESTS = {  # SHA-256 of the records the per-row f-string / json.dumps writer wrote
+    ("twin", "csv"): "5cb3d54a12fd55d6de78c70e42edda5d5752ab08b5080550ba7b5688012382dc",
+    ("twin", "jsonl"): "9d5296d7294109d66cf79e304a95a33ac136ac62ff12301bbff021102dfe3ee7",
+    ("prime", "csv"): "7ab83650ffc6a4fbb9b5912bd26bc76b29ea3b530df78220389ab6be830ded7a",
+    ("prime", "jsonl"): "21f8b0e7b91ecb41e475a1c12fc1c1d73e7ba011e441029629c376cb42073e28",
+    ("sun", "csv"): "d2f55599c0e877f7b54eafb6da84f4bb2cbaef65c4d0dd1b45b48d10d587174a",
+    ("sun", "jsonl"): "ba315f8fcfc6fc52093b01964f23dcf73c664bcbb06dc21dd91fa04ca2f08a07",
+}
+
+
+@pytest.mark.parametrize("mode, fmt", sorted(_RECORD_DIGESTS))
+def test_verify_records_bytes_pinned(tmp_path, mode, fmt):
+    base = ["verify", "--mode", mode, "--range", "5:200001", "--shard-size", "65536",
+            "--format", fmt]
+    rec, out, cp = tmp_path / "rec", tmp_path / "out", tmp_path / "ck"
+    code, _, err = run_cli(base + ["--workers", "1", "--emit-records", str(rec),
+                                   "--out", str(out)])
+    assert code == 0, err
+    pinned = rec.read_bytes()
+    assert hashlib.sha256(pinned).hexdigest() == _RECORD_DIGESTS[mode, fmt]
+    code, stdout, _ = run_cli(base + ["--workers", "2", "--emit-records", "-"])
+    assert code == 0
+    assert stdout.encode() == pinned + out.read_bytes()
+    # interrupted after one shard, then resumed with two workers
+    resumable = base + ["--emit-records", str(rec), "--checkpoint", str(cp)]
+    rec.unlink()
+    assert run_cli(resumable + ["--workers", "1", "--stop-after-shards", "1"])[0] == 0
+    assert 0 < rec.stat().st_size < len(pinned)
+    assert run_cli(resumable + ["--workers", "2"])[0] == 0
+    assert rec.read_bytes() == pinned
+
+
+def _ulps_from(base: float, steps: int) -> float:
+    """The double `steps` representations above (below, if negative) base."""
+    return float((np.float64(base).view(np.int64) + steps).view(np.float64))
+
+
+_EDGES = [0.0, 1.0, 1e-4, 1e-4 - 5e-7, 1e9, 1e9 - 5e-7, 2**52 / 1e6, 2**51 / 1e6]
+_FLOATS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=1e4),
+    st.integers(0, 2**20).map(lambda k: k / 128),  # exact binary ties such as 0.0078125
+    st.builds(lambda k, d: _ulps_from((k + 0.5) * 1e-6, d),  # around (k + 1/2) * 1e-6
+              st.integers(0, 10**12), st.integers(-3, 3)),
+    st.builds(_ulps_from, st.sampled_from(_EDGES), st.integers(-40, 40)),
+    st.sampled_from([-0.0, -2.5, math.inf, math.nan]),
+)
+_INTS = st.one_of(st.integers(0, 2**62), st.integers(0, 10**7), st.integers(-10, -1))
+
+
+def _rows_by_scalar_rule(header, columns, fmt):
+    lines = []
+    for row in zip(*(c.tolist() for c in columns)):
+        if fmt == "csv":
+            cells = (f"{v:.6f}" if isinstance(v, float) else str(v) for v in row)
+            lines.append(",".join(cells) + "\n")
+        else:
+            lines.append(json.dumps({k: _json_cell(v) for k, v in zip(header, row)}) + "\n")
+    return "".join(lines).encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["csv", "jsonl"]),
+       kinds=st.lists(st.sampled_from("if"), min_size=1, max_size=5),
+       rows=st.integers(1, 40))
+def test_format_rows_matches_scalar_rule(data, fmt, kinds, rows):
+    columns = [
+        np.array(data.draw(st.lists(_INTS if k == "i" else _FLOATS,
+                                    min_size=rows, max_size=rows)),
+                 dtype=np.int64 if k == "i" else np.float64)
+        for k in kinds
+    ]
+    header = [f"c{i}" for i in range(len(kinds))]
+    chunk = data.draw(st.integers(1, rows + 1))
+    got = b"".join(_format_rows(header, [c[s : s + chunk] for c in columns], fmt)
+                   for s in range(0, rows, chunk))
+    assert got == _rows_by_scalar_rule(header, columns, fmt)

@@ -10,6 +10,7 @@ from twinrep.represent import (
     Mode,
     Representation,
     ShardSummary,
+    _scan_block,
     find_any_prime_representation,
     find_min_n_twin_representation,
     find_min_twin_representation,
@@ -208,6 +209,38 @@ class TestVerifyRange:
             last[n] = p
         assert whole.summary.same_n_first == first
         assert whole.summary.same_n_last == last
+
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
+           halves=st.lists(st.integers(2, 499_999), min_size=1, max_size=120, unique=True),
+           block=st.integers(1, 64), lo=st.integers(1, 1_000_001), width=st.integers(0, 800))
+    def test_scan_kernel_matches_scalar_finders(self, table_1e6, twins_1e6,
+                                                mode, halves, block, lo, width):
+        if mode == Mode.TWIN_MIN:
+            mask, find = twins_1e6.odd_mask, lambda q: find_min_twin_representation(q, twins_1e6)
+        else:
+            mask, find = table_1e6.odd_bits, lambda q: find_any_prime_representation(q, table_1e6)
+
+        def expected(qs):
+            reps = [find(q) for q in qs]
+            return ([r.p if r else 0 for r in reps], [r.n if r else 0 for r in reps],
+                    [r is not None for r in reps])
+
+        # the kernel alone, on random sorted odd q >= 5 cut into blocks
+        qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
+        blocks = [_scan_block(qs[s : s + block], mask) for s in range(0, len(qs), block)]
+        assert [np.concatenate(a).tolist() for a in zip(*blocks)] == list(expected(qs.tolist()))
+
+        # the kernel through verify_range's blocks, on a random window
+        hi = min(lo + width, 1_000_001)
+        report = verify_range(lo, hi, mode, twins_1e6, table_1e6, block_size=block)
+        domain = [q for q in range(max(lo, 5) | 1, hi + 1, 2)
+                  if mode == Mode.SUN_ODD or table_1e6.is_prime(q)]
+        ps, ns, found = expected(domain)
+        assert report.qs.tolist() == [q for q, f in zip(domain, found) if f]
+        assert report.ps.tolist() == [p for p, f in zip(ps, found) if f]
+        assert report.ns.tolist() == [n for n, f in zip(ns, found) if f]
+        assert report.failures == [q for q, f in zip(domain, found) if not f]
 
     def test_summary_json_round_trip(self, table_1e6, twins_1e6):
         report = verify_range(5, 30_000, Mode.TWIN_MIN, twins_1e6, table_1e6)

@@ -1,10 +1,12 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
 
 from twinrep.arithmetic import euler_phi, is_squarefree, mobius
 from twinrep.sieve import (
+    _CACHE_HEADER,
     CoverageError,
     build_prime_table,
     build_twin_index,
@@ -180,4 +182,17 @@ class TestBinaryCache:
         raw = open(path, "rb").read()
         open(path, "wb").write(raw[:10])
         with pytest.raises(ValueError):
+            load_prime_table(path)
+
+    @pytest.mark.parametrize("resize", [lambda b: b[: len(b) // 2], lambda b: b + b"\xff" * 8])
+    def test_rejects_payload_length_with_matching_crc(self, tmp_path, table_1e5, resize):
+        # the CRC matches, so only the length tells; unpackbits would pad a short payload
+        path = str(tmp_path / "table.bin")
+        save_prime_table(table_1e5, path)
+        raw = open(path, "rb").read()
+        fields = _CACHE_HEADER.unpack(raw[: _CACHE_HEADER.size])
+        payload = resize(raw[_CACHE_HEADER.size :])
+        header = _CACHE_HEADER.pack(*fields[:-1], zlib.crc32(payload))
+        open(path, "wb").write(header + payload)
+        with pytest.raises(ValueError, match="payload has"):
             load_prime_table(path)
