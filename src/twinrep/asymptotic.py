@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import von_mangoldt
-from .represent import _scan_block
+from .represent import Mode, verify_range
 from .sieve import CoverageError, PrimeTable, TwinIndex, build_prime_table, squarefree_mask
 from .singular import singular_series_many
 
@@ -293,8 +293,8 @@ def exception_count(y: int, x: int, table: PrimeTable, return_exceptions: bool =
 class DensityReport:
     """Exact representability census over the primes q <= x.
 
-    Exceptions are listed explicitly per mode; q = 2 and q = 3 are
-    always exceptions since they admit no n >= 1.
+    Exceptions are listed explicitly per mode, in ascending q; q = 2 and
+    q = 3 are exceptions whenever they are <= x, since they admit no n >= 1.
     """
 
     x: int
@@ -306,24 +306,20 @@ class DensityReport:
 
 
 def density_report(x: int, table: PrimeTable, twins: TwinIndex) -> DensityReport:
-    """Decide representability of every prime q <= x in both modes."""
+    """Decide representability of every prime q <= x in both modes.
+
+    Each mode is one verify_range over [2, x] that counts q in {2, 3} as
+    failures, so the census follows verify's rule exactly.
+    """
     if x < 2:
         raise ValueError(f"density_report requires x >= 2, got {x}")
-    if x > table.limit:
-        raise CoverageError(f"density_report at {x} exceeds table limit {table.limit}")
-    if x - 2 > twins.coverage:
-        raise CoverageError(f"density_report at {x} needs twin coverage {x - 2}")
-    primes = table.primes()
-    small = [int(q) for q in primes[primes < 5]]
-    qs = primes[(primes >= 5) & (primes <= x)]
-    total = len(small) + len(qs)
-    _, _, found_any = _scan_block(qs, table.odd_bits)
-    _, _, found_twin = _scan_block(qs, twins.odd_mask)
+    any_prime = verify_range(2, x, Mode.ANY_PRIME, None, table, include_small=True).summary
+    twin = verify_range(2, x, Mode.TWIN_MIN, twins, table, include_small=True).summary
     return DensityReport(
         x=x,
-        total_primes=int(total),
-        representable_any_prime=int(np.count_nonzero(found_any)),
-        representable_twin=int(np.count_nonzero(found_twin)),
-        exceptions_any_prime=small + [int(q) for q in qs[~found_any]],
-        exceptions_twin=small + [int(q) for q in qs[~found_twin]],
+        total_primes=any_prime.checked,
+        representable_any_prime=any_prime.represented,
+        representable_twin=twin.represented,
+        exceptions_any_prime=any_prime.failures,
+        exceptions_twin=twin.failures,
     )

@@ -237,12 +237,11 @@ class ReportWriter:
 
 
 def _acquire_table(args, needed_limit: int) -> PrimeTable:
-    cache = getattr(args, "cache", None)
-    if cache:
-        table = load_prime_table(cache)
+    if args.cache:
+        table = load_prime_table(args.cache)
         if table.limit < needed_limit:
             raise ValueError(
-                f"cache {cache} covers only {table.limit}, need {needed_limit}"
+                f"cache {args.cache} covers only {table.limit}, need {needed_limit}"
             )
         return table
     return build_prime_table(needed_limit)
@@ -403,8 +402,8 @@ _VERIFY_HEADER = [
 
 
 def _summary_row(mode: Mode, total: ShardSummary) -> dict:
-    stats = summary_stats(total)
     return {
+        **summary_stats(total),
         "mode": mode.value,
         "lo": total.lo,
         "hi": total.hi,
@@ -412,13 +411,6 @@ def _summary_row(mode: Mode, total: ShardSummary) -> dict:
         "represented": total.represented,
         "failures": len(total.failures),
         "failure_list": total.failures[:32],
-        "min_p_over_cbrt_q": stats["min_p_over_cbrt_q"],
-        "min_p_over_cbrt_q_at": stats["min_p_over_cbrt_q_at"],
-        "max_n_over_log_q": stats["max_n_over_log_q"],
-        "max_n_over_log_q_at": stats["max_n_over_log_q_at"],
-        "dichotomy_violations": stats["dichotomy_violations"],
-        "same_n_order_violations": stats["same_n_order_violations"],
-        "sqrt_bound_violations": stats["sqrt_bound_violations"],
     }
 
 
@@ -558,16 +550,7 @@ def _cmd_stats(args) -> int:
         args.out,
     )
     for row in growth_rows_from_arrays(qs, ps, ns, args.bucket):
-        writer.row(
-            {
-                "q_bucket": row.q_bucket,
-                "count": row.count,
-                "max_n": row.max_n,
-                "min_p": row.min_p,
-                "min_p_over_cbrt_q": row.min_p_over_cbrt_q,
-                "max_n_over_log_q": row.max_n_over_log_q,
-            }
-        )
+        writer.row(vars(row))
     writer.close()
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
@@ -576,7 +559,7 @@ def _cmd_sigma(args) -> int:
     if args.qmax < 1 or args.pmax < 2:
         print(f"error: invalid grid qmax={args.qmax} pmax={args.pmax}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    table = build_prime_table(max(args.pmax, 2))
+    table = _acquire_table(args, max(args.pmax, 2))
     primes = [int(p) for p in table.primes() if p <= args.pmax]
     writer = ReportWriter(["q", "p", "kappa", "brute", "closed", "match"], args.format, args.out)
     for q in range(1, args.qmax + 1):
@@ -597,7 +580,7 @@ def _cmd_sigma(args) -> int:
 
 
 def _cmd_singular(args) -> int:
-    table = _acquire_table(args, max(args.cutoff, 5))
+    table = _acquire_table(args, max(args.cutoff, args.pmax, 5))
     primes = [int(p) for p in table.primes() if p <= args.pmax]
     q1 = max(3, args.cutoff // 10)
     writer = ReportWriter(
@@ -609,16 +592,7 @@ def _cmd_singular(args) -> int:
         kappa = 4 * p - 1
         sv = singular_series(kappa, args.cutoff, table)
         tail = tail_partial(kappa, q1, args.cutoff, table)
-        writer.row(
-            {
-                "kappa": kappa,
-                "p": p,
-                "cutoff": sv.cutoff,
-                "value": sv.value,
-                "last_factor_deviation": sv.last_factor_deviation,
-                "tail_partial": tail,
-            }
-        )
+        writer.row({**vars(sv), "p": p, "tail_partial": tail})
     writer.close()
     return EXIT_OK
 
@@ -644,16 +618,7 @@ def _cmd_variance(args) -> int:
         ["x", "y", "cutoff", "term_count", "lhs", "ratio"], args.format, args.out
     )
     for report in reports:
-        writer.row(
-            {
-                "x": report.x,
-                "y": report.y,
-                "cutoff": report.cutoff,
-                "term_count": report.term_count,
-                "lhs": report.lhs,
-                "ratio": report.ratio,
-            }
-        )
+        writer.row(vars(report))
         if args.emit_records:
             rec = ReportWriter(
                 ["p", "kappa", "psi", "s_trunc", "main_term", "residual", "residual_sq"],
@@ -696,10 +661,7 @@ def _cmd_density(args) -> int:
     )
     writer.row(
         {
-            "x": report.x,
-            "total_primes": report.total_primes,
-            "representable_any_prime": report.representable_any_prime,
-            "representable_twin": report.representable_twin,
+            **vars(report),
             "density_any_prime": report.representable_any_prime / report.total_primes,
             "exceptions_any_prime": report.exceptions_any_prime[:32],
             "exceptions_twin": report.exceptions_twin[:32],
@@ -767,7 +729,6 @@ def _add_output_flags(sub) -> None:
     # the CPUs this process may run on, not every CPU of the machine
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     sub.add_argument("--workers", type=int, default=cpus or 1)
-    sub.add_argument("--cache", default=None, help="binary prime-table cache to load")
 
 
 def _add_shard_flags(sub) -> None:
@@ -836,13 +797,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_mirsky)
 
-    p = sub.add_parser("sieve-cache", help="build and cache a prime table")
+    # no abbreviations here: "--cache" must not silently stand for "--cache-out"
+    p = sub.add_parser("sieve-cache", help="build and cache a prime table", allow_abbrev=False)
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--segment-size", type=int, default=1 << 20)
     p.add_argument("--cache-out", required=True, metavar="PATH")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_sieve_cache)
 
+    for name, p in sub.choices.items():
+        if name != "sieve-cache":  # every other subcommand reads primes via _acquire_table
+            p.add_argument("--cache", default=None, help="binary prime-table cache to load")
     return parser
 
 

@@ -49,17 +49,18 @@ class ResourceLimitError(RuntimeError):
     """A sieve build exceeded the available memory budget."""
 
 
-@dataclass
+@dataclass(eq=False)
 class PrimeTable:
     """Primality bits for [2, limit]; odd_bits[i] answers for m = 2*i + 1.
 
-    Immutable after construction and safe for concurrent reads.
+    Immutable after construction and safe for concurrent reads.  Equality
+    and hashing are by identity, so caches can key on the table itself.
     """
 
     limit: int
     odd_bits: np.ndarray  # bool, length (limit + 1) // 2
     segment_size: int
-    _primes: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _primes: np.ndarray | None = field(default=None, repr=False)
 
     def is_prime(self, m: int) -> bool:
         """Exact verdict for 0 <= m <= limit; raises CoverageError above."""
@@ -211,20 +212,23 @@ def squarefree_kappa_census(table: PrimeTable, y: int) -> tuple[int, int]:
     return (count, int(len(ps)))
 
 
-def mu_phi_tables(upto: int) -> tuple[np.ndarray, np.ndarray]:
+def mu_phi_tables(table: PrimeTable, upto: int) -> tuple[np.ndarray, np.ndarray]:
     """Arrays mu[0..upto] (int8) and phi[0..upto] (int64), exact.
 
-    Built by ascending per-prime passes: phi[k] is divided by each prime
-    factor exactly once before multiplying by p - 1, so all arithmetic
-    stays integral; mu flips sign per prime factor and is zeroed on p*p.
+    Built by ascending per-prime passes over the table's primes <= upto:
+    phi[k] is divided by each prime factor exactly once before
+    multiplying by p - 1, so all arithmetic stays integral; mu flips sign
+    per prime factor and is zeroed on p*p.
     """
     if upto < 1:
         raise ValueError(f"mu_phi_tables requires upto >= 1, got {upto}")
+    if upto > table.limit:
+        raise CoverageError(f"mu_phi_tables({upto}) exceeds table limit {table.limit}")
     mu = np.ones(upto + 1, dtype=np.int8)
     mu[0] = 0
     phi = np.arange(upto + 1, dtype=np.int64)
-    for p in build_prime_table(max(upto, 2)).primes():  # at upto = 1, p = 2 touches nothing
-        p = int(p)
+    primes = table.primes()
+    for p in primes[primes <= upto].tolist():
         mu[p::p] *= -1
         if p * p <= upto:
             mu[p * p :: p * p] = 0

@@ -22,8 +22,8 @@ import numpy as np
 from .arithmetic import is_prime_64, jacobi
 from .sieve import CoverageError, PrimeTable, mu_phi_tables
 
-# the tables are read-only here; caching spares repeated rebuilds when a
-# report sweeps many kappa at one truncation
+# the tables are read-only here; caching (keyed on the table's identity)
+# spares repeated rebuilds when a report sweeps many kappa at one truncation
 _mu_phi_cached = lru_cache(maxsize=4)(mu_phi_tables)
 
 __all__ = [
@@ -136,9 +136,7 @@ def tail_partial(kappa: int, Q1: int, Q2: int, table: PrimeTable) -> float:
     _require_kappa(kappa)
     if not 3 <= Q1 < Q2:
         raise ValueError(f"tail_partial needs 3 <= Q1 < Q2, got Q1={Q1}, Q2={Q2}")
-    if Q2 > table.limit:
-        raise CoverageError(f"Q2 {Q2} exceeds table limit {table.limit}")
-    mu, phi = _mu_phi_cached(Q2)
+    mu, phi = _mu_phi_cached(table, Q2)
     return math.fsum(_series_terms(kappa, Q1, Q2, mu, phi))
 
 
@@ -147,9 +145,5 @@ def dirichlet_series_partial(kappa: int, upto: int, table: PrimeTable) -> float:
     _require_kappa(kappa)
     if upto < 1:
         raise ValueError(f"dirichlet_series_partial needs upto >= 1, got {upto}")
-    if upto > table.limit:
-        raise CoverageError(f"upto {upto} exceeds table limit {table.limit}")
-    if upto == 1:
-        return 1.0
-    mu, phi = _mu_phi_cached(upto)
+    mu, phi = _mu_phi_cached(table, upto)
     return math.fsum([1.0] + _series_terms(kappa, 1, upto, mu, phi))

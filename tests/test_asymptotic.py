@@ -18,7 +18,13 @@ from twinrep.asymptotic import (
     variance_sweep,
     von_mangoldt_table,
 )
-from twinrep.sieve import CoverageError, build_prime_table, build_twin_index, squarefree_mask
+from twinrep.sieve import (
+    CoverageError,
+    build_prime_table,
+    build_twin_index,
+    prime_count,
+    squarefree_mask,
+)
 from twinrep.singular import singular_series_many
 
 
@@ -265,6 +271,13 @@ class TestDensityReport:
         assert report.total_primes == 4
         assert report.exceptions_any_prime == [2, 3]
         assert report.exceptions_twin == [2, 3]
+
+    @pytest.mark.parametrize("x", range(2, 13))
+    def test_counts_only_primes_up_to_x(self, table_1e5, x):
+        report = density_report(x, table_1e5, build_twin_index(table_1e5))
+        assert report.total_primes == prime_count(table_1e5, x)
+        assert all(q <= x for q in report.exceptions_any_prime + report.exceptions_twin)
+        assert report.exceptions_any_prime == [q for q in (2, 3) if q <= x]
 
     def test_twin_subset_of_any(self, table_1e5):
         twins = build_twin_index(table_1e5)

@@ -245,6 +245,15 @@ class TestOtherCommands:
         row = parse_csv(out)[0]
         assert (row["s_y"], row["pi_y"]) == ("128", "168")
 
+    def test_singular_covers_pmax_past_cutoff(self):
+        code, out, err = run_cli(["singular", "--pmax", "100", "--cutoff", "50"])
+        assert code == 0, err
+        rows = parse_csv(out)
+        assert [int(r["p"]) for r in rows] == [
+            p for p in range(2, 101) if all(p % d for d in range(2, p))
+        ]
+        assert len(rows) == 25
+
     def test_singular(self):
         code, out, _ = run_cli(["singular", "--pmax", "11", "--cutoff", "2000"])
         assert code == 0
@@ -268,6 +277,25 @@ class TestOtherCommands:
         code, _, err = run_cli(["density", "--x", "60000", "--cache", cache])
         assert code == 2
         assert "covers only" in err
+
+    def test_sigma_reads_cache(self, tmp_path):
+        small, large = str(tmp_path / "small.bin"), str(tmp_path / "large.bin")
+        assert run_cli(["sieve-cache", "--limit", "20", "--cache-out", small])[0] == 0
+        assert run_cli(["sieve-cache", "--limit", "100", "--cache-out", large])[0] == 0
+        argv = ["sigma", "--qmax", "6", "--pmax", "30"]
+        code, out, err = run_cli(argv + ["--cache", small])
+        assert (code, out) == (2, "")
+        assert "covers only" in err
+        plain = run_cli(argv)
+        assert plain[0] == 0
+        assert run_cli(argv + ["--cache", large]) == plain
+
+    def test_sieve_cache_has_no_cache_flag(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["sieve-cache", "--limit", "100", "--cache-out", str(tmp_path / "pt.bin"),
+                     "--cache", str(tmp_path / "other.bin")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_workers_flag_everywhere(self):
         # non-verify subcommands accept --workers and ignore it safely
@@ -512,6 +540,37 @@ def test_verify_records_bytes_pinned(tmp_path, mode, fmt):
     assert 0 < rec.stat().st_size < len(pinned)
     assert run_cli(resumable + ["--workers", "2"])[0] == 0
     assert rec.read_bytes() == pinned
+
+
+_REPORT_RUNS = {
+    "singular": ["singular", "--pmax", "40", "--cutoff", "3000"],
+    "sigma": ["sigma", "--qmax", "12", "--pmax", "23"],
+    "density": ["density", "--x", "30000"],
+    "mirsky": ["mirsky", "--y", "5000"],
+    "stats": ["stats", "--range", "5:40000", "--bucket", "7000", "--workers", "1"],
+    "variance": ["variance", "--x", "40,60", "--cutoff", "2000"],
+}
+_REPORT_DIGESTS = {  # SHA-256 of the stdout the per-report dict rows and scan copy wrote
+    ("singular", "csv"): "53de9e1d94abb983b7cfd0dfdbeb93b2b7580bbcb763de03a3ba391809d03a47",
+    ("singular", "jsonl"): "91eadd0c7f4a07172398e3d058eb08759cbd831e5e6c2c306d19287adb1464a7",
+    ("sigma", "csv"): "35b96561c75e70dcb98817b2c40b08ded5682f21a90eded92ae7c34e280be2c0",
+    ("sigma", "jsonl"): "0bd9874d670bbd5e33c4e69d2c4d6e1371b1511e95749f34edc19a538ddcd68d",
+    ("density", "csv"): "13011f452659f077409a0a3dbded8f92488136aa31113ee9094c5adbfb3072c0",
+    ("density", "jsonl"): "ac27417acf74162e2c5978daed1e0d7ac4d3338c6c2fd1881b23c410549b7796",
+    ("mirsky", "csv"): "1ea8f6e259823367c05d2b046dd78e3d84900887bc419b400da87caad4015933",
+    ("mirsky", "jsonl"): "d745c2551256eca7fddf309447e0f7cc52d41ac69f7bcaa005b095364030eb71",
+    ("stats", "csv"): "5293c2994ede085949b9770b4180d1c836179e867f3c62cf8a429c6e90314a08",
+    ("stats", "jsonl"): "4c740774ed4462e3a7e487714994de65a30aa867d30a812ea49e5400a6bed4c6",
+    ("variance", "csv"): "46a702af99a27eb17561818be57f2dd277a625c0bcf00320109835f664dcc145",
+    ("variance", "jsonl"): "13913fdfefd0c11c3659096825c8fc372243be5bad986797688a0b57d3c30d76",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(_REPORT_DIGESTS))
+def test_report_bytes_pinned(name, fmt):
+    code, out, err = run_cli(_REPORT_RUNS[name] + ["--format", fmt])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_DIGESTS[name, fmt]
 
 
 def _ulps_from(base: float, steps: int) -> float:

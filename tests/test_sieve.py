@@ -142,11 +142,18 @@ class TestCensus:
 
 
 class TestMuPhiTables:
-    def test_against_scalars(self):
-        mu, phi = mu_phi_tables(2000)
+    def test_against_scalars(self, table_1e5):
+        mu, phi = mu_phi_tables(table_1e5, 2000)
         for n in range(1, 2001):
             assert mu[n] == mobius(n)
             assert phi[n] == euler_phi(n)
+
+    def test_past_table_limit_is_coverage_error(self):
+        table = build_prime_table(1000)
+        mu, phi = mu_phi_tables(table, 1000)
+        assert (mu[997], phi[997]) == (-1, 996)
+        with pytest.raises(CoverageError):
+            mu_phi_tables(table, 1001)
 
 
 class TestBinaryCache:
