@@ -13,6 +13,7 @@ from .arithmetic import (
     is_prime_64,
     is_squarefree,
     jacobi,
+    jacobi_many,
     mobius,
     ramanujan_sum,
     von_mangoldt,
@@ -33,6 +34,7 @@ from .expsum import (
     SigmaEvaluation,
     check_multiplicativity,
     evaluate_sigma,
+    evaluate_sigma_row,
     sigma_bruteforce,
     sigma_closed,
     sigma_complex_check,

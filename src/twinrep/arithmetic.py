@@ -1,19 +1,24 @@
-"""Exact scalar number theory for 64-bit-scale integers.
+"""Exact number theory for 64-bit-scale integers.
 
 Everything in this module is a pure function of its arguments and uses
 exact integer arithmetic throughout (the only float produced is the
-logarithm returned by :func:`von_mangoldt`).  These are the scalar
-primitives the rest of the package is built on: quadratic residue
-symbols, the classical multiplicative functions, deterministic
-primality, and prime-power detection.
+logarithm returned by :func:`von_mangoldt`).  These are the primitives
+the rest of the package is built on: quadratic residue symbols, the
+classical multiplicative functions, deterministic primality, and
+prime-power detection.  All of them are scalar except one array kernel,
+:func:`jacobi_many`, which evaluates the Jacobi symbol over whole int64
+arrays for the singular-series and exponential-sum reports.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "jacobi",
+    "jacobi_many",
     "mobius",
     "euler_phi",
     "is_squarefree",
@@ -55,6 +60,47 @@ def jacobi(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+def jacobi_many(a, n) -> np.ndarray:
+    """Jacobi symbol (a/n) elementwise over int64 arrays, exact.
+
+    ``a`` and ``n`` broadcast against each other; every ``n`` must be
+    odd and >= 1, as for :func:`jacobi`, whose values this returns (as
+    int64) lane for lane.  The binary algorithm (Cohen, GTM 138,
+    Alg. 1.4.10) runs on all lanes at once: each round strips the twos
+    of ``a`` by the exact exponent of its lowest set bit ``a & -a``,
+    flips the sign when that exponent is odd and n = 3, 5 mod 8,
+    applies reciprocity, and sets ``a, n = n % a, a``.  Lanes that reach
+    a = 0 leave the working arrays, so a round costs only the lanes
+    still live.  After the first reduction every value lies in [0, n),
+    so no step can overflow.
+    """
+    a, n = np.broadcast_arrays(np.asarray(a, dtype=np.int64), np.asarray(n, dtype=np.int64))
+    bad = (n <= 0) | (n % 2 == 0)
+    if bad.any():
+        raise ValueError(f"jacobi requires odd n >= 1, got n={n[bad].flat[0]}")
+    shape = a.shape
+    a = (a % n).ravel()
+    n = n.ravel()
+    out = np.empty(a.size, dtype=np.int64)
+    lanes = np.arange(a.size)
+    negative = np.zeros(a.size, dtype=bool)
+    while lanes.size:
+        done = a == 0
+        if done.any():
+            out[lanes[done]] = np.where(n[done] == 1, 1 - 2 * negative[done], 0)
+            live = ~done
+            lanes, a, n, negative = lanes[live], a[live], n[live], negative[live]
+        # a & -a is a power of two below 2^63, so float64 holds it and
+        # frexp's exponent (it returns 0.5 * 2^e) is exact
+        twos = np.frexp(a & -a)[1] - 1
+        a >>= twos
+        n8 = n & 7
+        negative ^= (twos & 1).astype(bool) & ((n8 == 3) | (n8 == 5))
+        negative ^= (a & n & 3) == 3
+        a, n = n % a, a
+    return out.reshape(shape)
 
 
 def _factorize(n: int) -> dict[int, int]:

@@ -34,7 +34,7 @@ import sys
 import numpy as np
 
 from .asymptotic import density_report, variance_sweep
-from .expsum import evaluate_sigma
+from .expsum import evaluate_sigma_row
 from .represent import (
     Mode,
     ShardSummary,
@@ -563,12 +563,11 @@ def _cmd_sigma(args) -> int:
     primes = [int(p) for p in table.primes() if p <= args.pmax]
     writer = ReportWriter(["q", "p", "kappa", "brute", "closed", "match"], args.format, args.out)
     for q in range(1, args.qmax + 1):
-        for p in primes:
-            ev = evaluate_sigma(q, p)
+        for ev in evaluate_sigma_row(q, primes):
             writer.row(
                 {
                     "q": q,
-                    "p": p,
+                    "p": ev.p,
                     "kappa": ev.kappa,
                     "brute": ev.brute_value,
                     "closed": ev.closed_value,
@@ -583,16 +582,21 @@ def _cmd_singular(args) -> int:
     table = _acquire_table(args, max(args.cutoff, args.pmax, 5))
     primes = [int(p) for p in table.primes() if p <= args.pmax]
     q1 = max(3, args.cutoff // 10)
+    # every row exists before the writer opens, so a rejected cutoff
+    # leaves stdout and --out untouched
+    rows = []
+    for p in primes:
+        kappa = 4 * p - 1
+        sv = singular_series(kappa, args.cutoff, table)
+        tail = tail_partial(kappa, q1, args.cutoff, table)
+        rows.append({**vars(sv), "p": p, "tail_partial": tail})
     writer = ReportWriter(
         ["kappa", "p", "cutoff", "value", "last_factor_deviation", "tail_partial"],
         args.format,
         args.out,
     )
-    for p in primes:
-        kappa = 4 * p - 1
-        sv = singular_series(kappa, args.cutoff, table)
-        tail = tail_partial(kappa, q1, args.cutoff, table)
-        writer.row({**vars(sv), "p": p, "tail_partial": tail})
+    for row in rows:
+        writer.row(row)
     writer.close()
     return EXIT_OK
 

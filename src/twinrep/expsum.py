@@ -34,6 +34,7 @@ __all__ = [
     "sigma_closed",
     "check_multiplicativity",
     "evaluate_sigma",
+    "evaluate_sigma_row",
 ]
 
 
@@ -66,13 +67,26 @@ def _require_prime(p: int) -> None:
 def sigma_bruteforce(q: int, p: int) -> int:
     """Sigma(q) as an exact integer; O(q) Ramanujan-sum terms, no floats.
 
+    The one-p case of the grid-row evaluation in evaluate_sigma_row.
+    """
+    return int(_bruteforce_row(q, [p])[0])
+
+
+# bound on the (p, n) cells one np.gcd call of a grid row handles
+_ROW_CELLS = 1 << 20
+
+
+def _bruteforce_row(q: int, ps: list[int]) -> np.ndarray:
+    """Sigma(q) for every p in ps, exact int64.
+
     The Ramanujan sums are evaluated through a per-divisor coefficient
-    table mu(q/g) * phi(q) / phi(q/g), so the whole computation is
-    integer gcds plus lookups.
+    table mu(q/g) * phi(q) / phi(q/g), built once for q, so each p costs
+    integer gcds plus lookups: c_q(m) = coef[gcd(m mod q, q)].
     """
     if q < 1:
         raise ValueError(f"sigma_bruteforce requires q >= 1, got {q}")
-    _require_prime(p)
+    for p in ps:
+        _require_prime(p)
     coef = np.zeros(q + 1, dtype=np.int64)
     phi_q = euler_phi(q)
     for g in _divisors(q):
@@ -80,9 +94,14 @@ def sigma_bruteforce(q: int, p: int) -> int:
         if m:
             coef[g] = m * (phi_q // euler_phi(q // g))
     n = np.arange(q, dtype=np.int64)
-    residues = (n * n + n + p) % q
-    g = np.gcd(residues, q)
-    return 2 * int(coef[g].sum())
+    shifts = (n * n + n) % q
+    p_mod_q = np.array([p % q for p in ps], dtype=np.int64)
+    sums = np.empty(len(ps), dtype=np.int64)
+    step = max(1, _ROW_CELLS // q)
+    for i in range(0, len(ps), step):
+        residues = (shifts + p_mod_q[i : i + step, None]) % q
+        sums[i : i + step] = coef[np.gcd(residues, q)].sum(axis=1)
+    return 2 * sums
 
 
 def _divisors(q: int) -> list[int]:
@@ -148,9 +167,14 @@ def sigma_closed(q: int, p: int) -> int:
     _require_prime(p)
     if not is_squarefree(q):
         raise ValueError(f"sigma_closed is only defined for squarefree q, got {q}")
+    return _closed_row(q, [p])[0]
+
+
+def _closed_row(q: int, ps: list[int]) -> list[int]:
+    """sigma_closed(q, p) for every p in ps; q squarefree, every p prime."""
     if q % 2 == 0:
-        return 0
-    return 2 * q * jacobi((1 - 4 * p) % q, q)
+        return [0] * len(ps)
+    return [2 * q * jacobi((1 - 4 * p) % q, q) for p in ps]
 
 
 def check_multiplicativity(q1: int, q2: int, p: int) -> bool:
@@ -167,6 +191,18 @@ def check_multiplicativity(q1: int, q2: int, p: int) -> bool:
 
 def evaluate_sigma(q: int, p: int) -> SigmaEvaluation:
     """Brute force plus closed form (where defined) for one (q, p) cell."""
-    brute = sigma_bruteforce(q, p)
-    closed = sigma_closed(q, p) if is_squarefree(q) else None
-    return SigmaEvaluation(q=q, p=p, kappa=4 * p - 1, brute_value=brute, closed_value=closed)
+    return evaluate_sigma_row(q, [p])[0]
+
+
+def evaluate_sigma_row(q: int, ps: list[int]) -> list[SigmaEvaluation]:
+    """evaluate_sigma(q, p) for every p in ps, in order.
+
+    The divisor and coefficient table of q is built once for the whole
+    row, which is what makes a grid report cheap.
+    """
+    brute = _bruteforce_row(q, ps).tolist()
+    closed = _closed_row(q, ps) if is_squarefree(q) else [None] * len(ps)
+    return [
+        SigmaEvaluation(q=q, p=p, kappa=4 * p - 1, brute_value=b, closed_value=c)
+        for p, b, c in zip(ps, brute, closed)
+    ]

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import is_prime_64, jacobi
+from .arithmetic import is_prime_64, jacobi_many
 from .sieve import CoverageError, PrimeTable, mu_phi_tables
 
 # the tables are read-only here; caching (keyed on the table's identity)
@@ -55,6 +55,17 @@ def _require_kappa(kappa: int) -> None:
         raise ValueError(f"kappa must be 4p - 1 for a prime p, got {kappa}")
 
 
+def _neg_kappa(kappa: int, ns: np.ndarray):
+    """-kappa as the first argument of jacobi_many over the moduli ns.
+
+    Passed as is while it fits int64; kappa = 4p - 1 passes 2^63 once
+    p > 2^61, and is then reduced exactly mod each n first.
+    """
+    if kappa <= 2**63:
+        return -kappa
+    return ((-kappa) % ns.astype(object)).astype(np.int64)
+
+
 def singular_series(kappa: int, cutoff: int, table: PrimeTable) -> SingularValue:
     """Product over odd primes ell <= cutoff, left to right in ascending ell.
 
@@ -67,21 +78,17 @@ def singular_series(kappa: int, cutoff: int, table: PrimeTable) -> SingularValue
         raise ValueError(f"singular_series needs cutoff >= 3, got {cutoff}")
     if cutoff > table.limit:
         raise CoverageError(f"cutoff {cutoff} exceeds table limit {table.limit}")
-    value = 1.0
-    last_factor = 1.0
-    last_prime = 3
     primes = table.primes()
-    for ell in primes[(primes >= 3) & (primes <= cutoff)]:
-        ell = int(ell)
-        factor = 1.0 - jacobi((-kappa) % ell, ell) / (ell - 1.0)
-        value *= factor
-        last_factor = factor
-        last_prime = ell
+    ells = primes[(primes >= 3) & (primes <= cutoff)]
+    factors = 1.0 - jacobi_many(_neg_kappa(kappa, ells), ells) / (ells - 1.0)
+    # accumulate multiplies strictly left to right, so its last element
+    # carries the same bits as a running `value *= factor` loop
+    value = np.multiply.accumulate(factors)[-1]
     return SingularValue(
         kappa=kappa,
-        cutoff=last_prime,
-        value=value,
-        last_factor_deviation=abs(last_factor - 1.0),
+        cutoff=int(ells[-1]),
+        value=float(value),
+        last_factor_deviation=abs(float(factors[-1]) - 1.0),
     )
 
 
@@ -116,13 +123,14 @@ def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> 
 
 
 def _series_terms(kappa: int, lo: int, hi: int, mu: np.ndarray, phi: np.ndarray) -> list[float]:
-    """Dirichlet terms mu(q)/phi(q) * symbol for odd squarefree q in (lo, hi]."""
-    terms = []
-    for q in range(lo + 1, hi + 1):
-        if q % 2 == 0 or mu[q] == 0:
-            continue
-        terms.append(int(mu[q]) / int(phi[q]) * jacobi((-kappa) % q, q))
-    return terms
+    """Dirichlet terms mu(q)/phi(q) * symbol for odd squarefree q in (lo, hi].
+
+    mu and phi are exact below 2^53, so each float64 quotient is the
+    correctly rounded value Python's int / int gives.
+    """
+    q = np.arange(lo + 1 + lo % 2, hi + 1, 2)
+    q = q[mu[q] != 0]
+    return (mu[q] / phi[q] * jacobi_many(_neg_kappa(kappa, q), q)).tolist()
 
 
 def tail_partial(kappa: int, Q1: int, Q2: int, table: PrimeTable) -> float:

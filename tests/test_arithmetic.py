@@ -1,7 +1,10 @@
 import math
 from functools import reduce
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinrep.arithmetic import (
     euler_phi,
@@ -10,6 +13,7 @@ from twinrep.arithmetic import (
     is_prime_64,
     is_squarefree,
     jacobi,
+    jacobi_many,
     mobius,
     ramanujan_sum,
     von_mangoldt,
@@ -90,6 +94,69 @@ class TestJacobi:
         for p in (2, 3, 5, 101):
             for q in range(3, 100, 2):
                 assert jacobi(1 - 4 * p, q) == jacobi(-(4 * p - 1) % q, q)
+
+
+_ODD_MODULI = st.one_of(
+    st.integers(0, 50).map(lambda k: 2 * k + 1),
+    st.integers(0, 2**61 - 1).map(lambda k: 2 * k + 1),  # up to 2^62 - 1
+    st.sampled_from([1, 3, 2**31 - 1, 2**61 - 1, 2**62 - 1, 2**62 + 1, 2**63 - 1]),
+)
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestJacobiMany:
+    """The array kernel against the scalar jacobi, lane for lane."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), ns=st.lists(_ODD_MODULI, min_size=1, max_size=40))
+    def test_matches_scalar(self, data, ns):
+        # a drawn across int64, plus 0, multiples of n and its neighbours,
+        # and powers of two times a small odd number (long runs of twos)
+        a = [
+            data.draw(st.one_of(
+                _INT64,
+                st.just(0),
+                st.builds(lambda k, m: m << k, st.integers(0, 58), st.integers(-15, 15)),
+                st.integers(-((2**63) // n), (2**63 - 1) // n).map(lambda k, n=n: k * n),
+                st.sampled_from([-n, n - 1, 1 - n, -(2**63), 2**63 - 1]),
+            ))
+            for n in ns
+        ]
+        got = jacobi_many(np.array(a, dtype=np.int64), np.array(ns, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [jacobi(x, n) for x, n in zip(a, ns)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.lists(_INT64, min_size=1, max_size=6),
+           ns=st.lists(_ODD_MODULI, min_size=1, max_size=6))
+    def test_broadcast_shapes(self, a, ns):
+        col = np.array(a, dtype=np.int64)[:, None]
+        row = np.array(ns, dtype=np.int64)[None, :]
+        got = jacobi_many(col, row)
+        assert got.shape == (len(a), len(ns))
+        assert got.tolist() == [[jacobi(x, n) for n in ns] for x in a]
+        # a scalar against an array, and two scalars
+        assert jacobi_many(a[0], row[0]).tolist() == [jacobi(a[0], n) for n in ns]
+        assert jacobi_many(a[0], ns[0]).shape == ()
+        assert int(jacobi_many(a[0], ns[0])) == jacobi(a[0], ns[0])
+
+    def test_long_runs_of_twos(self):
+        a = [m << k for k in range(63) for m in (1, 3, 5, -1, -3) if -(2**63) <= m << k < 2**63]
+        for n in (3, 5, 7, 10**18 + 9, 2**61 - 1, 2**62 - 1, 2**62 + 1, 2**62 + 3):
+            assert jacobi_many(a, n).tolist() == [jacobi(x, n) for x in a], n
+
+    def test_empty_arrays(self):
+        empty = np.array([], dtype=np.int64)
+        assert jacobi_many(empty, empty).shape == (0,)
+        assert jacobi_many(5, empty).shape == (0,)
+        assert jacobi_many(np.zeros((0, 3), dtype=np.int64), [1, 3, 5]).shape == (0, 3)
+
+    def test_rejects_even_or_nonpositive(self):
+        for n in (0, -3, 2, 10, -(2**63)):
+            with pytest.raises(ValueError):
+                jacobi_many([3], [n])
+            with pytest.raises(ValueError):
+                jacobi_many(3, [1, 3, n, 5])
 
 
 class TestMultiplicativeFunctions:

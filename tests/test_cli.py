@@ -260,6 +260,24 @@ class TestOtherCommands:
         rows = parse_csv(out)
         assert [r["kappa"] for r in rows] == ["7", "11", "19", "27", "43"]
 
+    def test_singular_rejects_before_writing(self, tmp_path):
+        # cutoff 3 leaves no tail range: Q1 = max(3, cutoff // 10) = 3 = Q2
+        argv = ["singular", "--pmax", "10", "--cutoff", "3"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+        path = tmp_path / "out.csv"
+        assert run_cli(argv + ["--out", str(path)])[0] == 2
+        assert not path.exists()
+
+    def test_singular_smallest_tail(self):
+        # cutoff 4: the tail (3, 4] holds no odd q, so it is exactly zero
+        code, out, err = run_cli(["singular", "--pmax", "10", "--cutoff", "4"])
+        assert code == 0, err
+        rows = parse_csv(out)
+        assert [r["p"] for r in rows] == ["2", "3", "5", "7"]
+        assert {r["tail_partial"] for r in rows} == {"0.000000"}
+
     def test_stats(self):
         code, out, _ = run_cli(["stats", "--range", "5:10000", "--bucket", "5000"])
         assert code == 0
@@ -545,6 +563,8 @@ def test_verify_records_bytes_pinned(tmp_path, mode, fmt):
 _REPORT_RUNS = {
     "singular": ["singular", "--pmax", "40", "--cutoff", "3000"],
     "sigma": ["sigma", "--qmax", "12", "--pmax", "23"],
+    "singular-40000": ["singular", "--pmax", "60", "--cutoff", "40000"],
+    "sigma-300": ["sigma", "--qmax", "300", "--pmax", "60"],
     "density": ["density", "--x", "30000"],
     "mirsky": ["mirsky", "--y", "5000"],
     "stats": ["stats", "--range", "5:40000", "--bucket", "7000", "--workers", "1"],
@@ -555,6 +575,12 @@ _REPORT_DIGESTS = {  # SHA-256 of the stdout the per-report dict rows and scan c
     ("singular", "jsonl"): "91eadd0c7f4a07172398e3d058eb08759cbd831e5e6c2c306d19287adb1464a7",
     ("sigma", "csv"): "35b96561c75e70dcb98817b2c40b08ded5682f21a90eded92ae7c34e280be2c0",
     ("sigma", "jsonl"): "0bd9874d670bbd5e33c4e69d2c4d6e1371b1511e95749f34edc19a538ddcd68d",
+    # the sizes of the benchmark's reports workload, as the scalar symbol
+    # loops and the per-cell Sigma evaluation printed them
+    ("singular-40000", "csv"): "0836393260671d28d524bdf134504dd1b51ab030698a6ee3a8eb237c7f70089a",
+    ("singular-40000", "jsonl"): "c1c56200ecfefc57451821ef1390246a0609a2d186139a77371cfefa9ca5932f",
+    ("sigma-300", "csv"): "38fe6f77d58a41423f4ae0c59d999728b8b5786b35362de50da9777a84c96c51",
+    ("sigma-300", "jsonl"): "fe8a9ac8e95238c56cbf43423e274ad42ce27a971c1f8f7cacb68ae503941de3",
     ("density", "csv"): "13011f452659f077409a0a3dbded8f92488136aa31113ee9094c5adbfb3072c0",
     ("density", "jsonl"): "ac27417acf74162e2c5978daed1e0d7ac4d3338c6c2fd1881b23c410549b7796",
     ("mirsky", "csv"): "1ea8f6e259823367c05d2b046dd78e3d84900887bc419b400da87caad4015933",
@@ -567,10 +593,13 @@ _REPORT_DIGESTS = {  # SHA-256 of the stdout the per-report dict rows and scan c
 
 
 @pytest.mark.parametrize("name, fmt", sorted(_REPORT_DIGESTS))
-def test_report_bytes_pinned(name, fmt):
+def test_report_bytes_pinned(tmp_path, name, fmt):
     code, out, err = run_cli(_REPORT_RUNS[name] + ["--format", fmt])
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == _REPORT_DIGESTS[name, fmt]
+    path = tmp_path / "report"
+    assert run_cli(_REPORT_RUNS[name] + ["--format", fmt, "--out", str(path)])[0] == 0
+    assert path.read_bytes() == out.encode()
 
 
 def _ulps_from(base: float, steps: int) -> float:

@@ -1,12 +1,17 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twinrep.arithmetic import is_squarefree, jacobi, ramanujan_sum
+from twinrep import expsum
+from twinrep.arithmetic import euler_phi, is_squarefree, jacobi, mobius, ramanujan_sum
 from twinrep.expsum import (
     check_multiplicativity,
     evaluate_sigma,
+    evaluate_sigma_row,
     sigma_bruteforce,
     sigma_closed,
     sigma_complex_check,
@@ -16,6 +21,25 @@ from twinrep.expsum import (
 def sigma_reference(q, p):
     """The defining sum, one Ramanujan term per residue class."""
     return 2 * sum(ramanujan_sum(q, p + n * n + n) for n in range(q))
+
+
+def sigma_bruteforce_scalar(q, p):
+    """The per-cell evaluation the grid rows replaced: a fresh divisor and
+    coefficient table and one np.gcd for every (q, p)."""
+    coef = np.zeros(q + 1, dtype=np.int64)
+    phi_q = euler_phi(q)
+    for g in range(1, q + 1):
+        if q % g == 0 and mobius(q // g):
+            coef[g] = mobius(q // g) * (phi_q // euler_phi(q // g))
+    n = np.arange(q, dtype=np.int64)
+    return 2 * int(coef[np.gcd((n * n + n + p) % q, q)].sum())
+
+
+def sigma_closed_scalar(q, p):
+    """The closed form per cell, None where q is not squarefree."""
+    if not is_squarefree(q):
+        return None
+    return 0 if q % 2 == 0 else 2 * q * jacobi((1 - 4 * p) % q, q)
 
 
 PRIMES_100 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
@@ -148,3 +172,45 @@ class TestEvaluateSigma:
         cell = evaluate_sigma(6, 3)
         assert cell.brute_value == -12 and cell.closed_value == 0
         assert cell.match is False
+
+
+class TestGridRows:
+    """Rows share one coefficient table per q; each cell must equal the
+    per-cell scalar evaluation exactly."""
+
+    def check_row(self, q, ps):
+        row = evaluate_sigma_row(q, ps)
+        assert [ev.p for ev in row] == ps
+        for ev in row:
+            assert ev.q == q and ev.kappa == 4 * ev.p - 1
+            assert type(ev.brute_value) is int
+            assert ev.brute_value == sigma_bruteforce_scalar(q, ev.p), (q, ev.p)
+            assert ev.closed_value == sigma_closed_scalar(q, ev.p), (q, ev.p)
+            assert sigma_bruteforce(q, ev.p) == ev.brute_value
+            assert evaluate_sigma(q, ev.p) == ev
+
+    def test_grid_edges(self):
+        # q sharing a factor with kappa (kappa = 7, 11, 19, 27, 51, 91), even,
+        # square-full and prime q, and p far above q
+        ps = [2, 3, 5, 7, 13, 23, 97, 1000003, 2**61 - 1]
+        for q in (1, 2, 3, 4, 7, 8, 9, 11, 12, 13, 17, 19, 27, 45, 49, 51, 91, 210, 243):
+            self.check_row(q, ps)
+
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(1, 400), ps=st.lists(st.sampled_from(PRIMES_100), max_size=12))
+    def test_random_rows(self, q, ps):
+        self.check_row(q, ps)
+
+    def test_rows_split_into_blocks(self, monkeypatch):
+        # a block bound below one row must give the same values block by block
+        for cells in (1, 20, 100):
+            monkeypatch.setattr(expsum, "_ROW_CELLS", cells)
+            self.check_row(37, PRIMES_100)
+            self.check_row(60, PRIMES_100[:7])
+
+    def test_empty_row_and_validation(self):
+        assert evaluate_sigma_row(15, []) == []
+        with pytest.raises(ValueError):
+            evaluate_sigma_row(0, [3])
+        with pytest.raises(ValueError):
+            evaluate_sigma_row(15, [3, 5, 9])

@@ -6,13 +6,98 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinrep.arithmetic import euler_phi, is_squarefree, jacobi, mobius
-from twinrep.sieve import CoverageError
+from twinrep.sieve import CoverageError, mu_phi_tables
 from twinrep.singular import (
     dirichlet_series_partial,
     singular_series,
     singular_series_many,
     tail_partial,
 )
+
+
+# Scalar references: the one-symbol-at-a-time loops the library ran before
+# it called the array kernel jacobi_many.  The library must match them bit
+# for bit, since the factors, quotients and the product order are unchanged.
+
+
+def singular_series_scalar(kappa, cutoff, table):
+    """(cutoff, value, last_factor_deviation) by a running product."""
+    value = 1.0
+    last_factor = 1.0
+    last_prime = 3
+    primes = table.primes()
+    for ell in primes[(primes >= 3) & (primes <= cutoff)]:
+        ell = int(ell)
+        factor = 1.0 - jacobi((-kappa) % ell, ell) / (ell - 1.0)
+        value *= factor
+        last_factor = factor
+        last_prime = ell
+    return last_prime, value, abs(last_factor - 1.0)
+
+
+def series_terms_scalar(kappa, lo, hi, mu, phi):
+    terms = []
+    for q in range(lo + 1, hi + 1):
+        if q % 2 == 0 or mu[q] == 0:
+            continue
+        terms.append(int(mu[q]) / int(phi[q]) * jacobi((-kappa) % q, q))
+    return terms
+
+
+def tail_partial_scalar(kappa, Q1, Q2, table):
+    mu, phi = mu_phi_tables(table, Q2)
+    return math.fsum(series_terms_scalar(kappa, Q1, Q2, mu, phi))
+
+
+def dirichlet_series_partial_scalar(kappa, upto, table):
+    mu, phi = mu_phi_tables(table, upto)
+    return math.fsum([1.0] + series_terms_scalar(kappa, 1, upto, mu, phi))
+
+
+def same_bits(x, y):
+    return type(x) is float and x.hex() == y.hex()
+
+
+# p = 2 and 3 give the smallest kappa; p = 7, 13, 23 give kappa = 27, 51,
+# 91, which share a factor with small ell and q; 2^61 + 15 is a prime whose
+# kappa = 4p - 1 exceeds 2^63, beyond int64
+_EDGE_PS = (2, 3, 7, 13, 23, 2**61 + 15)
+
+
+class TestScalarOracle:
+    @pytest.mark.parametrize("p", _EDGE_PS)
+    def test_edges(self, table_1e5, p):
+        kappa = 4 * p - 1
+        # cutoff 3 and 4, prime and composite cutoffs
+        for cutoff in (3, 4, 5, 7, 9, 11, 91, 97, 100, 997, 1001, 4999, 5000):
+            sv = singular_series(kappa, cutoff, table_1e5)
+            cut, value, dev = singular_series_scalar(kappa, cutoff, table_1e5)
+            assert sv.cutoff == cut and type(sv.cutoff) is int
+            assert same_bits(sv.value, value), (kappa, cutoff)
+            assert same_bits(sv.last_factor_deviation, dev), (kappa, cutoff)
+        # Q2 = Q1 + 1 on both parities, and ranges holding q that share a
+        # factor with kappa
+        for q1, q2 in ((3, 4), (3, 5), (4, 5), (5, 6), (90, 91), (3, 99), (50, 1000), (3, 4001)):
+            assert same_bits(tail_partial(kappa, q1, q2, table_1e5),
+                             tail_partial_scalar(kappa, q1, q2, table_1e5)), (kappa, q1, q2)
+        for upto in (1, 2, 3, 4, 27, 91, 100, 3001):
+            assert same_bits(dirichlet_series_partial(kappa, upto, table_1e5),
+                             dirichlet_series_partial_scalar(kappa, upto, table_1e5))
+
+    @settings(max_examples=30, deadline=None)
+    @given(index=st.integers(0, 9591), cutoff=st.integers(3, 6000),
+           q1=st.integers(3, 3000), width=st.integers(1, 3000))
+    def test_random_kappa(self, table_1e5, index, cutoff, q1, width):
+        kappa = 4 * int(table_1e5.primes()[index]) - 1
+        sv = singular_series(kappa, cutoff, table_1e5)
+        cut, value, dev = singular_series_scalar(kappa, cutoff, table_1e5)
+        assert sv.cutoff == cut
+        assert same_bits(sv.value, value) and same_bits(sv.last_factor_deviation, dev)
+        q2 = q1 + width
+        assert same_bits(tail_partial(kappa, q1, q2, table_1e5),
+                         tail_partial_scalar(kappa, q1, q2, table_1e5))
+        assert same_bits(dirichlet_series_partial(kappa, q2, table_1e5),
+                         dirichlet_series_partial_scalar(kappa, q2, table_1e5))
 
 
 class TestSingularSeries:
