@@ -62,8 +62,10 @@ from .sieve import (
     load_prime_table,
     prime_count,
     save_prime_table,
+    sieve_segment,
     squarefree_kappa_census,
     twin_count,
+    twin_segment,
 )
 from .singular import (
     SingularValue,

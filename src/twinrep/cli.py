@@ -23,19 +23,24 @@ checkpoint interruptions.
 from __future__ import annotations
 
 import argparse
-import contextlib
+import collections
+import functools
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from .asymptotic import density_report, variance_sweep
 from .expsum import evaluate_sigma_row
 from .represent import (
+    _BLOCK_SIZE,
+    _WINDOW_WIDTH,
     Mode,
     ShardSummary,
     growth_rows_from_arrays,
@@ -44,6 +49,7 @@ from .represent import (
     verify_range,
 )
 from .sieve import (
+    _CACHE_HEADER,
     CoverageError,
     PrimeTable,
     ResourceLimitError,
@@ -233,41 +239,156 @@ class ReportWriter:
 
 
 # ---------------------------------------------------------------------------
-# prime-table acquisition
+# memory budget and prime-table acquisition
+
+
+def _memory_budget() -> int | None:
+    """Bytes the run may still allocate: MemAvailable, or less where the
+    process's cgroup sets memory.max.  None when neither can be read."""
+    limits = []
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    limits.append(int(line.split()[1]) * 1024)
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open("/proc/self/cgroup", encoding="ascii") as fh:
+            group = next(line for line in fh if line.startswith("0::")).strip()[3:]
+        base = os.path.join("/sys/fs/cgroup", group.lstrip("/"))
+        with open(os.path.join(base, "memory.max"), encoding="ascii") as fh:
+            limit = fh.read().strip()
+        with open(os.path.join(base, "memory.current"), encoding="ascii") as fh:
+            current = int(fh.read())
+        if limit != "max":
+            limits.append(int(limit) - current)
+    except (OSError, ValueError, StopIteration):
+        pass
+    return min(limits) if limits else None
+
+
+def _check_memory(estimate: int, what: str) -> None:
+    """Raise ResourceLimitError, before anything is allocated, when the
+    estimated bytes exceed what the machine or cgroup has left."""
+    budget = _memory_budget()
+    if budget is not None and estimate > budget:
+        raise ResourceLimitError(
+            f"{what} needs about {estimate / 2**20:.0f} MiB, only {budget / 2**20:.0f} MiB available"
+        )
+
+
+def _cache_bits(path: str) -> int:
+    """Odd-number bits a TPT1 cache holds, from its size (8 per payload byte)."""
+    return 8 * max(os.path.getsize(path) - _CACHE_HEADER.size, 0)
 
 
 def _acquire_table(args, needed_limit: int) -> PrimeTable:
     if args.cache:
+        # the packed payload, its unpacked bytes and the bool table
+        _check_memory(_cache_bits(args.cache) * 2, f"loading {args.cache}")
         table = load_prime_table(args.cache)
         if table.limit < needed_limit:
             raise ValueError(
                 f"cache {args.cache} covers only {table.limit}, need {needed_limit}"
             )
         return table
+    _check_memory((needed_limit + 1) // 2, f"a prime table to {needed_limit}")
     return build_prime_table(needed_limit)
 
 
 # ---------------------------------------------------------------------------
 # verify: sharded, checkpointable range verification
 
-_WORKER_CTX: dict = {}
-
 
 def _shard_bounds(lo: int, hi: int, shard_size: int) -> list[tuple[int, int]]:
     return [(a, min(a + shard_size - 1, hi)) for a in range(lo, hi + 1, shard_size)]
 
 
-def _run_shard(bounds: tuple[int, int]):
-    lo, hi = bounds
-    report = verify_range(
-        lo,
-        hi,
-        _WORKER_CTX["mode"],
-        _WORKER_CTX["twins"],
-        _WORKER_CTX["table"],
-        include_small=_WORKER_CTX["include_small"],
-    )
-    return report.summary, report.qs, report.ps, report.ns
+class _ShardTask(NamedTuple):
+    """Everything a shard needs, so a pool task carries its whole context."""
+
+    mode: Mode
+    lo: int
+    hi: int
+    include_small: bool
+    cache: str | None  # TPT1 path; None sieves the shard and its p-windows
+    keep_arrays: bool  # return the per-q arrays (records, stats)
+
+
+def _cached_table(path: str) -> PrimeTable:
+    """The table of a cache file, loaded once per process while the file is unchanged."""
+    stat = os.stat(path)
+    return _load_table(path, stat.st_mtime_ns, stat.st_size)
+
+
+@functools.lru_cache(maxsize=1)
+def _load_table(path: str, mtime_ns: int, size: int) -> PrimeTable:
+    return load_prime_table(path)
+
+
+@functools.lru_cache(maxsize=1)
+def _twin_index(table: PrimeTable):
+    return build_twin_index(table)
+
+
+def _run_shard(task: _ShardTask):
+    table = twins = None  # no cache: the shard sieves its q-range and p-windows
+    if task.cache is not None:
+        table = _cached_table(task.cache)
+        twins = _twin_index(table) if task.mode == Mode.TWIN_MIN else None
+    report = verify_range(task.lo, task.hi, task.mode, twins, table, task.include_small)
+    arrays = (report.qs, report.ps, report.ns) if task.keep_arrays else None
+    return report.summary, arrays
+
+
+def _shard_results(tasks: list[_ShardTask], workers: int):
+    """Yield _run_shard(task) for each task, in order.
+
+    With workers > 1 a pool runs at most two tasks per worker ahead of the
+    consumer.  Leaving early, on a worker's exception too, closes the pool
+    and waits for those tasks: terminating a worker while it writes a
+    result could leave the pool's threads waiting on it forever.  Only an
+    interrupt, which the workers receive as well, terminates the pool.
+    """
+    if workers == 1 or not tasks:
+        yield from map(_run_shard, tasks)
+        return
+    pool = multiprocessing.Pool(processes=workers)
+    try:
+        todo = iter(tasks)
+        running = collections.deque(
+            pool.apply_async(_run_shard, (task,)) for task in itertools.islice(todo, 2 * workers)
+        )
+        while running:
+            result = running.popleft().get()
+            running.extend(pool.apply_async(_run_shard, (task,)) for task in itertools.islice(todo, 1))
+            yield result
+    except KeyboardInterrupt:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
+def _verify_memory(args, mode: Mode, hi: int) -> int:
+    """Bytes a verify run needs beyond the interpreter, estimated.
+
+    Every process scans blocks of up to _BLOCK_SIZE lanes, about 96 bytes
+    a lane, and holds a shard's q bits.  With --cache the table, twin mask
+    and load temporaries come once, since forked workers share them.
+    Without it each process keeps its own p-windows, below a bound on the
+    largest p_q of 8 sqrt(hi) log(hi)^2; the measured largest is about half
+    that (4.59e6 to 1.6e7, 2.22e7 to 2e8).
+    """
+    lanes = min(_BLOCK_SIZE, args.shard_size // 2 + 1)
+    per_process = 96 * lanes + args.shard_size // 2
+    if args.cache:
+        return _cache_bits(args.cache) * (3 if mode == Mode.TWIN_MIN else 2) + per_process * args.workers
+    p_bound = min(hi, 8 * math.isqrt(hi) * math.ceil(math.log(max(hi, 3))) ** 2)
+    windows = -(-(p_bound // 2 + 1) // _WINDOW_WIDTH) * _WINDOW_WIDTH
+    return (per_process + windows) * args.workers
 
 
 _RECORD_HEADER = ["q", "p", "n", "p_over_cbrt_q", "n_over_log_q"]
@@ -424,10 +545,17 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
 
     Shards are processed in ascending range order; with workers > 1 the
     pool computes them concurrently but folding still happens in order,
-    so the result is identical for every worker count.
+    so the result is identical for every worker count.  Without --cache
+    no whole-range table exists: each shard sieves its own q-range.
     """
-    table = _acquire_table(args, max(hi, 7))  # floor keeps the twin index buildable
-    twins = build_twin_index(table) if mode == Mode.TWIN_MIN else None
+    _check_memory(_verify_memory(args, mode, hi), f"verify over {lo}:{hi}")
+    if args.cache:
+        table = _cached_table(args.cache)
+        need = max(hi, 7)  # the floor keeps the twin index buildable
+        if table.limit < need:
+            raise ValueError(f"cache {args.cache} covers only {table.limit}, need {need}")
+        if mode == Mode.TWIN_MIN:
+            _twin_index(table)  # built once here; forked workers inherit it
     bounds = _shard_bounds(lo, hi, args.shard_size)
 
     checkpoint = _Checkpoint.load(args.checkpoint) if args.checkpoint else None
@@ -476,36 +604,28 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
 
     pending = bounds[len(completed) :]
     if args.stop_after_shards is not None:
-        # submit only the shards to run: leaving the pool while workers still
-        # write results lets terminate() kill one holding the result queue's
-        # lock, and the pool's task handler then waits on it forever
+        # submit only the shards to run, so no worker computes one to discard
         pending = pending[: max(args.stop_after_shards, 1)]
     arrays: list[tuple] = []
-    _WORKER_CTX.update(
-        {"mode": mode, "twins": twins, "table": table, "include_small": args.include_small}
-    )
+    tasks = [
+        _ShardTask(mode, a, b, bool(args.include_small), args.cache,
+                   keep_arrays or sink is not None)
+        for a, b in pending
+    ]
     try:
-        with contextlib.ExitStack() as stack:
-            results = map(_run_shard, pending)
-            if args.workers > 1 and pending:
-                pool = stack.enter_context(
-                    multiprocessing.get_context("fork").Pool(processes=args.workers)
+        for summary, shard_arrays in _shard_results(tasks, args.workers):
+            if sink is not None:
+                sink.write_shard(*shard_arrays)
+            if keep_arrays:
+                arrays.append(shard_arrays)
+            summaries.append(summary)
+            if checkpoint is not None:
+                records_bytes = sink.sync() if sink is not None else 0
+                checkpoint.append_shard(
+                    {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
                 )
-                results = pool.imap(_run_shard, pending)
-            for summary, qs, ps, ns in results:
-                if sink is not None:
-                    sink.write_shard(qs, ps, ns)
-                if keep_arrays:
-                    arrays.append((qs, ps, ns))
-                summaries.append(summary)
-                if checkpoint is not None:
-                    records_bytes = sink.sync() if sink is not None else 0
-                    checkpoint.append_shard(
-                        {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
-                    )
-                del qs, ps, ns  # free this shard's arrays before the next one is computed
+            del shard_arrays  # free this shard's arrays before the next one arrives
     finally:
-        _WORKER_CTX.clear()
         if sink is not None:
             sink.close()
 
@@ -693,6 +813,7 @@ def _cmd_mirsky(args) -> int:
 
 
 def _cmd_sieve_cache(args) -> int:
+    _check_memory((args.limit + 1) // 2, f"a prime table to {args.limit}")
     table = build_prime_table(args.limit, args.segment_size)
     save_prime_table(table, args.cache_out)
     writer = ReportWriter(["limit", "segment_size", "pi", "path"], args.format, args.out)
@@ -827,6 +948,9 @@ def main(argv=None) -> int:
             raise ValueError(f"bad range {lo}:{hi}")
         if getattr(args, "cutoff", 3) < 3:
             raise ValueError(f"cutoff must be >= 3, got {args.cutoff}")
+        if args.subcommand == "singular" and args.cutoff < 4:
+            # the tail_partial column needs Q1 = max(3, cutoff // 10) < cutoff
+            raise ValueError(f"singular needs cutoff >= 4 for its tail, got {args.cutoff}")
         if getattr(args, "shard_size", 1) < 1:
             raise ValueError("shard-size must be positive")
         if getattr(args, "checkpoint", None) and args.emit_records == "-":

@@ -21,12 +21,13 @@ counterexamples (q = 59 has p_q = 3).  See tests for the numbers.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .sieve import CoverageError, PrimeTable, TwinIndex
+from .sieve import CoverageError, PrimeTable, TwinIndex, sieve_segment, twin_segment
 
 __all__ = [
     "Mode",
@@ -149,12 +150,60 @@ def find_any_prime_representation(q: int, table: PrimeTable) -> Representation |
     return None
 
 
-def _scan_block(qs: np.ndarray, odd_mask: np.ndarray):
+# Lanes per scanned block: the kernel's working set is about 96 bytes a lane.
+_BLOCK_SIZE = 1 << 19
+
+# Width of a sieved p-window, in odd numbers (a window of bools is 1 MB).
+# Window 0 is the prefix every q starts its descent in.
+_WINDOW_WIDTH = 1 << 20
+
+
+class _MaskWindows:
+    """p-membership windows sliced from one whole mask: a PrimeTable's
+    odd_bits or a TwinIndex's odd_mask.  By default one window is the mask."""
+
+    def __init__(self, mask: np.ndarray, width: int | None = None):
+        self.mask = mask
+        self.width = width or max(len(mask), 1)
+
+    def window(self, k: int) -> np.ndarray:
+        return self.mask[k * self.width : (k + 1) * self.width]
+
+
+class _SievedWindows:
+    """p-membership windows sieved on first use and kept, so a process
+    builds each window once however many shards it scans."""
+
+    def __init__(self, twin: bool, width: int):
+        self.width = width
+        self._segment = twin_segment if twin else sieve_segment
+        self._built: dict[int, np.ndarray] = {}
+
+    def window(self, k: int) -> np.ndarray:
+        bits = self._built.get(k)
+        if bits is None:
+            lo = 2 * k * self.width
+            bits = self._built[k] = self._segment(lo, lo + 2 * self.width - 1)
+        return bits
+
+
+@functools.lru_cache(maxsize=None)
+def _sieved_windows(twin: bool, width: int) -> _SievedWindows:
+    """The process's window cache for one membership kind and width."""
+    return _SievedWindows(twin, width)
+
+
+def _scan_block(qs: np.ndarray, windows):
     """Vectorized representation scan over a block of odd q >= 5.
 
-    odd_mask[m >> 1] must answer membership (twin or prime) for every
-    odd m up to max(qs) - 2.  Returns (p, n, found) arrays; unfound
-    entries are zero.
+    windows.window(k)[i] answers membership (twin or prime) of the odd
+    p = 2 * (k * windows.width + i) + 1, for every odd p up to max(qs) - 2.
+    Each lane carries h = p >> 1 from step to step (n -> n - 1 adds n to h)
+    and runs in the window that holds its h; a lane whose h leaves that
+    window waits, with its n, for the next window it needs.  The windows
+    are visited in ascending order and each lane still tries n from n_max
+    down to 1, so the result does not depend on the width.  Returns
+    (p, n, found) arrays; unfound entries are zero.
     """
     count = len(qs)
     p_out = np.zeros(count, dtype=np.int64)
@@ -162,24 +211,48 @@ def _scan_block(qs: np.ndarray, odd_mask: np.ndarray):
     found = np.zeros(count, dtype=bool)
     if count == 0:
         return p_out, n_out, found
-    nmax = _n_max_vector(qs)
-    idx = np.flatnonzero(nmax >= 1)
-    cur = nmax[idx].copy()
+    # lane arrays are built and compacted one at a time, in place where numpy
+    # allows, so few block-sized temporaries are alive at once
+    n = _n_max_vector(qs)
+    idx = np.flatnonzero(n >= 1)
+    n = n[idx]
+    h = qs[idx]
+    h -= n * (n + 1)
+    h >>= 1
+    h_last = (int(qs.max()) - 3) >> 1  # p = q - 2 at n = 1
+    width = windows.width
     while idx.size:
-        p = qs[idx] - cur * (cur + 1)
-        hit = odd_mask[p >> 1]
-        if hit.any():
-            h = idx[hit]
-            p_out[h] = p[hit]
-            n_out[h] = cur[hit]
-            found[h] = True
-        keep = ~hit
-        idx = idx[keep]
-        cur = cur[keep] - 1
-        alive = cur >= 1
-        if not alive.all():
-            idx = idx[alive]
-            cur = cur[alive]
+        k = int(h.min()) // width
+        start, end = k * width, (k + 1) * width
+        bits = windows.window(k)
+        waiting = []
+        inside = h < end
+        if not inside.all():
+            waiting.append((idx[~inside], h[~inside], n[~inside]))
+            idx, h, n = idx[inside], h[inside], n[inside]
+        bounded = end <= h_last  # can a lane step past this window?
+        while idx.size:
+            hit = bits[h - start] if start else bits[h]
+            if np.count_nonzero(hit):
+                at = idx[hit]
+                p_out[at] = 2 * h[hit] + 1
+                n_out[at] = n[hit]
+                found[at] = True
+            go = np.greater(n > 1, hit)  # n > 1 and no hit
+            h += n
+            n -= 1
+            if bounded:
+                out = h >= end
+                out &= go
+                if np.count_nonzero(out):
+                    waiting.append((idx[out], h[out], n[out]))
+                    go ^= out
+            keep = go.nonzero()[0]
+            idx = idx[keep]
+            h = h[keep]
+            n = n[keep]
+        if waiting:
+            idx, h, n = (np.concatenate(parts) for parts in zip(*waiting))
     return p_out, n_out, found
 
 
@@ -339,15 +412,20 @@ class VerificationReport:
         ]
 
 
-def _domain(lo: int, hi: int, mode: Mode, table: PrimeTable) -> np.ndarray:
+def _domain(lo: int, hi: int, mode: Mode, odd_bits: np.ndarray | None) -> np.ndarray:
     """Admissible q values (>= 5) in [lo, hi] for the given mode.
 
-    Reads only the range's own odd_bits, so a shard costs O(hi - lo).
+    Reads only the range's own prime bits, from odd_bits or, when it is
+    None, from a sieve of [lo, hi] alone, so a shard costs O(hi - lo).
     """
     first = max(lo, 5) >> 1  # index of the least odd m >= max(lo, 5)
     if mode == Mode.SUN_ODD:
         return np.arange(2 * first + 1, hi + 1, 2, dtype=np.int64)
-    return (np.flatnonzero(table.odd_bits[first : (hi + 1) >> 1]) + first) * 2 + 1
+    if odd_bits is None:
+        bits = sieve_segment(2 * first + 1, hi)
+    else:
+        bits = odd_bits[first : (hi + 1) >> 1]
+    return (np.flatnonzero(bits) + first) * 2 + 1
 
 
 def verify_range(
@@ -355,9 +433,9 @@ def verify_range(
     hi: int,
     mode: Mode,
     twins: TwinIndex | None,
-    table: PrimeTable,
+    table: PrimeTable | None,
     include_small: bool = False,
-    block_size: int = 1 << 19,
+    block_size: int = _BLOCK_SIZE,
 ) -> VerificationReport:
     """Verify representability for every admissible q in [lo, hi].
 
@@ -366,12 +444,23 @@ def verify_range(
     block_size and of how a caller shards the range.  q in {2, 3} have
     no admissible n and are skipped unless include_small, in which case
     they count as failures.
+
+    With table None (and twins None) no whole-range table is read: the
+    call sieves [lo, hi] alone, and p membership comes from fixed-width
+    windows each process sieves once and keeps, so memory is O(hi - lo)
+    plus the windows below the largest p the scan reaches.  The report
+    is the same as from a table.
     """
     mode = Mode(mode)
     if mode == Mode.TWIN_MIN_N:
         raise ValueError("verify_range modes are twin, prime, sun")
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
+    if table is None:
+        if twins is not None:
+            raise ValueError("a TwinIndex needs the PrimeTable it was built from")
+        windows = _sieved_windows(mode == Mode.TWIN_MIN, _WINDOW_WIDTH)
+        return _verify(lo, hi, mode, windows, None, include_small, block_size)
     if hi > table.limit:
         raise CoverageError(f"range end {hi} exceeds table limit {table.limit}")
     if mode == Mode.TWIN_MIN:
@@ -382,18 +471,22 @@ def verify_range(
         mask = twins.odd_mask
     else:
         mask = table.odd_bits
+    return _verify(lo, hi, mode, _MaskWindows(mask), table.odd_bits, include_small, block_size)
 
+
+def _verify(lo, hi, mode, windows, odd_bits, include_small, block_size) -> VerificationReport:
+    """The shard routine: q domain, blockwise scan and digest, for either source."""
     summary = ShardSummary(lo=lo, hi=hi)
     if include_small:
         smalls = [q for q in (2, 3) if lo <= q <= hi and (mode != Mode.SUN_ODD or q % 2 == 1)]
         summary.checked += len(smalls)
         summary.failures.extend(smalls)
 
-    qs_all = _domain(lo, hi, mode, table)
-    found_chunks, q_chunks, p_chunks, n_chunks = [], [], [], []
+    qs_all = _domain(lo, hi, mode, odd_bits)
+    q_chunks, p_chunks, n_chunks = [], [], []
     for start in range(0, len(qs_all), block_size):
         qs = qs_all[start : start + block_size]
-        ps, ns, found = _scan_block(qs, mask)
+        ps, ns, found = _scan_block(qs, windows)
         summary.absorb_block(qs, ps, ns, found)
         q_chunks.append(qs[found])
         p_chunks.append(ps[found])

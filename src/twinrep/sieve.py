@@ -25,6 +25,8 @@ __all__ = [
     "PrimeTable",
     "TwinIndex",
     "build_prime_table",
+    "sieve_segment",
+    "twin_segment",
     "prime_count",
     "build_twin_index",
     "twin_count",
@@ -80,6 +82,68 @@ class PrimeTable:
         return self._primes
 
 
+def _cross_off(out: np.ndarray, first: int, base: list[int]) -> None:
+    """Prime bits for the odd m = 2 * (first + i) + 1, written into out[i].
+
+    base must hold the odd primes up to isqrt of the last m, ascending; it
+    may hold more.  This is the one Eratosthenes loop of the package: whole
+    tables, the q-range of a shard and the p-windows of a scan all run it.
+    """
+    out[:] = True
+    if first == 0 and len(out):
+        out[0] = False  # m = 1
+    lo = 2 * first + 1
+    last = 2 * (first + len(out)) - 1
+    for p in base:
+        square = p * p
+        if square > last:
+            break
+        start = max(square, ((lo + p - 1) // p) * p)
+        if start % 2 == 0:
+            start += p
+        # a segment shorter than p may hold no multiple: the slice is then empty
+        out[(start >> 1) - first :: p] = False
+
+
+def _base_primes(limit: int) -> list[int]:
+    """The odd primes <= isqrt(limit): enough to sieve every m <= limit."""
+    root = math.isqrt(max(limit, 0))
+    if root < 3:
+        return []
+    return (np.flatnonzero(sieve_segment(3, root)) * 2 + 3).tolist()  # entry 0 is m = 3
+
+
+def sieve_segment(lo: int, hi: int) -> np.ndarray:
+    """Prime bits of the odd m in [lo, hi]; entry i answers m = 2 * ((lo >> 1) + i) + 1.
+
+    Equal to build_prime_table(hi).odd_bits[lo >> 1 : (hi + 1) >> 1], from a
+    segment of (hi - lo) / 2 bits and the base primes up to isqrt(hi).
+    """
+    if lo < 0:
+        raise ValueError(f"sieve_segment needs lo >= 0, got {lo}")
+    first = lo >> 1
+    out = np.empty(max(((hi + 1) >> 1) - first, 0), dtype=bool)
+    _cross_off(out, first, _base_primes(hi))
+    return out
+
+
+def twin_segment(lo: int, hi: int) -> np.ndarray:
+    """Twin bits of the odd m in [lo, hi], indexed like sieve_segment(lo, hi).
+
+    A bit is set iff m is prime and m - 2 or m + 2 is prime, as in
+    build_twin_index; the segment is sieved one odd number wider at each end.
+    """
+    if lo < 0:
+        raise ValueError(f"twin_segment needs lo >= 0, got {lo}")
+    first, stop = lo >> 1, (hi + 1) >> 1
+    if stop <= first:
+        return np.zeros(0, dtype=bool)
+    bits = sieve_segment(max(2 * first - 1, 0), 2 * stop + 1)
+    if first == 0:
+        bits = np.concatenate(([False], bits))  # m = -1 is not prime
+    return bits[1:-1] & (bits[:-2] | bits[2:])
+
+
 def build_prime_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTable:
     """Sieve [2, limit] segment by segment.
 
@@ -92,26 +156,13 @@ def build_prime_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> P
         raise ValueError(f"segment_size must be >= 16, got {segment_size}")
     size = (limit + 1) // 2
     try:
-        bits = np.zeros(size, dtype=bool)
-        bits[1:] = True  # odd m >= 3 assumed prime until a factor is found
+        bits = np.empty(size, dtype=bool)
     except MemoryError as exc:  # pragma: no cover - depends on host memory
         raise ResourceLimitError(f"cannot allocate sieve bits for limit={limit}") from exc
-
-    root = math.isqrt(limit)
-    # Python ints keep the per-segment offset arithmetic fast; the list holds
-    # only the primes up to sqrt(limit)
-    base = []
-    if root >= 3:
-        base = (np.flatnonzero(build_prime_table(root).odd_bits) * 2 + 1).tolist()
-    for lo in range(3, limit + 1, segment_size):
-        hi = min(lo + segment_size, limit + 1)  # values [lo, hi)
-        for p in base:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start >= hi:
-                continue
-            bits[start >> 1 : (hi + 1) >> 1 : p] = False
+    base = _base_primes(limit)
+    step = segment_size // 2  # odd numbers per segment
+    for first in range(0, size, step):
+        _cross_off(bits[first : first + step], first, base)
     return PrimeTable(limit=limit, odd_bits=bits, segment_size=segment_size)
 
 

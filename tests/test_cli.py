@@ -3,14 +3,18 @@ import hashlib
 import io
 import json
 import math
+import multiprocessing
 import os
+import signal
 import tempfile
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinrep import cli, represent
 from twinrep.cli import _format_rows, _json_cell, main
 
 
@@ -266,6 +270,17 @@ class TestOtherCommands:
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "")
         assert err.startswith("error:")
+        path = tmp_path / "out.csv"
+        assert run_cli(argv + ["--out", str(path)])[0] == 2
+        assert not path.exists()
+
+    @pytest.mark.parametrize("pmax", ["1", "10"])
+    def test_singular_cutoff_below_4_is_exit_2(self, tmp_path, pmax):
+        # with or without a prime <= pmax, the tail needs Q1 = 3 < cutoff
+        argv = ["singular", "--pmax", pmax, "--cutoff", "3"]
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert "cutoff >= 4" in err
         path = tmp_path / "out.csv"
         assert run_cli(argv + ["--out", str(path)])[0] == 2
         assert not path.exists()
@@ -647,3 +662,122 @@ def test_format_rows_matches_scalar_rule(data, fmt, kinds, rows):
     got = b"".join(_format_rows(header, [c[s : s + chunk] for c in columns], fmt)
                    for s in range(0, rows, chunk))
     assert got == _rows_by_scalar_rule(header, columns, fmt)
+
+
+def _verify_files(tmp, mode, fmt, workers, extra=()):
+    """Summary, records and checkpoint bytes of one verify run over 5:3000."""
+    paths = [os.path.join(tmp, name) for name in ("out", "rec", "ck")]
+    for path in paths:
+        if os.path.exists(path):
+            os.unlink(path)
+    code, _, err = run_cli(["verify", "--mode", mode, "--range", "5:3000", "--format", fmt,
+                            "--shard-size", "700", "--workers", workers,
+                            "--out", paths[0], "--emit-records", paths[1],
+                            "--checkpoint", paths[2], *extra])
+    assert code == 0, err
+    return [open(path, "rb").read() for path in paths]
+
+
+_TABLE_FILES: dict = {}
+
+# a monkeypatched module reaches pool workers only when they are forked
+_FORKED_WORKERS = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                     reason="pool workers are not forked here")
+
+
+@_FORKED_WORKERS
+@settings(max_examples=20, deadline=None)
+@given(mode=st.sampled_from(["twin", "prime", "sun"]), fmt=st.sampled_from(["csv", "jsonl"]),
+       width=st.one_of(st.integers(1, 64), st.integers(65, 2048)),
+       workers=st.sampled_from(["1", "2"]))
+def test_any_window_width_gives_the_table_bytes(mode, fmt, width, workers):
+    # the sieved p-windows against the whole table a --cache run scans
+    with tempfile.TemporaryDirectory() as tmp:
+        if (mode, fmt) not in _TABLE_FILES:
+            cache = os.path.join(tmp, "primes.bin")
+            assert run_cli(["sieve-cache", "--limit", "3000", "--cache-out", cache])[0] == 0
+            _TABLE_FILES[mode, fmt] = _verify_files(tmp, mode, fmt, "1", ["--cache", cache])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(represent, "_WINDOW_WIDTH", width)  # forked workers inherit it
+            assert _verify_files(tmp, mode, fmt, workers) == _TABLE_FILES[mode, fmt]
+
+
+class TestMemoryBudget:
+    ARGVS = {
+        "verify": ["verify", "--mode", "twin", "--range", "5:200000", "--workers", "2"],
+        "stats": ["stats", "--range", "5:200000", "--bucket", "50000", "--workers", "1"],
+        "mirsky": ["mirsky", "--y", "100000"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(ARGVS))
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch, name, cached):
+        argv = list(self.ARGVS[name])
+        if cached:
+            cache = tmp_path / "primes.bin"
+            assert run_cli(["sieve-cache", "--limit", "200000", "--cache-out", str(cache)])[0] == 0
+            argv += ["--cache", str(cache)]
+        out, ck, rec = tmp_path / "out", tmp_path / "ck", tmp_path / "rec"
+        argv += ["--out", str(out)]
+        if name == "verify":
+            argv += ["--checkpoint", str(ck), "--emit-records", str(rec)]
+        estimates = []
+
+        def budget():
+            estimates.append(None)
+            return 1024  # far below any table or shard
+        monkeypatch.setattr(cli, "_memory_budget", budget)
+        code, stdout, err = run_cli(argv)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("resource failure:") and "available" in err
+        assert estimates and not out.exists() and not ck.exists() and not rec.exists()
+        monkeypatch.setattr(cli, "_memory_budget", lambda: None)  # unreadable: no check
+        assert run_cli(argv)[0] == 0
+
+    def test_budget_reads_a_positive_figure(self):
+        budget = cli._memory_budget()
+        assert budget is None or budget > 0
+
+    def test_estimate_grows_with_workers_and_range(self):
+        args = cli.build_parser().parse_args(["verify", "--mode", "twin", "--range", "5:10"])
+        small = cli._verify_memory(args, represent.Mode.TWIN_MIN, 10**6)
+        assert cli._verify_memory(args, represent.Mode.TWIN_MIN, 10**9) > small
+        args.workers = 2 * args.workers
+        assert cli._verify_memory(args, represent.Mode.TWIN_MIN, 10**6) == 2 * small
+
+
+@_FORKED_WORKERS
+def test_worker_exception_exits_2_promptly(monkeypatch):
+    def broken(qs, windows):
+        raise ValueError("scan kernel failed")
+
+    def hang(signum, frame):
+        raise TimeoutError("verify did not return")
+
+    monkeypatch.setattr(represent, "_scan_block", broken)  # forked workers inherit it
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:400000",
+                                  "--shard-size", "5000", "--workers", "2"])
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert "scan kernel failed" in err
+    assert elapsed < 30
+
+
+@pytest.mark.parametrize("cache", [False, True])
+def test_shard_returns_arrays_only_when_asked(tmp_path, cache):
+    path = None
+    if cache:
+        path = str(tmp_path / "primes.bin")
+        assert run_cli(["sieve-cache", "--limit", "20000", "--cache-out", path])[0] == 0
+    bare = cli._ShardTask(represent.Mode.TWIN_MIN, 5, 20000, False, path, False)
+    summary, arrays = cli._run_shard(bare)
+    assert arrays is None and summary.checked == 2260  # pi(20000) - 2
+    summary, arrays = cli._run_shard(bare._replace(keep_arrays=True))
+    assert [len(a) for a in arrays] == [2260] * 3

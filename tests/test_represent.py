@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinrep import represent
 from twinrep.represent import (
     Mode,
     Representation,
     ShardSummary,
+    _MaskWindows,
+    _SievedWindows,
     _scan_block,
     find_any_prime_representation,
     find_min_n_twin_representation,
@@ -228,7 +231,8 @@ class TestVerifyRange:
 
         # the kernel alone, on random sorted odd q >= 5 cut into blocks
         qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
-        blocks = [_scan_block(qs[s : s + block], mask) for s in range(0, len(qs), block)]
+        blocks = [_scan_block(qs[s : s + block], _MaskWindows(mask))
+                  for s in range(0, len(qs), block)]
         assert [np.concatenate(a).tolist() for a in zip(*blocks)] == list(expected(qs.tolist()))
 
         # the kernel through verify_range's blocks, on a random window
@@ -241,6 +245,76 @@ class TestVerifyRange:
         assert report.ps.tolist() == [p for p, f in zip(ps, found) if f]
         assert report.ns.tolist() == [n for n, f in zip(ns, found) if f]
         assert report.failures == [q for q, f in zip(domain, found) if not f]
+
+    @settings(max_examples=80, deadline=None)
+    @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
+           halves=st.lists(st.integers(2, 499_999), min_size=1, max_size=120, unique=True),
+           width=st.one_of(st.integers(1, 64), st.integers(65, 1 << 19)),
+           sieved=st.booleans())
+    def test_any_window_width_matches_scalar_finders(self, table_1e6, twins_1e6,
+                                                     mode, halves, width, sieved):
+        twin = mode == Mode.TWIN_MIN
+        if twin:
+            mask, find = twins_1e6.odd_mask, lambda q: find_min_twin_representation(q, twins_1e6)
+        else:
+            mask, find = table_1e6.odd_bits, lambda q: find_any_prime_representation(q, table_1e6)
+        windows = _SievedWindows(twin, width) if sieved else _MaskWindows(mask, width)
+        qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
+        reps = [find(q) for q in qs.tolist()]
+        ps, ns, found = _scan_block(qs, windows)
+        assert ps.tolist() == [r.p if r else 0 for r in reps]
+        assert ns.tolist() == [r.n if r else 0 for r in reps]
+        assert found.tolist() == [r is not None for r in reps]
+
+    @pytest.mark.parametrize("sieved", [False, True])
+    @pytest.mark.parametrize("width", [1, 7, 300])
+    def test_lanes_cross_windows(self, twins_1e6, sieved, width):
+        # q with deep scans: each lane passes many windows before its hit
+        qs = np.array([997, 2909, 35999, 42187, 999_983], dtype=np.int64)
+        visited = []
+        windows = _SievedWindows(True, width) if sieved else _MaskWindows(twins_1e6.odd_mask, width)
+        build = windows.window
+        windows.window = lambda k: visited.append(k) or build(k)
+        ps, ns, found = _scan_block(qs, windows)
+        assert visited == sorted(set(visited)) and len(visited) > 5  # ascending, each once
+        for q, p, n in zip(qs.tolist(), ps.tolist(), ns.tolist()):
+            r = find_min_twin_representation(q, twins_1e6)
+            assert (p, n) == (r.p, r.n)
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 64])
+    def test_lane_ending_on_a_window_edge_is_carried(self, width):
+        # with no member anywhere each lane runs to n = 1, whose p = q - 2 has
+        # h = (q - 3) / 2; these q put that h on the first odd of a window
+        qs = np.array([2 * width * k + 3 for k in range(2, 40)], dtype=np.int64)
+        qs = qs[qs >= 5]
+        ps, ns, found = _scan_block(qs, _MaskWindows(np.zeros(qs[-1], dtype=bool), width))
+        assert not found.any() and not ps.any() and not ns.any()
+        ps, ns, found = _scan_block(qs, _MaskWindows(np.ones(qs[-1], dtype=bool), width))
+        assert found.all() and ns.tolist() == [n_max(q) for q in qs.tolist()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
+           lo=st.integers(1, 990_000), span=st.integers(0, 1500), small=st.booleans(),
+           block=st.integers(1, 700), width=st.integers(1, 4096))
+    def test_sieved_source_matches_table_source(self, table_1e6, twins_1e6,
+                                                mode, lo, span, small, block, width):
+        hi = lo + span
+        want = verify_range(lo, hi, mode, twins_1e6, table_1e6, include_small=small)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(represent, "_WINDOW_WIDTH", width)
+            got = verify_range(lo, hi, mode, None, None, include_small=small, block_size=block)
+        assert got.summary.to_json_dict() == want.summary.to_json_dict()
+        for a, b in ((got.qs, want.qs), (got.ps, want.ps), (got.ns, want.ns)):
+            assert np.array_equal(a, b)
+
+    def test_sieved_source_takes_no_twin_index(self, twins_1e6):
+        with pytest.raises(ValueError):
+            verify_range(5, 100, Mode.TWIN_MIN, twins_1e6, None)
+
+    def test_sieved_windows_are_built_once(self):
+        windows = _SievedWindows(True, 64)
+        assert windows.window(3) is windows.window(3)
+        assert represent._sieved_windows(True, 64) is represent._sieved_windows(True, 64)
 
     def test_summary_json_round_trip(self, table_1e6, twins_1e6):
         report = verify_range(5, 30_000, Mode.TWIN_MIN, twins_1e6, table_1e6)

@@ -3,6 +3,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twinrep.arithmetic import euler_phi, is_squarefree, mobius
 from twinrep.sieve import (
@@ -14,9 +16,11 @@ from twinrep.sieve import (
     mu_phi_tables,
     prime_count,
     save_prime_table,
+    sieve_segment,
     squarefree_kappa_census,
     squarefree_mask,
     twin_count,
+    twin_segment,
 )
 
 
@@ -65,6 +69,31 @@ class TestPrimeTable:
             table_1e5.is_prime(100_001)
         with pytest.raises(CoverageError):
             prime_count(table_1e5, 100_001)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(0, 40_000), width=st.integers(0, 3000))
+@example(a=0, width=0)
+@example(a=1, width=7)  # a < 9: no base primes below sqrt(b)
+@example(a=8, width=0)
+@example(a=29, width=0)  # b = a, a prime
+@example(a=10_001, width=40)  # shorter than the base primes 41..107
+@example(a=39_999, width=1)
+def test_segment_bits_match_whole_table(a, width):
+    b = a + width
+    table = build_prime_table(max(b + 2, 5))
+    want = table.odd_bits[a >> 1 : (b + 1) >> 1]
+    assert np.array_equal(sieve_segment(a, b), want)
+    if b >= 2:  # the table to b ends exactly where the segment does
+        assert np.array_equal(sieve_segment(a, b), build_prime_table(b).odd_bits[a >> 1 :])
+    twins = build_twin_index(table).odd_mask[a >> 1 : (b + 1) >> 1]
+    assert np.array_equal(twin_segment(a, b), twins)
+
+
+def test_segment_of_nothing_is_empty():
+    assert len(sieve_segment(10, 9)) == 0 and len(twin_segment(10, 9)) == 0
+    with pytest.raises(ValueError):
+        sieve_segment(-1, 10)
 
 
 class TestTwinIndex:
