@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import functools
 import hashlib
 import itertools
@@ -39,7 +40,6 @@ import numpy as np
 from .asymptotic import density_report, variance_sweep
 from .expsum import evaluate_sigma_row
 from .represent import (
-    _BLOCK_SIZE,
     _WINDOW_WIDTH,
     Mode,
     ShardSummary,
@@ -244,7 +244,10 @@ class ReportWriter:
 
 def _memory_budget() -> int | None:
     """Bytes the run may still allocate: MemAvailable, or less where the
-    process's cgroup sets memory.max.  None when neither can be read."""
+    process's cgroup sets memory.max.  None when neither can be read.
+
+    The cgroup's inactive file pages count as free: memory.current includes
+    page cache, which the kernel reclaims before it fails an allocation."""
     limits = []
     try:
         with open("/proc/meminfo", encoding="ascii") as fh:
@@ -261,8 +264,10 @@ def _memory_budget() -> int | None:
             limit = fh.read().strip()
         with open(os.path.join(base, "memory.current"), encoding="ascii") as fh:
             current = int(fh.read())
+        with open(os.path.join(base, "memory.stat"), encoding="ascii") as fh:
+            stat = dict(line.split() for line in fh)
         if limit != "max":
-            limits.append(int(limit) - current)
+            limits.append(int(limit) - current + int(stat.get("inactive_file", 0)))
     except (OSError, ValueError, StopIteration):
         pass
     return min(limits) if limits else None
@@ -283,11 +288,22 @@ def _cache_bits(path: str) -> int:
     return 8 * max(os.path.getsize(path) - _CACHE_HEADER.size, 0)
 
 
+def _cached_table(path: str) -> PrimeTable:
+    """The table of a cache file, loaded once per process while the file is unchanged."""
+    stat = os.stat(path)
+    return _load_table(path, stat.st_mtime_ns, stat.st_size)
+
+
+@functools.lru_cache(maxsize=1)
+def _load_table(path: str, mtime_ns: int, size: int) -> PrimeTable:
+    return load_prime_table(path)
+
+
 def _acquire_table(args, needed_limit: int) -> PrimeTable:
     if args.cache:
         # the packed payload, its unpacked bytes and the bool table
         _check_memory(_cache_bits(args.cache) * 2, f"loading {args.cache}")
-        table = load_prime_table(args.cache)
+        table = _cached_table(args.cache)
         if table.limit < needed_limit:
             raise ValueError(
                 f"cache {args.cache} covers only {table.limit}, need {needed_limit}"
@@ -316,17 +332,6 @@ class _ShardTask(NamedTuple):
     keep_arrays: bool  # return the per-q arrays (records, stats)
 
 
-def _cached_table(path: str) -> PrimeTable:
-    """The table of a cache file, loaded once per process while the file is unchanged."""
-    stat = os.stat(path)
-    return _load_table(path, stat.st_mtime_ns, stat.st_size)
-
-
-@functools.lru_cache(maxsize=1)
-def _load_table(path: str, mtime_ns: int, size: int) -> PrimeTable:
-    return load_prime_table(path)
-
-
 @functools.lru_cache(maxsize=1)
 def _twin_index(table: PrimeTable):
     return build_twin_index(table)
@@ -342,28 +347,25 @@ def _run_shard(task: _ShardTask):
     return report.summary, arrays
 
 
+@contextlib.contextmanager
 def _shard_results(tasks: list[_ShardTask], workers: int):
-    """Yield _run_shard(task) for each task, in order.
+    """An iterator of _run_shard(task) for each task, in order.
 
-    With workers > 1 a pool runs at most two tasks per worker ahead of the
-    consumer.  Leaving early, on a worker's exception too, closes the pool
-    and waits for those tasks: terminating a worker while it writes a
-    result could leave the pool's threads waiting on it forever.  Only an
-    interrupt, which the workers receive as well, terminates the pool.
+    With two or more tasks and workers a pool of min(workers, tasks)
+    processes runs at most two tasks per process ahead of the consumer.
+    An interrupt, which the workers receive as well, terminates the pool:
+    a worker it stopped mid-task posts no result, so waiting for the pool
+    would never end.  Any other exit, a worker's exception too, closes the
+    pool and waits for its tasks: terminating a worker while it writes a
+    result could leave the pool's threads waiting on it forever.
     """
-    if workers == 1 or not tasks:
-        yield from map(_run_shard, tasks)
+    processes = min(workers, len(tasks))
+    if processes <= 1:
+        yield map(_run_shard, tasks)
         return
-    pool = multiprocessing.Pool(processes=workers)
+    pool = multiprocessing.Pool(processes=processes)
     try:
-        todo = iter(tasks)
-        running = collections.deque(
-            pool.apply_async(_run_shard, (task,)) for task in itertools.islice(todo, 2 * workers)
-        )
-        while running:
-            result = running.popleft().get()
-            running.extend(pool.apply_async(_run_shard, (task,)) for task in itertools.islice(todo, 1))
-            yield result
+        yield _results_ahead(pool, tasks, 2 * processes)
     except KeyboardInterrupt:
         pool.terminate()
         raise
@@ -372,23 +374,62 @@ def _shard_results(tasks: list[_ShardTask], workers: int):
         pool.join()
 
 
-def _verify_memory(args, mode: Mode, hi: int) -> int:
-    """Bytes a verify run needs beyond the interpreter, estimated.
+def _results_ahead(pool, tasks: list[_ShardTask], ahead: int):
+    todo = iter(tasks)
+    running = collections.deque(
+        pool.apply_async(_run_shard, (task,)) for task in itertools.islice(todo, ahead)
+    )
+    while running:
+        result = running.popleft().get()
+        running.extend(pool.apply_async(_run_shard, (task,)) for task in itertools.islice(todo, 1))
+        yield result
 
-    Every process scans blocks of up to _BLOCK_SIZE lanes, about 96 bytes
-    a lane, and holds a shard's q bits.  With --cache the table, twin mask
+
+# Peak bytes of one shard's verify_range per admissible q: its q domain,
+# the scan lanes, the block digests and the per-q arrays it joins.
+# tracemalloc read 58-62 bytes a lane for _scan_block alone and 60-75 bytes
+# a q for whole shards of 2^17 to 2^22 numbers, in all three modes, at
+# 1.6e7 and 2e8.
+_SHARD_BYTES_PER_Q = 80
+
+
+def _q_bound(mode: Mode, span: int) -> int:
+    """At most how many admissible q a range of span integers holds."""
+    odd = span // 2 + 1
+    if mode == Mode.SUN_ODD or span < 2:
+        return odd
+    # Brun-Titchmarsh (Montgomery-Vaughan): pi(x + y) - pi(x) < 2y / log y
+    return min(odd, int(2 * span / math.log(span)) + 1)
+
+
+def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int:
+    """Bytes a verify run needs beyond the interpreter, estimated from the run.
+
+    Each of min(workers, shards) processes holds one shard at a time: its
+    q bits and _SHARD_BYTES_PER_Q a q.  With --cache the table, twin mask
     and load temporaries come once, since forked workers share them.
     Without it each process keeps its own p-windows, below a bound on the
-    largest p_q of 8 sqrt(hi) log(hi)^2; the measured largest is about half
-    that (4.59e6 to 1.6e7, 2.22e7 to 2e8).
+    largest p_q of 8 sqrt(hi) log(hi)^2, plus one window being sieved; the
+    measured largest p_q is about half the bound (4.59e6 to 1.6e7, 2.22e7
+    to 2e8).  The per-q arrays a shard returns, 24 bytes a q, wait in the
+    parent for the whole range with stats (twice, once joined) and for up
+    to two shards a process with records.
     """
-    lanes = min(_BLOCK_SIZE, args.shard_size // 2 + 1)
-    per_process = 96 * lanes + args.shard_size // 2
+    span = min(args.shard_size, hi - lo + 1)
+    processes = min(args.workers, -(-(hi - lo + 1) // args.shard_size))  # shards
+    per_process = _SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2
+    total = 0
     if args.cache:
-        return _cache_bits(args.cache) * (3 if mode == Mode.TWIN_MIN else 2) + per_process * args.workers
-    p_bound = min(hi, 8 * math.isqrt(hi) * math.ceil(math.log(max(hi, 3))) ** 2)
-    windows = -(-(p_bound // 2 + 1) // _WINDOW_WIDTH) * _WINDOW_WIDTH
-    return (per_process + windows) * args.workers
+        total = _cache_bits(args.cache) * (3 if mode == Mode.TWIN_MIN else 2)
+    else:
+        p_bound = min(hi, 8 * math.isqrt(hi) * math.ceil(math.log(max(hi, 3))) ** 2)
+        per_process += (-(-(p_bound // 2 + 1) // _WINDOW_WIDTH) + 1) * _WINDOW_WIDTH
+    total += per_process * processes
+    if keep_arrays:
+        total += 2 * 24 * _q_bound(mode, hi - lo + 1)
+    elif args.emit_records and processes > 1:
+        total += 2 * processes * 24 * _q_bound(mode, span)
+    return total
 
 
 _RECORD_HEADER = ["q", "p", "n", "p_over_cbrt_q", "n_over_log_q"]
@@ -548,12 +589,9 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
     so the result is identical for every worker count.  Without --cache
     no whole-range table exists: each shard sieves its own q-range.
     """
-    _check_memory(_verify_memory(args, mode, hi), f"verify over {lo}:{hi}")
+    _check_memory(_verify_memory(args, mode, lo, hi, keep_arrays), f"verify over {lo}:{hi}")
     if args.cache:
-        table = _cached_table(args.cache)
-        need = max(hi, 7)  # the floor keeps the twin index buildable
-        if table.limit < need:
-            raise ValueError(f"cache {args.cache} covers only {table.limit}, need {need}")
+        table = _acquire_table(args, max(hi, 7))  # the floor keeps the twin index buildable
         if mode == Mode.TWIN_MIN:
             _twin_index(table)  # built once here; forked workers inherit it
     bounds = _shard_bounds(lo, hi, args.shard_size)
@@ -613,18 +651,19 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
         for a, b in pending
     ]
     try:
-        for summary, shard_arrays in _shard_results(tasks, args.workers):
-            if sink is not None:
-                sink.write_shard(*shard_arrays)
-            if keep_arrays:
-                arrays.append(shard_arrays)
-            summaries.append(summary)
-            if checkpoint is not None:
-                records_bytes = sink.sync() if sink is not None else 0
-                checkpoint.append_shard(
-                    {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
-                )
-            del shard_arrays  # free this shard's arrays before the next one arrives
+        with _shard_results(tasks, args.workers) as results:
+            for summary, shard_arrays in results:
+                if sink is not None:
+                    sink.write_shard(*shard_arrays)
+                if keep_arrays:
+                    arrays.append(shard_arrays)
+                summaries.append(summary)
+                if checkpoint is not None:
+                    records_bytes = sink.sync() if sink is not None else 0
+                    checkpoint.append_shard(
+                        {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
+                    )
+                del shard_arrays  # free this shard's arrays before the next one arrives
     finally:
         if sink is not None:
             sink.close()

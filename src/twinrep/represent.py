@@ -150,7 +150,7 @@ def find_any_prime_representation(q: int, table: PrimeTable) -> Representation |
     return None
 
 
-# Lanes per scanned block: the kernel's working set is about 96 bytes a lane.
+# Lanes per scanned block: the kernel's working set is about 60 bytes a lane.
 _BLOCK_SIZE = 1 << 19
 
 # Width of a sieved p-window, in odd numbers (a window of bools is 1 MB).

@@ -127,21 +127,31 @@ def sieve_segment(lo: int, hi: int) -> np.ndarray:
     return out
 
 
+def _twin_mask(bits: np.ndarray) -> np.ndarray:
+    """Twin bits indexed like the odd-number prime bits they come from: m is
+    prime and m - 2 or m + 2 is prime, reading the m past either end as not
+    prime."""
+    mask = np.zeros_like(bits)
+    mask[1:] = bits[:-1]  # m - 2 prime
+    mask[:-1] |= bits[1:]  # or m + 2 prime
+    mask &= bits
+    return mask
+
+
 def twin_segment(lo: int, hi: int) -> np.ndarray:
     """Twin bits of the odd m in [lo, hi], indexed like sieve_segment(lo, hi).
 
-    A bit is set iff m is prime and m - 2 or m + 2 is prime, as in
-    build_twin_index; the segment is sieved one odd number wider at each end.
+    The segment is sieved one odd number wider at each end, so the rule of
+    build_twin_index is exact on every m it returns.
     """
     if lo < 0:
         raise ValueError(f"twin_segment needs lo >= 0, got {lo}")
     first, stop = lo >> 1, (hi + 1) >> 1
     if stop <= first:
         return np.zeros(0, dtype=bool)
-    bits = sieve_segment(max(2 * first - 1, 0), 2 * stop + 1)
-    if first == 0:
-        bits = np.concatenate(([False], bits))  # m = -1 is not prime
-    return bits[1:-1] & (bits[:-2] | bits[2:])
+    below = 1 if first else 0  # m = -1 needs no entry: it reads as not prime
+    mask = _twin_mask(sieve_segment(2 * (first - below) + 1, 2 * stop + 1))
+    return mask[below : below + stop - first]
 
 
 def build_prime_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTable:
@@ -209,11 +219,7 @@ def build_twin_index(table: PrimeTable) -> TwinIndex:
     if table.limit < 5:
         raise ValueError(f"twin index needs table.limit >= 5, got {table.limit}")
     coverage = table.limit - 2
-    bits = table.odd_bits
-    mask = np.zeros_like(bits)
-    mask[1:] = bits[:-1]  # 2i - 1 prime
-    mask[:-1] |= bits[1:]  # or 2i + 3 prime
-    mask &= bits
+    mask = _twin_mask(table.odd_bits)
     mask[(coverage >> 1) + 1 :] = False  # p + 2 undecidable past coverage
     twins = np.flatnonzero(mask).astype(np.int64) * 2 + 1
     return TwinIndex(coverage=coverage, twins=twins, odd_mask=mask)

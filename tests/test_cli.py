@@ -739,11 +739,51 @@ class TestMemoryBudget:
         assert budget is None or budget > 0
 
     def test_estimate_grows_with_workers_and_range(self):
-        args = cli.build_parser().parse_args(["verify", "--mode", "twin", "--range", "5:10"])
-        small = cli._verify_memory(args, represent.Mode.TWIN_MIN, 10**6)
-        assert cli._verify_memory(args, represent.Mode.TWIN_MIN, 10**9) > small
-        args.workers = 2 * args.workers
-        assert cli._verify_memory(args, represent.Mode.TWIN_MIN, 10**6) == 2 * small
+        args = cli.build_parser().parse_args(["verify", "--mode", "twin", "--range", "5:10",
+                                              "--workers", "1"])
+        twin = represent.Mode.TWIN_MIN
+        small = cli._verify_memory(args, twin, 5, 10**7, False)
+        assert cli._verify_memory(args, twin, 5, 10**9, False) > small
+        args.workers = 2
+        assert cli._verify_memory(args, twin, 5, 10**7, False) == 2 * small
+        assert cli._verify_memory(args, twin, 5, 10**7, True) > 2 * small  # stats keeps arrays
+
+    def test_estimate_counts_only_the_processes_and_lanes_the_run_uses(self):
+        args = cli.build_parser().parse_args(["verify", "--mode", "twin", "--range", "5:1000",
+                                              "--workers", "64"])
+        one = cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 1000, False)
+        args.workers = 1
+        assert cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 1000, False) == one
+        assert one < 4 * 2**20  # one shard of 168 primes and its windows
+        # a 2^20 shard holds far fewer primes than odd numbers
+        span = cli.DEFAULT_SHARD_SIZE
+        assert cli._q_bound(represent.Mode.TWIN_MIN, span) < span // 6
+        assert cli._q_bound(represent.Mode.SUN_ODD, span) == span // 2 + 1
+
+    def test_many_workers_on_a_small_range_fit_a_small_budget(self, monkeypatch):
+        monkeypatch.setattr(cli, "_memory_budget", lambda: 300 * 2**20)
+        code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:1000",
+                                  "--workers", "64"])
+        assert code == 0, err
+        assert parse_csv(out)[0]["checked"] == "166"
+
+    def test_cgroup_budget_counts_inactive_file_pages_as_free(self, monkeypatch):
+        files = {
+            "/proc/meminfo": "MemTotal: 16777216 kB\nMemAvailable: 8388608 kB\n",
+            "/proc/self/cgroup": "0::/pod\n",
+            "/sys/fs/cgroup/pod/memory.max": f"{2**30}\n",
+            "/sys/fs/cgroup/pod/memory.current": f"{900 * 2**20}\n",
+            "/sys/fs/cgroup/pod/memory.stat": f"anon 1\ninactive_file {600 * 2**20}\nfile 2\n",
+        }
+
+        def fake_open(path, *args, **kwargs):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        assert cli._memory_budget() == (1024 - 900 + 600) * 2**20
+        files["/sys/fs/cgroup/pod/memory.max"] = "max\n"
+        assert cli._memory_budget() == 8 * 2**30
 
 
 @_FORKED_WORKERS
@@ -768,6 +808,41 @@ def test_worker_exception_exits_2_promptly(monkeypatch):
     assert (code, out) == (2, "")
     assert "scan kernel failed" in err
     assert elapsed < 30
+
+
+@_FORKED_WORKERS
+def test_interrupt_while_writing_records_ends_the_pool(tmp_path, monkeypatch):
+    # Ctrl-C reaches the workers too: one stopped mid-task posts no result,
+    # so an interrupt in the parent's writer must not wait for the pool
+    scan = represent._scan_block
+
+    def slow(qs, windows):
+        time.sleep(0.2)
+        return scan(qs, windows)
+
+    def interrupt(self, qs, ps, ns):
+        for child in multiprocessing.active_children():
+            os.kill(child.pid, signal.SIGINT)
+        raise KeyboardInterrupt
+
+    def hang(signum, frame):
+        raise TimeoutError("verify did not return")
+
+    monkeypatch.setattr(represent, "_scan_block", slow)  # forked workers inherit it
+    monkeypatch.setattr(cli._RecordSink, "write_shard", interrupt)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(["verify", "--mode", "twin", "--range", "5:400000", "--shard-size", "5000",
+                     "--workers", "2", "--emit-records", str(tmp_path / "rec")])
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 30
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("cache", [False, True])
