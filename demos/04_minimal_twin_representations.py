@@ -31,7 +31,7 @@ for q in (5, 11, 13, 59, 113, 997):
     print(f"  q={q:>4}: p_q={r.p:>4}, n_q={r.n:>3}   "
           f"check: {r.p} + {r.n}*{r.n + 1} = {r.p + r.n * (r.n + 1)}")
 
-report = verify_range(5, LIMIT, Mode.TWIN_MIN, twins, table)
+report = verify_range(5, LIMIT, Mode.TWIN_MIN, table)
 print()
 print(f"verified {report.checked:,} primes, failures: {len(report.failures)}")
 stats = report.stats

@@ -31,7 +31,7 @@ import numpy as np
 
 from .arithmetic import von_mangoldt
 from .represent import Mode, verify_range
-from .sieve import CoverageError, PrimeTable, TwinIndex, build_prime_table, squarefree_mask
+from .sieve import CoverageError, PrimeTable, build_prime_table, squarefree_mask
 from .singular import singular_series_many
 
 __all__ = [
@@ -305,7 +305,7 @@ class DensityReport:
     exceptions_twin: list
 
 
-def density_report(x: int, table: PrimeTable, twins: TwinIndex) -> DensityReport:
+def density_report(x: int, table: PrimeTable) -> DensityReport:
     """Decide representability of every prime q <= x in both modes.
 
     Each mode is one verify_range over [2, x] that counts q in {2, 3} as
@@ -313,8 +313,8 @@ def density_report(x: int, table: PrimeTable, twins: TwinIndex) -> DensityReport
     """
     if x < 2:
         raise ValueError(f"density_report requires x >= 2, got {x}")
-    any_prime = verify_range(2, x, Mode.ANY_PRIME, None, table, include_small=True).summary
-    twin = verify_range(2, x, Mode.TWIN_MIN, twins, table, include_small=True).summary
+    any_prime = verify_range(2, x, Mode.ANY_PRIME, table, include_small=True).summary
+    twin = verify_range(2, x, Mode.TWIN_MIN, table, include_small=True).summary
     return DensityReport(
         x=x,
         total_primes=any_prime.checked,

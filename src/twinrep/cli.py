@@ -54,7 +54,6 @@ from .sieve import (
     PrimeTable,
     ResourceLimitError,
     build_prime_table,
-    build_twin_index,
     load_prime_table,
     prime_count,
     save_prime_table,
@@ -242,11 +241,22 @@ class ReportWriter:
 # memory budget and prime-table acquisition
 
 
+# cgroup v2 ("0::path") and the v1 memory controller ("N:memory:path"), keyed
+# by the controller field of /proc/self/cgroup: the hierarchy's root, its
+# limit and usage files, and memory.stat's key for the inactive file pages
+_CGROUP_MEMORY = {
+    "": ("/sys/fs/cgroup", "memory.max", "memory.current", "inactive_file"),
+    "memory": ("/sys/fs/cgroup/memory", "memory.limit_in_bytes", "memory.usage_in_bytes",
+               "total_inactive_file"),
+}
+
+
 def _memory_budget() -> int | None:
     """Bytes the run may still allocate: MemAvailable, or less where the
-    process's cgroup sets memory.max.  None when neither can be read.
+    process's cgroup sets a memory limit (v2 memory.max or v1
+    memory.limit_in_bytes).  None when none of them can be read.
 
-    The cgroup's inactive file pages count as free: memory.current includes
+    The cgroup's inactive file pages count as free: its usage includes
     page cache, which the kernel reclaims before it fails an allocation."""
     limits = []
     try:
@@ -258,18 +268,25 @@ def _memory_budget() -> int | None:
         pass
     try:
         with open("/proc/self/cgroup", encoding="ascii") as fh:
-            group = next(line for line in fh if line.startswith("0::")).strip()[3:]
-        base = os.path.join("/sys/fs/cgroup", group.lstrip("/"))
-        with open(os.path.join(base, "memory.max"), encoding="ascii") as fh:
-            limit = fh.read().strip()
-        with open(os.path.join(base, "memory.current"), encoding="ascii") as fh:
-            current = int(fh.read())
-        with open(os.path.join(base, "memory.stat"), encoding="ascii") as fh:
-            stat = dict(line.split() for line in fh)
-        if limit != "max":
-            limits.append(int(limit) - current + int(stat.get("inactive_file", 0)))
-    except (OSError, ValueError, StopIteration):
-        pass
+            groups = [line.rstrip("\n").split(":", 2) for line in fh]
+    except OSError:
+        groups = []
+    for _, controllers, group in (g for g in groups if len(g) == 3):
+        if controllers not in _CGROUP_MEMORY:
+            continue
+        root, limit_file, usage_file, inactive_key = _CGROUP_MEMORY[controllers]
+        base = os.path.join(root, group.lstrip("/"))
+        try:
+            with open(os.path.join(base, limit_file), encoding="ascii") as fh:
+                limit = fh.read().strip()
+            with open(os.path.join(base, usage_file), encoding="ascii") as fh:
+                usage = int(fh.read())
+            with open(os.path.join(base, "memory.stat"), encoding="ascii") as fh:
+                stat = dict(line.split() for line in fh)
+            if limit != "max":
+                limits.append(int(limit) - usage + int(stat.get(inactive_key, 0)))
+        except (OSError, ValueError):
+            pass
     return min(limits) if limits else None
 
 
@@ -332,17 +349,9 @@ class _ShardTask(NamedTuple):
     keep_arrays: bool  # return the per-q arrays (records, stats)
 
 
-@functools.lru_cache(maxsize=1)
-def _twin_index(table: PrimeTable):
-    return build_twin_index(table)
-
-
 def _run_shard(task: _ShardTask):
-    table = twins = None  # no cache: the shard sieves its q-range and p-windows
-    if task.cache is not None:
-        table = _cached_table(task.cache)
-        twins = _twin_index(table) if task.mode == Mode.TWIN_MIN else None
-    report = verify_range(task.lo, task.hi, task.mode, twins, table, task.include_small)
+    table = None if task.cache is None else _cached_table(task.cache)
+    report = verify_range(task.lo, task.hi, task.mode, table, task.include_small)
     arrays = (report.qs, report.ps, report.ns) if task.keep_arrays else None
     return report.summary, arrays
 
@@ -405,26 +414,23 @@ def _q_bound(mode: Mode, span: int) -> int:
 def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int:
     """Bytes a verify run needs beyond the interpreter, estimated from the run.
 
-    Each of min(workers, shards) processes holds one shard at a time: its
-    q bits and _SHARD_BYTES_PER_Q a q.  With --cache the table, twin mask
-    and load temporaries come once, since forked workers share them.
-    Without it each process keeps its own p-windows, below a bound on the
-    largest p_q of 8 sqrt(hi) log(hi)^2, plus one window being sieved; the
-    measured largest p_q is about half the bound (4.59e6 to 1.6e7, 2.22e7
-    to 2e8).  The per-q arrays a shard returns, 24 bytes a q, wait in the
-    parent for the whole range with stats (twice, once joined) and for up
-    to two shards a process with records.
+    Each of min(workers, shards) processes holds one shard at a time, its
+    q bits and _SHARD_BYTES_PER_Q a q, and keeps its own p-windows, below
+    a bound on the largest p_q of 8 sqrt(hi) log(hi)^2, plus one window
+    being built; the measured largest p_q is about half the bound (4.59e6
+    to 1.6e7, 2.22e7 to 2e8).  With --cache the table and its load
+    temporaries come once, since forked workers share them.  The per-q
+    arrays a shard returns, 24 bytes a q, wait in the parent for the whole
+    range with stats (twice, once joined) and for up to two shards a
+    process with records.
     """
     span = min(args.shard_size, hi - lo + 1)
     processes = min(args.workers, -(-(hi - lo + 1) // args.shard_size))  # shards
-    per_process = _SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2
-    total = 0
+    p_bound = min(hi, 8 * math.isqrt(hi) * math.ceil(math.log(max(hi, 3))) ** 2)
+    windows = (-(-(p_bound // 2 + 1) // _WINDOW_WIDTH) + 1) * _WINDOW_WIDTH
+    total = (_SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2 + windows) * processes
     if args.cache:
-        total = _cache_bits(args.cache) * (3 if mode == Mode.TWIN_MIN else 2)
-    else:
-        p_bound = min(hi, 8 * math.isqrt(hi) * math.ceil(math.log(max(hi, 3))) ** 2)
-        per_process += (-(-(p_bound // 2 + 1) // _WINDOW_WIDTH) + 1) * _WINDOW_WIDTH
-    total += per_process * processes
+        total += _cache_bits(args.cache) * 2
     if keep_arrays:
         total += 2 * 24 * _q_bound(mode, hi - lo + 1)
     elif args.emit_records and processes > 1:
@@ -591,9 +597,9 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
     """
     _check_memory(_verify_memory(args, mode, lo, hi, keep_arrays), f"verify over {lo}:{hi}")
     if args.cache:
-        table = _acquire_table(args, max(hi, 7))  # the floor keeps the twin index buildable
-        if mode == Mode.TWIN_MIN:
-            _twin_index(table)  # built once here; forked workers inherit it
+        # loaded once here, so forked workers inherit it; the floor of 7 is
+        # part of the exit-code contract: a cache below 7 exits 2
+        _acquire_table(args, max(hi, 7))
     bounds = _shard_bounds(lo, hi, args.shard_size)
 
     checkpoint = _Checkpoint.load(args.checkpoint) if args.checkpoint else None
@@ -806,9 +812,8 @@ def _cmd_variance(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    table = _acquire_table(args, max(args.x, 7))
-    twins = build_twin_index(table)
-    report = density_report(args.x, table, twins)
+    table = _acquire_table(args, max(args.x, 7))  # the floor of 7 as in verify
+    report = density_report(args.x, table)
     writer = ReportWriter(
         [
             "x",

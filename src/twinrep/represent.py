@@ -158,25 +158,14 @@ _BLOCK_SIZE = 1 << 19
 _WINDOW_WIDTH = 1 << 20
 
 
-class _MaskWindows:
-    """p-membership windows sliced from one whole mask: a PrimeTable's
-    odd_bits or a TwinIndex's odd_mask.  By default one window is the mask."""
+class _Windows:
+    """p-membership windows of width odd numbers, built by segment(lo, hi) on
+    first use and kept, so a process builds each window once however many
+    shards it scans."""
 
-    def __init__(self, mask: np.ndarray, width: int | None = None):
-        self.mask = mask
-        self.width = width or max(len(mask), 1)
-
-    def window(self, k: int) -> np.ndarray:
-        return self.mask[k * self.width : (k + 1) * self.width]
-
-
-class _SievedWindows:
-    """p-membership windows sieved on first use and kept, so a process
-    builds each window once however many shards it scans."""
-
-    def __init__(self, twin: bool, width: int):
+    def __init__(self, segment, width: int):
         self.width = width
-        self._segment = twin_segment if twin else sieve_segment
+        self._segment = segment
         self._built: dict[int, np.ndarray] = {}
 
     def window(self, k: int) -> np.ndarray:
@@ -187,10 +176,17 @@ class _SievedWindows:
         return bits
 
 
-@functools.lru_cache(maxsize=None)
-def _sieved_windows(twin: bool, width: int) -> _SievedWindows:
-    """The process's window cache for one membership kind and width."""
-    return _SievedWindows(twin, width)
+def _prime_bits(table: PrimeTable | None):
+    """The prime-bit source: a table's segment, or with no table a sieve."""
+    return sieve_segment if table is None else table.segment
+
+
+@functools.lru_cache(maxsize=4)
+def _windows(table: PrimeTable | None, twin: bool, width: int) -> _Windows:
+    """The process's windows for one source, membership kind and width."""
+    prime_bits = _prime_bits(table)
+    segment = functools.partial(twin_segment, prime_bits=prime_bits) if twin else prime_bits
+    return _Windows(segment, width)
 
 
 def _scan_block(qs: np.ndarray, windows):
@@ -412,28 +408,23 @@ class VerificationReport:
         ]
 
 
-def _domain(lo: int, hi: int, mode: Mode, odd_bits: np.ndarray | None) -> np.ndarray:
+def _domain(lo: int, hi: int, mode: Mode, prime_bits) -> np.ndarray:
     """Admissible q values (>= 5) in [lo, hi] for the given mode.
 
-    Reads only the range's own prime bits, from odd_bits or, when it is
-    None, from a sieve of [lo, hi] alone, so a shard costs O(hi - lo).
+    Reads only the range's own prime bits from prime_bits, a sieve of
+    [lo, hi] alone or a table's segment, so a shard costs O(hi - lo).
     """
     first = max(lo, 5) >> 1  # index of the least odd m >= max(lo, 5)
     if mode == Mode.SUN_ODD:
         return np.arange(2 * first + 1, hi + 1, 2, dtype=np.int64)
-    if odd_bits is None:
-        bits = sieve_segment(2 * first + 1, hi)
-    else:
-        bits = odd_bits[first : (hi + 1) >> 1]
-    return (np.flatnonzero(bits) + first) * 2 + 1
+    return (np.flatnonzero(prime_bits(2 * first + 1, hi)) + first) * 2 + 1
 
 
 def verify_range(
     lo: int,
     hi: int,
     mode: Mode,
-    twins: TwinIndex | None,
-    table: PrimeTable | None,
+    table: PrimeTable | None = None,
     include_small: bool = False,
     block_size: int = _BLOCK_SIZE,
 ) -> VerificationReport:
@@ -445,44 +436,27 @@ def verify_range(
     no admissible n and are skipped unless include_small, in which case
     they count as failures.
 
-    With table None (and twins None) no whole-range table is read: the
-    call sieves [lo, hi] alone, and p membership comes from fixed-width
-    windows each process sieves once and keeps, so memory is O(hi - lo)
-    plus the windows below the largest p the scan reaches.  The report
-    is the same as from a table.
+    Prime bits come from table or, when it is None, from a sieve of
+    [lo, hi] alone.  p membership comes from fixed-width windows of the
+    same source, which each process builds once and keeps, so memory is
+    O(hi - lo) plus the windows below the largest p the scan reaches.
+    Both sources give the same report.
     """
     mode = Mode(mode)
     if mode == Mode.TWIN_MIN_N:
         raise ValueError("verify_range modes are twin, prime, sun")
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
-    if table is None:
-        if twins is not None:
-            raise ValueError("a TwinIndex needs the PrimeTable it was built from")
-        windows = _sieved_windows(mode == Mode.TWIN_MIN, _WINDOW_WIDTH)
-        return _verify(lo, hi, mode, windows, None, include_small, block_size)
-    if hi > table.limit:
+    if table is not None and hi > table.limit:
         raise CoverageError(f"range end {hi} exceeds table limit {table.limit}")
-    if mode == Mode.TWIN_MIN:
-        if twins is None:
-            raise ValueError("twin mode needs a TwinIndex")
-        if hi - 2 > twins.coverage:
-            raise CoverageError(f"range end {hi} needs twin coverage {hi - 2}, have {twins.coverage}")
-        mask = twins.odd_mask
-    else:
-        mask = table.odd_bits
-    return _verify(lo, hi, mode, _MaskWindows(mask), table.odd_bits, include_small, block_size)
-
-
-def _verify(lo, hi, mode, windows, odd_bits, include_small, block_size) -> VerificationReport:
-    """The shard routine: q domain, blockwise scan and digest, for either source."""
+    windows = _windows(table, mode == Mode.TWIN_MIN, _WINDOW_WIDTH)
     summary = ShardSummary(lo=lo, hi=hi)
     if include_small:
         smalls = [q for q in (2, 3) if lo <= q <= hi and (mode != Mode.SUN_ODD or q % 2 == 1)]
         summary.checked += len(smalls)
         summary.failures.extend(smalls)
 
-    qs_all = _domain(lo, hi, mode, odd_bits)
+    qs_all = _domain(lo, hi, mode, _prime_bits(table))
     q_chunks, p_chunks, n_chunks = [], [], []
     for start in range(0, len(qs_all), block_size):
         qs = qs_all[start : start + block_size]

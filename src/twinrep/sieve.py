@@ -74,6 +74,15 @@ class PrimeTable:
             return m == 2
         return bool(self.odd_bits[m >> 1])
 
+    def segment(self, lo: int, hi: int) -> np.ndarray:
+        """Prime bits of the odd m in [lo, hi], indexed like sieve_segment(lo, hi).
+
+        A view of odd_bits, cut short at the limit: entries past it are absent.
+        """
+        if lo < 0:
+            raise ValueError(f"segment needs lo >= 0, got {lo}")
+        return self.odd_bits[lo >> 1 : (hi + 1) >> 1]
+
     def primes(self) -> np.ndarray:
         """All primes <= limit as an ascending int64 array (cached)."""
         if self._primes is None:
@@ -138,11 +147,13 @@ def _twin_mask(bits: np.ndarray) -> np.ndarray:
     return mask
 
 
-def twin_segment(lo: int, hi: int) -> np.ndarray:
+def twin_segment(lo: int, hi: int, prime_bits=sieve_segment) -> np.ndarray:
     """Twin bits of the odd m in [lo, hi], indexed like sieve_segment(lo, hi).
 
-    The segment is sieved one odd number wider at each end, so the rule of
-    build_twin_index is exact on every m it returns.
+    prime_bits is sieve_segment or a PrimeTable's segment.  The bits are read
+    one odd number wider at each end, so the rule of build_twin_index is
+    exact on every m it returns.  From a table the result is cut short at
+    its limit and exact for m <= limit - 2, where m + 2 is still covered.
     """
     if lo < 0:
         raise ValueError(f"twin_segment needs lo >= 0, got {lo}")
@@ -150,7 +161,7 @@ def twin_segment(lo: int, hi: int) -> np.ndarray:
     if stop <= first:
         return np.zeros(0, dtype=bool)
     below = 1 if first else 0  # m = -1 needs no entry: it reads as not prime
-    mask = _twin_mask(sieve_segment(2 * (first - below) + 1, 2 * stop + 1))
+    mask = _twin_mask(prime_bits(2 * (first - below) + 1, 2 * stop + 1))
     return mask[below : below + stop - first]
 
 

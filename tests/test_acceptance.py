@@ -51,7 +51,7 @@ def desk_run():
     start = time.perf_counter()
     table = build_prime_table(MILLIONTH_PRIME)
     twins = build_twin_index(table)
-    report = verify_range(5, MILLIONTH_PRIME, Mode.TWIN_MIN, twins, table)
+    report = verify_range(5, MILLIONTH_PRIME, Mode.TWIN_MIN, table)
     elapsed = time.perf_counter() - start
     return table, twins, report, elapsed
 
@@ -328,8 +328,7 @@ def test_criterion_5_variance_ratio_strictly_decreasing(table_1m):
 
 
 def test_criterion_6_density_exceptions_are_2_and_3(table_1m):
-    twins = build_twin_index(table_1m)
-    report = density_report(10**6, table_1m, twins)
+    report = density_report(10**6, table_1m)
     assert report.total_primes == 78498
     assert report.exceptions_any_prime == [2, 3]
     density = report.representable_any_prime / report.total_primes
@@ -383,7 +382,7 @@ def test_criterion_8_sieve_vs_trial_division():
 
 def test_criterion_8_minimal_representation_vs_exhaustive_scan(table_1m):
     twins = build_twin_index(table_1m)
-    report = verify_range(5, 10**5, Mode.TWIN_MIN, twins, table_1m)
+    report = verify_range(5, 10**5, Mode.TWIN_MIN, table_1m)
     primes = table_1m.primes()
     qs = primes[(primes >= 5) & (primes <= 10**5)]
     assert np.array_equal(report.qs, qs)

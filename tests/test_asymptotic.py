@@ -21,7 +21,6 @@ from twinrep.asymptotic import (
 from twinrep.sieve import (
     CoverageError,
     build_prime_table,
-    build_twin_index,
     prime_count,
     squarefree_mask,
 )
@@ -266,23 +265,21 @@ class TestExceptionCount:
 
 class TestDensityReport:
     def test_example_x10(self, table_1e5):
-        twins = build_twin_index(table_1e5)
-        report = density_report(10, table_1e5, twins)
+        report = density_report(10, table_1e5)
         assert report.total_primes == 4
         assert report.exceptions_any_prime == [2, 3]
         assert report.exceptions_twin == [2, 3]
 
     @pytest.mark.parametrize("x", range(2, 13))
     def test_counts_only_primes_up_to_x(self, table_1e5, x):
-        report = density_report(x, table_1e5, build_twin_index(table_1e5))
+        report = density_report(x, table_1e5)
         assert report.total_primes == prime_count(table_1e5, x)
         assert all(q <= x for q in report.exceptions_any_prime + report.exceptions_twin)
         assert report.exceptions_any_prime == [q for q in (2, 3) if q <= x]
 
     def test_twin_subset_of_any(self, table_1e5):
-        twins = build_twin_index(table_1e5)
         for x in (10, 100, 10**4):
-            report = density_report(x, table_1e5, twins)
+            report = density_report(x, table_1e5)
             assert report.representable_twin <= report.representable_any_prime
             assert report.total_primes == report.representable_any_prime + len(
                 report.exceptions_any_prime
@@ -291,8 +288,7 @@ class TestDensityReport:
     def test_matches_scalar_search(self, table_1e5):
         from twinrep.represent import find_any_prime_representation
 
-        twins = build_twin_index(table_1e5)
-        report = density_report(500, table_1e5, twins)
+        report = density_report(500, table_1e5)
         expected_exceptions = [
             int(q)
             for q in table_1e5.primes()

@@ -702,6 +702,22 @@ def test_any_window_width_gives_the_table_bytes(mode, fmt, width, workers):
             assert _verify_files(tmp, mode, fmt, workers) == _TABLE_FILES[mode, fmt]
 
 
+@pytest.mark.parametrize("width", [7, 23, 1 << 20])
+def test_twin_cache_to_its_limit_gives_the_sieved_bytes(tmp_path, monkeypatch, width):
+    # hi is the cache's limit, so the last twin window is cut short at the table's end:
+    # 2001 odd bits end inside a window of 7 or 2^20, on the edge of a window of 23
+    cache = str(tmp_path / "primes.bin")
+    assert run_cli(["sieve-cache", "--limit", "4001", "--cache-out", cache])[0] == 0
+    monkeypatch.setattr(represent, "_WINDOW_WIDTH", width)
+    argv = ["verify", "--mode", "twin", "--range", "5:4001", "--shard-size", "900",
+            "--workers", "1", "--emit-records"]
+    code, cached, err = run_cli(argv + [str(tmp_path / "cached"), "--cache", cache])
+    assert code == 0, err
+    assert run_cli(argv + [str(tmp_path / "sieved")]) == (0, cached, "")
+    assert (tmp_path / "cached").read_bytes() == (tmp_path / "sieved").read_bytes()
+    assert parse_csv(cached)[0]["checked"] == "549"  # pi(4001) - 2
+
+
 class TestMemoryBudget:
     ARGVS = {
         "verify": ["verify", "--mode", "twin", "--range", "5:200000", "--workers", "2"],
@@ -748,6 +764,17 @@ class TestMemoryBudget:
         assert cli._verify_memory(args, twin, 5, 10**7, False) == 2 * small
         assert cli._verify_memory(args, twin, 5, 10**7, True) > 2 * small  # stats keeps arrays
 
+    def test_cache_adds_its_table_once_to_the_same_estimate(self, tmp_path):
+        cache = str(tmp_path / "primes.bin")
+        assert run_cli(["sieve-cache", "--limit", "200000", "--cache-out", cache])[0] == 0
+        args = cli.build_parser().parse_args(["verify", "--mode", "twin", "--range", "5:200000",
+                                              "--workers", "2", "--cache", cache])
+        twin = cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 200_000, False)
+        assert cli._verify_memory(args, represent.Mode.ANY_PRIME, 5, 200_000, False) == twin
+        args.cache = None
+        sieved = cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 200_000, False)
+        assert twin == sieved + 2 * cli._cache_bits(cache)
+
     def test_estimate_counts_only_the_processes_and_lanes_the_run_uses(self):
         args = cli.build_parser().parse_args(["verify", "--mode", "twin", "--range", "5:1000",
                                               "--workers", "64"])
@@ -783,6 +810,25 @@ class TestMemoryBudget:
         monkeypatch.setattr(cli, "open", fake_open, raising=False)
         assert cli._memory_budget() == (1024 - 900 + 600) * 2**20
         files["/sys/fs/cgroup/pod/memory.max"] = "max\n"
+        assert cli._memory_budget() == 8 * 2**30
+
+    def test_cgroup_v1_budget_reads_the_memory_controller(self, monkeypatch):
+        base = "/sys/fs/cgroup/memory/pod"
+        files = {
+            "/proc/meminfo": "MemTotal: 16777216 kB\nMemAvailable: 8388608 kB\n",
+            "/proc/self/cgroup": "5:cpu,cpuacct:/\n4:memory:/pod\n1:name=systemd:/\n0::/\n",
+            f"{base}/memory.limit_in_bytes": f"{2**30}\n",
+            f"{base}/memory.usage_in_bytes": f"{900 * 2**20}\n",
+            f"{base}/memory.stat": f"inactive_file 1\ntotal_inactive_file {600 * 2**20}\n",
+        }
+
+        def fake_open(path, *args, **kwargs):
+            if path not in files:
+                raise FileNotFoundError(path)
+            return io.StringIO(files[path])
+        monkeypatch.setattr(cli, "open", fake_open, raising=False)
+        assert cli._memory_budget() == (1024 - 900 + 600) * 2**20
+        files[f"{base}/memory.limit_in_bytes"] = "9223372036854771712\n"  # v1's "unlimited"
         assert cli._memory_budget() == 8 * 2**30
 
 

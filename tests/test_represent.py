@@ -11,8 +11,7 @@ from twinrep.represent import (
     Mode,
     Representation,
     ShardSummary,
-    _MaskWindows,
-    _SievedWindows,
+    _Windows,
     _scan_block,
     find_any_prime_representation,
     find_min_n_twin_representation,
@@ -24,7 +23,16 @@ from twinrep.represent import (
     summary_stats,
     verify_range,
 )
-from twinrep.sieve import CoverageError
+from twinrep.sieve import CoverageError, build_prime_table, sieve_segment, twin_segment
+
+
+def mask_windows(mask, width=None):
+    """p-windows sliced from one whole membership mask; by default one window."""
+    return _Windows(lambda lo, hi: mask[lo >> 1 : (hi + 1) >> 1], width or len(mask))
+
+
+def sieved_windows(twin, width):
+    return _Windows(twin_segment if twin else sieve_segment, width)
 
 
 def exhaustive_min_twin(q, twins):
@@ -134,45 +142,45 @@ class TestAnyPrime:
 
 
 class TestVerifyRange:
-    def test_twin_mode_no_failures(self, table_1e6, twins_1e6):
-        report = verify_range(5, 10**4, Mode.TWIN_MIN, twins_1e6, table_1e6)
+    def test_twin_mode_no_failures(self, table_1e6):
+        report = verify_range(5, 10**4, Mode.TWIN_MIN, table_1e6)
         assert report.failures == []
         assert report.checked == 1227  # pi(1e4) - 2
         assert report.checked == len(report.qs)
 
     def test_matches_scalar_path(self, table_1e6, twins_1e6):
-        report = verify_range(5, 3000, Mode.TWIN_MIN, twins_1e6, table_1e6)
+        report = verify_range(5, 3000, Mode.TWIN_MIN, table_1e6)
         primes = [int(p) for p in table_1e6.primes() if 5 <= p <= 3000]
         assert list(report.qs) == primes
         for q, p, n in zip(report.qs, report.ps, report.ns):
             r = find_min_twin_representation(int(q), twins_1e6)
             assert (r.p, r.n) == (int(p), int(n))
 
-    def test_prime_and_sun_modes(self, table_1e6, twins_1e6):
-        assert verify_range(5, 10**4, Mode.ANY_PRIME, None, table_1e6).failures == []
-        sun = verify_range(5, 10**4, Mode.SUN_ODD, None, table_1e6)
+    def test_prime_and_sun_modes(self, table_1e6):
+        assert verify_range(5, 10**4, Mode.ANY_PRIME, table_1e6).failures == []
+        sun = verify_range(5, 10**4, Mode.SUN_ODD, table_1e6)
         assert sun.failures == []
         assert sun.checked == len(range(5, 10**4 + 1, 2))
 
-    def test_small_q_handling(self, table_1e6, twins_1e6):
-        skip = verify_range(2, 4, Mode.TWIN_MIN, twins_1e6, table_1e6)
+    def test_small_q_handling(self, table_1e6):
+        skip = verify_range(2, 4, Mode.TWIN_MIN, table_1e6)
         assert skip.checked == 0 and skip.failures == []
-        counted = verify_range(2, 4, Mode.TWIN_MIN, twins_1e6, table_1e6, include_small=True)
+        counted = verify_range(2, 4, Mode.TWIN_MIN, table_1e6, include_small=True)
         assert counted.checked == 2 and counted.failures == [2, 3]
 
-    def test_block_size_invariance(self, table_1e6, twins_1e6):
-        a = verify_range(5, 20_000, Mode.TWIN_MIN, twins_1e6, table_1e6)
-        b = verify_range(5, 20_000, Mode.TWIN_MIN, twins_1e6, table_1e6, block_size=211)
+    def test_block_size_invariance(self, table_1e6):
+        a = verify_range(5, 20_000, Mode.TWIN_MIN, table_1e6)
+        b = verify_range(5, 20_000, Mode.TWIN_MIN, table_1e6, block_size=211)
         assert a.stats == b.stats
         assert np.array_equal(a.ps, b.ps) and np.array_equal(a.ns, b.ns)
 
-    def test_sharding_determinism(self, table_1e6, twins_1e6):
-        whole = verify_range(5, 50_000, Mode.TWIN_MIN, twins_1e6, table_1e6)
+    def test_sharding_determinism(self, table_1e6):
+        whole = verify_range(5, 50_000, Mode.TWIN_MIN, table_1e6)
         rng = random.Random(3)
         cuts = sorted(rng.sample(range(6, 50_000), 5))
         bounds = list(zip([5] + cuts, [c - 1 for c in cuts] + [50_000]))
         parts = [
-            verify_range(a, b, Mode.TWIN_MIN, twins_1e6, table_1e6).summary
+            verify_range(a, b, Mode.TWIN_MIN, table_1e6).summary
             for a, b in bounds
         ]
         merged = merge_summaries(parts)
@@ -180,27 +188,24 @@ class TestVerifyRange:
         assert merged.checked == whole.checked
         assert merged.failures == whole.failures
 
-    def test_coverage_errors(self, table_1e5, twins_1e6, table_1e6):
+    def test_coverage_errors(self, table_1e5):
         with pytest.raises(CoverageError):
-            verify_range(5, 10**6, Mode.TWIN_MIN, twins_1e6, table_1e5)
-        from twinrep.sieve import build_prime_table, build_twin_index
-
-        small_twins = build_twin_index(build_prime_table(50_000))
+            verify_range(5, 10**6, Mode.TWIN_MIN, table_1e5)
         with pytest.raises(CoverageError):
-            verify_range(5, 10**5, Mode.TWIN_MIN, small_twins, table_1e5)
+            verify_range(5, 10**5, Mode.TWIN_MIN, build_prime_table(50_000))
 
     @settings(max_examples=40, deadline=None)
     @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
            small=st.booleans(), hi=st.integers(5, 6000), block=st.integers(1, 700),
            cuts=st.lists(st.integers(6, 6000), max_size=6, unique=True))
-    def test_any_blocks_and_shards_match_single_pass(self, table_1e6, twins_1e6,
+    def test_any_blocks_and_shards_match_single_pass(self, table_1e6,
                                                      mode, small, hi, block, cuts):
         lo = 2 if small else 5
-        whole = verify_range(lo, hi, mode, twins_1e6, table_1e6, include_small=small)
+        whole = verify_range(lo, hi, mode, table_1e6, include_small=small)
         cuts = sorted(c for c in cuts if c <= hi)
         bounds = zip([lo] + cuts, [c - 1 for c in cuts] + [hi])
         parts = [
-            verify_range(a, b, mode, twins_1e6, table_1e6, include_small=small,
+            verify_range(a, b, mode, table_1e6, include_small=small,
                          block_size=block).summary
             for a, b in bounds
         ]
@@ -231,13 +236,13 @@ class TestVerifyRange:
 
         # the kernel alone, on random sorted odd q >= 5 cut into blocks
         qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
-        blocks = [_scan_block(qs[s : s + block], _MaskWindows(mask))
+        blocks = [_scan_block(qs[s : s + block], mask_windows(mask))
                   for s in range(0, len(qs), block)]
         assert [np.concatenate(a).tolist() for a in zip(*blocks)] == list(expected(qs.tolist()))
 
         # the kernel through verify_range's blocks, on a random window
         hi = min(lo + width, 1_000_001)
-        report = verify_range(lo, hi, mode, twins_1e6, table_1e6, block_size=block)
+        report = verify_range(lo, hi, mode, table_1e6, block_size=block)
         domain = [q for q in range(max(lo, 5) | 1, hi + 1, 2)
                   if mode == Mode.SUN_ODD or table_1e6.is_prime(q)]
         ps, ns, found = expected(domain)
@@ -258,7 +263,7 @@ class TestVerifyRange:
             mask, find = twins_1e6.odd_mask, lambda q: find_min_twin_representation(q, twins_1e6)
         else:
             mask, find = table_1e6.odd_bits, lambda q: find_any_prime_representation(q, table_1e6)
-        windows = _SievedWindows(twin, width) if sieved else _MaskWindows(mask, width)
+        windows = sieved_windows(twin, width) if sieved else mask_windows(mask, width)
         qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
         reps = [find(q) for q in qs.tolist()]
         ps, ns, found = _scan_block(qs, windows)
@@ -272,7 +277,7 @@ class TestVerifyRange:
         # q with deep scans: each lane passes many windows before its hit
         qs = np.array([997, 2909, 35999, 42187, 999_983], dtype=np.int64)
         visited = []
-        windows = _SievedWindows(True, width) if sieved else _MaskWindows(twins_1e6.odd_mask, width)
+        windows = sieved_windows(True, width) if sieved else mask_windows(twins_1e6.odd_mask, width)
         build = windows.window
         windows.window = lambda k: visited.append(k) or build(k)
         ps, ns, found = _scan_block(qs, windows)
@@ -287,37 +292,49 @@ class TestVerifyRange:
         # h = (q - 3) / 2; these q put that h on the first odd of a window
         qs = np.array([2 * width * k + 3 for k in range(2, 40)], dtype=np.int64)
         qs = qs[qs >= 5]
-        ps, ns, found = _scan_block(qs, _MaskWindows(np.zeros(qs[-1], dtype=bool), width))
+        ps, ns, found = _scan_block(qs, mask_windows(np.zeros(qs[-1], dtype=bool), width))
         assert not found.any() and not ps.any() and not ns.any()
-        ps, ns, found = _scan_block(qs, _MaskWindows(np.ones(qs[-1], dtype=bool), width))
+        ps, ns, found = _scan_block(qs, mask_windows(np.ones(qs[-1], dtype=bool), width))
         assert found.all() and ns.tolist() == [n_max(q) for q in qs.tolist()]
 
     @settings(max_examples=40, deadline=None)
     @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
            lo=st.integers(1, 990_000), span=st.integers(0, 1500), small=st.booleans(),
            block=st.integers(1, 700), width=st.integers(1, 4096))
-    def test_sieved_source_matches_table_source(self, table_1e6, twins_1e6,
+    def test_sieved_source_matches_table_source(self, table_1e6,
                                                 mode, lo, span, small, block, width):
         hi = lo + span
-        want = verify_range(lo, hi, mode, twins_1e6, table_1e6, include_small=small)
+        want = verify_range(lo, hi, mode, table_1e6, include_small=small)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(represent, "_WINDOW_WIDTH", width)
-            got = verify_range(lo, hi, mode, None, None, include_small=small, block_size=block)
+            got = verify_range(lo, hi, mode, include_small=small, block_size=block)
         assert got.summary.to_json_dict() == want.summary.to_json_dict()
         for a, b in ((got.qs, want.qs), (got.ps, want.ps), (got.ns, want.ns)):
             assert np.array_equal(a, b)
 
-    def test_sieved_source_takes_no_twin_index(self, twins_1e6):
-        with pytest.raises(ValueError):
-            verify_range(5, 100, Mode.TWIN_MIN, twins_1e6, None)
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
+           limit=st.integers(2, 20_000), lo=st.integers(1, 20_000), small=st.booleans(),
+           width=st.one_of(st.integers(1, 64), st.integers(65, 4096)))
+    def test_table_to_its_limit_matches_sieved_source(self, mode, limit, lo, small, width):
+        # the table's last window, and the twin bits read past it, are cut short at its end
+        lo = min(lo, limit)
+        table = build_prime_table(limit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(represent, "_WINDOW_WIDTH", width)
+            got = verify_range(lo, limit, mode, table, include_small=small)
+            want = verify_range(lo, limit, mode, include_small=small)
+        assert got.summary.to_json_dict() == want.summary.to_json_dict()
+        for a, b in ((got.qs, want.qs), (got.ps, want.ps), (got.ns, want.ns)):
+            assert np.array_equal(a, b)
 
     def test_sieved_windows_are_built_once(self):
-        windows = _SievedWindows(True, 64)
+        windows = sieved_windows(True, 64)
         assert windows.window(3) is windows.window(3)
-        assert represent._sieved_windows(True, 64) is represent._sieved_windows(True, 64)
+        assert represent._windows(None, True, 64) is represent._windows(None, True, 64)
 
-    def test_summary_json_round_trip(self, table_1e6, twins_1e6):
-        report = verify_range(5, 30_000, Mode.TWIN_MIN, twins_1e6, table_1e6)
+    def test_summary_json_round_trip(self, table_1e6):
+        report = verify_range(5, 30_000, Mode.TWIN_MIN, table_1e6)
         clone = ShardSummary.from_json_dict(report.summary.to_json_dict())
         assert summary_stats(clone) == report.stats
         assert clone == report.summary
@@ -332,11 +349,11 @@ class TestVerifyRange:
 
 
 class TestLemmaChecks:
-    def test_counts_on_1e4(self, table_1e6, twins_1e6):
+    def test_counts_on_1e4(self, table_1e6):
         # frozen from an exhaustive run: the two order lemmas never
         # fail (they are algebraic), while the claimed dichotomy
         # 2p >= q or 2n^2 >= q has eight small-q exceptions
-        report = verify_range(5, 10**4, Mode.TWIN_MIN, twins_1e6, table_1e6)
+        report = verify_range(5, 10**4, Mode.TWIN_MIN, table_1e6)
         checks = stats_lemma_checks(report.representations())
         assert checks == {
             "same_n_order_violations": 0,
@@ -345,8 +362,8 @@ class TestLemmaChecks:
         }
         assert report.stats["dichotomy_examples"] == [11, 19, 293, 307, 587, 727, 2909, 3593]
 
-    def test_scalar_equals_vectorized(self, table_1e6, twins_1e6):
-        report = verify_range(5, 10**5, Mode.TWIN_MIN, twins_1e6, table_1e6)
+    def test_scalar_equals_vectorized(self, table_1e6):
+        report = verify_range(5, 10**5, Mode.TWIN_MIN, table_1e6)
         checks = stats_lemma_checks(report.representations())
         assert checks["same_n_order_violations"] == report.stats["same_n_order_violations"]
         assert checks["sqrt_bound_violations"] == report.stats["sqrt_bound_violations"]
@@ -359,9 +376,9 @@ class TestLemmaChecks:
         assert 2 * r.p < r.q and 2 * r.n * r.n < r.q
         assert 2 * r.n * (r.n + 1) > r.q
 
-    def test_exact_dichotomy_always_holds(self, table_1e6, twins_1e6):
+    def test_exact_dichotomy_always_holds(self, table_1e6):
         # the provable form: 2p > q or 2n(n+1) > q, for every representation
-        report = verify_range(5, 10**5, Mode.TWIN_MIN, twins_1e6, table_1e6)
+        report = verify_range(5, 10**5, Mode.TWIN_MIN, table_1e6)
         ok = (2 * report.ps > report.qs) | (2 * report.ns * (report.ns + 1) > report.qs)
         assert bool(ok.all())
 
@@ -382,8 +399,8 @@ class TestLemmaChecks:
 
 
 class TestGrowthSeries:
-    def test_single_bucket_is_global(self, table_1e6, twins_1e6):
-        report = verify_range(5, 10**4, Mode.TWIN_MIN, twins_1e6, table_1e6)
+    def test_single_bucket_is_global(self, table_1e6):
+        report = verify_range(5, 10**4, Mode.TWIN_MIN, table_1e6)
         reps = report.representations()
         rows = growth_series(reps, bucket=10**6)
         assert len(rows) == 1
@@ -392,11 +409,11 @@ class TestGrowthSeries:
         assert row.max_n == max(r.n for r in reps)
         assert row.min_p == min(r.p for r in reps)
 
-    def test_frozen_extrema_to_1e6(self, table_1e6, twins_1e6):
+    def test_frozen_extrema_to_1e6(self, table_1e6):
         # measured, not assumed: the minimal-p map dips far below the
         # cube root (p = 3 whenever q - 3 = n(n+1)), so the global
         # minimum ratio over [5, 1e6] is 0.0300500767... at q = 995009
-        report = verify_range(5, 10**6, Mode.TWIN_MIN, twins_1e6, table_1e6)
+        report = verify_range(5, 10**6, Mode.TWIN_MIN, table_1e6)
         rows = growth_series(report.representations(), bucket=10**7)
         assert rows[0].min_p == 3
         assert abs(rows[0].min_p_over_cbrt_q - 0.030050076714553987) < 1e-12

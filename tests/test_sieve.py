@@ -84,10 +84,14 @@ def test_segment_bits_match_whole_table(a, width):
     table = build_prime_table(max(b + 2, 5))
     want = table.odd_bits[a >> 1 : (b + 1) >> 1]
     assert np.array_equal(sieve_segment(a, b), want)
+    assert np.array_equal(table.segment(a, b), want)
     if b >= 2:  # the table to b ends exactly where the segment does
         assert np.array_equal(sieve_segment(a, b), build_prime_table(b).odd_bits[a >> 1 :])
+        # and a table's segment is cut short at its limit
+        assert np.array_equal(build_prime_table(b).segment(a, b + 40), sieve_segment(a, b))
     twins = build_twin_index(table).odd_mask[a >> 1 : (b + 1) >> 1]
     assert np.array_equal(twin_segment(a, b), twins)
+    assert np.array_equal(twin_segment(a, b, table.segment), twins)
 
 
 def test_segment_of_nothing_is_empty():
