@@ -16,9 +16,9 @@ from twinrep import (
     build_twin_index,
     find_min_n_twin_representation,
     find_min_twin_representation,
-    growth_series,
     verify_range,
 )
+from twinrep.represent import growth_rows_from_arrays
 
 LIMIT = 15_485_863  # the millionth prime
 
@@ -43,7 +43,10 @@ print(f"dichotomy exceptions ({stats['dichotomy_violations']}): {stats['dichotom
 
 print()
 print("bucketed growth (minimal-p map):")
-rows = growth_series(report.representations()[:100_000], bucket=300_000)
+# the first 100,000 q, read from the report's arrays (no Representation objects)
+first = slice(0, 100_000)
+rows = growth_rows_from_arrays(report.qs[first], report.ps[first], report.ns[first],
+                               bucket=300_000)
 print(f"{'bucket':>10} {'count':>7} {'max n':>6} {'min p':>6} {'min p/q^(1/3)':>14} {'max n/log q':>12}")
 for row in rows[:5]:
     print(f"{row.q_bucket:>10,} {row.count:>7} {row.max_n:>6} {row.min_p:>6} "

@@ -30,8 +30,8 @@ import hashlib
 import itertools
 import json
 import math
-import multiprocessing
 import os
+import signal
 import sys
 from typing import NamedTuple
 
@@ -356,41 +356,49 @@ def _run_shard(task: _ShardTask):
     return report.summary, arrays
 
 
+def _worker_init() -> None:
+    # Ctrl-C reaches the workers with the parent, which stops the run; a
+    # worker it killed while writing a result would leave the pool waiting
+    # for the rest of that message forever
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 @contextlib.contextmanager
 def _shard_results(tasks: list[_ShardTask], workers: int):
     """An iterator of _run_shard(task) for each task, in order.
 
-    With two or more tasks and workers a pool of min(workers, tasks)
-    processes runs at most two tasks per process ahead of the consumer.
-    An interrupt, which the workers receive as well, terminates the pool:
-    a worker it stopped mid-task posts no result, so waiting for the pool
-    would never end.  Any other exit, a worker's exception too, closes the
-    pool and waits for its tasks: terminating a worker while it writes a
-    result could leave the pool's threads waiting on it forever.
+    With two or more tasks and workers, min(workers, tasks) forked processes
+    run at most two tasks per process ahead of the consumer.  A worker that
+    ends mid-run (killed by the kernel when memory runs out, say) posts no
+    result: the pool sees it gone, ends the other workers, and the run
+    fails with ResourceLimitError instead of waiting for that result
+    forever.  On any exit, Ctrl-C too, the tasks not yet started are
+    dropped and the running ones waited for.
     """
     processes = min(workers, len(tasks))
     if processes <= 1:
         yield map(_run_shard, tasks)
         return
-    pool = multiprocessing.Pool(processes=processes)
+    # imported here, so runs that fork no workers do not load it
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(processes, initializer=_worker_init)
     try:
         yield _results_ahead(pool, tasks, 2 * processes)
-    except KeyboardInterrupt:
-        pool.terminate()
-        raise
+    except BrokenProcessPool as exc:
+        raise ResourceLimitError("a verify worker ended before its shard was done") from exc
     finally:
-        pool.close()
-        pool.join()
+        pool.shutdown(cancel_futures=True)
 
 
 def _results_ahead(pool, tasks: list[_ShardTask], ahead: int):
     todo = iter(tasks)
     running = collections.deque(
-        pool.apply_async(_run_shard, (task,)) for task in itertools.islice(todo, ahead)
+        pool.submit(_run_shard, task) for task in itertools.islice(todo, ahead)
     )
     while running:
-        result = running.popleft().get()
-        running.extend(pool.apply_async(_run_shard, (task,)) for task in itertools.islice(todo, 1))
+        result = running.popleft().result()
+        running.extend(pool.submit(_run_shard, task) for task in itertools.islice(todo, 1))
         yield result
 
 

@@ -858,8 +858,8 @@ def test_worker_exception_exits_2_promptly(monkeypatch):
 
 @_FORKED_WORKERS
 def test_interrupt_while_writing_records_ends_the_pool(tmp_path, monkeypatch):
-    # Ctrl-C reaches the workers too: one stopped mid-task posts no result,
-    # so an interrupt in the parent's writer must not wait for the pool
+    # Ctrl-C reaches the workers too: an interrupt in the parent's writer
+    # must still end the run promptly and leave no worker behind
     scan = represent._scan_block
 
     def slow(qs, windows):
@@ -888,6 +888,34 @@ def test_interrupt_while_writing_records_ends_the_pool(tmp_path, monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert elapsed < 30
+    assert not multiprocessing.active_children()
+
+
+@_FORKED_WORKERS
+def test_killed_worker_exits_3_promptly(monkeypatch):
+    # a worker the kernel kills mid-shard (out of memory, say) posts no
+    # result: the run must fail rather than wait for that result forever
+    scan = represent._scan_block
+
+    def killed(qs, windows):
+        if qs[0] > 200_000:  # pool workers alone scan, so this kills one of them
+            os.kill(os.getpid(), signal.SIGKILL)
+        return scan(qs, windows)
+
+    def hang(signum, frame):
+        raise TimeoutError("verify did not return")
+
+    monkeypatch.setattr(represent, "_scan_block", killed)  # forked workers inherit it
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(60)
+    try:
+        code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:400000",
+                                  "--shard-size", "5000", "--workers", "2"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource failure:") and "worker" in err
     assert not multiprocessing.active_children()
 
 
