@@ -47,9 +47,7 @@ from .represent import (
     find_any_prime_representation,
     find_min_n_twin_representation,
     find_min_twin_representation,
-    growth_series,
     n_max,
-    stats_lemma_checks,
     verify_range,
 )
 from .sieve import (

@@ -40,7 +40,7 @@ import numpy as np
 from .asymptotic import density_report, variance_sweep
 from .expsum import evaluate_sigma_row
 from .represent import (
-    _WINDOW_WIDTH,
+    _PIECE,
     Mode,
     ShardSummary,
     growth_rows_from_arrays,
@@ -345,7 +345,7 @@ class _ShardTask(NamedTuple):
     lo: int
     hi: int
     include_small: bool
-    cache: str | None  # TPT1 path; None sieves the shard and its p-windows
+    cache: str | None  # TPT1 path; None sieves the shard and its p-bitmap
     keep_arrays: bool  # return the per-q arrays (records, stats)
 
 
@@ -423,10 +423,11 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     """Bytes a verify run needs beyond the interpreter, estimated from the run.
 
     Each of min(workers, shards) processes holds one shard at a time, its
-    q bits and _SHARD_BYTES_PER_Q a q, and keeps its own p-windows, below
-    a bound on the largest p_q of 8 sqrt(hi) log(hi)^2, plus one window
-    being built; the measured largest p_q is about half the bound (4.59e6
-    to 1.6e7, 2.22e7 to 2e8).  With --cache the table and its load
+    q bits and _SHARD_BYTES_PER_Q a q, and keeps its own p-bitmap: the
+    filled pieces below a bound on the largest p_q of 8 sqrt(hi) log(hi)^2,
+    one piece being sieved, and while the bitmap doubles, an eighth of the
+    filled pieces packed; the measured largest p_q is about half the bound
+    (4.59e6 to 1.6e7, 2.22e7 to 2e8).  With --cache the table and its load
     temporaries come once, since forked workers share them.  The per-q
     arrays a shard returns, 24 bytes a q, wait in the parent for the whole
     range with stats (twice, once joined) and for up to two shards a
@@ -435,8 +436,9 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     span = min(args.shard_size, hi - lo + 1)
     processes = min(args.workers, -(-(hi - lo + 1) // args.shard_size))  # shards
     p_bound = min(hi, 8 * math.isqrt(hi) * math.ceil(math.log(max(hi, 3))) ** 2)
-    windows = (-(-(p_bound // 2 + 1) // _WINDOW_WIDTH) + 1) * _WINDOW_WIDTH
-    total = (_SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2 + windows) * processes
+    filled = -(-(p_bound // 2 + 1) // _PIECE) * _PIECE
+    pbits = filled + _PIECE + filled // 8
+    total = (_SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2 + pbits) * processes
     if args.cache:
         total += _cache_bits(args.cache) * 2
     if keep_arrays:

@@ -42,8 +42,6 @@ __all__ = [
     "verify_range",
     "merge_summaries",
     "summary_stats",
-    "stats_lemma_checks",
-    "growth_series",
     "growth_rows_from_arrays",
 ]
 
@@ -153,27 +151,53 @@ def find_any_prime_representation(q: int, table: PrimeTable) -> Representation |
 # Lanes per scanned block: the kernel's working set is about 60 bytes a lane.
 _BLOCK_SIZE = 1 << 19
 
-# Width of a sieved p-window, in odd numbers (a window of bools is 1 MB).
-# Window 0 is the prefix every q starts its descent in.
-_WINDOW_WIDTH = 1 << 20
+# Odd numbers in one sieved piece of the p-bitmap (a piece of bools is 1 MB).
+_PIECE = 1 << 20
+
+# The p-bitmap's first capacity in odd numbers (32 MB of bools).  np.zeros
+# maps it without touching its pages, so the unfilled tail holds no memory;
+# a smaller first array, once outgrown, would be freed into the heap and
+# stay resident.
+_FIRST_CAPACITY = 1 << 25
 
 
-class _Windows:
-    """p-membership windows of width odd numbers, built by segment(lo, hi) on
-    first use and kept, so a process builds each window once however many
-    shards it scans."""
+class _PBits:
+    """Membership (twin or prime) of the odd p: bits[h] answers p = 2h + 1
+    for every h < end.
 
-    def __init__(self, segment, width: int):
-        self.width = width
+    With a segment(lo, hi, out=...) rule, grow sieves pieces of _PIECE odd
+    numbers in ascending order into bits, in place, and keeps them, so a
+    process sieves each piece once however many shards it scans.  Without
+    one, bits is a whole table's and is never grown.
+    """
+
+    def __init__(self, segment=None, bits=None):
         self._segment = segment
-        self._built: dict[int, np.ndarray] = {}
+        self.bits = np.zeros(0, dtype=bool) if bits is None else bits
+        self.end = len(self.bits)
 
-    def window(self, k: int) -> np.ndarray:
-        bits = self._built.get(k)
-        if bits is None:
-            lo = 2 * k * self.width
-            bits = self._built[k] = self._segment(lo, lo + 2 * self.width - 1)
-        return bits
+    def grow(self, h: int) -> None:
+        """Fill whole pieces until bits[h] is answered."""
+        while self.end <= h:
+            stop = self.end + _PIECE
+            if stop > len(self.bits):
+                self._reserve(max(2 * len(self.bits), _FIRST_CAPACITY, stop))
+            lo = 2 * self.end + 1
+            self._segment(lo, lo + 2 * _PIECE - 2, out=self.bits[self.end : stop])
+            self.end = stop
+
+    def _reserve(self, capacity: int) -> None:
+        # the filled bits wait packed, an eighth of their size, while the old
+        # array is freed, so two whole copies are never held at once
+        filled = self.end
+        packed = np.packbits(self.bits[:filled])
+        self.bits, self.end = np.zeros(0, dtype=bool), 0
+        bits = np.zeros(capacity, dtype=bool)
+        part = 1 << 20  # bits unpacked at a time, a multiple of 8
+        for a in range(0, filled, part):
+            b = min(a + part, filled)
+            bits[a:b] = np.unpackbits(packed[a >> 3 : (b + 7) >> 3], count=b - a)
+        self.bits, self.end = bits, filled
 
 
 def _prime_bits(table: PrimeTable | None):
@@ -182,31 +206,30 @@ def _prime_bits(table: PrimeTable | None):
 
 
 @functools.lru_cache(maxsize=4)
-def _windows(table: PrimeTable | None, twin: bool, width: int) -> _Windows:
-    """The process's windows for one source, membership kind and width."""
-    prime_bits = _prime_bits(table)
-    segment = functools.partial(twin_segment, prime_bits=prime_bits) if twin else prime_bits
-    return _Windows(segment, width)
+def _pbits(table: PrimeTable | None, twin: bool) -> _PBits:
+    """The process's p-bitmap for one source and membership kind."""
+    if table is not None and not twin:
+        return _PBits(bits=table.odd_bits)
+    if twin:
+        return _PBits(functools.partial(twin_segment, prime_bits=_prime_bits(table)))
+    return _PBits(sieve_segment)
 
 
-def _scan_block(qs: np.ndarray, windows):
+def _scan_block(qs: np.ndarray, pbits: _PBits):
     """Vectorized representation scan over a block of odd q >= 5.
 
-    windows.window(k)[i] answers membership (twin or prime) of the odd
-    p = 2 * (k * windows.width + i) + 1, for every odd p up to max(qs) - 2.
-    Each lane carries h = p >> 1 from step to step (n -> n - 1 adds n to h)
-    and runs in the window that holds its h; a lane whose h leaves that
-    window waits, with its n, for the next window it needs.  The windows
-    are visited in ascending order and each lane still tries n from n_max
-    down to 1, so the result does not depend on the width.  Returns
-    (p, n, found) arrays; unfound entries are zero.
+    pbits answers membership (twin or prime) of every odd p up to
+    max(qs) - 2 once grown that far.  Each lane carries h = p >> 1 from
+    step to step (n -> n - 1 adds n to h) and tries n from n_max down to 1.
+    The bitmap is grown only when a scalar bound on the live lanes' largest
+    h reaches its end: the bound adds the largest n each step and is reset
+    to the true maximum before each growth.  Returns (p, n, found) arrays;
+    unfound entries are zero.
     """
     count = len(qs)
     p_out = np.zeros(count, dtype=np.int64)
     n_out = np.zeros(count, dtype=np.int64)
     found = np.zeros(count, dtype=bool)
-    if count == 0:
-        return p_out, n_out, found
     # lane arrays are built and compacted one at a time, in place where numpy
     # allows, so few block-sized temporaries are alive at once
     n = _n_max_vector(qs)
@@ -215,40 +238,26 @@ def _scan_block(qs: np.ndarray, windows):
     h = qs[idx]
     h -= n * (n + 1)
     h >>= 1
-    h_last = (int(qs.max()) - 3) >> 1  # p = q - 2 at n = 1
-    width = windows.width
+    bound = top = pbits.end  # no bound yet: the first step takes the true one
     while idx.size:
-        k = int(h.min()) // width
-        start, end = k * width, (k + 1) * width
-        bits = windows.window(k)
-        waiting = []
-        inside = h < end
-        if not inside.all():
-            waiting.append((idx[~inside], h[~inside], n[~inside]))
-            idx, h, n = idx[inside], h[inside], n[inside]
-        bounded = end <= h_last  # can a lane step past this window?
-        while idx.size:
-            hit = bits[h - start] if start else bits[h]
-            if np.count_nonzero(hit):
-                at = idx[hit]
-                p_out[at] = 2 * h[hit] + 1
-                n_out[at] = n[hit]
-                found[at] = True
-            go = np.greater(n > 1, hit)  # n > 1 and no hit
-            h += n
-            n -= 1
-            if bounded:
-                out = h >= end
-                out &= go
-                if np.count_nonzero(out):
-                    waiting.append((idx[out], h[out], n[out]))
-                    go ^= out
-            keep = go.nonzero()[0]
-            idx = idx[keep]
-            h = h[keep]
-            n = n[keep]
-        if waiting:
-            idx, h, n = (np.concatenate(parts) for parts in zip(*waiting))
+        if bound >= pbits.end:
+            bound, top = int(h.max()), int(n.max())
+            pbits.grow(bound)
+        hit = pbits.bits[h]
+        if np.count_nonzero(hit):
+            at = idx[hit]
+            p_out[at] = 2 * h[hit] + 1
+            n_out[at] = n[hit]
+            found[at] = True
+        go = np.greater(n > 1, hit)  # n > 1 and no hit
+        h += n
+        n -= 1
+        bound += top  # every live n is at most top
+        top -= 1
+        keep = go.nonzero()[0]
+        idx = idx[keep]
+        h = h[keep]
+        n = n[keep]
     return p_out, n_out, found
 
 
@@ -401,12 +410,6 @@ class VerificationReport:
     ps: np.ndarray
     ns: np.ndarray
 
-    def representations(self) -> list[Representation]:
-        return [
-            Representation(q=int(q), p=int(p), n=int(n), mode=self.mode)
-            for q, p, n in zip(self.qs, self.ps, self.ns)
-        ]
-
 
 def _domain(lo: int, hi: int, mode: Mode, prime_bits) -> np.ndarray:
     """Admissible q values (>= 5) in [lo, hi] for the given mode.
@@ -437,10 +440,10 @@ def verify_range(
     they count as failures.
 
     Prime bits come from table or, when it is None, from a sieve of
-    [lo, hi] alone.  p membership comes from fixed-width windows of the
-    same source, which each process builds once and keeps, so memory is
-    O(hi - lo) plus the windows below the largest p the scan reaches.
-    Both sources give the same report.
+    [lo, hi] alone.  p membership comes from one bitmap per process, grown
+    from the same source as far as the largest p the scan reaches and
+    kept, so memory is O(hi - lo) plus that bitmap; in prime and sun mode
+    a table is its own bitmap.  Both sources give the same report.
     """
     mode = Mode(mode)
     if mode == Mode.TWIN_MIN_N:
@@ -449,7 +452,7 @@ def verify_range(
         raise ValueError(f"bad range [{lo}, {hi}]")
     if table is not None and hi > table.limit:
         raise CoverageError(f"range end {hi} exceeds table limit {table.limit}")
-    windows = _windows(table, mode == Mode.TWIN_MIN, _WINDOW_WIDTH)
+    pbits = _pbits(table, mode == Mode.TWIN_MIN)
     summary = ShardSummary(lo=lo, hi=hi)
     if include_small:
         smalls = [q for q in (2, 3) if lo <= q <= hi and (mode != Mode.SUN_ODD or q % 2 == 1)]
@@ -460,7 +463,7 @@ def verify_range(
     q_chunks, p_chunks, n_chunks = [], [], []
     for start in range(0, len(qs_all), block_size):
         qs = qs_all[start : start + block_size]
-        ps, ns, found = _scan_block(qs, windows)
+        ps, ns, found = _scan_block(qs, pbits)
         summary.absorb_block(qs, ps, ns, found)
         q_chunks.append(qs[found])
         p_chunks.append(ps[found])
@@ -480,42 +483,6 @@ def verify_range(
     )
 
 
-def stats_lemma_checks(reps) -> dict:
-    """Violation counts for three properties of the map.
-
-    (i) equal n with q' < q forces p' < p (checked through a per-n
-    running maximum); (ii) n <= isqrt(q); (iii) exceptions to the n^2
-    form of the dichotomy, "2p >= q or 2n^2 >= q".  (i) and (ii) always
-    hold; the n^2 form has exceptions (eleven below the millionth
-    prime, the first q = 11 with (p, n) = (5, 2)).  The n(n+1) form,
-    2p > q or 2n(n+1) > q, is the one that always holds, since
-    p + n(n+1) = q is odd.  Input must be minimal-twin representations
-    sorted by q.
-    """
-    last_p_by_n: dict[int, int] = {}
-    same_n_order = sqrt_bound = dichotomy = 0
-    prev_q = None
-    for rep in reps:
-        if rep.mode != Mode.TWIN_MIN:
-            raise ValueError(f"stats_lemma_checks expects TWIN_MIN reps, got {rep.mode}")
-        if prev_q is not None and rep.q <= prev_q:
-            raise ValueError("representations must be sorted by ascending q")
-        prev_q = rep.q
-        prev = last_p_by_n.get(rep.n)
-        if prev is not None and prev >= rep.p:
-            same_n_order += 1
-        last_p_by_n[rep.n] = rep.p
-        if rep.n * rep.n > rep.q:
-            sqrt_bound += 1
-        if 2 * rep.p < rep.q and 2 * rep.n * rep.n < rep.q:
-            dichotomy += 1
-    return {
-        "same_n_order_violations": same_n_order,
-        "sqrt_bound_violations": sqrt_bound,
-        "dichotomy_violations": dichotomy,
-    }
-
-
 @dataclass(frozen=True)
 class GrowthRow:
     """Aggregates over one q bucket; pure reporting, no claims."""
@@ -528,18 +495,8 @@ class GrowthRow:
     max_n_over_log_q: float
 
 
-def growth_series(reps, bucket: int) -> list[GrowthRow]:
-    """Bucketed extrema of the map for plotting or CSV export."""
-    if not reps:
-        raise ValueError("growth_series needs at least one representation")
-    qs = np.fromiter((r.q for r in reps), dtype=np.int64, count=len(reps))
-    ps = np.fromiter((r.p for r in reps), dtype=np.int64, count=len(reps))
-    ns = np.fromiter((r.n for r in reps), dtype=np.int64, count=len(reps))
-    return growth_rows_from_arrays(qs, ps, ns, bucket)
-
-
 def growth_rows_from_arrays(qs, ps, ns, bucket: int) -> list[GrowthRow]:
-    """growth_series on raw arrays; shared by large verification runs."""
+    """Bucketed extrema of the map, for plotting or CSV export."""
     if bucket < 1:
         raise ValueError(f"bucket must be positive, got {bucket}")
     if len(qs) == 0:

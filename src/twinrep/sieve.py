@@ -96,7 +96,8 @@ def _cross_off(out: np.ndarray, first: int, base: list[int]) -> None:
 
     base must hold the odd primes up to isqrt of the last m, ascending; it
     may hold more.  This is the one Eratosthenes loop of the package: whole
-    tables, the q-range of a shard and the p-windows of a scan all run it.
+    tables, the q-range of a shard and the pieces of a scan's p-bitmap all
+    run it.
     """
     out[:] = True
     if first == 0 and len(out):
@@ -122,38 +123,45 @@ def _base_primes(limit: int) -> list[int]:
     return (np.flatnonzero(sieve_segment(3, root)) * 2 + 3).tolist()  # entry 0 is m = 3
 
 
-def sieve_segment(lo: int, hi: int) -> np.ndarray:
+def sieve_segment(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
     """Prime bits of the odd m in [lo, hi]; entry i answers m = 2 * ((lo >> 1) + i) + 1.
 
     Equal to build_prime_table(hi).odd_bits[lo >> 1 : (hi + 1) >> 1], from a
-    segment of (hi - lo) / 2 bits and the base primes up to isqrt(hi).
+    segment of (hi - lo) / 2 bits and the base primes up to isqrt(hi).  With
+    out, the bits are written into its first entries and that view returned.
     """
     if lo < 0:
         raise ValueError(f"sieve_segment needs lo >= 0, got {lo}")
     first = lo >> 1
-    out = np.empty(max(((hi + 1) >> 1) - first, 0), dtype=bool)
+    size = max(((hi + 1) >> 1) - first, 0)
+    out = np.empty(size, dtype=bool) if out is None else out[:size]
     _cross_off(out, first, _base_primes(hi))
     return out
 
 
-def _twin_mask(bits: np.ndarray) -> np.ndarray:
-    """Twin bits indexed like the odd-number prime bits they come from: m is
-    prime and m - 2 or m + 2 is prime, reading the m past either end as not
-    prime."""
-    mask = np.zeros_like(bits)
-    mask[1:] = bits[:-1]  # m - 2 prime
-    mask[:-1] |= bits[1:]  # or m + 2 prime
-    mask &= bits
-    return mask
+def _twin_mask(bits: np.ndarray, out: np.ndarray, below: int) -> np.ndarray:
+    """Twin bits, written into out[i] for the odd m whose prime bit is
+    bits[below + i]: m is prime and m - 2 or m + 2 is prime, reading the m
+    past either end of bits as not prime."""
+    size = len(out)
+    right = min(size, len(bits) - below - 1)  # entries whose m + 2 has a bit
+    out[:right] = bits[below + 1 : below + 1 + right]  # m + 2 prime
+    out[right:] = False
+    out[1 - below :] |= bits[: size - 1 + below]  # or m - 2 prime
+    out &= bits[below : below + size]
+    return out
 
 
-def twin_segment(lo: int, hi: int, prime_bits=sieve_segment) -> np.ndarray:
+def twin_segment(lo: int, hi: int, prime_bits=sieve_segment,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Twin bits of the odd m in [lo, hi], indexed like sieve_segment(lo, hi).
 
     prime_bits is sieve_segment or a PrimeTable's segment.  The bits are read
     one odd number wider at each end, so the rule of build_twin_index is
     exact on every m it returns.  From a table the result is cut short at
     its limit and exact for m <= limit - 2, where m + 2 is still covered.
+    With out, the bits are written into its first entries and that view
+    returned.
     """
     if lo < 0:
         raise ValueError(f"twin_segment needs lo >= 0, got {lo}")
@@ -161,8 +169,9 @@ def twin_segment(lo: int, hi: int, prime_bits=sieve_segment) -> np.ndarray:
     if stop <= first:
         return np.zeros(0, dtype=bool)
     below = 1 if first else 0  # m = -1 needs no entry: it reads as not prime
-    mask = _twin_mask(prime_bits(2 * (first - below) + 1, 2 * stop + 1))
-    return mask[below : below + stop - first]
+    bits = prime_bits(2 * (first - below) + 1, 2 * stop + 1)
+    size = max(min(stop - first, len(bits) - below), 0)
+    return _twin_mask(bits, np.empty(size, dtype=bool) if out is None else out[:size], below)
 
 
 def build_prime_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTable:
@@ -230,7 +239,7 @@ def build_twin_index(table: PrimeTable) -> TwinIndex:
     if table.limit < 5:
         raise ValueError(f"twin index needs table.limit >= 5, got {table.limit}")
     coverage = table.limit - 2
-    mask = _twin_mask(table.odd_bits)
+    mask = _twin_mask(table.odd_bits, np.empty_like(table.odd_bits), 0)
     mask[(coverage >> 1) + 1 :] = False  # p + 2 undecidable past coverage
     twins = np.flatnonzero(mask).astype(np.int64) * 2 + 1
     return TwinIndex(coverage=coverage, twins=twins, odd_mask=mask)

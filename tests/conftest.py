@@ -1,5 +1,8 @@
+import contextlib
+
 import pytest
 
+from twinrep import represent
 from twinrep.sieve import build_prime_table, build_twin_index
 
 
@@ -21,6 +24,27 @@ def table_1e6():
 @pytest.fixture(scope="session")
 def twins_1e6(table_1e6):
     return build_twin_index(table_1e6)
+
+
+@contextlib.contextmanager
+def _pieces(width, capacity=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(represent, "_PIECE", width)
+        mp.setattr(represent, "_FIRST_CAPACITY", capacity or width)
+        represent._pbits.cache_clear()
+        try:
+            yield
+        finally:
+            represent._pbits.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def pieces():
+    """pieces(width, capacity=None) is a context in which fresh p-bitmaps are
+    sieved in pieces of width odd numbers from a first capacity of capacity
+    (default width), so a scan grows and doubles them; forked workers
+    inherit it."""
+    return _pieces
 
 
 def pytest_runtest_logreport(report):

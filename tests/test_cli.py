@@ -690,30 +690,30 @@ _FORKED_WORKERS = pytest.mark.skipif(multiprocessing.get_start_method() != "fork
 @given(mode=st.sampled_from(["twin", "prime", "sun"]), fmt=st.sampled_from(["csv", "jsonl"]),
        width=st.one_of(st.integers(1, 64), st.integers(65, 2048)),
        workers=st.sampled_from(["1", "2"]))
-def test_any_window_width_gives_the_table_bytes(mode, fmt, width, workers):
-    # the sieved p-windows against the whole table a --cache run scans
+def test_any_window_width_gives_the_table_bytes(pieces, mode, fmt, width, workers):
+    # the p-bitmap sieved in pieces of any width against the whole table a
+    # --cache run scans
     with tempfile.TemporaryDirectory() as tmp:
         if (mode, fmt) not in _TABLE_FILES:
             cache = os.path.join(tmp, "primes.bin")
             assert run_cli(["sieve-cache", "--limit", "3000", "--cache-out", cache])[0] == 0
             _TABLE_FILES[mode, fmt] = _verify_files(tmp, mode, fmt, "1", ["--cache", cache])
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(represent, "_WINDOW_WIDTH", width)  # forked workers inherit it
+        with pieces(width):
             assert _verify_files(tmp, mode, fmt, workers) == _TABLE_FILES[mode, fmt]
 
 
 @pytest.mark.parametrize("width", [7, 23, 1 << 20])
-def test_twin_cache_to_its_limit_gives_the_sieved_bytes(tmp_path, monkeypatch, width):
-    # hi is the cache's limit, so the last twin window is cut short at the table's end:
-    # 2001 odd bits end inside a window of 7 or 2^20, on the edge of a window of 23
+def test_twin_cache_to_its_limit_gives_the_sieved_bytes(tmp_path, pieces, width):
+    # hi is the cache's limit, so the last twin piece is cut short at the table's end:
+    # 2001 odd bits end inside a piece of 7 or 2^20, on the edge of a piece of 23
     cache = str(tmp_path / "primes.bin")
     assert run_cli(["sieve-cache", "--limit", "4001", "--cache-out", cache])[0] == 0
-    monkeypatch.setattr(represent, "_WINDOW_WIDTH", width)
     argv = ["verify", "--mode", "twin", "--range", "5:4001", "--shard-size", "900",
             "--workers", "1", "--emit-records"]
-    code, cached, err = run_cli(argv + [str(tmp_path / "cached"), "--cache", cache])
-    assert code == 0, err
-    assert run_cli(argv + [str(tmp_path / "sieved")]) == (0, cached, "")
+    with pieces(width):
+        code, cached, err = run_cli(argv + [str(tmp_path / "cached"), "--cache", cache])
+        assert code == 0, err
+        assert run_cli(argv + [str(tmp_path / "sieved")]) == (0, cached, "")
     assert (tmp_path / "cached").read_bytes() == (tmp_path / "sieved").read_bytes()
     assert parse_csv(cached)[0]["checked"] == "549"  # pi(4001) - 2
 
@@ -760,6 +760,8 @@ class TestMemoryBudget:
         twin = represent.Mode.TWIN_MIN
         small = cli._verify_memory(args, twin, 5, 10**7, False)
         assert cli._verify_memory(args, twin, 5, 10**9, False) > small
+        # verify --range 20000000000:20002000000 peaks at 206 MB, 174 MB of it the p-bitmap
+        assert cli._verify_memory(args, twin, 2 * 10**10, 20_002_000_000, False) > 206 * 2**20
         args.workers = 2
         assert cli._verify_memory(args, twin, 5, 10**7, False) == 2 * small
         assert cli._verify_memory(args, twin, 5, 10**7, True) > 2 * small  # stats keeps arrays
@@ -781,7 +783,7 @@ class TestMemoryBudget:
         one = cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 1000, False)
         args.workers = 1
         assert cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 1000, False) == one
-        assert one < 4 * 2**20  # one shard of 168 primes and its windows
+        assert one < 4 * 2**20  # one shard of 168 primes and its p-bitmap
         # a 2^20 shard holds far fewer primes than odd numbers
         span = cli.DEFAULT_SHARD_SIZE
         assert cli._q_bound(represent.Mode.TWIN_MIN, span) < span // 6
@@ -834,7 +836,7 @@ class TestMemoryBudget:
 
 @_FORKED_WORKERS
 def test_worker_exception_exits_2_promptly(monkeypatch):
-    def broken(qs, windows):
+    def broken(qs, pbits):
         raise ValueError("scan kernel failed")
 
     def hang(signum, frame):
@@ -862,9 +864,9 @@ def test_interrupt_while_writing_records_ends_the_pool(tmp_path, monkeypatch):
     # must still end the run promptly and leave no worker behind
     scan = represent._scan_block
 
-    def slow(qs, windows):
+    def slow(qs, pbits):
         time.sleep(0.2)
-        return scan(qs, windows)
+        return scan(qs, pbits)
 
     def interrupt(self, qs, ps, ns):
         for child in multiprocessing.active_children():
@@ -897,10 +899,10 @@ def test_killed_worker_exits_3_promptly(monkeypatch):
     # result: the run must fail rather than wait for that result forever
     scan = represent._scan_block
 
-    def killed(qs, windows):
+    def killed(qs, pbits):
         if qs[0] > 200_000:  # pool workers alone scan, so this kills one of them
             os.kill(os.getpid(), signal.SIGKILL)
-        return scan(qs, windows)
+        return scan(qs, pbits)
 
     def hang(signum, frame):
         raise TimeoutError("verify did not return")

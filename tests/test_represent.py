@@ -11,28 +11,60 @@ from twinrep.represent import (
     Mode,
     Representation,
     ShardSummary,
-    _Windows,
+    _PBits,
     _scan_block,
     find_any_prime_representation,
     find_min_n_twin_representation,
     find_min_twin_representation,
-    growth_series,
+    growth_rows_from_arrays,
     merge_summaries,
     n_max,
-    stats_lemma_checks,
     summary_stats,
     verify_range,
 )
 from twinrep.sieve import CoverageError, build_prime_table, sieve_segment, twin_segment
 
 
-def mask_windows(mask, width=None):
-    """p-windows sliced from one whole membership mask; by default one window."""
-    return _Windows(lambda lo, hi: mask[lo >> 1 : (hi + 1) >> 1], width or len(mask))
+def mask_segment(mask):
+    """A segment(lo, hi, out) rule that reads one whole membership mask."""
+    def segment(lo, hi, out):
+        part = mask[lo >> 1 : (hi + 1) >> 1]
+        out[: len(part)] = part
+        return out[: len(part)]
+    return segment
 
 
-def sieved_windows(twin, width):
-    return _Windows(twin_segment if twin else sieve_segment, width)
+def sieved_segment(twin):
+    return twin_segment if twin else sieve_segment
+
+
+def lemma_counts(qs, ps, ns):
+    """Scalar oracle for the vectorised lemma counts of ShardSummary.
+
+    (i) equal n with q' < q forces p' < p (checked through a per-n
+    running maximum); (ii) n <= isqrt(q); (iii) exceptions to the n^2
+    form of the dichotomy, "2p >= q or 2n^2 >= q".  (i) and (ii) always
+    hold; the n^2 form has exceptions (eleven below the millionth
+    prime, the first q = 11 with (p, n) = (5, 2)).  The n(n+1) form,
+    2p > q or 2n(n+1) > q, is the one that always holds, since
+    p + n(n+1) = q is odd.  Input is minimal-twin (q, p, n) in ascending q.
+    """
+    last_p_by_n: dict[int, int] = {}
+    same_n_order = sqrt_bound = dichotomy = 0
+    for q, p, n in zip(map(int, qs), map(int, ps), map(int, ns)):
+        prev = last_p_by_n.get(n)
+        if prev is not None and prev >= p:
+            same_n_order += 1
+        last_p_by_n[n] = p
+        if n * n > q:
+            sqrt_bound += 1
+        if 2 * p < q and 2 * n * n < q:
+            dichotomy += 1
+    return {
+        "same_n_order_violations": same_n_order,
+        "sqrt_bound_violations": sqrt_bound,
+        "dichotomy_violations": dichotomy,
+    }
 
 
 def exhaustive_min_twin(q, twins):
@@ -236,7 +268,7 @@ class TestVerifyRange:
 
         # the kernel alone, on random sorted odd q >= 5 cut into blocks
         qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
-        blocks = [_scan_block(qs[s : s + block], mask_windows(mask))
+        blocks = [_scan_block(qs[s : s + block], _PBits(bits=mask))
                   for s in range(0, len(qs), block)]
         assert [np.concatenate(a).tolist() for a in zip(*blocks)] == list(expected(qs.tolist()))
 
@@ -253,60 +285,82 @@ class TestVerifyRange:
 
     @settings(max_examples=80, deadline=None)
     @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
-           halves=st.lists(st.integers(2, 499_999), min_size=1, max_size=120, unique=True),
            width=st.one_of(st.integers(1, 64), st.integers(65, 1 << 19)),
-           sieved=st.booleans())
-    def test_any_window_width_matches_scalar_finders(self, table_1e6, twins_1e6,
-                                                     mode, halves, width, sieved):
+           capacity=st.integers(1, 1 << 12), sieved=st.booleans(), data=st.data())
+    def test_any_window_width_matches_scalar_finders(self, table_1e6, twins_1e6, pieces,
+                                                     mode, width, capacity, sieved, data):
+        # the window is the piece a growth step sieves; a bitmap below q holds
+        # every piece, so q stays below 500 pieces of this width
+        top = min(499_999, 500 * width)
+        halves = data.draw(st.lists(st.integers(2, top), min_size=1, max_size=120, unique=True))
         twin = mode == Mode.TWIN_MIN
         if twin:
             mask, find = twins_1e6.odd_mask, lambda q: find_min_twin_representation(q, twins_1e6)
         else:
             mask, find = table_1e6.odd_bits, lambda q: find_any_prime_representation(q, table_1e6)
-        windows = sieved_windows(twin, width) if sieved else mask_windows(mask, width)
         qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
         reps = [find(q) for q in qs.tolist()]
-        ps, ns, found = _scan_block(qs, windows)
+        with pieces(width, capacity):
+            pbits = _PBits(sieved_segment(twin) if sieved else mask_segment(mask))
+            ps, ns, found = _scan_block(qs, pbits)
         assert ps.tolist() == [r.p if r else 0 for r in reps]
         assert ns.tolist() == [r.n if r else 0 for r in reps]
         assert found.tolist() == [r is not None for r in reps]
+        # the filled pieces are the mask's, a doubling carried every bit over
+        end = min(pbits.end, len(mask))
+        assert np.array_equal(pbits.bits[:end], mask[:end])
 
     @pytest.mark.parametrize("sieved", [False, True])
     @pytest.mark.parametrize("width", [1, 7, 300])
-    def test_lanes_cross_windows(self, twins_1e6, sieved, width):
-        # q with deep scans: each lane passes many windows before its hit
+    def test_lanes_cross_windows(self, twins_1e6, pieces, sieved, width):
+        # q with deep scans: the bitmap grows, and doubles, many times while
+        # each lane passes piece ends before its hit (p_q up to 85091)
         qs = np.array([997, 2909, 35999, 42187, 999_983], dtype=np.int64)
-        visited = []
-        windows = sieved_windows(True, width) if sieved else mask_windows(twins_1e6.odd_mask, width)
-        build = windows.window
-        windows.window = lambda k: visited.append(k) or build(k)
-        ps, ns, found = _scan_block(qs, windows)
-        assert visited == sorted(set(visited)) and len(visited) > 5  # ascending, each once
+        visited, grown = [], []
+        source = sieved_segment(True) if sieved else mask_segment(twins_1e6.odd_mask)
+        with pieces(width):
+            pbits = _PBits(lambda lo, hi, out: visited.append(lo) or source(lo, hi, out=out))
+            grow = pbits.grow
+            pbits.grow = lambda h: grown.append(h >= pbits.end) or grow(h)
+            ps, ns, found = _scan_block(qs, pbits)
+        # ascending, each piece once, none skipped
+        assert visited == list(range(1, 2 * pbits.end, 2 * width))
+        assert grown.count(True) > 5 and len(pbits.bits) > width  # grew and doubled
         for q, p, n in zip(qs.tolist(), ps.tolist(), ns.tolist()):
             r = find_min_twin_representation(q, twins_1e6)
             assert (p, n) == (r.p, r.n)
 
     @pytest.mark.parametrize("width", [1, 2, 5, 64])
-    def test_lane_ending_on_a_window_edge_is_carried(self, width):
+    def test_lane_ending_on_a_window_edge_is_carried(self, pieces, width):
         # with no member anywhere each lane runs to n = 1, whose p = q - 2 has
-        # h = (q - 3) / 2; these q put that h on the first odd of a window
+        # h = (q - 3) / 2; these q put that h on the first odd of a piece
         qs = np.array([2 * width * k + 3 for k in range(2, 40)], dtype=np.int64)
         qs = qs[qs >= 5]
-        ps, ns, found = _scan_block(qs, mask_windows(np.zeros(qs[-1], dtype=bool), width))
-        assert not found.any() and not ps.any() and not ns.any()
-        ps, ns, found = _scan_block(qs, mask_windows(np.ones(qs[-1], dtype=bool), width))
-        assert found.all() and ns.tolist() == [n_max(q) for q in qs.tolist()]
+        with pieces(width):
+            ps, ns, found = _scan_block(qs, _PBits(mask_segment(np.zeros(qs[-1], dtype=bool))))
+            assert not found.any() and not ps.any() and not ns.any()
+            ps, ns, found = _scan_block(qs, _PBits(mask_segment(np.ones(qs[-1], dtype=bool))))
+            assert found.all() and ns.tolist() == [n_max(q) for q in qs.tolist()]
+            # an h on the end of the filled bits grows them by one piece
+            pbits = _PBits(mask_segment(np.ones(qs[-1], dtype=bool)))
+            pbits.grow(3 * width - 1)
+            assert pbits.end == 3 * width
+            pbits.grow(3 * width - 1)
+            assert pbits.end == 3 * width
+            pbits.grow(3 * width)
+            assert pbits.end == 4 * width and pbits.bits[: pbits.end].all()
 
     @settings(max_examples=40, deadline=None)
     @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
-           lo=st.integers(1, 990_000), span=st.integers(0, 1500), small=st.booleans(),
-           block=st.integers(1, 700), width=st.integers(1, 4096))
-    def test_sieved_source_matches_table_source(self, table_1e6,
-                                                mode, lo, span, small, block, width):
+           span=st.integers(0, 1500), small=st.booleans(),
+           block=st.integers(1, 700), width=st.integers(1, 4096), data=st.data())
+    def test_sieved_source_matches_table_source(self, table_1e6, pieces,
+                                                mode, span, small, block, width, data):
+        # every piece below the deepest p is sieved: lo stays below 1000 pieces
+        lo = data.draw(st.integers(1, min(990_000, 1000 * width)))
         hi = lo + span
         want = verify_range(lo, hi, mode, table_1e6, include_small=small)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(represent, "_WINDOW_WIDTH", width)
+        with pieces(width):
             got = verify_range(lo, hi, mode, include_small=small, block_size=block)
         assert got.summary.to_json_dict() == want.summary.to_json_dict()
         for a, b in ((got.qs, want.qs), (got.ps, want.ps), (got.ns, want.ns)):
@@ -316,22 +370,31 @@ class TestVerifyRange:
     @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
            limit=st.integers(2, 20_000), lo=st.integers(1, 20_000), small=st.booleans(),
            width=st.one_of(st.integers(1, 64), st.integers(65, 4096)))
-    def test_table_to_its_limit_matches_sieved_source(self, mode, limit, lo, small, width):
-        # the table's last window, and the twin bits read past it, are cut short at its end
+    def test_table_to_its_limit_matches_sieved_source(self, pieces, mode, limit, lo, small,
+                                                      width):
+        # the table's last piece, and the twin bits read past it, are cut short at its end
         lo = min(lo, limit)
         table = build_prime_table(limit)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(represent, "_WINDOW_WIDTH", width)
+        with pieces(width):
             got = verify_range(lo, limit, mode, table, include_small=small)
             want = verify_range(lo, limit, mode, include_small=small)
         assert got.summary.to_json_dict() == want.summary.to_json_dict()
         for a, b in ((got.qs, want.qs), (got.ps, want.ps), (got.ns, want.ns)):
             assert np.array_equal(a, b)
 
-    def test_sieved_windows_are_built_once(self):
-        windows = sieved_windows(True, 64)
-        assert windows.window(3) is windows.window(3)
-        assert represent._windows(None, True, 64) is represent._windows(None, True, 64)
+    def test_sieved_windows_are_built_once(self, table_1e6, pieces):
+        with pieces(64):
+            pbits = represent._pbits(None, True)
+            assert represent._pbits(None, True) is pbits
+            calls = []
+            source = pbits._segment
+            pbits._segment = lambda lo, hi, out: calls.append(lo) or source(lo, hi, out=out)
+            _scan_block(np.array([999_983]), pbits)
+            assert calls and pbits.end >= 85091 // 2
+            _scan_block(np.array([999_983]), pbits)  # the bits are kept
+            assert len(calls) == len(set(calls)) == pbits.end // 64
+        # prime bits from a table are the table's own, never copied
+        assert represent._pbits(table_1e6, False).bits is table_1e6.odd_bits
 
     def test_summary_json_round_trip(self, table_1e6):
         report = verify_range(5, 30_000, Mode.TWIN_MIN, table_1e6)
@@ -354,7 +417,7 @@ class TestLemmaChecks:
         # fail (they are algebraic), while the claimed dichotomy
         # 2p >= q or 2n^2 >= q has eight small-q exceptions
         report = verify_range(5, 10**4, Mode.TWIN_MIN, table_1e6)
-        checks = stats_lemma_checks(report.representations())
+        checks = lemma_counts(report.qs, report.ps, report.ns)
         assert checks == {
             "same_n_order_violations": 0,
             "sqrt_bound_violations": 0,
@@ -364,7 +427,7 @@ class TestLemmaChecks:
 
     def test_scalar_equals_vectorized(self, table_1e6):
         report = verify_range(5, 10**5, Mode.TWIN_MIN, table_1e6)
-        checks = stats_lemma_checks(report.representations())
+        checks = lemma_counts(report.qs, report.ps, report.ns)
         assert checks["same_n_order_violations"] == report.stats["same_n_order_violations"]
         assert checks["sqrt_bound_violations"] == report.stats["sqrt_bound_violations"]
         assert checks["dichotomy_violations"] == report.stats["dichotomy_violations"]
@@ -384,37 +447,27 @@ class TestLemmaChecks:
 
     def test_single_representation(self, twins_1e6):
         r = find_min_twin_representation(13, twins_1e6)
-        checks = stats_lemma_checks([r])
+        checks = lemma_counts([r.q], [r.p], [r.n])
         assert checks["same_n_order_violations"] == 0
         assert checks["sqrt_bound_violations"] == 0
-
-    def test_input_validation(self, twins_1e6):
-        r1 = find_min_twin_representation(13, twins_1e6)
-        r2 = find_min_twin_representation(11, twins_1e6)
-        with pytest.raises(ValueError):
-            stats_lemma_checks([r1, r2])  # unsorted
-        bad = Representation(q=9, p=3, n=2, mode=Mode.ANY_PRIME)
-        with pytest.raises(ValueError):
-            stats_lemma_checks([bad])
 
 
 class TestGrowthSeries:
     def test_single_bucket_is_global(self, table_1e6):
         report = verify_range(5, 10**4, Mode.TWIN_MIN, table_1e6)
-        reps = report.representations()
-        rows = growth_series(reps, bucket=10**6)
+        rows = growth_rows_from_arrays(report.qs, report.ps, report.ns, bucket=10**6)
         assert len(rows) == 1
         row = rows[0]
-        assert row.count == len(reps)
-        assert row.max_n == max(r.n for r in reps)
-        assert row.min_p == min(r.p for r in reps)
+        assert row.count == len(report.qs)
+        assert row.max_n == max(report.ns.tolist())
+        assert row.min_p == min(report.ps.tolist())
 
     def test_frozen_extrema_to_1e6(self, table_1e6):
         # measured, not assumed: the minimal-p map dips far below the
         # cube root (p = 3 whenever q - 3 = n(n+1)), so the global
         # minimum ratio over [5, 1e6] is 0.0300500767... at q = 995009
         report = verify_range(5, 10**6, Mode.TWIN_MIN, table_1e6)
-        rows = growth_series(report.representations(), bucket=10**7)
+        rows = growth_rows_from_arrays(report.qs, report.ps, report.ns, bucket=10**7)
         assert rows[0].min_p == 3
         assert abs(rows[0].min_p_over_cbrt_q - 0.030050076714553987) < 1e-12
         assert report.stats["min_p_over_cbrt_q_at"] == 995009
@@ -423,6 +476,6 @@ class TestGrowthSeries:
     def test_rejects_bad_bucket(self, twins_1e6):
         r = find_min_twin_representation(13, twins_1e6)
         with pytest.raises(ValueError):
-            growth_series([r], bucket=0)
+            growth_rows_from_arrays([r.q], [r.p], [r.n], bucket=0)
         with pytest.raises(ValueError):
-            growth_series([], bucket=10)
+            growth_rows_from_arrays([], [], [], bucket=10)

@@ -92,6 +92,12 @@ def test_segment_bits_match_whole_table(a, width):
     twins = build_twin_index(table).odd_mask[a >> 1 : (b + 1) >> 1]
     assert np.array_equal(twin_segment(a, b), twins)
     assert np.array_equal(twin_segment(a, b, table.segment), twins)
+    # with out, the same bits are written into its first entries
+    for rule, bits in ((sieve_segment, want), (twin_segment, twins)):
+        out = np.ones(len(want) + 3, dtype=bool)
+        got = rule(a, b, out=out)
+        assert np.array_equal(got, bits) and np.array_equal(out[: len(bits)], bits)
+        assert out[len(bits) :].all()
 
 
 def test_segment_of_nothing_is_empty():
