@@ -8,8 +8,6 @@ desk-scale numerical probes of the averaged prime-counting variance.
 
 from .arithmetic import (
     euler_phi,
-    integer_nth_root,
-    integer_sqrt,
     is_prime_64,
     is_squarefree,
     jacobi,

@@ -25,8 +25,6 @@ __all__ = [
     "is_prime_64",
     "von_mangoldt",
     "ramanujan_sum",
-    "integer_sqrt",
-    "integer_nth_root",
 ]
 
 # Trial-division screen used before the Miller-Rabin rounds.
@@ -184,13 +182,6 @@ def is_prime_64(m: int) -> bool:
         else:
             return False
     return True
-
-
-def integer_sqrt(n: int) -> int:
-    """Floor square root: the r with r*r <= n < (r+1)*(r+1)."""
-    if n < 0:
-        raise ValueError(f"integer_sqrt requires n >= 0, got {n}")
-    return math.isqrt(n)
 
 
 def integer_nth_root(n: int, k: int) -> int:

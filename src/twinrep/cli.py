@@ -213,28 +213,73 @@ def _format_rows(header: list[str], columns: list[np.ndarray], fmt: str) -> byte
     return b"".join(out)
 
 
-class ReportWriter:
-    """Streams rows as CSV or JSONL to a path or stdout, deterministically.
+class _Sink:
+    """Every CLI output file: rows as CSV or JSONL to a path or, for None or
+    '-', to stdout.  A file is opened in binary mode, so tell() and
+    truncate() are plain byte offsets.
 
-    Rows are formatted one at a time by _format_row: reports hold few rows,
-    and numpy's per-call cost would outweigh any vector formatting."""
+    row() formats one row by _format_row: reports hold few rows, and numpy's
+    per-call cost would outweigh any vector formatting.  columns() formats
+    int64 / float64 columns by _format_rows, one write per chunk.  With
+    resume_bytes, the file is cut back to that length and appended to,
+    with no header; stdout is never resumed.
+    """
 
-    def __init__(self, header: list[str], fmt: str, path: str | None):
+    def __init__(self, path: str | None, header: list[str], fmt: str,
+                 resume_bytes: int | None = None):
         self.header = header
         self.fmt = fmt
         self._own = path is not None and path != "-"
-        self._fh = open(path, "w", encoding="utf-8") if self._own else sys.stdout
-        if fmt == "csv":
-            self._fh.write(",".join(header) + "\n")
+        if not self._own:
+            self._fh = sys.stdout
+        elif resume_bytes is None:
+            self._fh = open(path, "wb")
+        else:
+            size = os.path.getsize(path)
+            if size < resume_bytes:
+                raise ValueError(
+                    f"records file {path} has {size} bytes, checkpoint expects {resume_bytes}"
+                )
+            self._fh = open(path, "r+b")
+            self._fh.truncate(resume_bytes)
+            self._fh.seek(0, os.SEEK_END)
+        if resume_bytes is None and fmt == "csv":
+            self._write((",".join(header) + "\n").encode())
+
+    def _write(self, data: bytes) -> None:
+        # stdout may be a text stream with no binary buffer, such as an io.StringIO;
+        # a CSV cell can hold a non-ASCII path
+        self._fh.write(data if self._own else data.decode("utf-8"))
 
     def row(self, values: dict) -> None:
-        self._fh.write(_format_row(self.header, values, self.fmt))
+        self._write(_format_row(self.header, values, self.fmt).encode())
+
+    def columns(self, arrays: list[np.ndarray]) -> None:
+        for start in range(0, len(arrays[0]), _RECORD_CHUNK_ROWS):
+            chunk = [a[start : start + _RECORD_CHUNK_ROWS] for a in arrays]
+            self._write(_format_rows(self.header, chunk, self.fmt))
+
+    def sync(self) -> int:
+        """Make the rows written so far durable; returns the file's byte length."""
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+        return self._fh.tell()
 
     def close(self) -> None:
         if self._own:
             self._fh.close()
         else:
             self._fh.flush()
+
+
+def _write_rows(path: str | None, header: list[str], fmt: str, rows) -> None:
+    """Write each row, a dict holding header's keys, to path or stdout."""
+    sink = _Sink(path, header, fmt)
+    try:
+        for row in rows:
+            sink.row(row)
+    finally:
+        sink.close()
 
 
 # ---------------------------------------------------------------------------
@@ -316,17 +361,22 @@ def _load_table(path: str, mtime_ns: int, size: int) -> PrimeTable:
     return load_prime_table(path)
 
 
+def _table_bytes(args, needed_limit: int) -> int:
+    """Bytes _acquire_table allocates: with --cache the packed payload, its
+    unpacked bytes and the bool table; otherwise the sieved bool table."""
+    return _cache_bits(args.cache) * 2 if args.cache else (needed_limit + 1) // 2
+
+
 def _acquire_table(args, needed_limit: int) -> PrimeTable:
     if args.cache:
-        # the packed payload, its unpacked bytes and the bool table
-        _check_memory(_cache_bits(args.cache) * 2, f"loading {args.cache}")
+        _check_memory(_table_bytes(args, needed_limit), f"loading {args.cache}")
         table = _cached_table(args.cache)
         if table.limit < needed_limit:
             raise ValueError(
                 f"cache {args.cache} covers only {table.limit}, need {needed_limit}"
             )
         return table
-    _check_memory((needed_limit + 1) // 2, f"a prime table to {needed_limit}")
+    _check_memory(_table_bytes(args, needed_limit), f"a prime table to {needed_limit}")
     return build_prime_table(needed_limit)
 
 
@@ -449,54 +499,6 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
 
 
 _RECORD_HEADER = ["q", "p", "n", "p_over_cbrt_q", "n_over_log_q"]
-
-
-class _RecordSink:
-    """Appends per-q record rows to a path or, for '-', to stdout (never resumed);
-    tracks byte offsets for resume truncation.  A file is opened in binary
-    mode, so tell() and truncate() are plain byte offsets."""
-
-    def __init__(self, path: str, fmt: str, resume_bytes: int | None):
-        self.fmt = fmt
-        self._own = path != "-"
-        if not self._own:
-            self._fh = sys.stdout
-        elif resume_bytes is None:
-            self._fh = open(path, "wb")
-        else:
-            size = os.path.getsize(path)
-            if size < resume_bytes:
-                raise ValueError(
-                    f"records file {path} has {size} bytes, checkpoint expects {resume_bytes}"
-                )
-            self._fh = open(path, "r+b")
-            self._fh.truncate(resume_bytes)
-            self._fh.seek(0, os.SEEK_END)
-        if resume_bytes is None and fmt == "csv":
-            self._write((",".join(_RECORD_HEADER) + "\n").encode())
-
-    def _write(self, data: bytes) -> None:
-        # stdout may be a text stream with no binary buffer, such as an io.StringIO
-        self._fh.write(data if self._own else data.decode("ascii"))
-
-    def write_shard(self, qs, ps, ns) -> None:
-        for start in range(0, len(qs), _RECORD_CHUNK_ROWS):
-            q, p, n = (a[start : start + _RECORD_CHUNK_ROWS] for a in (qs, ps, ns))
-            qf = q.astype(np.float64)
-            columns = [q, p, n, p / np.cbrt(qf), n / np.log(qf)]
-            self._write(_format_rows(_RECORD_HEADER, columns, self.fmt))
-
-    def sync(self) -> int:
-        """Make the rows written so far durable; returns the file's byte length."""
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        return self._fh.tell()
-
-    def close(self) -> None:
-        if self._own:
-            self._fh.close()
-        else:
-            self._fh.flush()
 
 
 class _Checkpoint:
@@ -652,7 +654,7 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
                 f"bytes, complete checkpoint expects {resume_bytes}"
             )
     elif args.emit_records:
-        sink = _RecordSink(args.emit_records, args.format, resume_bytes)
+        sink = _Sink(args.emit_records, _RECORD_HEADER, args.format, resume_bytes)
     if checkpoint is not None and checkpoint.meta is None:
         checkpoint.start(meta)
 
@@ -670,7 +672,10 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
         with _shard_results(tasks, args.workers) as results:
             for summary, shard_arrays in results:
                 if sink is not None:
-                    sink.write_shard(*shard_arrays)
+                    qs, ps, ns = shard_arrays
+                    qf = qs.astype(np.float64)
+                    sink.columns([qs, ps, ns, ps / np.cbrt(qf), ns / np.log(qf)])
+                    del qs, ps, ns, qf
                 if keep_arrays:
                     arrays.append(shard_arrays)
                 summaries.append(summary)
@@ -706,9 +711,7 @@ def _cmd_verify(args) -> int:
     total, _ = _run_sharded_verify(args, mode, lo, hi)
     if total is None:
         return EXIT_OK  # interrupted by --stop-after-shards; checkpoint holds progress
-    writer = ReportWriter(_VERIFY_HEADER, args.format, args.out)
-    writer.row(_summary_row(mode, total))
-    writer.close()
+    _write_rows(args.out, _VERIFY_HEADER, args.format, [_summary_row(mode, total)])
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
@@ -719,14 +722,9 @@ def _cmd_stats(args) -> int:
     if len(qs) == 0:
         print("error: no representations found in range", file=sys.stderr)
         return EXIT_BAD_INPUT
-    writer = ReportWriter(
-        ["q_bucket", "count", "max_n", "min_p", "min_p_over_cbrt_q", "max_n_over_log_q"],
-        args.format,
-        args.out,
-    )
-    for row in growth_rows_from_arrays(qs, ps, ns, args.bucket):
-        writer.row(vars(row))
-    writer.close()
+    header = ["q_bucket", "count", "max_n", "min_p", "min_p_over_cbrt_q", "max_n_over_log_q"]
+    rows = [vars(row) for row in growth_rows_from_arrays(qs, ps, ns, args.bucket)]
+    _write_rows(args.out, header, args.format, rows)
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
@@ -736,20 +734,19 @@ def _cmd_sigma(args) -> int:
         return EXIT_BAD_INPUT
     table = _acquire_table(args, max(args.pmax, 2))
     primes = [int(p) for p in table.primes() if p <= args.pmax]
-    writer = ReportWriter(["q", "p", "kappa", "brute", "closed", "match"], args.format, args.out)
-    for q in range(1, args.qmax + 1):
-        for ev in evaluate_sigma_row(q, primes):
-            writer.row(
-                {
-                    "q": q,
-                    "p": ev.p,
-                    "kappa": ev.kappa,
-                    "brute": ev.brute_value,
-                    "closed": ev.closed_value,
-                    "match": ev.match,
-                }
-            )
-    writer.close()
+    rows = (
+        {
+            "q": q,
+            "p": ev.p,
+            "kappa": ev.kappa,
+            "brute": ev.brute_value,
+            "closed": ev.closed_value,
+            "match": ev.match,
+        }
+        for q in range(1, args.qmax + 1)
+        for ev in evaluate_sigma_row(q, primes)
+    )
+    _write_rows(args.out, ["q", "p", "kappa", "brute", "closed", "match"], args.format, rows)
     return EXIT_OK
 
 
@@ -765,14 +762,8 @@ def _cmd_singular(args) -> int:
         sv = singular_series(kappa, args.cutoff, table)
         tail = tail_partial(kappa, q1, args.cutoff, table)
         rows.append({**vars(sv), "p": p, "tail_partial": tail})
-    writer = ReportWriter(
-        ["kappa", "p", "cutoff", "value", "last_factor_deviation", "tail_partial"],
-        args.format,
-        args.out,
-    )
-    for row in rows:
-        writer.row(row)
-    writer.close()
+    header = ["kappa", "p", "cutoff", "value", "last_factor_deviation", "tail_partial"]
+    _write_rows(args.out, header, args.format, rows)
     return EXIT_OK
 
 
@@ -782,70 +773,62 @@ def _cmd_variance(args) -> int:
         print("error: --emit-records needs a single --x value", file=sys.stderr)
         return EXIT_BAD_INPUT
     runs = [(x, args.y if args.y is not None else x * x) for x in xs]
-    # size the table for 0 <= y <= x^2 only: the sweep rejects a run outside
+    # size the tables for 0 <= y <= x^2 only: the sweep rejects a run outside
     # that region before any output exists, and no table is built for it
-    needed = max(
-        max(args.cutoff, (y + 1) // 4, math.isqrt(y) + 1)
-        for y in (min(max(y, 0), x * x) for x, y in runs)
-    )
+    clamped = [(x, min(max(y, 0), x * x)) for x, y in runs]
+    needed = max(max(args.cutoff, (y + 1) // 4, math.isqrt(y) + 1) for _, y in clamped)
+    # the sweep's von Mangoldt table: 8 bytes an integer up to x^2 + x + p for
+    # the largest p <= (y + 1) // 4 of each run holding a kappa = 4p - 1 (y >= 7),
+    # with the bool table and the int64 primes it sieves to that limit
+    top = max((x * x + x + (y + 1) // 4 for x, y in clamped if y >= 7), default=0)
+    lam = 8 * (top + 1) + (top + 1) // 2 + 8 * _q_bound(Mode.ANY_PRIME, top)
+    _check_memory(_table_bytes(args, needed) + lam,
+                  f"a prime table to {needed} and a von Mangoldt table to {top}")
     table = _acquire_table(args, needed)
     reports = variance_sweep(
         runs, args.cutoff, table,
         baier_zhao=args.baier_zhao, keep_terms=bool(args.emit_records),
     )
-    writer = ReportWriter(
-        ["x", "y", "cutoff", "term_count", "lhs", "ratio"], args.format, args.out
-    )
-    for report in reports:
-        writer.row(vars(report))
-        if args.emit_records:
-            rec = ReportWriter(
-                ["p", "kappa", "psi", "s_trunc", "main_term", "residual", "residual_sq"],
-                args.format,
-                args.emit_records,
-            )
-            for term in report.terms:
-                rec.row(
-                    {
-                        "p": term.p,
-                        "kappa": term.kappa,
-                        "psi": term.psi_value,
-                        "s_trunc": term.singular_value,
-                        "main_term": term.main_term,
-                        "residual": term.residual,
-                        "residual_sq": term.residual_sq,
-                    }
-                )
-            rec.close()
-    writer.close()
+    header = ["x", "y", "cutoff", "term_count", "lhs", "ratio"]
+    _write_rows(args.out, header, args.format, [vars(report) for report in reports])
+    if args.emit_records:
+        (report,) = reports  # a single --x
+        terms = (
+            {
+                "p": term.p,
+                "kappa": term.kappa,
+                "psi": term.psi_value,
+                "s_trunc": term.singular_value,
+                "main_term": term.main_term,
+                "residual": term.residual,
+                "residual_sq": term.residual_sq,
+            }
+            for term in report.terms
+        )
+        header = ["p", "kappa", "psi", "s_trunc", "main_term", "residual", "residual_sq"]
+        _write_rows(args.emit_records, header, args.format, terms)
     return EXIT_OK
 
 
 def _cmd_density(args) -> int:
     table = _acquire_table(args, max(args.x, 7))  # the floor of 7 as in verify
     report = density_report(args.x, table)
-    writer = ReportWriter(
-        [
-            "x",
-            "total_primes",
-            "representable_any_prime",
-            "representable_twin",
-            "density_any_prime",
-            "exceptions_any_prime",
-            "exceptions_twin",
-        ],
-        args.format,
-        args.out,
-    )
-    writer.row(
-        {
-            **vars(report),
-            "density_any_prime": report.representable_any_prime / report.total_primes,
-            "exceptions_any_prime": report.exceptions_any_prime[:32],
-            "exceptions_twin": report.exceptions_twin[:32],
-        }
-    )
-    writer.close()
+    header = [
+        "x",
+        "total_primes",
+        "representable_any_prime",
+        "representable_twin",
+        "density_any_prime",
+        "exceptions_any_prime",
+        "exceptions_twin",
+    ]
+    row = {
+        **vars(report),
+        "density_any_prime": report.representable_any_prime / report.total_primes,
+        "exceptions_any_prime": report.exceptions_any_prime[:32],
+        "exceptions_twin": report.exceptions_twin[:32],
+    }
+    _write_rows(args.out, header, args.format, [row])
     return EXIT_OK
 
 
@@ -853,16 +836,13 @@ def _cmd_mirsky(args) -> int:
     needed = max(args.y, math.isqrt(4 * args.y) + 1)
     table = _acquire_table(args, needed)
     count, total = squarefree_kappa_census(table, args.y)
-    writer = ReportWriter(["y", "s_y", "pi_y", "fraction"], args.format, args.out)
-    writer.row(
-        {
-            "y": args.y,
-            "s_y": count,
-            "pi_y": total,
-            "fraction": count / total if total else 0.0,
-        }
-    )
-    writer.close()
+    row = {
+        "y": args.y,
+        "s_y": count,
+        "pi_y": total,
+        "fraction": count / total if total else 0.0,
+    }
+    _write_rows(args.out, ["y", "s_y", "pi_y", "fraction"], args.format, [row])
     return EXIT_OK
 
 
@@ -870,16 +850,13 @@ def _cmd_sieve_cache(args) -> int:
     _check_memory((args.limit + 1) // 2, f"a prime table to {args.limit}")
     table = build_prime_table(args.limit, args.segment_size)
     save_prime_table(table, args.cache_out)
-    writer = ReportWriter(["limit", "segment_size", "pi", "path"], args.format, args.out)
-    writer.row(
-        {
-            "limit": table.limit,
-            "segment_size": table.segment_size,
-            "pi": prime_count(table, table.limit),
-            "path": args.cache_out,
-        }
-    )
-    writer.close()
+    row = {
+        "limit": table.limit,
+        "segment_size": table.segment_size,
+        "pi": prime_count(table, table.limit),
+        "path": args.cache_out,
+    }
+    _write_rows(args.out, ["limit", "segment_size", "pi", "path"], args.format, [row])
     return EXIT_OK
 
 

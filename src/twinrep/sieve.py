@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arithmetic import integer_sqrt
-
 __all__ = [
     "CoverageError",
     "ResourceLimitError",
@@ -263,7 +261,7 @@ def squarefree_mask(values: np.ndarray, table: PrimeTable) -> np.ndarray:
         return out
     if int(values.min()) < 1:
         raise ValueError("squarefree_mask requires positive values")
-    root = integer_sqrt(int(values.max()))
+    root = math.isqrt(int(values.max()))
     if root > table.limit:
         raise CoverageError(
             f"squarefree test needs primes up to {root}, table limit is {table.limit}"
@@ -278,7 +276,7 @@ def squarefree_kappa_census(table: PrimeTable, y: int) -> tuple[int, int]:
     """(s(y), pi(y)): primes p <= y with 4p - 1 squarefree, and all primes <= y."""
     if y > table.limit:
         raise CoverageError(f"census at {y} exceeds table limit {table.limit}")
-    if integer_sqrt(4 * y) > table.limit:
+    if math.isqrt(4 * y) > table.limit:
         raise CoverageError(f"census needs primes up to isqrt({4 * y})")
     if y < 2:
         return (0, 0)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from twinrep.arithmetic import (
     euler_phi,
     integer_nth_root,
-    integer_sqrt,
     is_prime_64,
     is_squarefree,
     jacobi,
@@ -225,14 +224,6 @@ class TestPrimality:
 
 
 class TestRoots:
-    def test_integer_sqrt(self):
-        assert integer_sqrt(0) == 0
-        assert integer_sqrt(15) == 3
-        assert integer_sqrt(10**18) == 10**9
-        for n in range(0, 3000):
-            r = integer_sqrt(n)
-            assert r * r <= n < (r + 1) * (r + 1)
-
     def test_integer_nth_root(self):
         for k in range(1, 20):
             for n in (0, 1, 2, 5, 63, 64, 65, 10**12, 2**60 - 1):

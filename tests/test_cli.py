@@ -227,6 +227,17 @@ class TestOtherCommands:
         assert run_cli(argv + ["--out", str(path)])[0] == 2
         assert not path.exists()
 
+    def test_variance_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch):
+        # the prime table to 10^6 fits 5 MiB; the von Mangoldt table to
+        # x^2 + x + 10^6 = 5002000, 40 MB, does not
+        monkeypatch.setattr(cli, "_memory_budget", lambda: 5 * 2**20)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(["variance", "--x", "2000", "--cutoff", "1000",
+                                     "--out", str(out)])
+        assert (code, stdout) == (3, "")
+        assert err.startswith("resource failure:")
+        assert not out.exists()
+
     def test_variance_records(self, tmp_path):
         rec = str(tmp_path / "terms.csv")
         code, _, _ = run_cli(["variance", "--x", "40", "--cutoff", "500",
@@ -322,6 +333,17 @@ class TestOtherCommands:
         plain = run_cli(argv)
         assert plain[0] == 0
         assert run_cli(argv + ["--cache", large]) == plain
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_sieve_cache_prints_a_non_ascii_path(self, tmp_path, fmt):
+        cache, out = tmp_path / "prïmes-é.bin", tmp_path / "out"
+        argv = ["sieve-cache", "--limit", "100", "--cache-out", str(cache), "--format", fmt]
+        code, stdout, _ = run_cli(argv)
+        assert code == 0
+        assert run_cli(argv + ["--out", str(out)])[0] == 0
+        assert stdout.encode("utf-8") == out.read_bytes()
+        if fmt == "csv":
+            assert out.read_bytes().splitlines()[1].split(b",")[-1] == str(cache).encode("utf-8")
 
     def test_sieve_cache_has_no_cache_flag(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -868,7 +890,7 @@ def test_interrupt_while_writing_records_ends_the_pool(tmp_path, monkeypatch):
         time.sleep(0.2)
         return scan(qs, pbits)
 
-    def interrupt(self, qs, ps, ns):
+    def interrupt(self, arrays):
         for child in multiprocessing.active_children():
             os.kill(child.pid, signal.SIGINT)
         raise KeyboardInterrupt
@@ -877,7 +899,7 @@ def test_interrupt_while_writing_records_ends_the_pool(tmp_path, monkeypatch):
         raise TimeoutError("verify did not return")
 
     monkeypatch.setattr(represent, "_scan_block", slow)  # forked workers inherit it
-    monkeypatch.setattr(cli._RecordSink, "write_shard", interrupt)
+    monkeypatch.setattr(cli._Sink, "columns", interrupt)
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(60)
     try:
