@@ -17,11 +17,9 @@ from .arithmetic import (
     von_mangoldt,
 )
 from .asymptotic import (
-    DensityReport,
     KahanSum,
     VarianceReport,
     VarianceTerm,
-    density_report,
     exception_count,
     psi,
     variance_sum,

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arithmetic import von_mangoldt
-from .represent import Mode, verify_range
 from .sieve import CoverageError, PrimeTable, build_prime_table, squarefree_mask
 from .singular import singular_series_many
 
@@ -38,13 +37,11 @@ __all__ = [
     "KahanSum",
     "VarianceTerm",
     "VarianceReport",
-    "DensityReport",
     "von_mangoldt_table",
     "psi",
     "variance_sum",
     "variance_sweep",
     "exception_count",
-    "density_report",
 ]
 
 
@@ -287,39 +284,3 @@ def exception_count(y: int, x: int, table: PrimeTable, return_exceptions: bool =
     if return_exceptions:
         return len(exceptions), exceptions
     return len(exceptions)
-
-
-@dataclass
-class DensityReport:
-    """Exact representability census over the primes q <= x.
-
-    Exceptions are listed explicitly per mode, in ascending q; q = 2 and
-    q = 3 are exceptions whenever they are <= x, since they admit no n >= 1.
-    """
-
-    x: int
-    total_primes: int
-    representable_any_prime: int
-    representable_twin: int
-    exceptions_any_prime: list
-    exceptions_twin: list
-
-
-def density_report(x: int, table: PrimeTable) -> DensityReport:
-    """Decide representability of every prime q <= x in both modes.
-
-    Each mode is one verify_range over [2, x] that counts q in {2, 3} as
-    failures, so the census follows verify's rule exactly.
-    """
-    if x < 2:
-        raise ValueError(f"density_report requires x >= 2, got {x}")
-    any_prime = verify_range(2, x, Mode.ANY_PRIME, table, include_small=True).summary
-    twin = verify_range(2, x, Mode.TWIN_MIN, table, include_small=True).summary
-    return DensityReport(
-        x=x,
-        total_primes=any_prime.checked,
-        representable_any_prime=any_prime.represented,
-        representable_twin=twin.represented,
-        exceptions_any_prime=any_prime.failures,
-        exceptions_twin=twin.failures,
-    )

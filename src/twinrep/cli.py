@@ -37,12 +37,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .asymptotic import density_report, variance_sweep
+from .asymptotic import variance_sweep
 from .expsum import evaluate_sigma_row
 from .represent import (
     _PIECE,
     Mode,
     ShardSummary,
+    _growth_ratios,
     growth_rows_from_arrays,
     merge_summaries,
     summary_stats,
@@ -396,7 +397,7 @@ class _ShardTask(NamedTuple):
     hi: int
     include_small: bool
     cache: str | None  # TPT1 path; None sieves the shard and its p-bitmap
-    keep_arrays: bool  # return the per-q arrays (records, stats)
+    keep_arrays: bool  # return the per-q arrays (records, a fold)
 
 
 def _run_shard(task: _ShardTask):
@@ -478,10 +479,9 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     one piece being sieved, and while the bitmap doubles, an eighth of the
     filled pieces packed; the measured largest p_q is about half the bound
     (4.59e6 to 1.6e7, 2.22e7 to 2e8).  With --cache the table and its load
-    temporaries come once, since forked workers share them.  The per-q
-    arrays a shard returns, 24 bytes a q, wait in the parent for the whole
-    range with stats (twice, once joined) and for up to two shards a
-    process with records.
+    temporaries come once, since forked workers share them.  With
+    keep_arrays (records or a fold), the per-q arrays a shard returns, 24
+    bytes a q, wait in the parent for up to two shards a process.
     """
     span = min(args.shard_size, hi - lo + 1)
     processes = min(args.workers, -(-(hi - lo + 1) // args.shard_size))  # shards
@@ -491,9 +491,7 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     total = (_SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2 + pbits) * processes
     if args.cache:
         total += _cache_bits(args.cache) * 2
-    if keep_arrays:
-        total += 2 * 24 * _q_bound(mode, hi - lo + 1)
-    elif args.emit_records and processes > 1:
+    if keep_arrays and processes > 1:
         total += 2 * processes * 24 * _q_bound(mode, span)
     return total
 
@@ -599,14 +597,17 @@ def _summary_digest(total: ShardSummary) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = False):
-    """Shared engine for verify and stats: returns (total summary, rep arrays).
+def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None):
+    """Shared engine of verify, stats and density: returns the merged
+    summary, or None when --stop-after-shards ended the run early.
 
     Shards are processed in ascending range order; with workers > 1 the
     pool computes them concurrently but folding still happens in order,
-    so the result is identical for every worker count.  Without --cache
-    no whole-range table exists: each shard sieves its own q-range.
+    so the result is identical for every worker count.  fold(qs, ps, ns)
+    is called with each shard's representations, in range order.  Without
+    --cache no whole-range table exists: each shard sieves its own q-range.
     """
+    keep_arrays = fold is not None or bool(args.emit_records)
     _check_memory(_verify_memory(args, mode, lo, hi, keep_arrays), f"verify over {lo}:{hi}")
     if args.cache:
         # loaded once here, so forked workers inherit it; the floor of 7 is
@@ -639,10 +640,9 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
     resume_bytes = completed[-1]["records_bytes"] if completed else None
     sink = None
     if checkpoint is not None and checkpoint.done_hash is not None:
-        # a complete checkpoint must still fold to the digest it recorded;
-        # merge_summaries folds into its first part, hence the fresh parse
+        # a complete checkpoint must still fold to the digest it recorded
         if len(completed) != len(bounds) or checkpoint.done_hash != _summary_digest(
-            merge_summaries([ShardSummary.from_json_dict(e["summary"]) for e in completed])
+            merge_summaries(summaries)
         ):
             raise ValueError(
                 f"checkpoint {args.checkpoint} shards do not match its DONE digest"
@@ -662,22 +662,17 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
     if args.stop_after_shards is not None:
         # submit only the shards to run, so no worker computes one to discard
         pending = pending[: max(args.stop_after_shards, 1)]
-    arrays: list[tuple] = []
     tasks = [
-        _ShardTask(mode, a, b, bool(args.include_small), args.cache,
-                   keep_arrays or sink is not None)
+        _ShardTask(mode, a, b, bool(args.include_small), args.cache, keep_arrays)
         for a, b in pending
     ]
     try:
         with _shard_results(tasks, args.workers) as results:
             for summary, shard_arrays in results:
                 if sink is not None:
-                    qs, ps, ns = shard_arrays
-                    qf = qs.astype(np.float64)
-                    sink.columns([qs, ps, ns, ps / np.cbrt(qf), ns / np.log(qf)])
-                    del qs, ps, ns, qf
-                if keep_arrays:
-                    arrays.append(shard_arrays)
+                    sink.columns([*shard_arrays, *_growth_ratios(*shard_arrays)])
+                if fold is not None:
+                    fold(*shard_arrays)
                 summaries.append(summary)
                 if checkpoint is not None:
                     records_bytes = sink.sync() if sink is not None else 0
@@ -690,12 +685,12 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, keep_arrays: bool = 
             sink.close()
 
     if len(summaries) < len(bounds):
-        return None, None  # interrupted (stop_after): caller exits without summary
+        return None  # interrupted (stop_after): caller exits without summary
 
     total = merge_summaries(summaries)
     if checkpoint is not None and checkpoint.done_hash is None:
         checkpoint.finish(_summary_digest(total))
-    return total, arrays
+    return total
 
 
 def _cmd_verify(args) -> int:
@@ -708,7 +703,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return EXIT_BAD_INPUT
-    total, _ = _run_sharded_verify(args, mode, lo, hi)
+    total = _run_sharded_verify(args, mode, lo, hi)
     if total is None:
         return EXIT_OK  # interrupted by --stop-after-shards; checkpoint holds progress
     _write_rows(args.out, _VERIFY_HEADER, args.format, [_summary_row(mode, total)])
@@ -717,14 +712,22 @@ def _cmd_verify(args) -> int:
 
 def _cmd_stats(args) -> int:
     lo, hi = args.range
-    total, arrays = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, keep_arrays=True)
-    qs, ps, ns = (np.concatenate(column) for column in zip(*arrays))  # every shard ran
-    if len(qs) == 0:
+    rows = []  # growth rows in ascending bucket order
+
+    def fold(qs, ps, ns):
+        if len(qs) == 0:
+            return
+        shard_rows = growth_rows_from_arrays(qs, ps, ns, args.bucket)
+        if rows and rows[-1].q_bucket == shard_rows[0].q_bucket:  # a bucket across shards
+            rows[-1] = rows[-1].merge(shard_rows.pop(0))
+        rows.extend(shard_rows)
+
+    total = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, fold)  # every shard runs
+    if not rows:
         print("error: no representations found in range", file=sys.stderr)
         return EXIT_BAD_INPUT
     header = ["q_bucket", "count", "max_n", "min_p", "min_p_over_cbrt_q", "max_n_over_log_q"]
-    rows = [vars(row) for row in growth_rows_from_arrays(qs, ps, ns, args.bucket)]
-    _write_rows(args.out, header, args.format, rows)
+    _write_rows(args.out, header, args.format, [vars(row) for row in rows])
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
@@ -811,8 +814,12 @@ def _cmd_variance(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    table = _acquire_table(args, max(args.x, 7))  # the floor of 7 as in verify
-    report = density_report(args.x, table)
+    """Representability of every prime q <= x in both modes: one sharded
+    verify over [2, x] a mode, which counts q = 2 and q = 3 as exceptions."""
+    if args.x < 2:
+        raise ValueError(f"density requires x >= 2, got {args.x}")
+    any_prime = _run_sharded_verify(args, Mode.ANY_PRIME, 2, args.x)
+    twin = _run_sharded_verify(args, Mode.TWIN_MIN, 2, args.x)
     header = [
         "x",
         "total_primes",
@@ -823,10 +830,13 @@ def _cmd_density(args) -> int:
         "exceptions_twin",
     ]
     row = {
-        **vars(report),
-        "density_any_prime": report.representable_any_prime / report.total_primes,
-        "exceptions_any_prime": report.exceptions_any_prime[:32],
-        "exceptions_twin": report.exceptions_twin[:32],
+        "x": args.x,
+        "total_primes": any_prime.checked,
+        "representable_any_prime": any_prime.represented,
+        "representable_twin": twin.represented,
+        "density_any_prime": any_prime.represented / any_prime.checked,
+        "exceptions_any_prime": any_prime.failures[:32],
+        "exceptions_twin": twin.failures[:32],
     }
     _write_rows(args.out, header, args.format, [row])
     return EXIT_OK
@@ -946,7 +956,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="representability census over primes <= x")
     p.add_argument("--x", type=int, required=True)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_density)
+    # the verify engine's settings, fixed; --workers runs each pass in that
+    # many processes, one by default: at --x 5000000 a pool costs more than it saves
+    p.set_defaults(func=_cmd_density, workers=1, include_small=True,
+                   shard_size=DEFAULT_SHARD_SIZE, checkpoint=None, emit_records=None,
+                   stop_after_shards=None)
 
     p = sub.add_parser("mirsky", help="squarefree 4p-1 census (s(y), pi(y))")
     p.add_argument("--y", type=int, required=True)
@@ -986,8 +1000,10 @@ def main(argv=None) -> int:
             raise ValueError("shard-size must be positive")
         if getattr(args, "checkpoint", None) and args.emit_records == "-":
             raise ValueError("cannot resume records emitted to stdout; use a file path")
+        if getattr(args, "bucket", 1) < 1:
+            raise ValueError(f"bucket must be positive, got {args.bucket}")
         if args.subcommand == "stats" and (args.checkpoint or args.stop_after_shards is not None):
-            # growth rows need every shard's per-q arrays; a checkpoint keeps digests only
+            # a checkpoint keeps shard digests, not the growth rows folded so far
             raise ValueError("stats does not resume: drop --checkpoint and --stop-after-shards")
         return args.func(args)
     except (ValueError, CoverageError, OverflowError, FileNotFoundError) as exc:

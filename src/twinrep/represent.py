@@ -261,6 +261,15 @@ def _scan_block(qs: np.ndarray, pbits: _PBits):
     return p_out, n_out, found
 
 
+def _growth_ratios(qs: np.ndarray, ps: np.ndarray, ns: np.ndarray):
+    """(p / cbrt(q), n / log(q)) of each representation, as float64 arrays.
+
+    Digests, records and growth rows all take their ratios from here, so
+    each ratio has the same bits wherever it is printed.  q is converted
+    once for each ratio, so no float copy of it outlives its quotient."""
+    return ps / np.cbrt(qs.astype(np.float64)), ns / np.log(qs.astype(np.float64))
+
+
 @dataclass
 class ShardSummary:
     """Order-dependent mergeable digest of one contiguous q-range.
@@ -302,10 +311,9 @@ class ShardSummary:
         qf, pf, nf = qs[found], ps[found], ns[found]
         block.represented = int(len(qf))
         if len(qf):
-            ratio = pf / np.cbrt(qf.astype(np.float64))
+            ratio, nlog = _growth_ratios(qf, pf, nf)
             i = int(np.argmin(ratio))  # first index, so the smallest q on ties
             block.min_ratio, block.min_ratio_q = float(ratio[i]), int(qf[i])
-            nlog = nf / np.log(qf.astype(np.float64))
             j = int(np.argmax(nlog))
             block.max_nlog, block.max_nlog_q = float(nlog[j]), int(qf[j])
             dich = (2 * pf < qf) & (2 * nf * nf < qf)
@@ -359,19 +367,19 @@ class ShardSummary:
         names = {f.name for f in fields(cls)}
         if d.keys() != names:  # no field may silently take its default
             raise ValueError(f"shard summary fields differ: {sorted(d.keys() ^ names)}")
-        # fresh lists: merge_summaries folds into its first part
-        values = dict(d, failures=list(d["failures"]),
-                      dichotomy_examples=list(d["dichotomy_examples"]))
+        values = dict(d)
         for key in cls._N_DICTS:
             values[key] = {int(k): v for k, v in d[key].items()}
         return cls(**values)
 
 
 def merge_summaries(parts: list[ShardSummary]) -> ShardSummary:
-    """Fold shard digests in ascending range order."""
+    """Fold shard digests in ascending range order into a new digest; the
+    parts are left unchanged."""
     if not parts:
         raise ValueError("merge_summaries needs at least one shard")
-    total = parts[0]
+    total = ShardSummary(lo=parts[0].lo, hi=parts[0].hi)
+    total._fold(parts[0])
     for part in parts[1:]:
         total.merge(part)
     return total
@@ -494,9 +502,25 @@ class GrowthRow:
     min_p_over_cbrt_q: float
     max_n_over_log_q: float
 
+    def merge(self, other: "GrowthRow") -> "GrowthRow":
+        """This row joined with other, a row of the same bucket (one that
+        spans two shards, say)."""
+        return GrowthRow(
+            q_bucket=self.q_bucket,
+            count=self.count + other.count,
+            max_n=max(self.max_n, other.max_n),
+            min_p=min(self.min_p, other.min_p),
+            min_p_over_cbrt_q=min(self.min_p_over_cbrt_q, other.min_p_over_cbrt_q),
+            max_n_over_log_q=max(self.max_n_over_log_q, other.max_n_over_log_q),
+        )
+
 
 def growth_rows_from_arrays(qs, ps, ns, bucket: int) -> list[GrowthRow]:
-    """Bucketed extrema of the map, for plotting or CSV export."""
+    """Bucketed extrema of the map, for plotting or CSV export.
+
+    One pass: a stable sort by bucket, then each bucket's extrema by
+    reduceat over its run of the sorted arrays.
+    """
     if bucket < 1:
         raise ValueError(f"bucket must be positive, got {bucket}")
     if len(qs) == 0:
@@ -505,19 +529,17 @@ def growth_rows_from_arrays(qs, ps, ns, bucket: int) -> list[GrowthRow]:
     ps = np.asarray(ps, dtype=np.int64)
     ns = np.asarray(ns, dtype=np.int64)
     keys = (qs // bucket) * bucket
-    ratio = ps / np.cbrt(qs.astype(np.float64))
-    nlog = ns / np.log(qs.astype(np.float64))
-    rows = []
-    for key in np.unique(keys):
-        sel = keys == key
-        rows.append(
-            GrowthRow(
-                q_bucket=int(key),
-                count=int(np.count_nonzero(sel)),
-                max_n=int(ns[sel].max()),
-                min_p=int(ps[sel].min()),
-                min_p_over_cbrt_q=float(ratio[sel].min()),
-                max_n_over_log_q=float(nlog[sel].max()),
-            )
-        )
-    return rows
+    order = np.argsort(keys, kind="stable")
+    keys, qs, ps, ns = keys[order], qs[order], ps[order], ns[order]
+    ratio, nlog = _growth_ratios(qs, ps, ns)
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
+    counts = np.diff(starts, append=len(keys))
+    columns = zip(
+        keys[starts].tolist(),
+        counts.tolist(),
+        np.maximum.reduceat(ns, starts).tolist(),
+        np.minimum.reduceat(ps, starts).tolist(),
+        np.minimum.reduceat(ratio, starts).tolist(),
+        np.maximum.reduceat(nlog, starts).tolist(),
+    )
+    return [GrowthRow(*values) for values in columns]

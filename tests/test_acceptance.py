@@ -17,12 +17,13 @@ import json
 import math
 import random
 import time
+import types
 
 import numpy as np
 import pytest
 
 from twinrep.arithmetic import is_prime_64, is_squarefree, ramanujan_sum
-from twinrep.asymptotic import density_report, exception_count, variance_sweep
+from twinrep.asymptotic import exception_count, variance_sweep
 from twinrep.cli import main as cli_main
 from twinrep.expsum import sigma_bruteforce, sigma_closed, sigma_complex_check
 from twinrep.represent import (
@@ -327,8 +328,10 @@ def test_criterion_5_variance_ratio_strictly_decreasing(table_1m):
 # -- criterion 6: density of representable primes ----------------------------
 
 
-def test_criterion_6_density_exceptions_are_2_and_3(table_1m):
-    report = density_report(10**6, table_1m)
+def test_criterion_6_density_exceptions_are_2_and_3():
+    code, out, err = _run_cli(["density", "--x", str(10**6), "--format", "jsonl"])
+    assert code == 0, err
+    report = types.SimpleNamespace(**json.loads(out))
     assert report.total_primes == 78498
     assert report.exceptions_any_prime == [2, 3]
     density = report.representable_any_prime / report.total_primes

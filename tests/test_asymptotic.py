@@ -11,7 +11,6 @@ from twinrep.asymptotic import (
     VarianceReport,
     VarianceTerm,
     _psi_rows,
-    density_report,
     exception_count,
     psi,
     variance_sum,
@@ -21,7 +20,6 @@ from twinrep.asymptotic import (
 from twinrep.sieve import (
     CoverageError,
     build_prime_table,
-    prime_count,
     squarefree_mask,
 )
 from twinrep.singular import singular_series_many
@@ -261,37 +259,3 @@ class TestExceptionCount:
     def test_coverage(self, table_1e5):
         with pytest.raises(CoverageError):
             exception_count(4 * 10**5, 1200, table_1e5)
-
-
-class TestDensityReport:
-    def test_example_x10(self, table_1e5):
-        report = density_report(10, table_1e5)
-        assert report.total_primes == 4
-        assert report.exceptions_any_prime == [2, 3]
-        assert report.exceptions_twin == [2, 3]
-
-    @pytest.mark.parametrize("x", range(2, 13))
-    def test_counts_only_primes_up_to_x(self, table_1e5, x):
-        report = density_report(x, table_1e5)
-        assert report.total_primes == prime_count(table_1e5, x)
-        assert all(q <= x for q in report.exceptions_any_prime + report.exceptions_twin)
-        assert report.exceptions_any_prime == [q for q in (2, 3) if q <= x]
-
-    def test_twin_subset_of_any(self, table_1e5):
-        for x in (10, 100, 10**4):
-            report = density_report(x, table_1e5)
-            assert report.representable_twin <= report.representable_any_prime
-            assert report.total_primes == report.representable_any_prime + len(
-                report.exceptions_any_prime
-            )
-
-    def test_matches_scalar_search(self, table_1e5):
-        from twinrep.represent import find_any_prime_representation
-
-        report = density_report(500, table_1e5)
-        expected_exceptions = [
-            int(q)
-            for q in table_1e5.primes()
-            if q <= 500 and find_any_prime_representation(int(q), table_1e5) is None
-        ]
-        assert report.exceptions_any_prime == expected_exceptions == [2, 3]

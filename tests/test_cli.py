@@ -8,6 +8,7 @@ import os
 import signal
 import tempfile
 import time
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from twinrep import cli, represent
 from twinrep.cli import _format_rows, _json_cell, main
+from twinrep.sieve import prime_count
 
 
 def run_cli(argv):
@@ -370,6 +372,54 @@ class TestOtherCommands:
         assert outs[0] == outs[1]
 
 
+def density_report(x):
+    """The CLI's density row as attributes; its exception lists hold up to 32 q."""
+    code, out, err = run_cli(["density", "--x", str(x), "--format", "jsonl"])
+    assert code == 0, err
+    return types.SimpleNamespace(**json.loads(out))
+
+
+class TestDensityReport:
+    def test_example_x10(self):
+        report = density_report(10)
+        assert report.total_primes == 4
+        assert report.exceptions_any_prime == [2, 3]
+        assert report.exceptions_twin == [2, 3]
+
+    @pytest.mark.parametrize("x", range(2, 13))
+    def test_counts_only_primes_up_to_x(self, table_1e5, x):
+        report = density_report(x)
+        assert report.total_primes == prime_count(table_1e5, x)
+        assert all(q <= x for q in report.exceptions_any_prime + report.exceptions_twin)
+        assert report.exceptions_any_prime == [q for q in (2, 3) if q <= x]
+
+    def test_twin_subset_of_any(self):
+        for x in (10, 100, 10**4):
+            report = density_report(x)
+            assert report.representable_twin <= report.representable_any_prime
+            assert report.total_primes == report.representable_any_prime + len(
+                report.exceptions_any_prime
+            )
+
+    def test_matches_scalar_search(self, table_1e5):
+        from twinrep.represent import find_any_prime_representation
+
+        report = density_report(500)
+        expected_exceptions = [
+            int(q)
+            for q in table_1e5.primes()
+            if q <= 500 and find_any_prime_representation(int(q), table_1e5) is None
+        ]
+        assert report.exceptions_any_prime == expected_exceptions == [2, 3]
+
+    def test_worker_count_invariance(self):
+        # [2, 2097153] is two shards of 2^20, so three workers run two processes a pass
+        argv = ["density", "--x", "2097153"]
+        one = run_cli(argv + ["--workers", "1"])
+        assert one[0] == 0
+        assert run_cli(argv + ["--workers", "3"]) == one
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--mode", "twin", "--range", "5:100", "--workers", "0"],
     ["mirsky", "--y", "100", "--workers", "0"],
@@ -422,6 +472,24 @@ def test_any_sharding_matches_single_shard(mode, fmt, shard_size, workers):
         _SINGLE_SHARD[key] = _verify_bytes(mode, fmt, ["--shard-size", "3000", "--workers", "1"])
     got = _verify_bytes(mode, fmt, ["--shard-size", str(shard_size), "--workers", workers])
     assert got == _SINGLE_SHARD[key]
+
+
+_STATS_SINGLE_SHARD: dict = {}
+
+
+@settings(max_examples=25, deadline=None)
+@given(fmt=st.sampled_from(["csv", "jsonl"]), shard_size=st.integers(1, 3500),
+       bucket=st.one_of(st.integers(1, 40), st.integers(41, 4000)),
+       workers=st.sampled_from(["1", "2"]))
+def test_any_stats_sharding_matches_single_shard(fmt, shard_size, bucket, workers):
+    # a bucket spans shards whenever a shard boundary cuts it
+    argv = ["stats", "--range", "5:3000", "--bucket", str(bucket), "--format", fmt]
+    key = (fmt, bucket)
+    if key not in _STATS_SINGLE_SHARD:
+        _STATS_SINGLE_SHARD[key] = run_cli(argv + ["--shard-size", "3000", "--workers", "1"])
+        assert _STATS_SINGLE_SHARD[key][0] == 0
+    got = run_cli(argv + ["--shard-size", str(shard_size), "--workers", workers])
+    assert got == _STATS_SINGLE_SHARD[key]
 
 
 class TestResumeFaults:
@@ -553,7 +621,7 @@ def test_checkpoint_bytes_pinned(tmp_path, mode, digest):
 @pytest.mark.parametrize("extra", [["--checkpoint", "F", "--stop-after-shards", "3"],
                                    ["--checkpoint", "F"], ["--stop-after-shards", "3"]])
 def test_stats_does_not_resume(tmp_path, extra):
-    # growth rows need every shard's per-q arrays, which a checkpoint does not keep
+    # a checkpoint keeps shard digests, not the growth rows folded so far
     out = tmp_path / "out"
     argv = ["stats", "--range", "5:60000", "--bucket", "20000", "--shard-size", "9000",
             "--workers", "1", "--out", str(out)]
@@ -772,6 +840,15 @@ class TestMemoryBudget:
         monkeypatch.setattr(cli, "_memory_budget", lambda: None)  # unreadable: no check
         assert run_cli(argv)[0] == 0
 
+    def test_density_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch):
+        # its prime table to 10^6 would fit 2 MiB; the two verify passes do not
+        monkeypatch.setattr(cli, "_memory_budget", lambda: 2 * 2**20)
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(["density", "--x", "1000000", "--out", str(out)])
+        assert (code, stdout) == (3, "")
+        assert err.startswith("resource failure:")
+        assert not out.exists()
+
     def test_budget_reads_a_positive_figure(self):
         budget = cli._memory_budget()
         assert budget is None or budget > 0
@@ -786,7 +863,8 @@ class TestMemoryBudget:
         assert cli._verify_memory(args, twin, 2 * 10**10, 20_002_000_000, False) > 206 * 2**20
         args.workers = 2
         assert cli._verify_memory(args, twin, 5, 10**7, False) == 2 * small
-        assert cli._verify_memory(args, twin, 5, 10**7, True) > 2 * small  # stats keeps arrays
+        # records or a fold: the arrays of up to two shards a worker wait in the parent
+        assert cli._verify_memory(args, twin, 5, 10**7, True) > 2 * small
 
     def test_cache_adds_its_table_once_to_the_same_estimate(self, tmp_path):
         cache = str(tmp_path / "primes.bin")

@@ -402,8 +402,17 @@ class TestVerifyRange:
         assert summary_stats(clone) == report.stats
         assert clone == report.summary
 
+    def test_merge_leaves_its_parts_unchanged(self, table_1e6):
+        parts = [verify_range(a, b, Mode.TWIN_MIN, table_1e6).summary
+                 for a, b in ((5, 3000), (3001, 6000))]
+        before = [part.to_json_dict() for part in parts]
+        merged = merge_summaries(parts)
+        assert [part.to_json_dict() for part in parts] == before
+        assert merged.to_json_dict() == verify_range(5, 6000, Mode.TWIN_MIN,
+                                                     table_1e6).summary.to_json_dict()
+
     def test_from_json_dict_copies_lists(self):
-        # merge_summaries folds into its first part; the parsed dict must not change
+        # a merge of parsed summaries must leave the parsed dicts unchanged
         first = ShardSummary(lo=1, hi=10, failures=[2], dichotomy_examples=[11]).to_json_dict()
         second = ShardSummary(lo=11, hi=20, failures=[13], dichotomy_examples=[19]).to_json_dict()
         merged = merge_summaries([ShardSummary.from_json_dict(d) for d in (first, second)])
