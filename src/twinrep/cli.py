@@ -597,18 +597,20 @@ def _summary_digest(total: ShardSummary) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None):
+def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_bytes: int = 0):
     """Shared engine of verify, stats and density: returns the merged
     summary, or None when --stop-after-shards ended the run early.
 
     Shards are processed in ascending range order; with workers > 1 the
     pool computes them concurrently but folding still happens in order,
     so the result is identical for every worker count.  fold(qs, ps, ns)
-    is called with each shard's representations, in range order.  Without
-    --cache no whole-range table exists: each shard sieves its own q-range.
+    is called with each shard's representations, in range order, and may
+    keep up to fold_bytes until the run ends.  Without --cache no
+    whole-range table exists: each shard sieves its own q-range.
     """
     keep_arrays = fold is not None or bool(args.emit_records)
-    _check_memory(_verify_memory(args, mode, lo, hi, keep_arrays), f"verify over {lo}:{hi}")
+    _check_memory(_verify_memory(args, mode, lo, hi, keep_arrays) + fold_bytes,
+                  f"verify over {lo}:{hi}")
     if args.cache:
         # loaded once here, so forked workers inherit it; the floor of 7 is
         # part of the exit-code contract: a cache below 7 exits 2
@@ -710,6 +712,12 @@ def _cmd_verify(args) -> int:
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
+# Bytes a growth row takes while stats holds it: tracemalloc holds 276 a
+# GrowthRow, and stats --range 5:10000000 --bucket 1 (664,577 rows) peaks
+# 239 MB, 377 bytes a row, above the same run with --bucket 1000.
+_GROWTH_ROW_BYTES = 400
+
+
 def _cmd_stats(args) -> int:
     lo, hi = args.range
     rows = []  # growth rows in ascending bucket order
@@ -722,7 +730,9 @@ def _cmd_stats(args) -> int:
             rows[-1] = rows[-1].merge(shard_rows.pop(0))
         rows.extend(shard_rows)
 
-    total = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, fold)  # every shard runs
+    # every shard runs, and each bucket holding a representation keeps its row to the end
+    buckets = min(hi // args.bucket - lo // args.bucket + 1, _q_bound(Mode.TWIN_MIN, hi - lo + 1))
+    total = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, fold, _GROWTH_ROW_BYTES * buckets)
     if not rows:
         print("error: no representations found in range", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -785,8 +795,15 @@ def _cmd_variance(args) -> int:
     # with the bool table and the int64 primes it sieves to that limit
     top = max((x * x + x + (y + 1) // 4 for x, y in clamped if y >= 7), default=0)
     lam = 8 * (top + 1) + (top + 1) // 2 + 8 * _q_bound(Mode.ANY_PRIME, top)
-    _check_memory(_table_bytes(args, needed) + lam,
-                  f"a prime table to {needed} and a von Mangoldt table to {top}")
+    # singular_series_many's scratch: its r^2, mark and factor buffers and
+    # the ell, 17 bytes an integer up to the cutoff under tracemalloc (20
+    # counted), and four 8-byte arrays over the kappa = 4p - 1, one a prime
+    # p <= (y + 1) // 4
+    p_top = max((y + 1) // 4 for _, y in clamped)
+    kernel = 20 * args.cutoff + 32 * _q_bound(Mode.ANY_PRIME, p_top)
+    _check_memory(_table_bytes(args, needed) + lam + kernel,
+                  f"a prime table to {needed}, a von Mangoldt table to {top} "
+                  f"and the singular series to {args.cutoff}")
     table = _acquire_table(args, needed)
     reports = variance_sweep(
         runs, args.cutoff, table,

@@ -92,33 +92,50 @@ def singular_series(kappa: int, cutoff: int, table: PrimeTable) -> SingularValue
     )
 
 
-def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> np.ndarray:
-    """Vectorized truncated product for many kappa at once.
+def _mod(u: np.ndarray, ell: int, buf: np.ndarray) -> np.ndarray:
+    """u mod ell as intp in buf's first len(u) slots, without integer %: numpy
+    divides an array by a scalar with a multiply and a shift (Granlund and
+    Montgomery, PLDI 1994), so u - (u // ell) * ell in uint64 beats u % ell."""
+    out = buf[: len(u)]
+    r = out.view(np.uint64)
+    np.floor_divide(u, ell, out=r)
+    np.subtract(u, np.multiply(r, ell, out=r), out=r)
+    return out
 
-    Streams one odd prime ell at a time.  The residues r^2 mod ell for
-    r = 1..(ell-1)/2 are all the nonzero squares, so a table over the
-    residues a mod ell holds the factor 1.0 - 1/d at the squares,
-    1.0 at a = 0 and 1.0 - (-1)/d elsewhere, with d = ell - 1.0.  These
-    are the floats the scalar path computes for the symbols 1, 0 and
-    -1, and every kappa's running product sees them in the same
-    ascending-ell order, so the two agree bit for bit.
+
+def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> np.ndarray:
+    """Vectorized truncated product for many kappa >= 1 at once.
+
+    Streams odd primes ell in ascending order through a table over
+    a = kappa mod ell: 1.0 at a = 0, 1.0 - 1/d where -kappa is a nonzero
+    square, at a = ell - (r^2 mod ell) for r = 1..(ell-1)/2, and
+    1.0 - (-1)/d elsewhere, with d = ell - 1.0: the scalar path's floats
+    for the symbols 0, 1 and -1, multiplied in its order, so the two agree
+    bit for bit.  _mod fills intp buffers, so no index is converted; the
+    gather may clip, since every index is below ell.
     """
     kappas = np.asarray(kappas, dtype=np.int64)
     if cutoff < 3:
         raise ValueError(f"singular_series_many needs cutoff >= 3, got {cutoff}")
     if cutoff > table.limit:
         raise CoverageError(f"cutoff {cutoff} exceeds table limit {table.limit}")
-    values = np.ones(len(kappas), dtype=np.float64)
-    neg_kappas = -kappas
+    if len(kappas) and kappas.min() < 1:
+        raise ValueError(f"singular_series_many needs kappa >= 1, got {kappas.min()}")
     primes = table.primes()
-    for ell in primes[(primes >= 3) & (primes <= cutoff)]:
-        ell = int(ell)
+    ells = primes[(primes >= 3) & (primes <= cutoff)]
+    values = np.ones(len(kappas))  # before the scratch, so freeing that can shrink the heap
+    k = kappas.astype(np.uint64)
+    gathered, residues = np.empty(len(k)), np.empty(len(k), np.intp)
+    squares = np.arange(1, (int(ells[-1]) - 1) // 2 + 1, dtype=np.uint64) ** 2
+    marks, factor = np.empty(len(squares), dtype=np.intp), np.empty(ells[-1])
+    for ell in map(int, ells):
         d = ell - 1.0
-        r = np.arange(1, (ell - 1) // 2 + 1, dtype=np.int64)
-        factor = np.full(ell, 1.0 - (-1) / d)
-        factor[r * r % ell] = 1.0 - 1 / d
+        mark = _mod(squares[: (ell - 1) // 2], ell, marks)
+        np.subtract(ell, mark, out=mark)  # each a at which -kappa is a square
+        factor[:ell] = 1.0 - (-1) / d
+        factor[mark] = 1.0 - 1 / d
         factor[0] = 1.0
-        values *= factor[neg_kappas % ell]
+        values *= np.take(factor[:ell], _mod(k, ell, residues), out=gathered, mode="clip")
     return values
 
 

@@ -218,6 +218,17 @@ class TestOtherCommands:
             "4b7779da4d24e45d80018212b43d5ce85870e9bad6c65f569338a6eb8dfa0acf"
         )
 
+    def test_variance_sweep_bytes_pinned(self, tmp_path):
+        # SHA-256 of the file the int64 % singular-series kernel wrote; a
+        # one-bit drift in any S(kappa) changes it
+        out = tmp_path / "variance.csv"
+        code, _, _ = run_cli(["variance", "--x", "400,560", "--cutoff", "40000",
+                              "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c41ef1f3a651a3019084b713954ea52eb8d47b764d050aee30e43a70bfd44739"
+        )
+
     @pytest.mark.parametrize("extra", [["--x", "0"], ["--x", "10", "--y", "0"],
                                        ["--x", "10", "--y", "101"]])
     def test_variance_rejects_before_writing(self, tmp_path, extra):
@@ -238,6 +249,18 @@ class TestOtherCommands:
                                      "--out", str(out)])
         assert (code, stdout) == (3, "")
         assert err.startswith("resource failure:")
+        assert not out.exists()
+
+    def test_variance_cutoff_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch):
+        # the prime table to 2 * 10^5 (100 KB) and the von Mangoldt table to
+        # 135 fit 2 MiB; the singular series' scratch, 20 bytes an integer up
+        # to the cutoff, does not
+        monkeypatch.setattr(cli, "_memory_budget", lambda: 2 * 2**20)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(["variance", "--x", "10", "--cutoff", "200000",
+                                     "--out", str(out)])
+        assert (code, stdout) == (3, "")
+        assert err.startswith("resource failure:") and "singular series" in err
         assert not out.exists()
 
     def test_variance_records(self, tmp_path):
@@ -848,6 +871,23 @@ class TestMemoryBudget:
         assert (code, stdout) == (3, "")
         assert err.startswith("resource failure:")
         assert not out.exists()
+
+    def test_stats_rows_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch):
+        # the shard and p-bitmap terms fit; with --bucket 1 the growth rows,
+        # one a q with a representation, do not
+        argv = ["stats", "--range", "5:2000000", "--workers", "1"]
+        args = cli.build_parser().parse_args(argv + ["--bucket", "1"])
+        verify = cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 2_000_000, True)
+        monkeypatch.setattr(cli, "_memory_budget", lambda: verify + 8 * 2**20)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(argv + ["--bucket", "1", "--out", str(out)])
+        assert (code, stdout) == (3, "")
+        assert err.startswith("resource failure:")
+        assert not out.exists()
+        # buckets of 10^5 fit the same budget; the last, {2000000}, holds no prime
+        code, _, err = run_cli(argv + ["--bucket", "100000", "--out", str(out)])
+        assert code == 0, err
+        assert len(parse_csv(out.read_text())) == 20
 
     def test_budget_reads_a_positive_figure(self):
         budget = cli._memory_budget()

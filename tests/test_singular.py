@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinrep.arithmetic import euler_phi, is_squarefree, jacobi, mobius
+from twinrep.arithmetic import euler_phi, is_prime_64, is_squarefree, jacobi, mobius
 from twinrep.sieve import CoverageError, mu_phi_tables
 from twinrep.singular import (
     dirichlet_series_partial,
@@ -167,6 +167,67 @@ class TestBatchEvaluation:
         assert batch.tolist() == [
             singular_series(int(k), cutoff, table_1e5).value for k in kappas
         ]
+
+
+def _primes_from(start, step, count):
+    """The first count primes met from start in steps of step (+1 or -1)."""
+    found = []
+    while len(found) < count:
+        found += [start] if is_prime_64(start) else []
+        start += step
+    return found
+
+
+class TestBatchEdges:
+    """singular_series_many against the scalar singular_series, which takes
+    each symbol from jacobi_many, bit for bit at the kernel's edges."""
+
+    # kappa >= 2^32 (p just above 2^30 and 2^38), kappa just below 2^63
+    # (p just below 2^61, from the Mersenne prime 2^61 - 1 down) and the
+    # smallest kappa
+    PS = (_primes_from(2**30, 1, 3) + _primes_from(2**38, 1, 3)
+          + _primes_from(2**61 - 1, -1, 4) + [2, 3, 7, 13, 23])
+
+    def assert_matches_scalar(self, ps, cutoff, table):
+        kappas = np.array([4 * p - 1 for p in ps], dtype=np.int64)
+        batch = singular_series_many(kappas, cutoff, table)
+        assert batch.dtype == np.float64
+        assert [v.hex() for v in batch.tolist()] == [
+            singular_series(int(k), cutoff, table).value.hex() for k in kappas
+        ], cutoff
+
+    def test_kappa_beyond_32_bits(self, table_1e5):
+        assert 4 * self.PS[0] - 1 >= 2**32 and 2**63 - 4 * self.PS[6] < 2**8
+        for cutoff in (3, 4, 5, 1000, 1008, 5000, 20011):
+            self.assert_matches_scalar(self.PS, cutoff, table_1e5)
+
+    def test_cutoff_3_is_one_factor(self, table_1e5):
+        # 1 - (symbol of -kappa over 3)/2: 1/2, 1 or 3/2
+        batch = singular_series_many(np.array([7, 11, 27]), 3, table_1e5)
+        assert batch.tolist() == [1.5, 0.5, 1.0]
+
+    def test_cutoff_between_primes(self, table_1e5):
+        # 1008 lies between the primes 997 and 1009, 10006 between 9973 and 10007
+        ps = [2, 3, 5, 7, 11, 13, 97, 997]
+        kappas = np.array([4 * p - 1 for p in ps])
+        for lo, hi in ((997, 1008), (9973, 10006)):
+            assert singular_series_many(kappas, hi, table_1e5).tolist() == \
+                singular_series_many(kappas, lo, table_1e5).tolist()
+        self.assert_matches_scalar(ps, 1008, table_1e5)
+
+    def test_cutoff_where_squares_pass_32_bits(self, table_2e5):
+        # ell > 131071 = 2 * 65535 + 1 takes r up to 65536 and more, r^2 >= 2^32;
+        # 131101 is the first such ell
+        self.assert_matches_scalar(self.PS[::3], 131_200, table_2e5)
+
+    def test_empty(self, table_1e5):
+        batch = singular_series_many(np.zeros(0, dtype=np.int64), 1000, table_1e5)
+        assert batch.dtype == np.float64 and batch.shape == (0,)
+
+    @pytest.mark.parametrize("kappas", [[0], [-7], [11, 0, 19], [-(2**63)]])
+    def test_kappa_below_1_raises(self, table_1e5, kappas):
+        with pytest.raises(ValueError, match="kappa"):
+            singular_series_many(np.array(kappas, dtype=np.int64), 1000, table_1e5)
 
 
 class TestTailPartial:
