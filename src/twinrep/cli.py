@@ -45,7 +45,6 @@ from .represent import (
     ShardSummary,
     _growth_ratios,
     growth_rows_from_arrays,
-    merge_summaries,
     summary_stats,
     verify_range,
 )
@@ -454,10 +453,11 @@ def _results_ahead(pool, tasks: list[_ShardTask], ahead: int):
 
 
 # Peak bytes of one shard's verify_range per admissible q: its q domain,
-# the scan lanes, the block digests and the per-q arrays it joins.
-# tracemalloc read 58-62 bytes a lane for _scan_block alone and 60-75 bytes
-# a q for whole shards of 2^17 to 2^22 numbers, in all three modes, at
-# 1.6e7 and 2e8.
+# the scan lanes, the block digests and the p and n arrays it fills.
+# tracemalloc (p-bitmap grown first; shards of 2^17 to 2^22 numbers, all three
+# modes, at 1.6e7 and 2e8) read 75 where one block's scan lanes set the peak,
+# 37-50 in longer sun shards, and up to 108 with the q bits in twin and prime
+# shards of 2^17 numbers, which hold a third of the 2y / log y bound.
 _SHARD_BYTES_PER_Q = 80
 
 
@@ -501,44 +501,56 @@ _RECORD_HEADER = ["q", "p", "n", "p_over_cbrt_q", "n_over_log_q"]
 
 class _Checkpoint:
     """Plain-text checkpoint: META line, one JSON line per completed shard,
-    and a final DONE line carrying a digest of the merged summary.
+    and a final DONE line carrying a digest of the folded summary.
 
     Each line is appended with fsync.  A last line without its newline is
-    an append torn by a crash: load ignores it and the next append
-    overwrites it."""
+    an append torn by a crash: shards() ignores it and the next append
+    overwrites it.  No shard is kept: shards() reads one line at a time,
+    and the engine folds each shard as it arrives."""
 
     def __init__(self, path: str):
         self.path = path
-        self.meta: dict | None = None
-        self.shards: list[dict] = []
         self.done_hash: str | None = None
-        self.size = 0  # bytes of complete lines
+        self.size = 0  # bytes of complete lines; 0 until a META line
 
-    @classmethod
-    def load(cls, path: str) -> "_Checkpoint":
-        cp = cls(path)
-        if not os.path.exists(path):
-            return cp
-        with open(path, "rb") as fh:
-            data = fh.read()
-        cp.size = data.rfind(b"\n") + 1
-        for line in data[: cp.size].decode("utf-8").splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            kind, _, payload = line.partition(" ")
-            if kind == "META":
-                cp.meta = json.loads(payload)
-            elif kind == "SHARD":
-                cp.shards.append(json.loads(payload))
-            elif kind == "DONE":
-                cp.done_hash = payload.strip()
-            else:
-                raise ValueError(f"{path}: unrecognized checkpoint line {kind!r}")
-        return cp
+    def shards(self, meta: dict):
+        """Yield (summary, records_bytes) for each complete SHARD line, in
+        file order.  The META line must come first and equal meta; a DONE
+        line sets done_hash."""
+        if not os.path.exists(self.path):
+            return
+        with open(self.path, "rb") as fh:
+            for number, raw in enumerate(fh, 1):
+                if not raw.endswith(b"\n"):
+                    return  # a torn append
+                kind, _, payload = raw.decode("utf-8").strip().partition(" ")
+                if kind == "META" and not self.size:
+                    if json.loads(payload) != meta:
+                        raise ValueError(
+                            f"checkpoint {self.path} was created with different parameters"
+                        )
+                elif kind == "SHARD" and self.size:
+                    yield self._shard(payload, number)
+                elif kind == "DONE" and self.size:
+                    self.done_hash = payload.strip()
+                else:
+                    raise ValueError(f"{self.path}: unexpected checkpoint line {number} ({kind!r})")
+                self.size += len(raw)
 
-    def _append(self, line: str) -> None:
-        data = line.encode("utf-8")
+    def _shard(self, payload: str, number: int) -> tuple[ShardSummary, int]:
+        try:
+            entry = json.loads(payload)
+            summary = ShardSummary.from_json_dict(entry["summary"])
+            records_bytes = entry["records_bytes"]
+            if type(records_bytes) is not int or records_bytes < 0:
+                raise ValueError(f"records_bytes {records_bytes!r}")
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise ValueError(f"checkpoint {self.path}: bad SHARD line {number}: {exc!r}") from exc
+        return summary, records_bytes
+
+    def append(self, kind: str, payload: str) -> None:
+        """Write one line after the complete ones, over any torn line, and fsync it."""
+        data = f"{kind} {payload}\n".encode("utf-8")
         with open(self.path, "r+b" if self.size else "wb") as fh:
             fh.truncate(self.size)
             fh.seek(self.size)
@@ -546,19 +558,6 @@ class _Checkpoint:
             fh.flush()
             os.fsync(fh.fileno())
         self.size += len(data)
-
-    def start(self, meta: dict) -> None:
-        self.meta = meta
-        self.size = 0
-        self._append("META " + json.dumps(meta, sort_keys=True) + "\n")
-
-    def append_shard(self, entry: dict) -> None:
-        self.shards.append(entry)
-        self._append("SHARD " + json.dumps(entry, sort_keys=True) + "\n")
-
-    def finish(self, digest: str) -> None:
-        self.done_hash = digest
-        self._append("DONE " + digest + "\n")
 
 
 _VERIFY_HEADER = [
@@ -598,15 +597,18 @@ def _summary_digest(total: ShardSummary) -> str:
 
 
 def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_bytes: int = 0):
-    """Shared engine of verify, stats and density: returns the merged
-    summary, or None when --stop-after-shards ended the run early.
+    """Shared engine of verify, stats and density: returns the summary of
+    [lo, hi], or None when --stop-after-shards ended the run early.
 
     Shards are processed in ascending range order; with workers > 1 the
     pool computes them concurrently but folding still happens in order,
-    so the result is identical for every worker count.  fold(qs, ps, ns)
-    is called with each shard's representations, in range order, and may
-    keep up to fold_bytes until the run ends.  Without --cache no
-    whole-range table exists: each shard sieves its own q-range.
+    so the result is identical for every worker count.  Each shard, read
+    from the checkpoint or computed, is folded into one running summary as
+    it arrives, so the parent holds one shard digest at a time however
+    many shards the range has.  fold(qs, ps, ns) is called with each
+    computed shard's representations, in range order, and may keep up to
+    fold_bytes until the run ends.  Without --cache no whole-range table
+    exists: each shard sieves its own q-range.
     """
     keep_arrays = fold is not None or bool(args.emit_records)
     _check_memory(_verify_memory(args, mode, lo, hi, keep_arrays) + fold_bytes,
@@ -617,7 +619,7 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
         _acquire_table(args, max(hi, 7))
     bounds = _shard_bounds(lo, hi, args.shard_size)
 
-    checkpoint = _Checkpoint.load(args.checkpoint) if args.checkpoint else None
+    checkpoint = _Checkpoint(args.checkpoint) if args.checkpoint else None
     meta = {
         "mode": mode.value,
         "lo": lo,
@@ -627,25 +629,22 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
         "emit_records": bool(args.emit_records),
         "format": args.format,
     }
-    completed: list[dict] = []
-    if checkpoint is not None and checkpoint.meta is not None:
-        if checkpoint.meta != meta:
-            raise ValueError(
-                f"checkpoint {args.checkpoint} was created with different parameters"
-            )
-        completed = checkpoint.shards
-        for entry, expect in zip(completed, bounds):
-            if (entry["summary"]["lo"], entry["summary"]["hi"]) != expect:
-                raise ValueError(f"checkpoint shard {entry['summary']['lo']} misaligned")
-    summaries = [ShardSummary.from_json_dict(e["summary"]) for e in completed]
+    total = ShardSummary(lo=lo, hi=lo - 1)
+    folded = 0  # shards in total
+    resume_bytes = None  # records bytes of the last shard read from the checkpoint
+    if checkpoint is not None:
+        for summary, resume_bytes in checkpoint.shards(meta):
+            if folded == len(bounds):
+                raise ValueError(f"checkpoint {args.checkpoint} has more shards than the run")
+            if (summary.lo, summary.hi) != bounds[folded]:
+                raise ValueError(f"checkpoint shard {summary.lo} misaligned")
+            total.merge(summary)
+            folded += 1
 
-    resume_bytes = completed[-1]["records_bytes"] if completed else None
     sink = None
     if checkpoint is not None and checkpoint.done_hash is not None:
         # a complete checkpoint must still fold to the digest it recorded
-        if len(completed) != len(bounds) or checkpoint.done_hash != _summary_digest(
-            merge_summaries(summaries)
-        ):
+        if folded != len(bounds) or checkpoint.done_hash != _summary_digest(total):
             raise ValueError(
                 f"checkpoint {args.checkpoint} shards do not match its DONE digest"
             )
@@ -657,13 +656,13 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
             )
     elif args.emit_records:
         sink = _Sink(args.emit_records, _RECORD_HEADER, args.format, resume_bytes)
-    if checkpoint is not None and checkpoint.meta is None:
-        checkpoint.start(meta)
+    if checkpoint is not None and not checkpoint.size:
+        checkpoint.append("META", json.dumps(meta, sort_keys=True))
 
-    pending = bounds[len(completed) :]
+    pending = bounds[folded:]
     if args.stop_after_shards is not None:
         # submit only the shards to run, so no worker computes one to discard
-        pending = pending[: max(args.stop_after_shards, 1)]
+        pending = pending[: args.stop_after_shards]
     tasks = [
         _ShardTask(mode, a, b, bool(args.include_small), args.cache, keep_arrays)
         for a, b in pending
@@ -675,23 +674,22 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
                     sink.columns([*shard_arrays, *_growth_ratios(*shard_arrays)])
                 if fold is not None:
                     fold(*shard_arrays)
-                summaries.append(summary)
                 if checkpoint is not None:
                     records_bytes = sink.sync() if sink is not None else 0
-                    checkpoint.append_shard(
-                        {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
-                    )
-                del shard_arrays  # free this shard's arrays before the next one arrives
+                    entry = {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
+                    checkpoint.append("SHARD", json.dumps(entry, sort_keys=True))
+                total.merge(summary)
+                folded += 1
+                # free this shard's digest and arrays before the next one arrives
+                del summary, shard_arrays
     finally:
         if sink is not None:
             sink.close()
 
-    if len(summaries) < len(bounds):
+    if folded < len(bounds):
         return None  # interrupted (stop_after): caller exits without summary
-
-    total = merge_summaries(summaries)
     if checkpoint is not None and checkpoint.done_hash is None:
-        checkpoint.finish(_summary_digest(total))
+        checkpoint.append("DONE", _summary_digest(total))
     return total
 
 
@@ -1015,6 +1013,8 @@ def main(argv=None) -> int:
             raise ValueError(f"singular needs cutoff >= 4 for its tail, got {args.cutoff}")
         if getattr(args, "shard_size", 1) < 1:
             raise ValueError("shard-size must be positive")
+        if getattr(args, "stop_after_shards", None) is not None and args.stop_after_shards < 1:
+            raise ValueError(f"stop-after-shards must be positive, got {args.stop_after_shards}")
         if getattr(args, "checkpoint", None) and args.emit_records == "-":
             raise ValueError("cannot resume records emitted to stdout; use a file path")
         if getattr(args, "bucket", 1) < 1:

@@ -215,7 +215,7 @@ def _pbits(table: PrimeTable | None, twin: bool) -> _PBits:
     return _PBits(sieve_segment)
 
 
-def _scan_block(qs: np.ndarray, pbits: _PBits):
+def _scan_block(qs: np.ndarray, pbits: _PBits, p_out: np.ndarray, n_out: np.ndarray):
     """Vectorized representation scan over a block of odd q >= 5.
 
     pbits answers membership (twin or prime) of every odd p up to
@@ -223,13 +223,12 @@ def _scan_block(qs: np.ndarray, pbits: _PBits):
     step to step (n -> n - 1 adds n to h) and tries n from n_max down to 1.
     The bitmap is grown only when a scalar bound on the live lanes' largest
     h reaches its end: the bound adds the largest n each step and is reset
-    to the true maximum before each growth.  Returns (p, n, found) arrays;
-    unfound entries are zero.
+    to the true maximum before each growth.  Writes p and n of each found
+    q into p_out and n_out, int64 arrays as long as qs (views of a shard's
+    arrays, say), and leaves the other entries as they were; returns the
+    found mask.
     """
-    count = len(qs)
-    p_out = np.zeros(count, dtype=np.int64)
-    n_out = np.zeros(count, dtype=np.int64)
-    found = np.zeros(count, dtype=bool)
+    found = np.zeros(len(qs), dtype=bool)
     # lane arrays are built and compacted one at a time, in place where numpy
     # allows, so few block-sized temporaries are alive at once
     n = _n_max_vector(qs)
@@ -258,7 +257,7 @@ def _scan_block(qs: np.ndarray, pbits: _PBits):
         idx = idx[keep]
         h = h[keep]
         n = n[keep]
-    return p_out, n_out, found
+    return found
 
 
 def _growth_ratios(qs: np.ndarray, ps: np.ndarray, ns: np.ndarray):
@@ -332,7 +331,7 @@ class ShardSummary:
 
     def merge(self, nxt: "ShardSummary") -> None:
         """Append the digest of the range immediately after this one."""
-        if nxt.lo < self.hi:
+        if nxt.lo != self.hi + 1:
             raise ValueError(f"shard order violated: {self.lo}:{self.hi} then {nxt.lo}:{nxt.hi}")
         self.hi = nxt.hi
         self._fold(nxt)
@@ -353,7 +352,8 @@ class ShardSummary:
         self.dichotomy_examples.extend(nxt.dichotomy_examples[: max(room, 0)])
         self.sqrt_bound_violations += nxt.sqrt_bound_violations
         self.same_n_order_violations += nxt.same_n_order_violations
-        self.same_n_first = nxt.same_n_first | self.same_n_first  # earlier p wins
+        for n, p in nxt.same_n_first.items():
+            self.same_n_first.setdefault(n, p)  # earlier p wins
         self.same_n_last.update(nxt.same_n_last)
 
     def to_json_dict(self) -> dict:
@@ -378,9 +378,8 @@ def merge_summaries(parts: list[ShardSummary]) -> ShardSummary:
     parts are left unchanged."""
     if not parts:
         raise ValueError("merge_summaries needs at least one shard")
-    total = ShardSummary(lo=parts[0].lo, hi=parts[0].hi)
-    total._fold(parts[0])
-    for part in parts[1:]:
+    total = ShardSummary(lo=parts[0].lo, hi=parts[0].lo - 1)
+    for part in parts:
         total.merge(part)
     return total
 
@@ -467,16 +466,16 @@ def verify_range(
         summary.checked += len(smalls)
         summary.failures.extend(smalls)
 
-    qs_all = _domain(lo, hi, mode, _prime_bits(table))
-    q_chunks, p_chunks, n_chunks = [], [], []
-    for start in range(0, len(qs_all), block_size):
-        qs = qs_all[start : start + block_size]
-        ps, ns, found = _scan_block(qs, pbits)
-        summary.absorb_block(qs, ps, ns, found)
-        q_chunks.append(qs[found])
-        p_chunks.append(ps[found])
-        n_chunks.append(ns[found])
-    empty = np.zeros(0, dtype=np.int64)
+    qs = _domain(lo, hi, mode, _prime_bits(table))
+    ps = np.zeros(len(qs), dtype=np.int64)
+    ns = np.zeros(len(qs), dtype=np.int64)
+    for start in range(0, len(qs), block_size):
+        block = slice(start, start + block_size)
+        found = _scan_block(qs[block], pbits, ps[block], ns[block])
+        summary.absorb_block(qs[block], ps[block], ns[block], found)
+    if summary.represented < len(qs):  # keep the represented q alone
+        keep = ps != 0
+        qs, ps, ns = qs[keep], ps[keep], ns[keep]
     return VerificationReport(
         lo=lo,
         hi=hi,
@@ -485,9 +484,9 @@ def verify_range(
         failures=list(summary.failures),
         stats=summary_stats(summary),
         summary=summary,
-        qs=np.concatenate(q_chunks) if q_chunks else empty,
-        ps=np.concatenate(p_chunks) if p_chunks else empty,
-        ns=np.concatenate(n_chunks) if n_chunks else empty,
+        qs=qs,
+        ps=ps,
+        ns=ns,
     )
 
 

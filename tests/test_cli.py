@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -571,7 +572,7 @@ class TestResumeFaults:
         assert "DONE digest" in err
         assert cp.read_text() == "".join(lines)
 
-    @pytest.mark.parametrize("edit", ["drop", "add"])
+    @pytest.mark.parametrize("edit", ["drop", "add", "object", "list", "no-records-bytes"])
     def test_shard_line_with_other_fields_is_exit_2(self, tmp_path, edit):
         paths = self._interrupted(tmp_path)
         lines = open(paths["ck"]).read().splitlines(keepends=True)
@@ -579,17 +580,37 @@ class TestResumeFaults:
         entry = json.loads(payload)
         if edit == "drop":
             del entry["summary"]["checked"]
-        else:
+        elif edit == "add":
             entry["summary"]["extra"] = 0
+        elif edit == "no-records-bytes":
+            del entry["records_bytes"]
+        else:  # valid JSON of another shape
+            entry = {} if edit == "object" else []
         lines[1] = f"{kind} {json.dumps(entry, sort_keys=True)}\n"
         open(paths["ck"], "w").write("".join(lines))
         records = open(paths["rec"], "rb").read()
         code, out, err = self._resume(paths)
         assert (code, out) == (2, "")
-        assert "fields differ" in err
+        assert err.startswith(f"error: checkpoint {paths['ck']}: bad SHARD line 2")
+        if edit in ("drop", "add"):
+            assert "fields differ" in err
         assert open(paths["ck"]).read() == "".join(lines)
         assert open(paths["rec"], "rb").read() == records
         assert not os.path.exists(paths["out"])
+
+    def test_checkpoint_with_more_shards_than_the_run_is_exit_2(self, tmp_path):
+        cp, out = tmp_path / "ck", tmp_path / "out"
+        base = ["verify", "--mode", "twin", "--range", "5:30000", "--shard-size", "8000",
+                "--checkpoint", str(cp)]
+        assert run_cli(base)[0] == 0
+        lines = cp.read_text().splitlines(keepends=True)
+        lines[-1] = lines[-2]  # the last shard again, in place of DONE
+        cp.write_text("".join(lines))
+        code, stdout, err = run_cli(base + ["--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert "more shards" in err
+        assert cp.read_text() == "".join(lines)
+        assert not out.exists()
 
     def test_complete_checkpoint_keeps_records_file(self, tmp_path):
         # the DONE digest does not cover records_bytes, so only the size check catches this
@@ -618,6 +639,39 @@ class TestResumeFaults:
         assert (code, out) == (2, "")
         assert "stdout" in err
         assert not cp.exists()
+
+
+@pytest.mark.parametrize("stop", ["0", "-3"])
+def test_stop_after_no_shards_is_exit_2_before_any_file(tmp_path, stop):
+    code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:30000",
+                              "--shard-size", "8000", "--stop-after-shards", stop,
+                              "--checkpoint", str(tmp_path / "ck"),
+                              "--emit-records", str(tmp_path / "rec"),
+                              "--out", str(tmp_path / "out")])
+    assert (code, out) == (2, "")
+    assert "stop-after-shards" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parent_holds_a_bounded_number_of_digests(tmp_path):
+    # each shard, computed or read back from the checkpoint, is folded into
+    # one running digest as it arrives: no list of shard digests grows
+    def digests():
+        return sum(isinstance(o, represent.ShardSummary) for o in gc.get_objects())
+
+    def fold(qs, ps, ns):
+        live.append(digests() - before)
+
+    args = cli.build_parser().parse_args([
+        "verify", "--mode", "twin", "--range", "5:60004", "--shard-size", "1000",
+        "--workers", "1", "--checkpoint", str(tmp_path / "ck"), "--stop-after-shards", "50"])
+    before, live = digests(), []
+    assert cli._run_sharded_verify(args, represent.Mode.TWIN_MIN, 5, 60004, fold) is None
+    assert len(live) == 50 and max(live) <= 4
+    args.stop_after_shards, live = None, []  # resumed from the 50 shards
+    total = cli._run_sharded_verify(args, represent.Mode.TWIN_MIN, 5, 60004, fold)
+    assert (total.hi, total.checked) == (60004, 6055)  # pi(60004) - 2
+    assert len(live) == 10 and max(live) <= 4
 
 
 def test_workers_default_is_usable_cpus():
@@ -976,7 +1030,7 @@ class TestMemoryBudget:
 
 @_FORKED_WORKERS
 def test_worker_exception_exits_2_promptly(monkeypatch):
-    def broken(qs, pbits):
+    def broken(*args):
         raise ValueError("scan kernel failed")
 
     def hang(signum, frame):
@@ -1004,9 +1058,9 @@ def test_interrupt_while_writing_records_ends_the_pool(tmp_path, monkeypatch):
     # must still end the run promptly and leave no worker behind
     scan = represent._scan_block
 
-    def slow(qs, pbits):
+    def slow(*args):
         time.sleep(0.2)
-        return scan(qs, pbits)
+        return scan(*args)
 
     def interrupt(self, arrays):
         for child in multiprocessing.active_children():
@@ -1039,10 +1093,10 @@ def test_killed_worker_exits_3_promptly(monkeypatch):
     # result: the run must fail rather than wait for that result forever
     scan = represent._scan_block
 
-    def killed(qs, pbits):
+    def killed(qs, *args):
         if qs[0] > 200_000:  # pool workers alone scan, so this kills one of them
             os.kill(os.getpid(), signal.SIGKILL)
-        return scan(qs, pbits)
+        return scan(qs, *args)
 
     def hang(signum, frame):
         raise TimeoutError("verify did not return")

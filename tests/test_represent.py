@@ -34,6 +34,12 @@ def mask_segment(mask):
     return segment
 
 
+def scan(qs, pbits):
+    """_scan_block into fresh zeroed arrays: (p, n, found)."""
+    ps, ns = np.zeros(len(qs), dtype=np.int64), np.zeros(len(qs), dtype=np.int64)
+    return ps, ns, _scan_block(qs, pbits, ps, ns)
+
+
 def sieved_segment(twin):
     return twin_segment if twin else sieve_segment
 
@@ -268,7 +274,7 @@ class TestVerifyRange:
 
         # the kernel alone, on random sorted odd q >= 5 cut into blocks
         qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
-        blocks = [_scan_block(qs[s : s + block], _PBits(bits=mask))
+        blocks = [scan(qs[s : s + block], _PBits(bits=mask))
                   for s in range(0, len(qs), block)]
         assert [np.concatenate(a).tolist() for a in zip(*blocks)] == list(expected(qs.tolist()))
 
@@ -302,7 +308,7 @@ class TestVerifyRange:
         reps = [find(q) for q in qs.tolist()]
         with pieces(width, capacity):
             pbits = _PBits(sieved_segment(twin) if sieved else mask_segment(mask))
-            ps, ns, found = _scan_block(qs, pbits)
+            ps, ns, found = scan(qs, pbits)
         assert ps.tolist() == [r.p if r else 0 for r in reps]
         assert ns.tolist() == [r.n if r else 0 for r in reps]
         assert found.tolist() == [r is not None for r in reps]
@@ -322,7 +328,7 @@ class TestVerifyRange:
             pbits = _PBits(lambda lo, hi, out: visited.append(lo) or source(lo, hi, out=out))
             grow = pbits.grow
             pbits.grow = lambda h: grown.append(h >= pbits.end) or grow(h)
-            ps, ns, found = _scan_block(qs, pbits)
+            ps, ns, found = scan(qs, pbits)
         # ascending, each piece once, none skipped
         assert visited == list(range(1, 2 * pbits.end, 2 * width))
         assert grown.count(True) > 5 and len(pbits.bits) > width  # grew and doubled
@@ -337,9 +343,9 @@ class TestVerifyRange:
         qs = np.array([2 * width * k + 3 for k in range(2, 40)], dtype=np.int64)
         qs = qs[qs >= 5]
         with pieces(width):
-            ps, ns, found = _scan_block(qs, _PBits(mask_segment(np.zeros(qs[-1], dtype=bool))))
+            ps, ns, found = scan(qs, _PBits(mask_segment(np.zeros(qs[-1], dtype=bool))))
             assert not found.any() and not ps.any() and not ns.any()
-            ps, ns, found = _scan_block(qs, _PBits(mask_segment(np.ones(qs[-1], dtype=bool))))
+            ps, ns, found = scan(qs, _PBits(mask_segment(np.ones(qs[-1], dtype=bool))))
             assert found.all() and ns.tolist() == [n_max(q) for q in qs.tolist()]
             # an h on the end of the filled bits grows them by one piece
             pbits = _PBits(mask_segment(np.ones(qs[-1], dtype=bool)))
@@ -389,9 +395,9 @@ class TestVerifyRange:
             calls = []
             source = pbits._segment
             pbits._segment = lambda lo, hi, out: calls.append(lo) or source(lo, hi, out=out)
-            _scan_block(np.array([999_983]), pbits)
+            scan(np.array([999_983]), pbits)
             assert calls and pbits.end >= 85091 // 2
-            _scan_block(np.array([999_983]), pbits)  # the bits are kept
+            scan(np.array([999_983]), pbits)  # the bits are kept
             assert len(calls) == len(set(calls)) == pbits.end // 64
         # prime bits from a table are the table's own, never copied
         assert represent._pbits(table_1e6, False).bits is table_1e6.odd_bits
@@ -410,6 +416,19 @@ class TestVerifyRange:
         assert [part.to_json_dict() for part in parts] == before
         assert merged.to_json_dict() == verify_range(5, 6000, Mode.TWIN_MIN,
                                                      table_1e6).summary.to_json_dict()
+
+    @pytest.mark.parametrize("first, second", [((5, 101), (101, 200)), ((5, 200), (300, 400))])
+    def test_merge_rejects_overlap_and_gap(self, table_1e6, first, second):
+        # merged, the overlap would count q = 101 twice and the gap would
+        # report 5:400 without the q in 201..299
+        head, tail = (verify_range(a, b, Mode.TWIN_MIN, table_1e6).summary
+                      for a, b in (first, second))
+        before = head.to_json_dict()
+        with pytest.raises(ValueError, match="shard order"):
+            head.merge(tail)
+        assert head.to_json_dict() == before
+        with pytest.raises(ValueError, match="shard order"):
+            merge_summaries([head, tail])
 
     def test_from_json_dict_copies_lists(self):
         # a merge of parsed summaries must leave the parsed dicts unchanged
