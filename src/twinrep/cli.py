@@ -37,6 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .arithmetic import is_prime_64
 from .asymptotic import variance_sweep
 from .expsum import evaluate_sigma_row
 from .represent import (
@@ -45,6 +46,7 @@ from .represent import (
     ShardSummary,
     _growth_ratios,
     growth_rows_from_arrays,
+    n_max,
     summary_stats,
     verify_range,
 )
@@ -829,12 +831,18 @@ def _cmd_variance(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    """Representability of every prime q <= x in both modes: one sharded
-    verify over [2, x] a mode, which counts q = 2 and q = 3 as exceptions."""
+    """Representability of every prime q <= x in both modes from one sharded
+    twin verify over [2, x], which counts q = 2 and q = 3 as failures.  A twin
+    prime is a prime, so a q lacks a prime representation only if the pass
+    fails it and q < 5 or no n in 1..n_max(q) makes q - n(n+1) prime."""
     if args.x < 2:
         raise ValueError(f"density requires x >= 2, got {args.x}")
-    any_prime = _run_sharded_verify(args, Mode.ANY_PRIME, 2, args.x)
     twin = _run_sharded_verify(args, Mode.TWIN_MIN, 2, args.x)
+    exceptions = [
+        q for q in twin.failures
+        if q < 5 or not any(is_prime_64(q - n * (n + 1)) for n in range(1, n_max(q) + 1))
+    ]
+    represented = twin.checked - len(exceptions)
     header = [
         "x",
         "total_primes",
@@ -846,11 +854,11 @@ def _cmd_density(args) -> int:
     ]
     row = {
         "x": args.x,
-        "total_primes": any_prime.checked,
-        "representable_any_prime": any_prime.represented,
+        "total_primes": twin.checked,
+        "representable_any_prime": represented,
         "representable_twin": twin.represented,
-        "density_any_prime": any_prime.represented / any_prime.checked,
-        "exceptions_any_prime": any_prime.failures[:32],
+        "density_any_prime": represented / twin.checked,
+        "exceptions_any_prime": exceptions[:32],
         "exceptions_twin": twin.failures[:32],
     }
     _write_rows(args.out, header, args.format, [row])
@@ -858,7 +866,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_mirsky(args) -> int:
-    needed = max(args.y, math.isqrt(4 * args.y) + 1)
+    needed = max(args.y, math.isqrt(4 * args.y) + 1, 2)
     table = _acquire_table(args, needed)
     count, total = squarefree_kappa_census(table, args.y)
     row = {
@@ -971,7 +979,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="representability census over primes <= x")
     p.add_argument("--x", type=int, required=True)
     _add_output_flags(p)
-    # the verify engine's settings, fixed; --workers runs each pass in that
+    # the verify engine's settings, fixed; --workers runs the twin pass in that
     # many processes, one by default: at --x 5000000 a pool costs more than it saves
     p.set_defaults(func=_cmd_density, workers=1, include_small=True,
                    shard_size=DEFAULT_SHARD_SIZE, checkpoint=None, emit_records=None,
@@ -1017,6 +1025,8 @@ def main(argv=None) -> int:
             raise ValueError(f"stop-after-shards must be positive, got {args.stop_after_shards}")
         if getattr(args, "checkpoint", None) and args.emit_records == "-":
             raise ValueError("cannot resume records emitted to stdout; use a file path")
+        if args.subcommand == "mirsky" and args.y < 0:
+            raise ValueError(f"--y must be >= 0, got {args.y}")
         if getattr(args, "bucket", 1) < 1:
             raise ValueError(f"bucket must be positive, got {args.bucket}")
         if args.subcommand == "stats" and (args.checkpoint or args.stop_after_shards is not None):

@@ -40,7 +40,6 @@ __all__ = [
     "find_min_n_twin_representation",
     "find_any_prime_representation",
     "verify_range",
-    "merge_summaries",
     "summary_stats",
     "growth_rows_from_arrays",
 ]
@@ -269,6 +268,22 @@ def _growth_ratios(qs: np.ndarray, ps: np.ndarray, ns: np.ndarray):
     return ps / np.cbrt(qs.astype(np.float64)), ns / np.log(qs.astype(np.float64))
 
 
+def _ints(values) -> bool:
+    return all(type(v) is int for v in values)
+
+
+# The JSON a ShardSummary field's annotation admits: a bool is no int, a
+# list holds ints, and a dict maps the decimal string of each n to its p.
+_JSON_TYPES = {
+    "int": lambda v: type(v) is int,
+    "int | None": lambda v: v is None or type(v) is int,
+    "float | None": lambda v: v is None or type(v) is float,
+    "list": lambda v: type(v) is list and _ints(v),
+    "dict": lambda v: type(v) is dict and _ints(v.values())
+    and all(type(k) is str and k.isascii() and k.isdecimal() for k in v),
+}
+
+
 @dataclass
 class ShardSummary:
     """Order-dependent mergeable digest of one contiguous q-range.
@@ -367,21 +382,13 @@ class ShardSummary:
         names = {f.name for f in fields(cls)}
         if d.keys() != names:  # no field may silently take its default
             raise ValueError(f"shard summary fields differ: {sorted(d.keys() ^ names)}")
+        for f in fields(cls):
+            if not _JSON_TYPES[f.type](d[f.name]):
+                raise ValueError(f"shard summary field {f.name} is not {f.type}")
         values = dict(d)
         for key in cls._N_DICTS:
             values[key] = {int(k): v for k, v in d[key].items()}
         return cls(**values)
-
-
-def merge_summaries(parts: list[ShardSummary]) -> ShardSummary:
-    """Fold shard digests in ascending range order into a new digest; the
-    parts are left unchanged."""
-    if not parts:
-        raise ValueError("merge_summaries needs at least one shard")
-    total = ShardSummary(lo=parts[0].lo, hi=parts[0].lo - 1)
-    for part in parts:
-        total.merge(part)
-    return total
 
 
 def summary_stats(summary: ShardSummary) -> dict:

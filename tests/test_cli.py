@@ -286,6 +286,17 @@ class TestOtherCommands:
         row = parse_csv(out)[0]
         assert (row["s_y"], row["pi_y"]) == ("128", "168")
 
+    def test_mirsky_at_the_edge(self, tmp_path):
+        # below 2 no prime is counted: --y 0 prints the zero row, as --y 1 does
+        for y in ("0", "1"):
+            row = f"y,s_y,pi_y,fraction\n{y},0,0,0.000000\n"
+            assert run_cli(["mirsky", "--y", y]) == (0, row, "")
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(["mirsky", "--y", "-5", "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err == "error: --y must be >= 0, got -5\n"
+        assert not out.exists()
+
     def test_singular_covers_pmax_past_cutoff(self):
         code, out, err = run_cli(["singular", "--pmax", "100", "--cutoff", "50"])
         assert code == 0, err
@@ -437,11 +448,54 @@ class TestDensityReport:
         assert report.exceptions_any_prime == expected_exceptions == [2, 3]
 
     def test_worker_count_invariance(self):
-        # [2, 2097153] is two shards of 2^20, so three workers run two processes a pass
+        # [2, 2097153] is two shards of 2^20, so three workers run two processes
         argv = ["density", "--x", "2097153"]
         one = run_cli(argv + ["--workers", "1"])
         assert one[0] == 0
         assert run_cli(argv + ["--workers", "3"]) == one
+
+
+class TestDensityOnePass:
+    """density runs the engine once, in twin mode, and finds the any-prime
+    exceptions among that pass's failures."""
+
+    @staticmethod
+    def spy(monkeypatch, extra_failures=()):
+        """Record each engine call's (mode, lo, hi); the summary it returns
+        also fails extra_failures."""
+        engine, calls = cli._run_sharded_verify, []
+
+        def spied(args, mode, lo, hi, *rest):
+            calls.append((mode, lo, hi))
+            total = engine(args, mode, lo, hi, *rest)
+            total.failures = sorted({*total.failures, *extra_failures})
+            return total
+        monkeypatch.setattr(cli, "_run_sharded_verify", spied)
+        return calls
+
+    def test_one_twin_pass(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        assert density_report(10_000).exceptions_any_prime == [2, 3]
+        assert calls == [(represent.Mode.TWIN_MIN, 2, 10_000)]
+
+    def test_exact_check_matches_the_prime_scan(self, monkeypatch, table_1e5):
+        # every prime q <= 10^5 goes through the check, as if the twin pass failed it
+        primes = table_1e5.primes().tolist()
+        self.spy(monkeypatch, primes)
+        report = density_report(100_000)
+        expected = [q for q in primes
+                    if represent.find_any_prime_representation(q, table_1e5) is None]
+        assert report.exceptions_any_prime == expected[:32]
+        assert report.representable_any_prime == len(primes) - len(expected)
+        assert report.exceptions_twin == primes[:32]
+
+    def test_a_twin_failure_with_a_prime_representation(self, monkeypatch):
+        # 7 = 5 + 1*2 and 5 is a twin prime; as a twin failure 7 still has p = 5
+        self.spy(monkeypatch, [7])
+        report = density_report(100)
+        assert report.exceptions_twin == [2, 3, 7]
+        assert report.exceptions_any_prime == [2, 3]
+        assert report.representable_any_prime == report.total_primes - 2 == 23
 
 
 @pytest.mark.parametrize("argv", [
@@ -572,7 +626,17 @@ class TestResumeFaults:
         assert "DONE digest" in err
         assert cp.read_text() == "".join(lines)
 
-    @pytest.mark.parametrize("edit", ["drop", "add", "object", "list", "no-records-bytes"])
+    WRONG_TYPES = {  # a field of the first shard's summary and a value of the wrong type
+        "str-count": ("checked", "7"),
+        "bool-count": ("represented", True),
+        "str-ratio": ("min_ratio", "0.5"),
+        "float-q": ("max_nlog_q", 7.0),
+        "float-failure": ("failures", [7.0]),
+        "str-p": ("same_n_first", {"1": "3"}),
+    }
+
+    @pytest.mark.parametrize("edit", ["drop", "add", "object", "list", "no-records-bytes",
+                                      *WRONG_TYPES])
     def test_shard_line_with_other_fields_is_exit_2(self, tmp_path, edit):
         paths = self._interrupted(tmp_path)
         lines = open(paths["ck"]).read().splitlines(keepends=True)
@@ -584,6 +648,9 @@ class TestResumeFaults:
             entry["summary"]["extra"] = 0
         elif edit == "no-records-bytes":
             del entry["records_bytes"]
+        elif edit in self.WRONG_TYPES:
+            key, value = self.WRONG_TYPES[edit]
+            entry["summary"][key] = value
         else:  # valid JSON of another shape
             entry = {} if edit == "object" else []
         lines[1] = f"{kind} {json.dumps(entry, sort_keys=True)}\n"
@@ -594,6 +661,8 @@ class TestResumeFaults:
         assert err.startswith(f"error: checkpoint {paths['ck']}: bad SHARD line 2")
         if edit in ("drop", "add"):
             assert "fields differ" in err
+        if edit in self.WRONG_TYPES:
+            assert f"field {self.WRONG_TYPES[edit][0]} is not" in err
         assert open(paths["ck"]).read() == "".join(lines)
         assert open(paths["rec"], "rb").read() == records
         assert not os.path.exists(paths["out"])
@@ -918,7 +987,7 @@ class TestMemoryBudget:
         assert run_cli(argv)[0] == 0
 
     def test_density_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch):
-        # its prime table to 10^6 would fit 2 MiB; the two verify passes do not
+        # its prime table to 10^6 would fit 2 MiB; its verify pass does not
         monkeypatch.setattr(cli, "_memory_budget", lambda: 2 * 2**20)
         out = tmp_path / "out"
         code, stdout, err = run_cli(["density", "--x", "1000000", "--out", str(out)])

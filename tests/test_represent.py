@@ -17,12 +17,20 @@ from twinrep.represent import (
     find_min_n_twin_representation,
     find_min_twin_representation,
     growth_rows_from_arrays,
-    merge_summaries,
     n_max,
     summary_stats,
     verify_range,
 )
 from twinrep.sieve import CoverageError, build_prime_table, sieve_segment, twin_segment
+
+
+def merged(parts):
+    """The digest of the parts' ranges: ShardSummary.merge of each part, in
+    order, into an empty digest, as the CLI folds shards."""
+    total = ShardSummary(lo=parts[0].lo, hi=parts[0].lo - 1)
+    for part in parts:
+        total.merge(part)
+    return total
 
 
 def mask_segment(mask):
@@ -221,10 +229,10 @@ class TestVerifyRange:
             verify_range(a, b, Mode.TWIN_MIN, table_1e6).summary
             for a, b in bounds
         ]
-        merged = merge_summaries(parts)
-        assert summary_stats(merged) == whole.stats
-        assert merged.checked == whole.checked
-        assert merged.failures == whole.failures
+        total = merged(parts)
+        assert summary_stats(total) == whole.stats
+        assert total.checked == whole.checked
+        assert total.failures == whole.failures
 
     def test_coverage_errors(self, table_1e5):
         with pytest.raises(CoverageError):
@@ -247,7 +255,7 @@ class TestVerifyRange:
                          block_size=block).summary
             for a, b in bounds
         ]
-        assert merge_summaries(parts).to_json_dict() == whole.summary.to_json_dict()
+        assert merged(parts).to_json_dict() == whole.summary.to_json_dict()
         # same_n_first/last against a walk in ascending q
         first, last = {}, {}
         for p, n in zip(whole.ps.tolist(), whole.ns.tolist()):
@@ -412,10 +420,10 @@ class TestVerifyRange:
         parts = [verify_range(a, b, Mode.TWIN_MIN, table_1e6).summary
                  for a, b in ((5, 3000), (3001, 6000))]
         before = [part.to_json_dict() for part in parts]
-        merged = merge_summaries(parts)
+        total = merged(parts)
         assert [part.to_json_dict() for part in parts] == before
-        assert merged.to_json_dict() == verify_range(5, 6000, Mode.TWIN_MIN,
-                                                     table_1e6).summary.to_json_dict()
+        assert total.to_json_dict() == verify_range(5, 6000, Mode.TWIN_MIN,
+                                                    table_1e6).summary.to_json_dict()
 
     @pytest.mark.parametrize("first, second", [((5, 101), (101, 200)), ((5, 200), (300, 400))])
     def test_merge_rejects_overlap_and_gap(self, table_1e6, first, second):
@@ -428,14 +436,14 @@ class TestVerifyRange:
             head.merge(tail)
         assert head.to_json_dict() == before
         with pytest.raises(ValueError, match="shard order"):
-            merge_summaries([head, tail])
+            merged([head, tail])
 
     def test_from_json_dict_copies_lists(self):
         # a merge of parsed summaries must leave the parsed dicts unchanged
         first = ShardSummary(lo=1, hi=10, failures=[2], dichotomy_examples=[11]).to_json_dict()
         second = ShardSummary(lo=11, hi=20, failures=[13], dichotomy_examples=[19]).to_json_dict()
-        merged = merge_summaries([ShardSummary.from_json_dict(d) for d in (first, second)])
-        assert (merged.failures, merged.dichotomy_examples) == ([2, 13], [11, 19])
+        total = merged([ShardSummary.from_json_dict(d) for d in (first, second)])
+        assert (total.failures, total.dichotomy_examples) == ([2, 13], [11, 19])
         assert (first["failures"], first["dichotomy_examples"]) == ([2], [11])
 
 
