@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import errno
 import functools
 import hashlib
 import itertools
@@ -600,7 +601,8 @@ def _summary_digest(total: ShardSummary) -> str:
 
 def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_bytes: int = 0):
     """Shared engine of verify, stats and density: returns the summary of
-    [lo, hi], or None when --stop-after-shards ended the run early.
+    [lo, hi] or raises.  A run cut short, by Ctrl-C or a crash, leaves a
+    checkpoint that a rerun of the same command resumes to identical bytes.
 
     Shards are processed in ascending range order; with workers > 1 the
     pool computes them concurrently but folding still happens in order,
@@ -632,7 +634,7 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
         "format": args.format,
     }
     total = ShardSummary(lo=lo, hi=lo - 1)
-    folded = 0  # shards in total
+    folded = 0  # shards read back from the checkpoint
     resume_bytes = None  # records bytes of the last shard read from the checkpoint
     if checkpoint is not None:
         for summary, resume_bytes in checkpoint.shards(meta):
@@ -661,13 +663,9 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
     if checkpoint is not None and not checkpoint.size:
         checkpoint.append("META", json.dumps(meta, sort_keys=True))
 
-    pending = bounds[folded:]
-    if args.stop_after_shards is not None:
-        # submit only the shards to run, so no worker computes one to discard
-        pending = pending[: args.stop_after_shards]
     tasks = [
         _ShardTask(mode, a, b, bool(args.include_small), args.cache, keep_arrays)
-        for a, b in pending
+        for a, b in bounds[folded:]
     ]
     try:
         with _shard_results(tasks, args.workers) as results:
@@ -681,15 +679,12 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
                     entry = {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
                     checkpoint.append("SHARD", json.dumps(entry, sort_keys=True))
                 total.merge(summary)
-                folded += 1
                 # free this shard's digest and arrays before the next one arrives
                 del summary, shard_arrays
     finally:
         if sink is not None:
             sink.close()
 
-    if folded < len(bounds):
-        return None  # interrupted (stop_after): caller exits without summary
     if checkpoint is not None and checkpoint.done_hash is None:
         checkpoint.append("DONE", _summary_digest(total))
     return total
@@ -706,8 +701,6 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_BAD_INPUT
     total = _run_sharded_verify(args, mode, lo, hi)
-    if total is None:
-        return EXIT_OK  # interrupted by --stop-after-shards; checkpoint holds progress
     _write_rows(args.out, _VERIFY_HEADER, args.format, [_summary_row(mode, total)])
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
@@ -921,16 +914,15 @@ def _add_output_flags(sub) -> None:
 
 
 def _add_shard_flags(sub) -> None:
-    """The range, sharding, checkpoint and record flags shared by verify and stats."""
+    """The range, sharding and record flags shared by verify and stats; only
+    verify takes --checkpoint, since stats folds growth rows a checkpoint
+    does not keep."""
     sub.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
     sub.add_argument("--include-small", action="store_true",
                      help="count q in {2,3} (no admissible n) as failures")
     sub.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE)
-    sub.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs")
     sub.add_argument("--emit-records", default=None, metavar="PATH",
                      help="stream per-q records to PATH ('-': stdout)")
-    sub.add_argument("--stop-after-shards", type=int, default=None,
-                     help="stop after N shards (testing aid for checkpoint resume)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -943,6 +935,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify representability over a q-range")
     p.add_argument("--mode", choices=("twin", "prime", "sun"), required=True)
     _add_shard_flags(p)
+    p.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -950,7 +943,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bucket", type=int, required=True)
     _add_shard_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_stats)
+    p.set_defaults(func=_cmd_stats, checkpoint=None)
 
     p = sub.add_parser("sigma", help="exponential-sum grid report")
     p.add_argument("--qmax", type=int, required=True)
@@ -982,8 +975,7 @@ def build_parser() -> argparse.ArgumentParser:
     # the verify engine's settings, fixed; --workers runs the twin pass in that
     # many processes, one by default: at --x 5000000 a pool costs more than it saves
     p.set_defaults(func=_cmd_density, workers=1, include_small=True,
-                   shard_size=DEFAULT_SHARD_SIZE, checkpoint=None, emit_records=None,
-                   stop_after_shards=None)
+                   shard_size=DEFAULT_SHARD_SIZE, checkpoint=None, emit_records=None)
 
     p = sub.add_parser("mirsky", help="squarefree 4p-1 census (s(y), pi(y))")
     p.add_argument("--y", type=int, required=True)
@@ -1021,24 +1013,23 @@ def main(argv=None) -> int:
             raise ValueError(f"singular needs cutoff >= 4 for its tail, got {args.cutoff}")
         if getattr(args, "shard_size", 1) < 1:
             raise ValueError("shard-size must be positive")
-        if getattr(args, "stop_after_shards", None) is not None and args.stop_after_shards < 1:
-            raise ValueError(f"stop-after-shards must be positive, got {args.stop_after_shards}")
         if getattr(args, "checkpoint", None) and args.emit_records == "-":
             raise ValueError("cannot resume records emitted to stdout; use a file path")
         if args.subcommand == "mirsky" and args.y < 0:
             raise ValueError(f"--y must be >= 0, got {args.y}")
         if getattr(args, "bucket", 1) < 1:
             raise ValueError(f"bucket must be positive, got {args.bucket}")
-        if args.subcommand == "stats" and (args.checkpoint or args.stop_after_shards is not None):
-            # a checkpoint keeps shard digests, not the growth rows folded so far
-            raise ValueError("stats does not resume: drop --checkpoint and --stop-after-shards")
         return args.func(args)
-    except (ValueError, CoverageError, OverflowError, FileNotFoundError) as exc:
+    except (ValueError, CoverageError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (ResourceLimitError, MemoryError) as exc:
         print(f"resource failure: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except OSError as exc:  # a path that is a directory, a full disk, ...
+        resource = exc.errno in (errno.ENOSPC, errno.EDQUOT, errno.ENOMEM, errno.EAGAIN)
+        print(f"{'resource failure' if resource else 'error'}: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE if resource else EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -385,7 +385,8 @@ class ShardSummary:
         for f in fields(cls):
             if not _JSON_TYPES[f.type](d[f.name]):
                 raise ValueError(f"shard summary field {f.name} is not {f.type}")
-        values = dict(d)
+        # copies, so a merge into the summary leaves d as it was
+        values = {k: v.copy() if isinstance(v, list) else v for k, v in d.items()}
         for key in cls._N_DICTS:
             values[key] = {int(k): v for k, v in d[key].items()}
         return cls(**values)

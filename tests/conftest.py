@@ -1,4 +1,6 @@
 import contextlib
+import json
+import os
 
 import pytest
 
@@ -45,6 +47,26 @@ def pieces():
     (default width), so a scan grows and doubles them; forked workers
     inherit it."""
     return _pieces
+
+
+def _cut_checkpoint(checkpoint, shards, records=None):
+    with open(checkpoint, "rb") as fh:
+        lines = fh.readlines()[: 1 + shards]
+    assert len(lines) == 1 + shards and all(line.startswith(b"SHARD ") for line in lines[1:])
+    with open(checkpoint, "wb") as fh:
+        fh.writelines(lines)
+    if records is not None:
+        os.truncate(records, json.loads(lines[-1].split(b" ", 1)[1])["records_bytes"])
+
+
+@pytest.fixture(scope="session")
+def cut_checkpoint():
+    """cut_checkpoint(checkpoint, k, records=None) leaves a finished run's
+    checkpoint as a run stopped after k shards does: its META line and first
+    k SHARD lines.  With records, that file is cut to the k-th shard's
+    records_bytes; without, it stays longer, as after a crash between a
+    shard's records sync and its SHARD line."""
+    return _cut_checkpoint
 
 
 def pytest_runtest_logreport(report):

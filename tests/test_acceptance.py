@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import os
 import random
 import time
 import types
@@ -487,20 +488,21 @@ def test_criterion_9_outputs_byte_identical_across_workers(tmp_path):
     assert files[0] == files[1]
 
 
-def test_criterion_9_checkpoint_resume_byte_identical(tmp_path):
+def test_criterion_9_checkpoint_resume_byte_identical(tmp_path, cut_checkpoint):
     base = ["verify", "--mode", "twin", "--range", "5:250000", "--shard-size", "30000"]
     ref_sum, ref_rec = str(tmp_path / "a.csv"), str(tmp_path / "ar.csv")
     assert _run_cli(base + ["--out", ref_sum, "--emit-records", ref_rec])[0] == 0
     cp = str(tmp_path / "ck.txt")
     got_sum, got_rec = str(tmp_path / "b.csv"), str(tmp_path / "br.csv")
-    for stop in ("2", "5", None):  # interrupt twice, then run to completion
-        argv = base + ["--out", got_sum, "--emit-records", got_rec, "--checkpoint", cp]
-        if stop:
-            argv += ["--stop-after-shards", stop]
+    argv = base + ["--out", got_sum, "--emit-records", got_rec, "--checkpoint", cp]
+    assert _run_cli(argv)[0] == 0
+    for stop in (2, 5):  # stopped after that many shards, then run to completion
+        cut_checkpoint(cp, stop, got_rec)
+        os.unlink(got_sum)
         assert _run_cli(argv)[0] == 0
-    assert open(cp).read().splitlines()[-1].startswith("DONE ")
-    assert open(got_sum, "rb").read() == open(ref_sum, "rb").read()
-    assert open(got_rec, "rb").read() == open(ref_rec, "rb").read()
+        assert open(cp).read().splitlines()[-1].startswith("DONE ")
+        assert open(got_sum, "rb").read() == open(ref_sum, "rb").read()
+        assert open(got_rec, "rb").read() == open(ref_rec, "rb").read()
 
 
 def test_criterion_9_jsonl_matches_csv_values(tmp_path):

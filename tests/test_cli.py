@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import errno
 import gc
 import hashlib
 import io
@@ -6,6 +8,8 @@ import json
 import math
 import multiprocessing
 import os
+import pathlib
+import re
 import signal
 import tempfile
 import time
@@ -85,7 +89,7 @@ class TestVerifyCommand:
             outs.append(open(path, "rb").read())
         assert outs[0] == outs[1]
 
-    def test_checkpoint_resume_byte_identical(self, tmp_path):
+    def test_checkpoint_resume_byte_identical(self, tmp_path, cut_checkpoint):
         base = ["verify", "--mode", "twin", "--range", "5:90000", "--shard-size", "11000"]
         ref_out = str(tmp_path / "ref.csv")
         ref_rec = str(tmp_path / "ref-rec.csv")
@@ -97,9 +101,11 @@ class TestVerifyCommand:
         out = str(tmp_path / "resumed.csv")
         rec = str(tmp_path / "resumed-rec.csv")
         code, _, _ = run_cli(base + ["--out", out, "--emit-records", rec,
-                                     "--checkpoint", cp, "--stop-after-shards", "3",
-                                     "--workers", "1"])
+                                     "--checkpoint", cp, "--workers", "1"])
         assert code == 0
+        # stopped after 3 shards, with the records of later shards already written
+        cut_checkpoint(cp, 3)
+        os.unlink(out)
         lines = open(cp).read().splitlines()
         assert lines[0].startswith("META ") and len(lines) == 4  # META + 3 shards
         code, _, _ = run_cli(base + ["--out", out, "--emit-records", rec,
@@ -119,11 +125,11 @@ class TestVerifyCommand:
         assert run_cli(base + ["--out", out2])[0] == 0  # everything from checkpoint
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
-    def test_checkpoint_parameter_mismatch_rejected(self, tmp_path):
+    def test_checkpoint_parameter_mismatch_rejected(self, tmp_path, cut_checkpoint):
         cp = str(tmp_path / "ck.txt")
         assert run_cli(["verify", "--mode", "twin", "--range", "5:30000",
-                        "--shard-size", "8000", "--checkpoint", cp,
-                        "--stop-after-shards", "1"])[0] == 0
+                        "--shard-size", "8000", "--checkpoint", cp])[0] == 0
+        cut_checkpoint(cp, 1)
         code, _, err = run_cli(["verify", "--mode", "twin", "--range", "5:30000",
                                 "--shard-size", "9999", "--checkpoint", cp])
         assert code == 2
@@ -574,21 +580,22 @@ class TestResumeFaults:
     BASE = ["verify", "--mode", "twin", "--range", "5:90000", "--shard-size", "11000",
             "--workers", "1"]
 
-    def _interrupted(self, tmp_path):
+    def _interrupted(self, tmp_path, cut_checkpoint):
+        """A run stopped after 3 of its 9 shards, with no summary written."""
         paths = {k: str(tmp_path / k) for k in ("ck", "out", "rec", "ref-out", "ref-rec")}
         assert run_cli(self.BASE + ["--out", paths["ref-out"],
                                     "--emit-records", paths["ref-rec"]])[0] == 0
-        assert run_cli(self.BASE + ["--out", paths["out"], "--emit-records", paths["rec"],
-                                    "--checkpoint", paths["ck"],
-                                    "--stop-after-shards", "3"])[0] == 0
+        assert run_cli(self.BASE + ["--emit-records", paths["rec"],
+                                    "--checkpoint", paths["ck"]])[0] == 0
+        cut_checkpoint(paths["ck"], 3, paths["rec"])
         return paths
 
     def _resume(self, paths):
         return run_cli(self.BASE + ["--out", paths["out"], "--emit-records", paths["rec"],
                                     "--checkpoint", paths["ck"]])
 
-    def test_torn_last_checkpoint_line_is_dropped(self, tmp_path):
-        paths = self._interrupted(tmp_path)
+    def test_torn_last_checkpoint_line_is_dropped(self, tmp_path, cut_checkpoint):
+        paths = self._interrupted(tmp_path, cut_checkpoint)
         with open(paths["ck"], "a") as fh:
             fh.write('SHARD {"records_bytes": 12')
         code, _, err = self._resume(paths)
@@ -598,8 +605,8 @@ class TestResumeFaults:
         assert open(paths["out"], "rb").read() == open(paths["ref-out"], "rb").read()
         assert open(paths["rec"], "rb").read() == open(paths["ref-rec"], "rb").read()
 
-    def test_short_records_file_is_exit_2(self, tmp_path):
-        paths = self._interrupted(tmp_path)
+    def test_short_records_file_is_exit_2(self, tmp_path, cut_checkpoint):
+        paths = self._interrupted(tmp_path, cut_checkpoint)
         os.truncate(paths["rec"], 100)
         checkpoint = open(paths["ck"], "rb").read()
         code, _, err = self._resume(paths)
@@ -637,8 +644,8 @@ class TestResumeFaults:
 
     @pytest.mark.parametrize("edit", ["drop", "add", "object", "list", "no-records-bytes",
                                       *WRONG_TYPES])
-    def test_shard_line_with_other_fields_is_exit_2(self, tmp_path, edit):
-        paths = self._interrupted(tmp_path)
+    def test_shard_line_with_other_fields_is_exit_2(self, tmp_path, cut_checkpoint, edit):
+        paths = self._interrupted(tmp_path, cut_checkpoint)
         lines = open(paths["ck"]).read().splitlines(keepends=True)
         kind, payload = lines[1].split(" ", 1)
         entry = json.loads(payload)
@@ -710,19 +717,7 @@ class TestResumeFaults:
         assert not cp.exists()
 
 
-@pytest.mark.parametrize("stop", ["0", "-3"])
-def test_stop_after_no_shards_is_exit_2_before_any_file(tmp_path, stop):
-    code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:30000",
-                              "--shard-size", "8000", "--stop-after-shards", stop,
-                              "--checkpoint", str(tmp_path / "ck"),
-                              "--emit-records", str(tmp_path / "rec"),
-                              "--out", str(tmp_path / "out")])
-    assert (code, out) == (2, "")
-    assert "stop-after-shards" in err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_parent_holds_a_bounded_number_of_digests(tmp_path):
+def test_parent_holds_a_bounded_number_of_digests(tmp_path, cut_checkpoint):
     # each shard, computed or read back from the checkpoint, is folded into
     # one running digest as it arrives: no list of shard digests grows
     def digests():
@@ -731,15 +726,19 @@ def test_parent_holds_a_bounded_number_of_digests(tmp_path):
     def fold(qs, ps, ns):
         live.append(digests() - before)
 
+    ck = tmp_path / "ck"
     args = cli.build_parser().parse_args([
         "verify", "--mode", "twin", "--range", "5:60004", "--shard-size", "1000",
-        "--workers", "1", "--checkpoint", str(tmp_path / "ck"), "--stop-after-shards", "50"])
+        "--workers", "1", "--checkpoint", str(ck)])
     before, live = digests(), []
-    assert cli._run_sharded_verify(args, represent.Mode.TWIN_MIN, 5, 60004, fold) is None
-    assert len(live) == 50 and max(live) <= 4
-    args.stop_after_shards, live = None, []  # resumed from the 50 shards
     total = cli._run_sharded_verify(args, represent.Mode.TWIN_MIN, 5, 60004, fold)
     assert (total.hi, total.checked) == (60004, 6055)  # pi(60004) - 2
+    assert len(live) == 60 and max(live) <= 4
+    del total
+    cut_checkpoint(ck, 50)
+    live = []  # resumed from the 50 shards
+    total = cli._run_sharded_verify(args, represent.Mode.TWIN_MIN, 5, 60004, fold)
+    assert (total.hi, total.checked) == (60004, 6055)
     assert len(live) == 10 and max(live) <= 4
 
 
@@ -764,19 +763,21 @@ def test_checkpoint_bytes_pinned(tmp_path, mode, digest):
     assert hashlib.sha256(cp.read_bytes()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("extra", [["--checkpoint", "F", "--stop-after-shards", "3"],
-                                   ["--checkpoint", "F"], ["--stop-after-shards", "3"]])
-def test_stats_does_not_resume(tmp_path, extra):
-    # a checkpoint keeps shard digests, not the growth rows folded so far
+@pytest.mark.parametrize("extra", [["--checkpoint", "F", "--emit-records", "F.rec"],
+                                   ["--checkpoint", "F"], ["--checkpoint=F"]])
+def test_stats_does_not_resume(tmp_path, capsys, extra):
+    # stats takes no --checkpoint: a checkpoint keeps shard digests, not the
+    # growth rows folded so far
     out = tmp_path / "out"
     argv = ["stats", "--range", "5:60000", "--bucket", "20000", "--shard-size", "9000",
             "--workers", "1", "--out", str(out)]
-    argv += [str(tmp_path / a) if a == "F" else a for a in extra]
-    for _ in range(2):  # the interrupted run, then its resume
-        code, stdout, err = run_cli(argv)
-        assert (code, stdout) == (2, "")
-        assert "stats does not resume" in err
-        assert list(tmp_path.iterdir()) == []
+    argv += [a.replace("F", str(tmp_path / "F")) for a in extra]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 _RECORD_DIGESTS = {  # SHA-256 of the records the per-row f-string / json.dumps writer wrote
@@ -790,7 +791,7 @@ _RECORD_DIGESTS = {  # SHA-256 of the records the per-row f-string / json.dumps 
 
 
 @pytest.mark.parametrize("mode, fmt", sorted(_RECORD_DIGESTS))
-def test_verify_records_bytes_pinned(tmp_path, mode, fmt):
+def test_verify_records_bytes_pinned(tmp_path, cut_checkpoint, mode, fmt):
     base = ["verify", "--mode", mode, "--range", "5:200001", "--shard-size", "65536",
             "--format", fmt]
     rec, out, cp = tmp_path / "rec", tmp_path / "out", tmp_path / "ck"
@@ -805,7 +806,8 @@ def test_verify_records_bytes_pinned(tmp_path, mode, fmt):
     # interrupted after one shard, then resumed with two workers
     resumable = base + ["--emit-records", str(rec), "--checkpoint", str(cp)]
     rec.unlink()
-    assert run_cli(resumable + ["--workers", "1", "--stop-after-shards", "1"])[0] == 0
+    assert run_cli(resumable + ["--workers", "1"])[0] == 0
+    cut_checkpoint(cp, 1, rec)
     assert 0 < rec.stat().st_size < len(pinned)
     assert run_cli(resumable + ["--workers", "2"])[0] == 0
     assert rec.read_bytes() == pinned
@@ -1103,7 +1105,7 @@ def test_worker_exception_exits_2_promptly(monkeypatch):
         raise ValueError("scan kernel failed")
 
     def hang(signum, frame):
-        raise TimeoutError("verify did not return")
+        pytest.fail("verify did not return")
 
     monkeypatch.setattr(represent, "_scan_block", broken)  # forked workers inherit it
     previous = signal.signal(signal.SIGALRM, hang)
@@ -1137,7 +1139,7 @@ def test_interrupt_while_writing_records_ends_the_pool(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     def hang(signum, frame):
-        raise TimeoutError("verify did not return")
+        pytest.fail("verify did not return")
 
     monkeypatch.setattr(represent, "_scan_block", slow)  # forked workers inherit it
     monkeypatch.setattr(cli._Sink, "columns", interrupt)
@@ -1168,7 +1170,7 @@ def test_killed_worker_exits_3_promptly(monkeypatch):
         return scan(qs, *args)
 
     def hang(signum, frame):
-        raise TimeoutError("verify did not return")
+        pytest.fail("verify did not return")
 
     monkeypatch.setattr(represent, "_scan_block", killed)  # forked workers inherit it
     previous = signal.signal(signal.SIGALRM, hang)
@@ -1195,3 +1197,64 @@ def test_shard_returns_arrays_only_when_asked(tmp_path, cache):
     assert arrays is None and summary.checked == 2260  # pi(20000) - 2
     summary, arrays = cli._run_shard(bare._replace(keep_arrays=True))
     assert [len(a) for a in arrays] == [2260] * 3
+
+
+@pytest.mark.parametrize("flag", ["--out", "--checkpoint", "--emit-records", "--cache"])
+def test_path_that_is_a_directory_is_exit_2(tmp_path, flag):
+    code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:1000",
+                              "--workers", "1", flag, str(tmp_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_full_disk_is_exit_3(monkeypatch):
+    def full(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(cli._Sink, "_write", full)
+    code, out, err = run_cli(["mirsky", "--y", "100"])
+    assert (code, out) == (3, "")
+    assert err.startswith("resource failure: ") and os.strerror(errno.ENOSPC) in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_interrupt_between_shards_resumes_to_identical_bytes(tmp_path, monkeypatch, workers):
+    # Ctrl-C after the second shard's records are synced but before its
+    # SHARD line: the rerun computes that shard again and cuts its records
+    paths = [str(tmp_path / name) for name in ("out", "rec", "ck")]
+    argv = ["verify", "--mode", "twin", "--range", "5:3000", "--shard-size", "700",
+            "--workers", workers, "--out", paths[0], "--emit-records", paths[1],
+            "--checkpoint", paths[2]]
+    assert run_cli(argv)[0] == 0
+    uninterrupted = [open(path, "rb").read() for path in paths]
+    for path in paths:
+        os.unlink(path)
+
+    append, shards = cli._Checkpoint.append, []
+
+    def interrupted(self, kind, payload):
+        if kind == "SHARD":
+            if shards:
+                raise KeyboardInterrupt
+            shards.append(json.loads(payload)["records_bytes"])
+        append(self, kind, payload)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli._Checkpoint, "append", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli(argv)
+    assert [line.split()[0] for line in open(paths[2])] == ["META", "SHARD"]
+    assert os.path.getsize(paths[1]) > shards[0]  # the second shard's records
+    assert not os.path.exists(paths[0])
+    code, _, err = run_cli(argv)
+    assert code == 0, err
+    assert [open(path, "rb").read() for path in paths] == uninterrupted
+
+
+def test_readme_names_every_flag_and_only_those():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z](?:[a-z-]*[a-z])?", readme))
+    (subcommands,) = [a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    defined = {flag for sub in subcommands.choices.values() for action in sub._actions
+               for flag in action.option_strings if flag != "--help" and flag.startswith("--")}
+    assert named == defined

@@ -439,10 +439,11 @@ class TestVerifyRange:
             merged([head, tail])
 
     def test_from_json_dict_copies_lists(self):
-        # a merge of parsed summaries must leave the parsed dicts unchanged
+        # a merge into a parsed summary must leave the parsed dicts unchanged
         first = ShardSummary(lo=1, hi=10, failures=[2], dichotomy_examples=[11]).to_json_dict()
         second = ShardSummary(lo=11, hi=20, failures=[13], dichotomy_examples=[19]).to_json_dict()
-        total = merged([ShardSummary.from_json_dict(d) for d in (first, second)])
+        total = ShardSummary.from_json_dict(first)
+        total.merge(ShardSummary.from_json_dict(second))
         assert (total.failures, total.dichotomy_examples) == ([2, 13], [11, 19])
         assert (first["failures"], first["dichotomy_examples"]) == ([2], [11])
 
