@@ -13,11 +13,11 @@ Subcommands map one-to-one onto the library's bulk operations:
 
 Exit codes are a contract: 0 success, 1 a mathematical failure was
 found, 2 invalid input or insufficient coverage, 3 resource
-exhaustion.  Output is CSV (default) or JSONL with identical values;
-floats carry six decimals.  verify runs are sharded over the range,
-optionally across worker processes, and fold shard digests in range
-order, so output is byte-identical for every worker count and across
-checkpoint interruptions.
+exhaustion, 130 interrupted by Ctrl-C.  Output is CSV (default) or
+JSONL with identical values; floats carry six decimals.  verify runs are
+sharded over the range, optionally across worker processes, and fold
+shard digests in range order, so output is byte-identical for every
+worker count and across checkpoint interruptions.
 """
 
 from __future__ import annotations
@@ -73,6 +73,7 @@ EXIT_OK = 0
 EXIT_MATH_FAILURE = 1
 EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +245,16 @@ class _Sink:
                     f"records file {path} has {size} bytes, checkpoint expects {resume_bytes}"
                 )
             self._fh = open(path, "r+b")
-            self._fh.truncate(resume_bytes)
-            self._fh.seek(0, os.SEEK_END)
-        if resume_bytes is None and fmt == "csv":
-            self._write((",".join(header) + "\n").encode())
+        try:
+            if resume_bytes is None:
+                if fmt == "csv":
+                    self._write((",".join(header) + "\n").encode())
+            elif self._own:
+                self._fh.truncate(resume_bytes)
+                self._fh.seek(0, os.SEEK_END)
+        except BaseException:
+            self.close()  # no caller holds the sink to close it
+            raise
 
     def _write(self, data: bytes) -> None:
         # stdout may be a text stream with no binary buffer, such as an io.StringIO;
@@ -874,7 +881,7 @@ def _cmd_mirsky(args) -> int:
 
 def _cmd_sieve_cache(args) -> int:
     _check_memory((args.limit + 1) // 2, f"a prime table to {args.limit}")
-    table = build_prime_table(args.limit, args.segment_size)
+    table = build_prime_table(args.limit)
     save_prime_table(table, args.cache_out)
     row = {
         "limit": table.limit,
@@ -908,21 +915,15 @@ def _parse_xs(text: str) -> tuple[int, ...]:
 def _add_output_flags(sub) -> None:
     sub.add_argument("--out", default=None, help="report path ('-' or omitted: stdout)")
     sub.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    # the CPUs this process may run on, not every CPU of the machine
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    sub.add_argument("--workers", type=int, default=cpus or 1)
 
 
 def _add_shard_flags(sub) -> None:
-    """The range, sharding and record flags shared by verify and stats; only
-    verify takes --checkpoint, since stats folds growth rows a checkpoint
-    does not keep."""
+    """The range, sharding and pool flags of verify and stats; --workers
+    defaults to the CPUs this process may run on, not every CPU of the machine."""
     sub.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI")
-    sub.add_argument("--include-small", action="store_true",
-                     help="count q in {2,3} (no admissible n) as failures")
     sub.add_argument("--shard-size", type=int, default=DEFAULT_SHARD_SIZE)
-    sub.add_argument("--emit-records", default=None, metavar="PATH",
-                     help="stream per-q records to PATH ('-': stdout)")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    sub.add_argument("--workers", type=int, default=cpus or 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -935,6 +936,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify representability over a q-range")
     p.add_argument("--mode", choices=("twin", "prime", "sun"), required=True)
     _add_shard_flags(p)
+    p.add_argument("--include-small", action="store_true",
+                   help="count q in {2,3} (no admissible n) as failures")
+    p.add_argument("--emit-records", default=None, metavar="PATH",
+                   help="stream per-q records to PATH ('-': stdout)")
     p.add_argument("--checkpoint", default=None, help="checkpoint file for resumable runs")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
@@ -943,7 +948,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bucket", type=int, required=True)
     _add_shard_flags(p)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_stats, checkpoint=None)
+    # verify alone emits records and resumes: a checkpoint keeps no growth rows
+    p.set_defaults(func=_cmd_stats, include_small=False, emit_records=None, checkpoint=None)
 
     p = sub.add_parser("sigma", help="exponential-sum grid report")
     p.add_argument("--qmax", type=int, required=True)
@@ -971,11 +977,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="representability census over primes <= x")
     p.add_argument("--x", type=int, required=True)
+    # one process by default: at --x 5000000 a pool costs more than it saves
+    p.add_argument("--workers", type=int, default=1)
     _add_output_flags(p)
-    # the verify engine's settings, fixed; --workers runs the twin pass in that
-    # many processes, one by default: at --x 5000000 a pool costs more than it saves
-    p.set_defaults(func=_cmd_density, workers=1, include_small=True,
-                   shard_size=DEFAULT_SHARD_SIZE, checkpoint=None, emit_records=None)
+    # the verify engine's other settings, fixed
+    p.set_defaults(func=_cmd_density, include_small=True, shard_size=DEFAULT_SHARD_SIZE,
+                   checkpoint=None, emit_records=None)
 
     p = sub.add_parser("mirsky", help="squarefree 4p-1 census (s(y), pi(y))")
     p.add_argument("--y", type=int, required=True)
@@ -985,7 +992,6 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations here: "--cache" must not silently stand for "--cache-out"
     p = sub.add_parser("sieve-cache", help="build and cache a prime table", allow_abbrev=False)
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--segment-size", type=int, default=1 << 20)
     p.add_argument("--cache-out", required=True, metavar="PATH")
     _add_output_flags(p)
     p.set_defaults(func=_cmd_sieve_cache)
@@ -1001,7 +1007,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # bounds no library call enforces, checked before any table or file exists
-        if args.workers < 1:
+        if getattr(args, "workers", 1) < 1:
             raise ValueError(f"workers must be >= 1, got {args.workers}")
         lo, hi = getattr(args, "range", (1, 1))
         if lo < 1 or hi < lo:
@@ -1030,6 +1036,11 @@ def main(argv=None) -> int:
         resource = exc.errno in (errno.ENOSPC, errno.EDQUOT, errno.ENOMEM, errno.EAGAIN)
         print(f"{'resource failure' if resource else 'error'}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE if resource else EXIT_BAD_INPUT
+    except KeyboardInterrupt:
+        checkpoint = getattr(args, "checkpoint", None)
+        resume = f": rerun the same command to resume from {checkpoint}" if checkpoint else ""
+        print(f"interrupted{resume}", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

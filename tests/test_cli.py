@@ -10,10 +10,12 @@ import multiprocessing
 import os
 import pathlib
 import re
+import shlex
 import signal
 import tempfile
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -395,12 +397,6 @@ class TestOtherCommands:
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
-    def test_workers_flag_everywhere(self):
-        # non-verify subcommands accept --workers and ignore it safely
-        a = run_cli(["mirsky", "--y", "5000", "--workers", "1"])
-        b = run_cli(["mirsky", "--y", "5000", "--workers", "4"])
-        assert a == b
-
     def test_stats_worker_invariance(self, tmp_path):
         outs = []
         for workers in ("1", "3"):
@@ -506,7 +502,8 @@ class TestDensityOnePass:
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--mode", "twin", "--range", "5:100", "--workers", "0"],
-    ["mirsky", "--y", "100", "--workers", "0"],
+    ["density", "--x", "100", "--workers", "0"],
+    ["stats", "--range", "5:100", "--bucket", "10", "--workers", "0"],
     ["verify", "--mode", "twin", "--range", "50:10"],
     ["verify", "--mode", "twin", "--range", "0:100"],
     ["singular", "--pmax", "1", "--cutoff", "2"],
@@ -745,9 +742,10 @@ def test_parent_holds_a_bounded_number_of_digests(tmp_path, cut_checkpoint):
 def test_workers_default_is_usable_cpus():
     from twinrep.cli import build_parser
 
-    args = build_parser().parse_args(["mirsky", "--y", "10"])
     expected = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    assert args.workers == expected
+    for argv in (["verify", "--mode", "twin"], ["stats", "--bucket", "10"]):
+        assert build_parser().parse_args(argv + ["--range", "5:100"]).workers == expected
+    assert build_parser().parse_args(["density", "--x", "100"]).workers == 1
 
 
 @pytest.mark.parametrize("mode, digest", [
@@ -774,6 +772,28 @@ def test_stats_does_not_resume(tmp_path, capsys, extra):
     argv += [a.replace("F", str(tmp_path / "F")) for a in extra]
     with pytest.raises(SystemExit) as exit_:
         main(argv)
+    assert exit_.value.code == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and "unrecognized arguments" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["sigma", "--qmax", "6", "--pmax", "11"], ["--workers", "1"]),
+    (["singular", "--pmax", "10", "--cutoff", "200"], ["--workers", "1"]),
+    (["variance", "--x", "40", "--cutoff", "200"], ["--workers", "1"]),
+    (["mirsky", "--y", "100"], ["--workers", "1"]),
+    (["sieve-cache", "--limit", "100", "--cache-out", "F"], ["--workers", "1"]),
+    (["sieve-cache", "--limit", "100", "--cache-out", "F"], ["--segment-size", "16"]),
+    (["stats", "--range", "5:3000", "--bucket", "1000"], ["--emit-records", "F.rec"]),
+    (["stats", "--range", "2:3000", "--bucket", "1000"], ["--include-small"]),
+])
+def test_removed_flags_are_exit_2_before_any_file(tmp_path, capsys, argv, extra):
+    # options no run of the subcommand reads: stats records and small q are
+    # verify's, and a sieve-cache table has the same bits for every segment width
+    argv = [a.replace("F", str(tmp_path / "F")) for a in argv + extra]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--out", str(tmp_path / "out")])
     assert exit_.value.code == 2
     stdout, err = capsys.readouterr()
     assert stdout == "" and "unrecognized arguments" in err
@@ -1147,13 +1167,14 @@ def test_interrupt_while_writing_records_ends_the_pool(tmp_path, monkeypatch):
     signal.alarm(60)
     try:
         start = time.perf_counter()
-        with pytest.raises(KeyboardInterrupt):
-            run_cli(["verify", "--mode", "twin", "--range", "5:400000", "--shard-size", "5000",
-                     "--workers", "2", "--emit-records", str(tmp_path / "rec")])
+        code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:400000",
+                                  "--shard-size", "5000", "--workers", "2",
+                                  "--emit-records", str(tmp_path / "rec")])
         elapsed = time.perf_counter() - start
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    assert (code, out, err) == (130, "", "interrupted\n")
     assert elapsed < 30
     assert not multiprocessing.active_children()
 
@@ -1217,6 +1238,18 @@ def test_full_disk_is_exit_3(monkeypatch):
     assert err.startswith("resource failure: ") and os.strerror(errno.ENOSPC) in err
 
 
+def test_sink_closes_its_file_when_the_header_write_fails(tmp_path, monkeypatch):
+    def full(self, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(cli._Sink, "_write", full)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, out, _ = run_cli(["mirsky", "--y", "100", "--out", str(tmp_path / "out.csv")])
+        gc.collect()
+    assert (code, out) == (3, "")
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_interrupt_between_shards_resumes_to_identical_bytes(tmp_path, monkeypatch, workers):
     # Ctrl-C after the second shard's records are synced but before its
@@ -1240,8 +1273,8 @@ def test_interrupt_between_shards_resumes_to_identical_bytes(tmp_path, monkeypat
         append(self, kind, payload)
     with monkeypatch.context() as patch:
         patch.setattr(cli._Checkpoint, "append", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            run_cli(argv)
+        code, _, err = run_cli(argv)
+    assert (code, err) == (130, f"interrupted: rerun the same command to resume from {paths[2]}\n")
     assert [line.split()[0] for line in open(paths[2])] == ["META", "SHARD"]
     assert os.path.getsize(paths[1]) > shards[0]  # the second shard's records
     assert not os.path.exists(paths[0])
@@ -1258,3 +1291,15 @@ def test_readme_names_every_flag_and_only_those():
     defined = {flag for sub in subcommands.choices.values() for action in sub._actions
                for flag in action.option_strings if flag != "--help" and flag.startswith("--")}
     assert named == defined
+
+
+def test_readme_command_lines_parse():
+    # the union over subcommands in the test above cannot catch an example
+    # that gives a flag to a subcommand without it
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Command line\n\n```sh\n(.*?)```", readme, re.S)
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("twinrep ")]
+    assert len(lines) >= 10
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
