@@ -19,7 +19,7 @@ LIMIT = 2_000_000
 table = build_prime_table(LIMIT)
 twins = build_twin_index(table)
 
-print(f"prime table up to {LIMIT:,} ({table.segment_size:,} per segment)")
+print(f"prime table up to {LIMIT:,}")
 print(f"twin index coverage {twins.coverage:,}, {len(twins.twins):,} twin primes")
 print()
 print(f"{'x':>10}  {'pi(x)':>8}  {'pi_2(x)':>8}  {'s(x)':>8}  {'s/pi':>7}")

@@ -53,6 +53,7 @@ from .represent import (
 )
 from .sieve import (
     _CACHE_HEADER,
+    SEGMENT_SIZE,
     CoverageError,
     PrimeTable,
     ResourceLimitError,
@@ -254,6 +255,8 @@ class _Sink:
                 self._fh.seek(0, os.SEEK_END)
         except BaseException:
             self.close()  # no caller holds the sink to close it
+            if self._own and resume_bytes is None and os.path.isfile(path):
+                os.unlink(path)  # the empty file this sink made; never a device or pipe
             raise
 
     def _write(self, data: bytes) -> None:
@@ -485,11 +488,10 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
 
     Each of min(workers, shards) processes holds one shard at a time, its
     q bits and _SHARD_BYTES_PER_Q a q, and keeps its own p-bitmap: the
-    filled pieces below a bound on the largest p_q of 8 sqrt(hi) log(hi)^2,
-    one piece being sieved, and while the bitmap doubles, an eighth of the
-    filled pieces packed; the measured largest p_q is about half the bound
-    (4.59e6 to 1.6e7, 2.22e7 to 2e8).  With --cache the table and its load
-    temporaries come once, since forked workers share them.  With
+    filled pieces below a bound on the largest p_q of 8 sqrt(hi) log(hi)^2
+    and one piece being sieved; the measured largest p_q is about half the
+    bound (4.59e6 to 1.6e7, 2.22e7 to 2e8).  With --cache the table and its
+    load temporaries come once, since forked workers share them.  With
     keep_arrays (records or a fold), the per-q arrays a shard returns, 24
     bytes a q, wait in the parent for up to two shards a process.
     """
@@ -497,8 +499,7 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     processes = min(args.workers, -(-(hi - lo + 1) // args.shard_size))  # shards
     p_bound = min(hi, 8 * math.isqrt(hi) * math.ceil(math.log(max(hi, 3))) ** 2)
     filled = -(-(p_bound // 2 + 1) // _PIECE) * _PIECE
-    pbits = filled + _PIECE + filled // 8
-    total = (_SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2 + pbits) * processes
+    total = (_SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2 + filled + _PIECE) * processes
     if args.cache:
         total += _cache_bits(args.cache) * 2
     if keep_arrays and processes > 1:
@@ -885,7 +886,7 @@ def _cmd_sieve_cache(args) -> int:
     save_prime_table(table, args.cache_out)
     row = {
         "limit": table.limit,
-        "segment_size": table.segment_size,
+        "segment_size": SEGMENT_SIZE,
         "pi": prime_count(table, table.limit),
         "path": args.cache_out,
     }

@@ -153,21 +153,15 @@ _BLOCK_SIZE = 1 << 19
 # Odd numbers in one sieved piece of the p-bitmap (a piece of bools is 1 MB).
 _PIECE = 1 << 20
 
-# The p-bitmap's first capacity in odd numbers (32 MB of bools).  np.zeros
-# maps it without touching its pages, so the unfilled tail holds no memory;
-# a smaller first array, once outgrown, would be freed into the heap and
-# stay resident.
-_FIRST_CAPACITY = 1 << 25
-
 
 class _PBits:
     """Membership (twin or prime) of the odd p: bits[h] answers p = 2h + 1
-    for every h < end.
+    for every h < end, and end == len(bits).
 
     With a segment(lo, hi, out=...) rule, grow sieves pieces of _PIECE odd
-    numbers in ascending order into bits, in place, and keeps them, so a
-    process sieves each piece once however many shards it scans.  Without
-    one, bits is a whole table's and is never grown.
+    numbers in ascending order onto the end of bits, in place, and keeps
+    them, so a process sieves each piece once however many shards it scans.
+    Without one, bits is a whole table's and is never grown.
     """
 
     def __init__(self, segment=None, bits=None):
@@ -179,24 +173,12 @@ class _PBits:
         """Fill whole pieces until bits[h] is answered."""
         while self.end <= h:
             stop = self.end + _PIECE
-            if stop > len(self.bits):
-                self._reserve(max(2 * len(self.bits), _FIRST_CAPACITY, stop))
+            # resize is a realloc, which moves a large array's pages without
+            # copying them; with a view of bits alive it raises ValueError
+            self.bits.resize(stop)
             lo = 2 * self.end + 1
             self._segment(lo, lo + 2 * _PIECE - 2, out=self.bits[self.end : stop])
             self.end = stop
-
-    def _reserve(self, capacity: int) -> None:
-        # the filled bits wait packed, an eighth of their size, while the old
-        # array is freed, so two whole copies are never held at once
-        filled = self.end
-        packed = np.packbits(self.bits[:filled])
-        self.bits, self.end = np.zeros(0, dtype=bool), 0
-        bits = np.zeros(capacity, dtype=bool)
-        part = 1 << 20  # bits unpacked at a time, a multiple of 8
-        for a in range(0, filled, part):
-            b = min(a + part, filled)
-            bits[a:b] = np.unpackbits(packed[a >> 3 : (b + 7) >> 3], count=b - a)
-        self.bits, self.end = bits, filled
 
 
 def _prime_bits(table: PrimeTable | None):

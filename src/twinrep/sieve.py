@@ -35,7 +35,8 @@ __all__ = [
     "load_prime_table",
 ]
 
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# Numbers per segment of a prime-table build, written in the cache header.
+SEGMENT_SIZE = 1 << 20
 
 _CACHE_MAGIC = b"TPT1"
 _CACHE_HEADER = struct.Struct("<4sHHQQQI")  # magic, version, pad, limit, segment, nbits, crc
@@ -59,7 +60,6 @@ class PrimeTable:
 
     limit: int
     odd_bits: np.ndarray  # bool, length (limit + 1) // 2
-    segment_size: int
     _primes: np.ndarray | None = field(default=None, repr=False)
 
     def is_prime(self, m: int) -> bool:
@@ -172,26 +172,24 @@ def twin_segment(lo: int, hi: int, prime_bits=sieve_segment,
     return _twin_mask(bits, np.empty(size, dtype=bool) if out is None else out[:size], below)
 
 
-def build_prime_table(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> PrimeTable:
+def build_prime_table(limit: int) -> PrimeTable:
     """Sieve [2, limit] segment by segment.
 
-    The resulting bits are identical for every segment_size; the
-    parameter only bounds the working-set size of the build.
+    A segment of SEGMENT_SIZE numbers bounds the working set of the build;
+    the bits are the same for every segment width.
     """
     if limit < 2:
         raise ValueError(f"build_prime_table requires limit >= 2, got {limit}")
-    if segment_size < 16:
-        raise ValueError(f"segment_size must be >= 16, got {segment_size}")
     size = (limit + 1) // 2
     try:
         bits = np.empty(size, dtype=bool)
     except MemoryError as exc:  # pragma: no cover - depends on host memory
         raise ResourceLimitError(f"cannot allocate sieve bits for limit={limit}") from exc
     base = _base_primes(limit)
-    step = segment_size // 2  # odd numbers per segment
+    step = SEGMENT_SIZE // 2  # odd numbers per segment
     for first in range(0, size, step):
         _cross_off(bits[first : first + step], first, base)
-    return PrimeTable(limit=limit, odd_bits=bits, segment_size=segment_size)
+    return PrimeTable(limit=limit, odd_bits=bits)
 
 
 def prime_count(table: PrimeTable, x: int) -> int:
@@ -320,7 +318,7 @@ def save_prime_table(table: PrimeTable, path: str) -> None:
         1,
         0,
         table.limit,
-        table.segment_size,
+        SEGMENT_SIZE,
         len(table.odd_bits),
         zlib.crc32(payload),
     )
@@ -335,7 +333,8 @@ def load_prime_table(path: str) -> PrimeTable:
         raw = fh.read(_CACHE_HEADER.size)
         if len(raw) != _CACHE_HEADER.size:
             raise ValueError(f"{path}: truncated prime-table header")
-        magic, version, _pad, limit, segment_size, nbits, crc = _CACHE_HEADER.unpack(raw)
+        # the segment field records how the table was built, not its bits
+        magic, version, _pad, limit, _segment, nbits, crc = _CACHE_HEADER.unpack(raw)
         if magic != _CACHE_MAGIC:
             raise ValueError(f"{path}: not a prime-table cache (bad magic {magic!r})")
         if version != 1:
@@ -350,4 +349,4 @@ def load_prime_table(path: str) -> PrimeTable:
         # unpackbits(count=nbits) would pad a short payload with composites
         raise ValueError(f"{path}: payload has {len(payload)} bytes, {nbits} bits need {need}")
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits).astype(bool)
-    return PrimeTable(limit=int(limit), odd_bits=bits, segment_size=int(segment_size))
+    return PrimeTable(limit=int(limit), odd_bits=bits)

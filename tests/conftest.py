@@ -29,10 +29,9 @@ def twins_1e6(table_1e6):
 
 
 @contextlib.contextmanager
-def _pieces(width, capacity=None):
+def _pieces(width):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(represent, "_PIECE", width)
-        mp.setattr(represent, "_FIRST_CAPACITY", capacity or width)
         represent._pbits.cache_clear()
         try:
             yield
@@ -42,10 +41,9 @@ def _pieces(width, capacity=None):
 
 @pytest.fixture(scope="session")
 def pieces():
-    """pieces(width, capacity=None) is a context in which fresh p-bitmaps are
-    sieved in pieces of width odd numbers from a first capacity of capacity
-    (default width), so a scan grows and doubles them; forked workers
-    inherit it."""
+    """pieces(width) is a context in which fresh p-bitmaps are sieved in
+    pieces of width odd numbers, so a scan grows them many times; forked
+    workers inherit it."""
     return _pieces
 
 

@@ -1046,6 +1046,9 @@ class TestMemoryBudget:
         assert cli._verify_memory(args, twin, 5, 10**9, False) > small
         # verify --range 20000000000:20002000000 peaks at 206 MB, 174 MB of it the p-bitmap
         assert cli._verify_memory(args, twin, 2 * 10**10, 20_002_000_000, False) > 206 * 2**20
+        # the measured peaks at 1e11 and 1e12
+        assert cli._verify_memory(args, twin, 10**11, 100_001_000_000, False) > 326.7 * 2**20
+        assert cli._verify_memory(args, twin, 10**12, 1_000_000_200_000, False) > 1046 * 2**20
         args.workers = 2
         assert cli._verify_memory(args, twin, 5, 10**7, False) == 2 * small
         # records or a fold: the arrays of up to two shards a worker wait in the parent
@@ -1248,6 +1251,7 @@ def test_sink_closes_its_file_when_the_header_write_fails(tmp_path, monkeypatch)
         gc.collect()
     assert (code, out) == (3, "")
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

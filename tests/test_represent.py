@@ -300,9 +300,9 @@ class TestVerifyRange:
     @settings(max_examples=80, deadline=None)
     @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
            width=st.one_of(st.integers(1, 64), st.integers(65, 1 << 19)),
-           capacity=st.integers(1, 1 << 12), sieved=st.booleans(), data=st.data())
+           sieved=st.booleans(), data=st.data())
     def test_any_window_width_matches_scalar_finders(self, table_1e6, twins_1e6, pieces,
-                                                     mode, width, capacity, sieved, data):
+                                                     mode, width, sieved, data):
         # the window is the piece a growth step sieves; a bitmap below q holds
         # every piece, so q stays below 500 pieces of this width
         top = min(499_999, 500 * width)
@@ -314,21 +314,21 @@ class TestVerifyRange:
             mask, find = table_1e6.odd_bits, lambda q: find_any_prime_representation(q, table_1e6)
         qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
         reps = [find(q) for q in qs.tolist()]
-        with pieces(width, capacity):
+        with pieces(width):
             pbits = _PBits(sieved_segment(twin) if sieved else mask_segment(mask))
             ps, ns, found = scan(qs, pbits)
         assert ps.tolist() == [r.p if r else 0 for r in reps]
         assert ns.tolist() == [r.n if r else 0 for r in reps]
         assert found.tolist() == [r is not None for r in reps]
-        # the filled pieces are the mask's, a doubling carried every bit over
+        # the filled pieces are the mask's, each growth kept the bits before it
         end = min(pbits.end, len(mask))
         assert np.array_equal(pbits.bits[:end], mask[:end])
 
     @pytest.mark.parametrize("sieved", [False, True])
     @pytest.mark.parametrize("width", [1, 7, 300])
     def test_lanes_cross_windows(self, twins_1e6, pieces, sieved, width):
-        # q with deep scans: the bitmap grows, and doubles, many times while
-        # each lane passes piece ends before its hit (p_q up to 85091)
+        # q with deep scans: the bitmap grows many times while each lane
+        # passes piece ends before its hit (p_q up to 85091)
         qs = np.array([997, 2909, 35999, 42187, 999_983], dtype=np.int64)
         visited, grown = [], []
         source = sieved_segment(True) if sieved else mask_segment(twins_1e6.odd_mask)
@@ -339,7 +339,7 @@ class TestVerifyRange:
             ps, ns, found = scan(qs, pbits)
         # ascending, each piece once, none skipped
         assert visited == list(range(1, 2 * pbits.end, 2 * width))
-        assert grown.count(True) > 5 and len(pbits.bits) > width  # grew and doubled
+        assert grown.count(True) > 5 and len(pbits.bits) == pbits.end
         for q, p, n in zip(qs.tolist(), ps.tolist(), ns.tolist()):
             r = find_min_twin_representation(q, twins_1e6)
             assert (p, n) == (r.p, r.n)
@@ -363,6 +363,32 @@ class TestVerifyRange:
             assert pbits.end == 3 * width
             pbits.grow(3 * width)
             assert pbits.end == 4 * width and pbits.bits[: pbits.end].all()
+
+    @pytest.mark.parametrize("sieved", [False, True])
+    @pytest.mark.parametrize("width", [1, 7, 300])
+    def test_bitmap_grows_in_place_to_its_end(self, twins_1e6, pieces, sieved, width):
+        # each grow extends bits to exactly its end; growths of one piece and
+        # of several both keep every bit filled before them
+        source = sieved_segment(True) if sieved else mask_segment(twins_1e6.odd_mask)
+        with pieces(width):
+            pbits = _PBits(source)
+            for h in range(0, 60 * width, 5 * width // 2 + 1):
+                pbits.grow(h)
+                assert len(pbits.bits) == pbits.end > h
+                assert np.array_equal(pbits.bits, twins_1e6.odd_mask[: pbits.end])
+
+    @pytest.mark.parametrize("width", [1, 7, 300])
+    def test_a_view_of_the_bitmap_stops_its_growth(self, pieces, width):
+        with pieces(width):
+            pbits = _PBits(mask_segment(np.ones(10 * width, dtype=bool)))
+            pbits.grow(0)
+            view = pbits.bits[:1]
+            with pytest.raises(ValueError):
+                pbits.grow(pbits.end)  # a resize would free the memory under view
+            assert pbits.end == width and view.all()
+            del view
+            pbits.grow(pbits.end)
+            assert len(pbits.bits) == pbits.end == 2 * width and pbits.bits.all()
 
     @settings(max_examples=40, deadline=None)
     @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),

@@ -55,11 +55,6 @@ class TestPrimeTable:
         for m in range(0, 5001):
             assert t.is_prime(m) == (m in expected), m
 
-    def test_segment_size_invariance(self):
-        variants = [build_prime_table(50_000, s) for s in (64, 1000, 4096, 1 << 20)]
-        for v in variants[1:]:
-            assert np.array_equal(variants[0].odd_bits, v.odd_bits)
-
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             build_prime_table(1)
@@ -201,7 +196,19 @@ class TestBinaryCache:
         save_prime_table(table_1e5, path)
         loaded = load_prime_table(path)
         assert loaded.limit == table_1e5.limit
-        assert loaded.segment_size == table_1e5.segment_size
+        assert np.array_equal(loaded.odd_bits, table_1e5.odd_bits)
+
+    def test_header_segment_field_is_ignored(self, tmp_path, table_1e5):
+        # a cache written with another segment width holds the same bits
+        path = str(tmp_path / "table.bin")
+        save_prime_table(table_1e5, path)
+        raw = open(path, "rb").read()
+        fields = list(_CACHE_HEADER.unpack(raw[: _CACHE_HEADER.size]))
+        assert fields[4] == 1 << 20
+        fields[4] = 16
+        open(path, "wb").write(_CACHE_HEADER.pack(*fields) + raw[_CACHE_HEADER.size :])
+        loaded = load_prime_table(path)
+        assert loaded.limit == table_1e5.limit
         assert np.array_equal(loaded.odd_bits, table_1e5.odd_bits)
 
     def test_rejects_bad_magic(self, tmp_path, table_1e5):
