@@ -489,9 +489,10 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     Each of min(workers, shards) processes holds one shard at a time, its
     q bits and _SHARD_BYTES_PER_Q a q, and keeps its own p-bitmap: the
     filled pieces below a bound on the largest p_q of 8 sqrt(hi) log(hi)^2
-    and one piece being sieved; the measured largest p_q is about half the
-    bound (4.59e6 to 1.6e7, 2.22e7 to 2e8).  With --cache the table and its
-    load temporaries come once, since forked workers share them.  With
+    and one piece being sieved; the measured largest p_q is a half to a
+    third of the bound (4.59e6 to 1.6e7 and 2.22e7 to 2e8, about half;
+    2.08e9 at 1e12, a third).  With --cache the table and its load
+    temporaries come once, since forked workers share them.  With
     keep_arrays (records or a fold), the per-q arrays a shard returns, 24
     bytes a q, wait in the parent for up to two shards a process.
     """

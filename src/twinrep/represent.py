@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -174,8 +175,13 @@ class _PBits:
         while self.end <= h:
             stop = self.end + _PIECE
             # resize is a realloc, which moves a large array's pages without
-            # copying them; with a view of bits alive it raises ValueError
-            self.bits.resize(stop)
+            # copying them, so a view of bits alive would be left on freed
+            # memory.  numpy's own check would also count a profiler's hold
+            # on the bound resize method; this one counts only bits's holders
+            # beyond the attribute and getrefcount's argument.
+            if sys.getrefcount(self.bits) > 2:
+                raise ValueError("cannot grow the p-bitmap while a view of it is alive")
+            self.bits.resize(stop, refcheck=False)
             lo = 2 * self.end + 1
             self._segment(lo, lo + 2 * _PIECE - 2, out=self.bits[self.end : stop])
             self.end = stop
@@ -201,44 +207,119 @@ def _scan_block(qs: np.ndarray, pbits: _PBits, p_out: np.ndarray, n_out: np.ndar
 
     pbits answers membership (twin or prime) of every odd p up to
     max(qs) - 2 once grown that far.  Each lane carries h = p >> 1 from
-    step to step (n -> n - 1 adds n to h) and tries n from n_max down to 1.
-    The bitmap is grown only when a scalar bound on the live lanes' largest
-    h reaches its end: the bound adds the largest n each step and is reset
-    to the true maximum before each growth.  Writes p and n of each found
-    q into p_out and n_out, int64 arrays as long as qs (views of a shard's
-    arrays, say), and leaves the other entries as they were; returns the
-    found mask.
+    step to step (n -> n - 1 adds n to h) and tries n from n_max down to 1,
+    all lanes in step.  Writes p and n of each found q into p_out and n_out,
+    int64 arrays as long as qs (views of a shard's arrays, say), and leaves
+    the other entries as they were; returns the found mask.
+
+    While many lanes are live the scan takes one step a call (_wide_steps);
+    the last few thousand finish in rounds of several steps (_tail_rounds).
+    Either way the bitmap grows only to the largest h a live lane looks up,
+    so it ends where a scan of one step a call would leave it.  A hit writes
+    only its step count, into n_out; n and p follow from it at the end.
     """
     found = np.zeros(len(qs), dtype=bool)
-    # lane arrays are built and compacted one at a time, in place where numpy
-    # allows, so few block-sized temporaries are alive at once
-    n = _n_max_vector(qs)
-    idx = np.flatnonzero(n >= 1)
-    n = n[idx]
+    n_max = _n_max_vector(qs)
+    idx, h, n, step = _wide_steps(qs, n_max, pbits, found, n_out)
+    _tail_rounds(idx, h, n, step, pbits, found, n_out)
+    np.subtract(n_max, n_out, out=n_out, where=found)
+    np.subtract(qs, n_out * (n_out + 1), out=p_out, where=found)
+    return found
+
+
+# Live lanes at which _scan_block leaves one-step calls for K-step rounds, and
+# the cells (lanes times steps) a round looks up.  Timing the scan over 5:1.6e7
+# and 1.8e8:2e8, 1,024 to 4,096 lanes and 2^13 to 2^15 cells differ by less
+# than the host's noise; fewer lanes pay a dozen numpy calls a step, more pay
+# for cells past a hit.
+_TAIL_LANES = 2048
+_ROUND_CELLS = 1 << 14
+
+
+def _wide_steps(qs, n_max, pbits, found, steps):
+    """One step a numpy call for every lane of qs, until at most _TAIL_LANES
+    are live; returns the live lanes (idx, h, n) and the step count.
+
+    A lane that hits sets found and steps at its q and keeps walking, dead:
+    found drops its later hits.  The lanes are compacted only when fewer
+    than half are live, when the least n reaches 0, or before the bitmap
+    grows, which then grows to the live lanes' h alone.  bound and top are
+    scalar bounds on every lane's h and n: bound adds top each step and is
+    reset to the true maximum when it reaches the bitmap's end.
+    """
+    # the lanes are built and compacted one array at a time, in place where
+    # numpy allows, and only this frame holds them, so few block-sized
+    # temporaries are alive at once
+    idx = np.flatnonzero(n_max >= 1)
+    n = n_max[idx]
     h = qs[idx]
     h -= n * (n + 1)
     h >>= 1
-    bound = top = pbits.end  # no bound yet: the first step takes the true one
-    while idx.size:
-        if bound >= pbits.end:
-            bound, top = int(h.max()), int(n.max())
-            pbits.grow(bound)
-        hit = pbits.bits[h]
-        if np.count_nonzero(hit):
-            at = idx[hit]
-            p_out[at] = 2 * h[hit] + 1
-            n_out[at] = n[hit]
+    live, step = idx.size, 0
+    if live > _TAIL_LANES:
+        bound, top, least = int(h.max()), int(n.max()), int(n.min())
+        pbits.grow(bound)
+    while live > _TAIL_LANES:
+        at = idx[np.flatnonzero(pbits.bits[h])]
+        if at.size:
+            if live < idx.size:  # dead lanes walk too: keep the first hits
+                at = at[~found[at]]
+            steps[at] = step
             found[at] = True
-        go = np.greater(n > 1, hit)  # n > 1 and no hit
+            live -= at.size
         h += n
         n -= 1
-        bound += top  # every live n is at most top
+        step += 1
+        bound += top
         top -= 1
-        keep = go.nonzero()[0]
-        idx = idx[keep]
-        h = h[keep]
-        n = n[keep]
-    return found
+        least -= 1
+        if bound >= pbits.end:  # the true bound may still be below it
+            bound, top = int(h.max()), int(n.max())
+        if least < 1 or 2 * live < idx.size or bound >= pbits.end or live <= _TAIL_LANES:
+            keep = np.flatnonzero(np.greater(n >= 1, found[idx]))  # n >= 1 and no hit
+            idx = idx[keep]
+            h = h[keep]
+            n = n[keep]
+            live = idx.size  # the lanes that failed at n = 1 went too
+            if live:
+                bound, top, least = int(h.max()), int(n.max()), int(n.min())
+                pbits.grow(bound)
+    return idx, h, n, step
+
+
+def _tail_rounds(idx, h, n, step, pbits, found, steps):
+    """Finish the lanes (idx, h, n), none hit, at the given step count, K
+    steps a round.
+
+    A round looks up H[i, j] = h + n*j - j*(j - 1)/2, lane i's h after j
+    more steps, for every j < K in one gather; a lane's first hit is the
+    argmax of its row, and a hit at j >= n, past its n = 1, is none.  K is
+    halved until every H a lane may use lies below the bitmap's end: with
+    h <= bound and n <= top, H[i, j] is at most bound + j*top - j*(j - 1)/2,
+    which rises with j up to top.  The bitmap grows, to the lanes' largest
+    h, only when not even one step fits.
+    """
+    while idx.size:
+        bound, top = int(h.max()), int(n.max())
+        pbits.grow(bound)
+        k = min(max(_ROUND_CELLS // idx.size, 1), top)
+        while bound + (k - 1) * top - (k - 1) * (k - 2) // 2 >= pbits.end:
+            k //= 2
+        j = np.arange(k)
+        # the cells past a lane's n = 1 may leave the bitmap: clip them
+        cells = np.take(pbits.bits, h[:, None] + n[:, None] * j - j * (j - 1) // 2, mode="clip")
+        first = cells.argmax(axis=1)
+        hit = cells[np.arange(idx.size), first]
+        hit &= first < n
+        at = np.flatnonzero(hit)
+        q_at = idx[at]
+        steps[q_at] = first[at] + step
+        found[q_at] = True
+        keep = np.flatnonzero(np.greater(n > k, hit))  # another round and no hit
+        idx, h, n = idx[keep], h[keep], n[keep]
+        h += n * k - k * (k - 1) // 2
+        n -= k
+        step += k
 
 
 def _growth_ratios(qs: np.ndarray, ps: np.ndarray, ns: np.ndarray):

@@ -14,6 +14,7 @@ import shlex
 import signal
 import tempfile
 import time
+import tracemalloc
 import types
 import warnings
 
@@ -1053,6 +1054,21 @@ class TestMemoryBudget:
         assert cli._verify_memory(args, twin, 5, 10**7, False) == 2 * small
         # records or a fold: the arrays of up to two shards a worker wait in the parent
         assert cli._verify_memory(args, twin, 5, 10**7, True) > 2 * small
+
+    @pytest.mark.parametrize("mode", [represent.Mode.TWIN_MIN, represent.Mode.SUN_ODD])
+    def test_a_shard_peaks_within_its_bytes_a_q(self, mode):
+        # numpy's allocations of one default shard, its p-bitmap grown first:
+        # the domain, the per-q arrays and the scan's lanes and temporaries
+        lo = 10**7
+        hi = lo + cli.DEFAULT_SHARD_SIZE - 1
+        represent.verify_range(lo, hi, mode)
+        tracemalloc.start()
+        try:
+            report = represent.verify_range(lo, hi, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._SHARD_BYTES_PER_Q * report.checked
 
     def test_cache_adds_its_table_once_to_the_same_estimate(self, tmp_path):
         cache = str(tmp_path / "primes.bin")

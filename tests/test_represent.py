@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +48,18 @@ def scan(qs, pbits):
     """_scan_block into fresh zeroed arrays: (p, n, found)."""
     ps, ns = np.zeros(len(qs), dtype=np.int64), np.zeros(len(qs), dtype=np.int64)
     return ps, ns, _scan_block(qs, pbits, ps, ns)
+
+
+# _TAIL_LANES under which _scan_block takes one-step calls alone, both paths
+# as in use, and K-step rounds alone
+KERNEL_PATHS = (0, represent._TAIL_LANES, represent._BLOCK_SIZE)
+
+
+@contextlib.contextmanager
+def tail_lanes(tail):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(represent, "_TAIL_LANES", tail)
+        yield
 
 
 def sieved_segment(twin):
@@ -280,22 +294,24 @@ class TestVerifyRange:
             return ([r.p if r else 0 for r in reps], [r.n if r else 0 for r in reps],
                     [r is not None for r in reps])
 
-        # the kernel alone, on random sorted odd q >= 5 cut into blocks
+        # the kernel alone, on random sorted odd q >= 5 cut into blocks, and
+        # through verify_range's blocks, on a random window
         qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
-        blocks = [scan(qs[s : s + block], _PBits(bits=mask))
-                  for s in range(0, len(qs), block)]
-        assert [np.concatenate(a).tolist() for a in zip(*blocks)] == list(expected(qs.tolist()))
-
-        # the kernel through verify_range's blocks, on a random window
+        want = list(expected(qs.tolist()))
         hi = min(lo + width, 1_000_001)
-        report = verify_range(lo, hi, mode, table_1e6, block_size=block)
         domain = [q for q in range(max(lo, 5) | 1, hi + 1, 2)
                   if mode == Mode.SUN_ODD or table_1e6.is_prime(q)]
         ps, ns, found = expected(domain)
-        assert report.qs.tolist() == [q for q, f in zip(domain, found) if f]
-        assert report.ps.tolist() == [p for p, f in zip(ps, found) if f]
-        assert report.ns.tolist() == [n for n, f in zip(ns, found) if f]
-        assert report.failures == [q for q, f in zip(domain, found) if not f]
+        for tail in KERNEL_PATHS:
+            with tail_lanes(tail):
+                blocks = [scan(qs[s : s + block], _PBits(bits=mask))
+                          for s in range(0, len(qs), block)]
+                report = verify_range(lo, hi, mode, table_1e6, block_size=block)
+            assert [np.concatenate(a).tolist() for a in zip(*blocks)] == want
+            assert report.qs.tolist() == [q for q, f in zip(domain, found) if f]
+            assert report.ps.tolist() == [p for p, f in zip(ps, found) if f]
+            assert report.ns.tolist() == [n for n, f in zip(ns, found) if f]
+            assert report.failures == [q for q, f in zip(domain, found) if not f]
 
     @settings(max_examples=80, deadline=None)
     @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
@@ -350,11 +366,19 @@ class TestVerifyRange:
         # h = (q - 3) / 2; these q put that h on the first odd of a piece
         qs = np.array([2 * width * k + 3 for k in range(2, 40)], dtype=np.int64)
         qs = qs[qs >= 5]
+        for tail in KERNEL_PATHS:
+            with pieces(width), tail_lanes(tail):
+                ps, ns, found = scan(qs, _PBits(mask_segment(np.zeros(qs[-1], dtype=bool))))
+                assert not found.any() and not ps.any() and not ns.any()
+                # nor with p = 1 a member, which a round's lookups past n = 1
+                # reach when the bitmap is filled far enough ahead
+                one = np.zeros(qs[-1], dtype=bool)
+                one[0] = True
+                ps, ns, found = scan(qs, _PBits(bits=one))
+                assert not found.any() and not ps.any() and not ns.any()
+                ps, ns, found = scan(qs, _PBits(mask_segment(np.ones(qs[-1], dtype=bool))))
+                assert found.all() and ns.tolist() == [n_max(q) for q in qs.tolist()]
         with pieces(width):
-            ps, ns, found = scan(qs, _PBits(mask_segment(np.zeros(qs[-1], dtype=bool))))
-            assert not found.any() and not ps.any() and not ns.any()
-            ps, ns, found = scan(qs, _PBits(mask_segment(np.ones(qs[-1], dtype=bool))))
-            assert found.all() and ns.tolist() == [n_max(q) for q in qs.tolist()]
             # an h on the end of the filled bits grows them by one piece
             pbits = _PBits(mask_segment(np.ones(qs[-1], dtype=bool)))
             pbits.grow(3 * width - 1)
@@ -389,6 +413,36 @@ class TestVerifyRange:
             del view
             pbits.grow(pbits.end)
             assert len(pbits.bits) == pbits.end == 2 * width and pbits.bits.all()
+
+    @pytest.mark.parametrize("mode, lo, span", [(Mode.TWIN_MIN, 10**9, 2 * 10**5),
+                                                (Mode.TWIN_MIN, 2 * 10**10, 10**5),
+                                                (Mode.ANY_PRIME, 10**9, 2 * 10**5),
+                                                (Mode.SUN_ODD, 10**7, 3 * 10**5)])
+    def test_bitmap_ends_at_the_piece_of_the_deepest_lookup(self, pieces, mode, lo, span):
+        # a lane looks up p down to p_q, or to q - 2 when it fails; the bitmap
+        # holds the pieces up to the deepest such p and no more, whatever the
+        # scan looks ahead
+        with pieces(represent._PIECE):
+            report = verify_range(lo, lo + span, mode)
+            deepest = max([int(report.ps.max()) // 2] + [(q - 3) // 2 for q in report.failures])
+            pbits = represent._pbits(None, mode == Mode.TWIN_MIN)
+            assert pbits.end == -(-(deepest + 1) // represent._PIECE) * represent._PIECE
+
+    @pytest.mark.parametrize("mode", [Mode.TWIN_MIN, Mode.ANY_PRIME])
+    def test_bitmap_grows_under_a_profiler(self, pieces, mode):
+        # a profiler holds the bound resize method of the array it resizes,
+        # which numpy's own reference check counts as a view
+        with pieces(4096):
+            want = verify_range(5, 300_000, mode)
+        with pieces(4096):
+            sys.setprofile(lambda *args: None)
+            try:
+                got = verify_range(5, 300_000, mode)
+            finally:
+                sys.setprofile(None)
+        assert got.summary.to_json_dict() == want.summary.to_json_dict()
+        for a, b in ((got.qs, want.qs), (got.ps, want.ps), (got.ns, want.ns)):
+            assert np.array_equal(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(mode=st.sampled_from([Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD]),
