@@ -13,7 +13,6 @@ the claimed dichotomy "p_q >= q/2 or n_q >= sqrt(q/2)".
 from twinrep import (
     Mode,
     build_prime_table,
-    build_twin_index,
     find_min_n_twin_representation,
     find_min_twin_representation,
     verify_range,
@@ -23,11 +22,10 @@ from twinrep.represent import growth_rows_from_arrays
 LIMIT = 15_485_863  # the millionth prime
 
 table = build_prime_table(LIMIT)
-twins = build_twin_index(table)
 
 print("small examples (minimal p):")
 for q in (5, 11, 13, 59, 113, 997):
-    r = find_min_twin_representation(q, twins)
+    r = find_min_twin_representation(q, table)
     print(f"  q={q:>4}: p_q={r.p:>4}, n_q={r.n:>3}   "
           f"check: {r.p} + {r.n}*{r.n + 1} = {r.p + r.n * (r.n + 1)}")
 
@@ -56,8 +54,8 @@ print()
 print("minimal-p vs smallest-n conventions:")
 print(f"{'q':>8} {'min-p (p, n)':>16} {'min-n (p, n)':>16}")
 for q in (997, 10007, 100003, 1000003):
-    a = find_min_twin_representation(q, twins)
-    b = find_min_n_twin_representation(q, twins)
+    a = find_min_twin_representation(q, table)
+    b = find_min_n_twin_representation(q, table)
     print(f"{q:>8} {str((a.p, a.n)):>16} {str((b.p, b.n)):>16}")
 print("the smallest-n variant keeps p close to q, which is the regime where")
 print("p > q^(1/3) and n ~ log q hold; the minimal-p map does not obey them")

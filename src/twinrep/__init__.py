@@ -50,15 +50,12 @@ from .sieve import (
     CoverageError,
     PrimeTable,
     ResourceLimitError,
-    TwinIndex,
     build_prime_table,
-    build_twin_index,
     load_prime_table,
     prime_count,
     save_prime_table,
     sieve_segment,
     squarefree_kappa_census,
-    twin_count,
     twin_segment,
 )
 from .singular import (

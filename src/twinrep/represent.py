@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .sieve import CoverageError, PrimeTable, TwinIndex, sieve_segment, twin_segment
+from .sieve import CoverageError, PrimeTable, sieve_segment, twin_segment
 
 __all__ = [
     "Mode",
@@ -91,61 +91,54 @@ def _n_max_vector(qs: np.ndarray) -> np.ndarray:
     return (r - 1) >> 1
 
 
-def find_min_twin_representation(q: int, twins: TwinIndex) -> Representation | None:
-    """Minimal twin-prime representation of q, or None when no n works.
+def _first_representation(q: int, table: PrimeTable, mode: Mode) -> Representation | None:
+    """The scalar scan behind the three finders.
 
-    Scans n from n_max(q) down to 1; the first n whose p = q - n*(n+1)
-    is a twin prime gives the minimal p.  Insufficient index coverage
-    is a hard error, never a silent None.
+    Tries n from n_max(q) down to 1, or up from 1 in the smallest-n mode,
+    and returns the first n whose p = q - n*(n+1) is prime and, in the twin
+    modes, has p - 2 or p + 2 prime too; None when no n works.  Every p + 2
+    is at most q, so a q above table.limit is a CoverageError, never a
+    silent None.
     """
-    if q < 5:
-        return None
-    if q - 2 > twins.coverage:
-        raise CoverageError(
-            f"q={q} needs twin membership up to {q - 2}, coverage is {twins.coverage}"
-        )
-    if q % 2 == 0:
-        return None  # p = q - n(n+1) would be even, and no twin prime is even
-    for n in range(n_max(q), 0, -1):
-        p = q - n * (n + 1)
-        if twins.odd_mask[p >> 1]:
-            return Representation(q=q, p=p, n=n, mode=Mode.TWIN_MIN)
-    return None
-
-
-def find_min_n_twin_representation(q: int, twins: TwinIndex) -> Representation | None:
-    """Smallest-n twin representation: scans n upward, so p is maximal.
-
-    This is the convention under which the claimed growth bounds on
-    p_q and n_q hold; it is a diagnostic companion to the minimal-p
-    map, not one of the verification modes.
-    """
-    if q < 5:
-        return None
-    if q - 2 > twins.coverage:
-        raise CoverageError(
-            f"q={q} needs twin membership up to {q - 2}, coverage is {twins.coverage}"
-        )
-    if q % 2 == 0:
-        return None
-    for n in range(1, n_max(q) + 1):
-        p = q - n * (n + 1)
-        if twins.odd_mask[p >> 1]:
-            return Representation(q=q, p=p, n=n, mode=Mode.TWIN_MIN_N)
-    return None
-
-
-def find_any_prime_representation(q: int, table: PrimeTable) -> Representation | None:
-    """Minimal prime representation of q under the same descending scan."""
     if q < 5:
         return None
     if q > table.limit:
         raise CoverageError(f"q={q} exceeds table limit {table.limit}")
-    for n in range(n_max(q), 0, -1):
+    top = n_max(q)
+    ns = range(1, top + 1) if mode == Mode.TWIN_MIN_N else range(top, 0, -1)
+    prime = table.is_prime
+    for n in ns:
         p = q - n * (n + 1)
-        if table.is_prime(p):
-            return Representation(q=q, p=p, n=n, mode=Mode.ANY_PRIME)
+        if prime(p) and (mode == Mode.ANY_PRIME or prime(p - 2) or prime(p + 2)):
+            return Representation(q=q, p=p, n=n, mode=mode)
     return None
+
+
+def find_min_twin_representation(q: int, table: PrimeTable) -> Representation | None:
+    """Minimal twin-prime representation of q, or None when no n works.
+
+    p = q - n*(n+1) grows as n falls, so the first twin p of the descending
+    scan is the minimal one.  q must be at most table.limit.
+    """
+    return _first_representation(q, table, Mode.TWIN_MIN)
+
+
+def find_min_n_twin_representation(q: int, table: PrimeTable) -> Representation | None:
+    """Smallest-n twin representation: scans n upward, so p is maximal.
+
+    This is the convention under which the claimed growth bounds on
+    p_q and n_q hold; it is a diagnostic companion to the minimal-p
+    map, not one of the verification modes.  q must be at most table.limit.
+    """
+    return _first_representation(q, table, Mode.TWIN_MIN_N)
+
+
+def find_any_prime_representation(q: int, table: PrimeTable) -> Representation | None:
+    """Minimal prime representation of q under the same descending scan.
+
+    q must be at most table.limit.
+    """
+    return _first_representation(q, table, Mode.ANY_PRIME)
 
 
 # Lanes per scanned block: the kernel's working set is about 60 bytes a lane.
@@ -507,15 +500,14 @@ def verify_range(
     mode: Mode,
     table: PrimeTable | None = None,
     include_small: bool = False,
-    block_size: int = _BLOCK_SIZE,
 ) -> VerificationReport:
     """Verify representability for every admissible q in [lo, hi].
 
     Iterates primes (or odd integers in Sun mode) in ascending order,
-    accumulating failures and statistics; the result is independent of
-    block_size and of how a caller shards the range.  q in {2, 3} have
-    no admissible n and are skipped unless include_small, in which case
-    they count as failures.
+    accumulating failures and statistics, _BLOCK_SIZE q at a time; the
+    result is independent of the block size and of how a caller shards
+    the range.  q in {2, 3} have no admissible n and are skipped unless
+    include_small, in which case they count as failures.
 
     Prime bits come from table or, when it is None, from a sieve of
     [lo, hi] alone.  p membership comes from one bitmap per process, grown
@@ -540,8 +532,8 @@ def verify_range(
     qs = _domain(lo, hi, mode, _prime_bits(table))
     ps = np.zeros(len(qs), dtype=np.int64)
     ns = np.zeros(len(qs), dtype=np.int64)
-    for start in range(0, len(qs), block_size):
-        block = slice(start, start + block_size)
+    for start in range(0, len(qs), _BLOCK_SIZE):
+        block = slice(start, start + _BLOCK_SIZE)
         found = _scan_block(qs[block], pbits, ps[block], ns[block])
         summary.absorb_block(qs[block], ps[block], ns[block], found)
     if summary.represented < len(qs):  # keep the represented q alone

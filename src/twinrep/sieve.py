@@ -3,9 +3,9 @@
 A :class:`PrimeTable` is the ground truth for every primality condition
 in the package: a segmented odds-only sieve whose bit for m is set iff m
 is prime, for all 2 <= m <= limit.  Queries past the limit raise
-:class:`CoverageError` rather than guessing.  On top of it sit the
-twin-prime index (a prime p is a twin when p-2 or p+2 is also prime,
-so both members of a pair qualify) and the squarefree-4p-1 census.
+:class:`CoverageError` rather than guessing.  From the same bits come
+twin bits over a segment (a prime p is a twin when p-2 or p+2 is also
+prime, so both members of a pair qualify) and the squarefree-4p-1 census.
 """
 
 from __future__ import annotations
@@ -21,13 +21,10 @@ __all__ = [
     "CoverageError",
     "ResourceLimitError",
     "PrimeTable",
-    "TwinIndex",
     "build_prime_table",
     "sieve_segment",
     "twin_segment",
     "prime_count",
-    "build_twin_index",
-    "twin_count",
     "squarefree_kappa_census",
     "squarefree_mask",
     "mu_phi_tables",
@@ -43,7 +40,7 @@ _CACHE_HEADER = struct.Struct("<4sHHQQQI")  # magic, version, pad, limit, segmen
 
 
 class CoverageError(ValueError):
-    """A query reached past what a table or index can answer exactly."""
+    """A query reached past what a table can answer exactly."""
 
 
 class ResourceLimitError(RuntimeError):
@@ -137,29 +134,16 @@ def sieve_segment(lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray
     return out
 
 
-def _twin_mask(bits: np.ndarray, out: np.ndarray, below: int) -> np.ndarray:
-    """Twin bits, written into out[i] for the odd m whose prime bit is
-    bits[below + i]: m is prime and m - 2 or m + 2 is prime, reading the m
-    past either end of bits as not prime."""
-    size = len(out)
-    right = min(size, len(bits) - below - 1)  # entries whose m + 2 has a bit
-    out[:right] = bits[below + 1 : below + 1 + right]  # m + 2 prime
-    out[right:] = False
-    out[1 - below :] |= bits[: size - 1 + below]  # or m - 2 prime
-    out &= bits[below : below + size]
-    return out
-
-
 def twin_segment(lo: int, hi: int, prime_bits=sieve_segment,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Twin bits of the odd m in [lo, hi], indexed like sieve_segment(lo, hi).
 
-    prime_bits is sieve_segment or a PrimeTable's segment.  The bits are read
-    one odd number wider at each end, so the rule of build_twin_index is
-    exact on every m it returns.  From a table the result is cut short at
-    its limit and exact for m <= limit - 2, where m + 2 is still covered.
-    With out, the bits are written into its first entries and that view
-    returned.
+    m is a twin when m is prime and m - 2 or m + 2 is prime.  prime_bits is
+    sieve_segment or a PrimeTable's segment.  The bits are read one odd
+    number wider at each end, so the rule is exact on every m returned.
+    From a table the result is cut short at its limit and exact for
+    m <= limit - 2, where m + 2 is still covered.  With out, the bits are
+    written into its first entries and that view returned.
     """
     if lo < 0:
         raise ValueError(f"twin_segment needs lo >= 0, got {lo}")
@@ -169,7 +153,13 @@ def twin_segment(lo: int, hi: int, prime_bits=sieve_segment,
     below = 1 if first else 0  # m = -1 needs no entry: it reads as not prime
     bits = prime_bits(2 * (first - below) + 1, 2 * stop + 1)
     size = max(min(stop - first, len(bits) - below), 0)
-    return _twin_mask(bits, np.empty(size, dtype=bool) if out is None else out[:size], below)
+    out = np.empty(size, dtype=bool) if out is None else out[:size]
+    right = min(size, len(bits) - below - 1)  # entries whose m + 2 has a bit
+    out[:right] = bits[below + 1 : below + 1 + right]  # m + 2 prime
+    out[right:] = False
+    out[1 - below :] |= bits[: size - 1 + below]  # or m - 2 prime
+    out &= bits[below : below + size]
+    return out
 
 
 def build_prime_table(limit: int) -> PrimeTable:
@@ -204,48 +194,14 @@ def prime_count(table: PrimeTable, x: int) -> int:
     return count
 
 
-@dataclass
-class TwinIndex:
-    """Sorted index of twin primes with decidable membership up to coverage.
+def build_twin_index(table: PrimeTable) -> np.ndarray:
+    """Twin bits of the odd m <= table.limit - 2, as twin_segment gives them.
 
-    coverage = table.limit - 2 because membership of p needs p + 2.
+    Kept only because perfbench/setup_probe.py imports it to time a twin
+    workload's set-up; the library itself reads twin_segment, and this goes
+    when the probe's set-up plans are revised.
     """
-
-    coverage: int
-    twins: np.ndarray  # ascending int64
-    odd_mask: np.ndarray  # bool over odds; odd_mask[p >> 1] <-> p is twin
-
-    def is_twin(self, p: int) -> bool:
-        if p > self.coverage:
-            raise CoverageError(f"twin membership of {p} exceeds coverage {self.coverage}")
-        if p < 3 or p % 2 == 0:
-            return False
-        return bool(self.odd_mask[p >> 1])
-
-    def next_twin(self, m: int) -> int | None:
-        """Smallest twin prime >= m, or None if none exists within coverage."""
-        if m > self.coverage:
-            raise CoverageError(f"successor query at {m} exceeds coverage {self.coverage}")
-        i = int(np.searchsorted(self.twins, m, side="left"))
-        return int(self.twins[i]) if i < len(self.twins) else None
-
-
-def build_twin_index(table: PrimeTable) -> TwinIndex:
-    """Index every prime p <= limit - 2 with p - 2 or p + 2 prime."""
-    if table.limit < 5:
-        raise ValueError(f"twin index needs table.limit >= 5, got {table.limit}")
-    coverage = table.limit - 2
-    mask = _twin_mask(table.odd_bits, np.empty_like(table.odd_bits), 0)
-    mask[(coverage >> 1) + 1 :] = False  # p + 2 undecidable past coverage
-    twins = np.flatnonzero(mask).astype(np.int64) * 2 + 1
-    return TwinIndex(coverage=coverage, twins=twins, odd_mask=mask)
-
-
-def twin_count(index: TwinIndex, x: int) -> int:
-    """pi_2(x): twin primes <= x, under the either-neighbour definition."""
-    if x > index.coverage:
-        raise CoverageError(f"twin_count({x}) exceeds coverage {index.coverage}")
-    return int(np.searchsorted(index.twins, x, side="right"))
+    return twin_segment(0, table.limit - 2, table.segment)
 
 
 def squarefree_mask(values: np.ndarray, table: PrimeTable) -> np.ndarray:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from twinrep import represent
-from twinrep.sieve import build_prime_table, build_twin_index
+from twinrep.sieve import build_prime_table, twin_segment
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +25,8 @@ def table_1e6():
 
 @pytest.fixture(scope="session")
 def twins_1e6(table_1e6):
-    return build_twin_index(table_1e6)
+    """Twin bits of every odd p <= 999_999, indexed like table_1e6.odd_bits."""
+    return twin_segment(0, table_1e6.limit - 2, table_1e6.segment)
 
 
 @contextlib.contextmanager

@@ -34,12 +34,7 @@ from twinrep.represent import (
     n_max,
     verify_range,
 )
-from twinrep.sieve import (
-    build_prime_table,
-    build_twin_index,
-    prime_count,
-    squarefree_kappa_census,
-)
+from twinrep.sieve import build_prime_table, prime_count, squarefree_kappa_census
 
 MILLIONTH_PRIME = 15_485_863  # the 10^6-th prime: desk-scale range end
 
@@ -48,14 +43,13 @@ _timings: dict[str, float] = {}
 
 @pytest.fixture(scope="module")
 def desk_run():
-    """Sieve, twin index and full minimal-twin verification over the
-    first million primes, timed against the five-minute budget."""
+    """Sieve and full minimal-twin verification over the first million
+    primes, timed against the five-minute budget."""
     start = time.perf_counter()
     table = build_prime_table(MILLIONTH_PRIME)
-    twins = build_twin_index(table)
     report = verify_range(5, MILLIONTH_PRIME, Mode.TWIN_MIN, table)
     elapsed = time.perf_counter() - start
-    return table, twins, report, elapsed
+    return table, report, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +61,7 @@ def table_1m():
 
 
 def test_criterion_1_twin_verification_first_million_primes(desk_run):
-    table, twins, report, elapsed = desk_run
+    table, report, elapsed = desk_run
     assert prime_count(table, MILLIONTH_PRIME) == 10**6
     assert report.checked == 10**6 - 2  # q = 2, 3 have no admissible n
     assert report.failures == []
@@ -80,7 +74,7 @@ def test_criterion_1_twin_verification_first_million_primes(desk_run):
 
 
 def _is_twin_64(t: int) -> bool:
-    """Twin-prime test by primality alone, independent of the twin index."""
+    """Twin-prime test by primality alone, independent of the prime table."""
     return is_prime_64(t) and (is_prime_64(t - 2) or is_prime_64(t + 2))
 
 
@@ -120,7 +114,7 @@ def test_criterion_2_min_p_over_cbrt_q_above_one(desk_run):
     prime is no cube), and the smallest-n p is never below p_q, so (b)
     proves the bound for the smallest-n map on every q of the range.
     """
-    _, twins, report, _ = desk_run
+    table, report, _ = desk_run
     qs, ps = report.qs, report.ps
     assert len(qs) == report.checked
 
@@ -141,14 +135,14 @@ def test_criterion_2_min_p_over_cbrt_q_above_one(desk_run):
 
     below = []
     for q, p_q in expected.items():
-        rep = find_min_n_twin_representation(q, twins)
+        rep = find_min_n_twin_representation(q, table)
         if rep is None or rep.p < p_q or rep.p**3 <= q:
             below.append((q, rep))
     assert below == []
 
 
 def test_criterion_2_max_n_over_log_q_reported(desk_run):
-    _, _, report, _ = desk_run
+    _, report, _ = desk_run
     value = report.stats["max_n_over_log_q"]
     print(f"\n  max n_q/log q = {value:.6f} at q = {report.stats['max_n_over_log_q_at']}")
     assert math.isfinite(value) and value > 0
@@ -157,7 +151,7 @@ def test_criterion_2_max_n_over_log_q_reported(desk_run):
 
 
 def test_criterion_2_n_below_sqrt_q(desk_run):
-    _, _, report, _ = desk_run
+    _, report, _ = desk_run
     assert report.stats["sqrt_bound_violations"] == 0
     assert bool((report.ns * report.ns <= report.qs).all())
 
@@ -180,7 +174,7 @@ def test_criterion_2_dichotomy_zero_exceptions(desk_run):
     scan over all n, with twin membership from is_prime_64, confirms
     each of the eleven.
     """
-    _, _, report, _ = desk_run
+    _, report, _ = desk_run
     qs, ps, ns = report.qs, report.ps, report.ns
     assert len(qs) == report.checked  # every q is represented and counted below
 
@@ -206,7 +200,7 @@ def test_criterion_2_dichotomy_zero_exceptions(desk_run):
 
 
 def test_criterion_3_same_n_forces_smaller_p(desk_run):
-    _, _, report, _ = desk_run
+    _, report, _ = desk_run
     assert report.stats["same_n_order_violations"] == 0
     # that stat counts failures of p + n(n+1) = q; the lemma itself is checked here:
     # within each n, in ascending q, p increases strictly
@@ -385,7 +379,7 @@ def test_criterion_8_sieve_vs_trial_division():
 
 
 def test_criterion_8_minimal_representation_vs_exhaustive_scan(table_1m):
-    twins = build_twin_index(table_1m)
+    prime = table_1m.is_prime
     report = verify_range(5, 10**5, Mode.TWIN_MIN, table_1m)
     primes = table_1m.primes()
     qs = primes[(primes >= 5) & (primes <= 10**5)]
@@ -394,7 +388,7 @@ def test_criterion_8_minimal_representation_vs_exhaustive_scan(table_1m):
         best = None
         for n in range(1, n_max(q) + 1):
             p = q - n * (n + 1)
-            if twins.odd_mask[p >> 1]:
+            if prime(p) and (prime(p - 2) or prime(p + 2)):  # p is a twin
                 best = min(best, (p, n)) if best else (p, n)
         assert best is not None, q
         assert best == (int(report.ps[i]), int(report.ns[i])), q

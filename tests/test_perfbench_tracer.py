@@ -1,6 +1,7 @@
 """perfbench/tracer.py wraps library names by hand and reads verify_range's
 report fields in its hooks; a tiny traced run of each subcommand it times
-keeps a rename from surfacing only in a traced benchmark run."""
+keeps a rename from surfacing only in a traced benchmark run.  The set-up
+probe imports library names too, and runs here as perfbench/run.py runs it."""
 
 import json
 import subprocess
@@ -50,3 +51,12 @@ def test_traced_run_exits_0_with_its_spans(tmp_path, name):
     assert spans <= {key for t in traces for key in t["spans"]}
     if spans == SHARD_SPANS:  # the verify_range hook read the report's fields
         assert sum(t["counts"].get("represent.q_checked", 0) for t in traces) > 0
+
+
+def test_setup_probe_times_a_twin_plan():
+    # twin-verify's and reports' plans build a table with its twin bits
+    plan = json.dumps([["build", 100_000, True]])
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), plan],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["setup_s"] > 0

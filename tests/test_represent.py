@@ -56,9 +56,12 @@ KERNEL_PATHS = (0, represent._TAIL_LANES, represent._BLOCK_SIZE)
 
 
 @contextlib.contextmanager
-def tail_lanes(tail):
+def patched(**constants):
+    """represent's module constants set to the given values, within the context
+    (hypothesis rejects function-scoped fixtures such as monkeypatch)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(represent, "_TAIL_LANES", tail)
+        for name, value in constants.items():
+            mp.setattr(represent, name, value)
         yield
 
 
@@ -95,12 +98,13 @@ def lemma_counts(qs, ps, ns):
     }
 
 
-def exhaustive_min_twin(q, twins):
-    """Oracle: scan every n ascending, collect all twin hits, take min p."""
+def exhaustive_min_twin(q, table):
+    """Oracle: scan every n ascending, collect all twin hits, take min p.
+    A twin p is prime with p - 2 or p + 2 prime, each read from the table."""
     hits = []
     for n in range(1, n_max(q) + 1):
         p = q - n * (n + 1)
-        if p >= 3 and twins.is_twin(p):
+        if table.is_prime(p) and (table.is_prime(p - 2) or table.is_prime(p + 2)):
             hits.append((p, n))
     return min(hits) if hits else None
 
@@ -136,44 +140,48 @@ class TestRepresentation:
 
 
 class TestMinimalTwin:
-    def test_known_values(self, twins_1e6):
-        assert (find_min_twin_representation(5, twins_1e6).p,
-                find_min_twin_representation(5, twins_1e6).n) == (3, 1)
-        r13 = find_min_twin_representation(13, twins_1e6)
+    def test_known_values(self, table_1e6):
+        assert (find_min_twin_representation(5, table_1e6).p,
+                find_min_twin_representation(5, table_1e6).n) == (3, 1)
+        r13 = find_min_twin_representation(13, table_1e6)
         assert (r13.p, r13.n) == (7, 2)  # candidates 11 and 7, minimal is 7
-        r11 = find_min_twin_representation(11, twins_1e6)
+        r11 = find_min_twin_representation(11, table_1e6)
         assert (r11.p, r11.n) == (5, 2)  # n=1 gives 9, composite
 
-    def test_small_q(self, twins_1e6):
-        assert find_min_twin_representation(3, twins_1e6) is None
-        assert find_min_twin_representation(2, twins_1e6) is None
+    def test_small_q(self, table_1e6):
+        assert find_min_twin_representation(3, table_1e6) is None
+        assert find_min_twin_representation(2, table_1e6) is None
 
-    def test_minimal_p_family(self, twins_1e6):
+    def test_minimal_p_family(self, table_1e6):
         # q = n^2 + n + 3 prime has p_q = 3, the smallest possible twin
         for n in (7, 10, 22):
             q = n * n + n + 3
-            r = find_min_twin_representation(q, twins_1e6)
+            r = find_min_twin_representation(q, table_1e6)
             assert (r.p, r.n) == (3, n), q
 
-    def test_against_exhaustive_scan(self, table_1e6, twins_1e6):
+    def test_against_exhaustive_scan(self, table_1e6):
         rng = random.Random(99)
         primes = table_1e6.primes()
         qs = [int(q) for q in rng.sample(list(primes[(primes >= 5) & (primes <= 10**6)]), 1000)]
         for q in qs:
-            got = find_min_twin_representation(q, twins_1e6)
-            expected = exhaustive_min_twin(q, twins_1e6)
+            got = find_min_twin_representation(q, table_1e6)
+            expected = exhaustive_min_twin(q, table_1e6)
             assert expected is not None
             assert (got.p, got.n) == expected, q
 
-    def test_coverage_error(self, twins_1e6):
-        with pytest.raises(CoverageError):
-            find_min_twin_representation(twins_1e6.coverage + 10, twins_1e6)
+    def test_coverage_error(self, table_1e5):
+        # p + 2 <= q, so every q up to the limit is answered and none above it
+        for find in (find_min_twin_representation, find_min_n_twin_representation,
+                     find_any_prime_representation):
+            assert find(99_991, table_1e5) is not None  # the largest prime <= 1e5
+            with pytest.raises(CoverageError):
+                find(table_1e5.limit + 1, table_1e5)
 
-    def test_min_n_variant(self, twins_1e6):
+    def test_min_n_variant(self, table_1e6):
         # q = 997: minimal-p map gives (5, 31); smallest-n map gives (617, 19)
-        r = find_min_twin_representation(997, twins_1e6)
+        r = find_min_twin_representation(997, table_1e6)
         assert (r.p, r.n) == (5, 31)
-        r = find_min_n_twin_representation(997, twins_1e6)
+        r = find_min_n_twin_representation(997, table_1e6)
         assert (r.p, r.n) == (617, 19)
         assert r.mode == Mode.TWIN_MIN_N
 
@@ -208,12 +216,12 @@ class TestVerifyRange:
         assert report.checked == 1227  # pi(1e4) - 2
         assert report.checked == len(report.qs)
 
-    def test_matches_scalar_path(self, table_1e6, twins_1e6):
+    def test_matches_scalar_path(self, table_1e6):
         report = verify_range(5, 3000, Mode.TWIN_MIN, table_1e6)
         primes = [int(p) for p in table_1e6.primes() if 5 <= p <= 3000]
         assert list(report.qs) == primes
         for q, p, n in zip(report.qs, report.ps, report.ns):
-            r = find_min_twin_representation(int(q), twins_1e6)
+            r = find_min_twin_representation(int(q), table_1e6)
             assert (r.p, r.n) == (int(p), int(n))
 
     def test_prime_and_sun_modes(self, table_1e6):
@@ -230,7 +238,8 @@ class TestVerifyRange:
 
     def test_block_size_invariance(self, table_1e6):
         a = verify_range(5, 20_000, Mode.TWIN_MIN, table_1e6)
-        b = verify_range(5, 20_000, Mode.TWIN_MIN, table_1e6, block_size=211)
+        with patched(_BLOCK_SIZE=211):
+            b = verify_range(5, 20_000, Mode.TWIN_MIN, table_1e6)
         assert a.stats == b.stats
         assert np.array_equal(a.ps, b.ps) and np.array_equal(a.ns, b.ns)
 
@@ -264,11 +273,9 @@ class TestVerifyRange:
         whole = verify_range(lo, hi, mode, table_1e6, include_small=small)
         cuts = sorted(c for c in cuts if c <= hi)
         bounds = zip([lo] + cuts, [c - 1 for c in cuts] + [hi])
-        parts = [
-            verify_range(a, b, mode, table_1e6, include_small=small,
-                         block_size=block).summary
-            for a, b in bounds
-        ]
+        with patched(_BLOCK_SIZE=block):
+            parts = [verify_range(a, b, mode, table_1e6, include_small=small).summary
+                     for a, b in bounds]
         assert merged(parts).to_json_dict() == whole.summary.to_json_dict()
         # same_n_first/last against a walk in ascending q
         first, last = {}, {}
@@ -285,7 +292,7 @@ class TestVerifyRange:
     def test_scan_kernel_matches_scalar_finders(self, table_1e6, twins_1e6,
                                                 mode, halves, block, lo, width):
         if mode == Mode.TWIN_MIN:
-            mask, find = twins_1e6.odd_mask, lambda q: find_min_twin_representation(q, twins_1e6)
+            mask, find = twins_1e6, lambda q: find_min_twin_representation(q, table_1e6)
         else:
             mask, find = table_1e6.odd_bits, lambda q: find_any_prime_representation(q, table_1e6)
 
@@ -303,10 +310,10 @@ class TestVerifyRange:
                   if mode == Mode.SUN_ODD or table_1e6.is_prime(q)]
         ps, ns, found = expected(domain)
         for tail in KERNEL_PATHS:
-            with tail_lanes(tail):
+            with patched(_TAIL_LANES=tail, _BLOCK_SIZE=block):
                 blocks = [scan(qs[s : s + block], _PBits(bits=mask))
                           for s in range(0, len(qs), block)]
-                report = verify_range(lo, hi, mode, table_1e6, block_size=block)
+                report = verify_range(lo, hi, mode, table_1e6)
             assert [np.concatenate(a).tolist() for a in zip(*blocks)] == want
             assert report.qs.tolist() == [q for q, f in zip(domain, found) if f]
             assert report.ps.tolist() == [p for p, f in zip(ps, found) if f]
@@ -325,7 +332,7 @@ class TestVerifyRange:
         halves = data.draw(st.lists(st.integers(2, top), min_size=1, max_size=120, unique=True))
         twin = mode == Mode.TWIN_MIN
         if twin:
-            mask, find = twins_1e6.odd_mask, lambda q: find_min_twin_representation(q, twins_1e6)
+            mask, find = twins_1e6, lambda q: find_min_twin_representation(q, table_1e6)
         else:
             mask, find = table_1e6.odd_bits, lambda q: find_any_prime_representation(q, table_1e6)
         qs = np.array(sorted(2 * h + 1 for h in halves), dtype=np.int64)
@@ -342,12 +349,12 @@ class TestVerifyRange:
 
     @pytest.mark.parametrize("sieved", [False, True])
     @pytest.mark.parametrize("width", [1, 7, 300])
-    def test_lanes_cross_windows(self, twins_1e6, pieces, sieved, width):
+    def test_lanes_cross_windows(self, table_1e6, twins_1e6, pieces, sieved, width):
         # q with deep scans: the bitmap grows many times while each lane
         # passes piece ends before its hit (p_q up to 85091)
         qs = np.array([997, 2909, 35999, 42187, 999_983], dtype=np.int64)
         visited, grown = [], []
-        source = sieved_segment(True) if sieved else mask_segment(twins_1e6.odd_mask)
+        source = sieved_segment(True) if sieved else mask_segment(twins_1e6)
         with pieces(width):
             pbits = _PBits(lambda lo, hi, out: visited.append(lo) or source(lo, hi, out=out))
             grow = pbits.grow
@@ -357,7 +364,7 @@ class TestVerifyRange:
         assert visited == list(range(1, 2 * pbits.end, 2 * width))
         assert grown.count(True) > 5 and len(pbits.bits) == pbits.end
         for q, p, n in zip(qs.tolist(), ps.tolist(), ns.tolist()):
-            r = find_min_twin_representation(q, twins_1e6)
+            r = find_min_twin_representation(q, table_1e6)
             assert (p, n) == (r.p, r.n)
 
     @pytest.mark.parametrize("width", [1, 2, 5, 64])
@@ -367,7 +374,7 @@ class TestVerifyRange:
         qs = np.array([2 * width * k + 3 for k in range(2, 40)], dtype=np.int64)
         qs = qs[qs >= 5]
         for tail in KERNEL_PATHS:
-            with pieces(width), tail_lanes(tail):
+            with pieces(width), patched(_TAIL_LANES=tail):
                 ps, ns, found = scan(qs, _PBits(mask_segment(np.zeros(qs[-1], dtype=bool))))
                 assert not found.any() and not ps.any() and not ns.any()
                 # nor with p = 1 a member, which a round's lookups past n = 1
@@ -393,13 +400,13 @@ class TestVerifyRange:
     def test_bitmap_grows_in_place_to_its_end(self, twins_1e6, pieces, sieved, width):
         # each grow extends bits to exactly its end; growths of one piece and
         # of several both keep every bit filled before them
-        source = sieved_segment(True) if sieved else mask_segment(twins_1e6.odd_mask)
+        source = sieved_segment(True) if sieved else mask_segment(twins_1e6)
         with pieces(width):
             pbits = _PBits(source)
             for h in range(0, 60 * width, 5 * width // 2 + 1):
                 pbits.grow(h)
                 assert len(pbits.bits) == pbits.end > h
-                assert np.array_equal(pbits.bits, twins_1e6.odd_mask[: pbits.end])
+                assert np.array_equal(pbits.bits, twins_1e6[: pbits.end])
 
     @pytest.mark.parametrize("width", [1, 7, 300])
     def test_a_view_of_the_bitmap_stops_its_growth(self, pieces, width):
@@ -454,8 +461,8 @@ class TestVerifyRange:
         lo = data.draw(st.integers(1, min(990_000, 1000 * width)))
         hi = lo + span
         want = verify_range(lo, hi, mode, table_1e6, include_small=small)
-        with pieces(width):
-            got = verify_range(lo, hi, mode, include_small=small, block_size=block)
+        with pieces(width), patched(_BLOCK_SIZE=block):
+            got = verify_range(lo, hi, mode, include_small=small)
         assert got.summary.to_json_dict() == want.summary.to_json_dict()
         for a, b in ((got.qs, want.qs), (got.ps, want.ps), (got.ns, want.ns)):
             assert np.array_equal(a, b)
@@ -549,10 +556,10 @@ class TestLemmaChecks:
         assert checks["sqrt_bound_violations"] == report.stats["sqrt_bound_violations"]
         assert checks["dichotomy_violations"] == report.stats["dichotomy_violations"]
 
-    def test_dichotomy_counterexample_q11(self, twins_1e6):
+    def test_dichotomy_counterexample_q11(self, table_1e6):
         # q = 11 -> (p, n) = (5, 2): 2*5 < 11 and 2*4 < 11, yet the
         # exact inequality 2n(n+1) = 12 > 11 does hold
-        r = find_min_twin_representation(11, twins_1e6)
+        r = find_min_twin_representation(11, table_1e6)
         assert 2 * r.p < r.q and 2 * r.n * r.n < r.q
         assert 2 * r.n * (r.n + 1) > r.q
 
@@ -562,8 +569,8 @@ class TestLemmaChecks:
         ok = (2 * report.ps > report.qs) | (2 * report.ns * (report.ns + 1) > report.qs)
         assert bool(ok.all())
 
-    def test_single_representation(self, twins_1e6):
-        r = find_min_twin_representation(13, twins_1e6)
+    def test_single_representation(self, table_1e6):
+        r = find_min_twin_representation(13, table_1e6)
         checks = lemma_counts([r.q], [r.p], [r.n])
         assert checks["same_n_order_violations"] == 0
         assert checks["sqrt_bound_violations"] == 0
@@ -590,8 +597,8 @@ class TestGrowthSeries:
         assert report.stats["min_p_over_cbrt_q_at"] == 995009
         assert abs(rows[0].max_n_over_log_q - 72.3152315298092) < 1e-10
 
-    def test_rejects_bad_bucket(self, twins_1e6):
-        r = find_min_twin_representation(13, twins_1e6)
+    def test_rejects_bad_bucket(self, table_1e6):
+        r = find_min_twin_representation(13, table_1e6)
         with pytest.raises(ValueError):
             growth_rows_from_arrays([r.q], [r.p], [r.n], bucket=0)
         with pytest.raises(ValueError):

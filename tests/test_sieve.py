@@ -11,7 +11,6 @@ from twinrep.sieve import (
     _CACHE_HEADER,
     CoverageError,
     build_prime_table,
-    build_twin_index,
     load_prime_table,
     mu_phi_tables,
     prime_count,
@@ -19,7 +18,6 @@ from twinrep.sieve import (
     sieve_segment,
     squarefree_kappa_census,
     squarefree_mask,
-    twin_count,
     twin_segment,
 )
 
@@ -84,7 +82,9 @@ def test_segment_bits_match_whole_table(a, width):
         assert np.array_equal(sieve_segment(a, b), build_prime_table(b).odd_bits[a >> 1 :])
         # and a table's segment is cut short at its limit
         assert np.array_equal(build_prime_table(b).segment(a, b + 40), sieve_segment(a, b))
-    twins = build_twin_index(table).odd_mask[a >> 1 : (b + 1) >> 1]
+    # the twin rule read directly from the table, which covers m + 2 <= b + 2
+    twins = np.array([table.is_prime(m) and (table.is_prime(m - 2) or table.is_prime(m + 2))
+                      for m in range(a | 1, b + 1, 2)], dtype=bool)
     assert np.array_equal(twin_segment(a, b), twins)
     assert np.array_equal(twin_segment(a, b, table.segment), twins)
     # with out, the same bits are written into its first entries
@@ -101,52 +101,36 @@ def test_segment_of_nothing_is_empty():
         sieve_segment(-1, 10)
 
 
-class TestTwinIndex:
-    def test_enumeration_to_20(self, table_1e5):
-        tw = build_twin_index(table_1e5)
-        assert list(tw.twins[tw.twins <= 20]) == [3, 5, 7, 11, 13, 17, 19]
+class TestTwinSegment:
+    def test_enumeration_to_20(self):
+        assert (np.flatnonzero(twin_segment(0, 20)) * 2 + 1).tolist() == [3, 5, 7, 11, 13, 17, 19]
 
     def test_membership(self, table_1e5):
-        tw = build_twin_index(table_1e5)
-        assert tw.is_twin(3)  # 5 is prime
-        assert not tw.is_twin(23)  # 21 and 25 composite
-        assert not tw.is_twin(2)
-        assert not tw.is_twin(9)
+        bits = twin_segment(0, 30, table_1e5.segment)
+        assert bits[3 >> 1]  # 5 is prime
+        assert not bits[23 >> 1]  # 21 and 25 composite
+        assert not bits[9 >> 1]  # 9 is composite
 
     def test_direct_definition(self, table_1e5):
-        tw = build_twin_index(table_1e5)
+        bits = twin_segment(0, 2000, table_1e5.segment)
         for p in range(2, 2000):
             expected = (
                 table_1e5.is_prime(p)
                 and (table_1e5.is_prime(p + 2) or (p > 2 and table_1e5.is_prime(p - 2)))
             )
-            assert tw.is_twin(p) == expected, p
+            assert (p % 2 == 1 and bits[p >> 1]) == expected, p
 
     def test_pairing_symmetry(self, table_1e5):
-        tw = build_twin_index(table_1e5)
-        for p in (int(q) for q in table_1e5.primes() if q <= tw.coverage - 2):
+        bits = twin_segment(0, table_1e5.limit - 2, table_1e5.segment)
+        for p in (int(q) for q in table_1e5.primes() if 3 <= q <= table_1e5.limit - 4):
             if table_1e5.is_prime(p + 2):
-                assert tw.is_twin(p) and tw.is_twin(p + 2)
+                assert bits[p >> 1] and bits[(p + 2) >> 1]
 
-    def test_counts(self, table_1e5):
-        tw = build_twin_index(table_1e5)
-        assert twin_count(tw, 4) == 1  # only 3
-        assert twin_count(tw, 20) == 7
-        assert twin_count(tw, 2) == 0
-
-    def test_coverage_boundary(self, table_1e5):
-        tw = build_twin_index(table_1e5)
-        assert tw.coverage == table_1e5.limit - 2
-        with pytest.raises(CoverageError):
-            tw.is_twin(tw.coverage + 1)
-        with pytest.raises(CoverageError):
-            twin_count(tw, tw.coverage + 1)
-
-    def test_successor(self, table_1e5):
-        tw = build_twin_index(table_1e5)
-        assert tw.next_twin(4) == 5
-        assert tw.next_twin(8) == 11
-        assert tw.next_twin(3) == 3
+    def test_counts(self):
+        # pi_2(x), the twin primes <= x, counted over the odd m <= x
+        assert np.count_nonzero(twin_segment(0, 4)) == 1  # only 3
+        assert np.count_nonzero(twin_segment(0, 20)) == 7
+        assert np.count_nonzero(twin_segment(0, 2)) == 0
 
 
 class TestCensus:
