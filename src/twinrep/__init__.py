@@ -36,6 +36,7 @@ from .expsum import (
     sigma_complex_check,
 )
 from .represent import (
+    MAX_Q,
     GrowthRow,
     Mode,
     Representation,

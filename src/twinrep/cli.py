@@ -43,6 +43,7 @@ from .asymptotic import variance_sweep
 from .expsum import evaluate_sigma_row
 from .represent import (
     _PIECE,
+    MAX_Q,
     Mode,
     ShardSummary,
     _growth_ratios,
@@ -53,6 +54,7 @@ from .represent import (
 )
 from .sieve import (
     _CACHE_HEADER,
+    _SQUAREFREE_SEGMENT,
     SEGMENT_SIZE,
     CoverageError,
     PrimeTable,
@@ -765,8 +767,17 @@ def _cmd_sigma(args) -> int:
     return EXIT_OK
 
 
+# Bytes an integer up to the cutoff that singular holds beyond its prime
+# table: the mu and phi tables, kept for every row, and a row's tail terms.
+# tracemalloc reads 42-44 at cutoffs 4e4 and 1e6.
+_SINGULAR_BYTES = 48
+
+
 def _cmd_singular(args) -> int:
-    table = _acquire_table(args, max(args.cutoff, args.pmax, 5))
+    needed = max(args.cutoff, args.pmax, 5)
+    _check_memory(_table_bytes(args, needed) + _SINGULAR_BYTES * args.cutoff,
+                  f"a prime table to {needed} and mu, phi tables to {args.cutoff}")
+    table = _acquire_table(args, needed)
     primes = [int(p) for p in table.primes() if p <= args.pmax]
     q1 = max(3, args.cutoff // 10)
     # every row exists before the writer opens, so a rejected cutoff
@@ -867,8 +878,17 @@ def _cmd_density(args) -> int:
     return EXIT_OK
 
 
+# Bytes a prime p <= y that the mirsky census holds beyond its prime table:
+# the int64 primes, 4p - 1 and the mask.  tracemalloc reads 20.3 at y = 1e7.
+_CENSUS_BYTES = 24
+
+
 def _cmd_mirsky(args) -> int:
     needed = max(args.y, math.isqrt(4 * args.y) + 1, 2)
+    # and one segment of the squarefree sieve's marks
+    census = _CENSUS_BYTES * _q_bound(Mode.ANY_PRIME, args.y) + _SQUAREFREE_SEGMENT
+    _check_memory(_table_bytes(args, needed) + census,
+                  f"a prime table to {needed} and the squarefree census to {args.y}")
     table = _acquire_table(args, needed)
     count, total = squarefree_kappa_census(table, args.y)
     row = {
@@ -1014,6 +1034,8 @@ def main(argv=None) -> int:
         lo, hi = getattr(args, "range", (1, 1))
         if lo < 1 or hi < lo:
             raise ValueError(f"bad range {lo}:{hi}")
+        if hi > MAX_Q:
+            raise ValueError(f"range end {hi} exceeds the highest supported q, 2^61")
         if getattr(args, "cutoff", 3) < 3:
             raise ValueError(f"cutoff must be >= 3, got {args.cutoff}")
         if args.subcommand == "singular" and args.cutoff < 4:

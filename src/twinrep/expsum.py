@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import euler_phi, is_prime_64, is_squarefree, jacobi, mobius
+from .arithmetic import _factorize, is_prime_64, is_squarefree, jacobi
 
 __all__ = [
     "SigmaEvaluation",
@@ -72,48 +72,48 @@ def sigma_bruteforce(q: int, p: int) -> int:
     return int(_bruteforce_row(q, [p])[0])
 
 
-# bound on the (p, n) cells one np.gcd call of a grid row handles
+# bound on the (p, n) cells one gather of a grid row handles
 _ROW_CELLS = 1 << 20
 
 
 def _bruteforce_row(q: int, ps: list[int]) -> np.ndarray:
     """Sigma(q) for every p in ps, exact int64.
 
-    The Ramanujan sums are evaluated through a per-divisor coefficient
-    table mu(q/g) * phi(q) / phi(q/g), built once for q, so each p costs
-    integer gcds plus lookups: c_q(m) = coef[gcd(m mod q, q)].
+    The Ramanujan sums c_q(m), m = 0..q-1, are built once for q
+    (_ramanujan_row) and read twice over, so each (p, n) cell costs one
+    addition and one lookup: c_q(p + n^2 + n) is entry
+    (p mod q) + (n^2 + n mod q), below 2q, of the doubled row.
     """
     if q < 1:
         raise ValueError(f"sigma_bruteforce requires q >= 1, got {q}")
     for p in ps:
         _require_prime(p)
-    coef = np.zeros(q + 1, dtype=np.int64)
-    phi_q = euler_phi(q)
-    for g in _divisors(q):
-        m = mobius(q // g)
-        if m:
-            coef[g] = m * (phi_q // euler_phi(q // g))
+    row = _ramanujan_row(q)
+    doubled = np.concatenate((row, row))
     n = np.arange(q, dtype=np.int64)
     shifts = (n * n + n) % q
     p_mod_q = np.array([p % q for p in ps], dtype=np.int64)
     sums = np.empty(len(ps), dtype=np.int64)
     step = max(1, _ROW_CELLS // q)
     for i in range(0, len(ps), step):
-        residues = (shifts + p_mod_q[i : i + step, None]) % q
-        sums[i : i + step] = coef[np.gcd(residues, q)].sum(axis=1)
+        sums[i : i + step] = doubled[shifts + p_mod_q[i : i + step, None]].sum(axis=1)
     return 2 * sums
 
 
-def _divisors(q: int) -> list[int]:
-    divs = []
-    d = 1
-    while d * d <= q:
-        if q % d == 0:
-            divs.append(d)
-            if d != q // d:
-                divs.append(q // d)
-        d += 1
-    return sorted(divs)
+def _ramanujan_row(q: int) -> np.ndarray:
+    """c_q(m) for m = 0..q-1, exact int64.
+
+    c_q(m) is the sum of d * mu(q/d) over the d dividing both q and m, so
+    the row is built by adding d * mu(q/d) to every d-th entry, for each d
+    with q/d squarefree: one per subset of q's prime factors.
+    """
+    row = np.zeros(q, dtype=np.int64)
+    cofactors = [(1, 1)]  # squarefree e | q, with mu(e)
+    for r in _factorize(q):
+        cofactors += [(e * r, -mu) for e, mu in cofactors]
+    for e, mu in cofactors:
+        row[:: q // e] += mu * (q // e)
+    return row
 
 
 @lru_cache(maxsize=4096)

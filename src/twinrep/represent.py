@@ -24,7 +24,7 @@ import enum
 import functools
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -36,6 +36,7 @@ __all__ = [
     "VerificationReport",
     "ShardSummary",
     "GrowthRow",
+    "MAX_Q",
     "n_max",
     "find_min_twin_representation",
     "find_min_n_twin_representation",
@@ -73,6 +74,11 @@ class Representation:
             raise ValueError(f"{self.q} != {self.p} + {self.n}^2 + {self.n}")
 
 
+# The highest q verify_range accepts: 4(q - 3) + 1, whose square root gives
+# n_max, must fit int64, and 4 * 2^61 - 11 < 2^63.
+MAX_Q = 1 << 61
+
+
 def n_max(q: int) -> int:
     """Largest n with n*(n+1) <= q - 3 (3 being the smallest admissible p).
 
@@ -84,11 +90,23 @@ def n_max(q: int) -> int:
 
 
 def _n_max_vector(qs: np.ndarray) -> np.ndarray:
+    """n_max(q) for every q of qs, each 5 <= q <= MAX_Q.
+
+    n_max = (r - 1) // 2 with r = isqrt(v), v = 4(q - 3) + 1.  While every
+    v is below 2^52, r is the float64 root of v truncated: at v = (r+1)^2 - 1
+    the root lies below r + 1 by 1 / (2(r + 1)) or more, over half a unit in
+    its last place, so it cannot round up to r + 1.  Above 2^52 that root is
+    off by at most one either way and is corrected by divisions, which
+    cannot overflow where (r + 1)^2 would near MAX_Q.
+    """
     v = 4 * (qs - 3) + 1
-    r = np.sqrt(v.astype(np.float64)).astype(np.int64)
-    r = np.where((r + 1) * (r + 1) <= v, r + 1, r)
-    r = np.where(r * r > v, r - 1, r)
-    return (r - 1) >> 1
+    r = np.sqrt(v, dtype=np.float64).astype(np.int64)
+    if len(qs) and int(qs.max()) >= (1 << 50) + 3:  # some v >= 2^52
+        r += r + 1 <= v // (r + 1)
+        r -= r > v // r
+    r -= 1
+    r >>= 1
+    return r
 
 
 def _first_representation(q: int, table: PrimeTable, mode: Mode) -> Representation | None:
@@ -428,7 +446,9 @@ class ShardSummary:
         self.same_n_last.update(nxt.same_n_last)
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
+        """The fields by name, for json.dumps: shallow, so its lists are the
+        summary's own; only the n-keyed dicts are new, with str keys."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         for key in self._N_DICTS:
             out[key] = {str(k): v for k, v in out[key].items()}
         return out
@@ -520,6 +540,8 @@ def verify_range(
         raise ValueError("verify_range modes are twin, prime, sun")
     if lo < 1 or hi < lo:
         raise ValueError(f"bad range [{lo}, {hi}]")
+    if hi > MAX_Q:
+        raise ValueError(f"range end {hi} exceeds the highest supported q, 2^61")
     if table is not None and hi > table.limit:
         raise CoverageError(f"range end {hi} exceeds table limit {table.limit}")
     pbits = _pbits(table, mode == Mode.TWIN_MIN)

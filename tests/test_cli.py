@@ -841,6 +841,8 @@ _REPORT_RUNS = {
     "sigma-300": ["sigma", "--qmax", "300", "--pmax", "60"],
     "density": ["density", "--x", "30000"],
     "mirsky": ["mirsky", "--y", "5000"],
+    "mirsky-1e7": ["mirsky", "--y", "10000000"],
+    "sigma-1200": ["sigma", "--qmax", "1200", "--pmax", "200"],
     "stats": ["stats", "--range", "5:40000", "--bucket", "7000", "--workers", "1"],
     "variance": ["variance", "--x", "40,60", "--cutoff", "2000"],
 }
@@ -859,6 +861,12 @@ _REPORT_DIGESTS = {  # SHA-256 of the stdout the per-report dict rows and scan c
     ("density", "jsonl"): "ac27417acf74162e2c5978daed1e0d7ac4d3338c6c2fd1881b23c410549b7796",
     ("mirsky", "csv"): "1ea8f6e259823367c05d2b046dd78e3d84900887bc419b400da87caad4015933",
     ("mirsky", "jsonl"): "d745c2551256eca7fddf309447e0f7cc52d41ac69f7bcaa005b095364030eb71",
+    # ten times the reports workload's sizes, as the per-value squarefree
+    # trial division and the per-cell gcd of the Sigma rows printed them
+    ("mirsky-1e7", "csv"): "d4d5d1c8f8459fc0bc058213479d9befcb0ac2dd714accce0da20a23b648d794",
+    ("mirsky-1e7", "jsonl"): "871fd93bd4017830df346aa0f01753d210315465d3c288c32c9206fc6b860a72",
+    ("sigma-1200", "csv"): "3bbd5806e2c26180807f7869f1d555d79028f740fb39b7828befddb4915a07cd",
+    ("sigma-1200", "jsonl"): "40641d8d1e44f2f01d8d72bb62816e6c82d54f344d014a20d8f2604a8c6e9a58",
     ("stats", "csv"): "5293c2994ede085949b9770b4180d1c836179e867f3c62cf8a429c6e90314a08",
     ("stats", "jsonl"): "4c740774ed4462e3a7e487714994de65a30aa867d30a812ea49e5400a6bed4c6",
     ("variance", "csv"): "46a702af99a27eb17561818be57f2dd277a625c0bcf00320109835f664dcc145",
@@ -1034,6 +1042,38 @@ class TestMemoryBudget:
         code, _, err = run_cli(argv + ["--bucket", "100000", "--out", str(out)])
         assert code == 0, err
         assert len(parse_csv(out.read_text())) == 20
+
+    @pytest.mark.parametrize("argv, table_bytes", [
+        # the table to 10^7 (5 MB) fits; the census over its 664,579 primes does not
+        (["mirsky", "--y", "10000000"], 5_000_000),
+        # the table to 10^6 (0.5 MB) fits; the mu and phi tables to 10^6 do not
+        (["singular", "--pmax", "20", "--cutoff", "1000000"], 500_000),
+    ])
+    def test_report_tables_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch,
+                                                                 argv, table_bytes):
+        budget = table_bytes + 2 * 2**20
+        monkeypatch.setattr(cli, "_memory_budget", lambda: budget)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(argv + ["--out", str(out)])
+        assert (code, stdout) == (3, "")
+        assert err.startswith("resource failure:")
+        assert not out.exists()
+
+    def test_range_above_the_height_limit_is_exit_2_before_the_budget(self, tmp_path, monkeypatch):
+        top = represent.MAX_Q
+        asked = []
+        monkeypatch.setattr(cli, "_memory_budget", lambda: asked.append(1) or 1024)
+        out = tmp_path / "out.csv"
+        for cmd in (["verify", "--mode", "sun"], ["stats", "--bucket", "10"]):
+            code, stdout, err = run_cli(cmd + ["--range", f"{top - 1}:{top + 1}", "--out", str(out)])
+            assert (code, stdout, asked) == (2, "", [])
+            assert err.startswith("error:") and "2^61" in err
+            assert not out.exists()
+        # q = 2^61 itself passes the height check and reaches the memory check
+        code, _, err = run_cli(["verify", "--mode", "sun", "--range", f"{top - 1}:{top}",
+                                "--out", str(out)])
+        assert (code, asked) == (3, [1])
+        assert not out.exists()
 
     def test_budget_reads_a_positive_figure(self):
         budget = cli._memory_budget()

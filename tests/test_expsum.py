@@ -214,3 +214,18 @@ class TestGridRows:
             evaluate_sigma_row(0, [3])
         with pytest.raises(ValueError):
             evaluate_sigma_row(15, [3, 5, 9])
+
+
+class TestRamanujanRows:
+    """The grid row's Ramanujan sums and Sigma against the scalar
+    ramanujan_sum of the arithmetic module, term by term."""
+
+    def test_row_is_the_scalar_sum(self):
+        for q in range(1, 61):
+            assert expsum._ramanujan_row(q).tolist() == [ramanujan_sum(q, m) for m in range(q)], q
+
+    def test_bruteforce_row_is_a_sum_of_scalar_terms(self):
+        ps = [2, 3, 5, 7, 11, 59, 61, 1000003, 2**61 - 1]
+        for q in range(1, 61):
+            want = [2 * sum(ramanujan_sum(q, p + n * n + n) for n in range(q)) for p in ps]
+            assert expsum._bruteforce_row(q, ps).tolist() == want, q

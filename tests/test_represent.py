@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import math
 import random
 import sys
@@ -123,6 +124,54 @@ class TestNMax:
             n = n_max(q)
             assert n * (n + 1) <= q - 3 < (n + 1) * (n + 2)
             assert n <= math.isqrt(q)
+
+
+# the largest q whose 4(q - 3) + 1 is below 2^52, where _n_max_vector takes
+# one float64 square root
+_FAST_TOP = (1 << 50) + 2
+
+
+def edge_qs(ks):
+    """The q on both sides of every step of n_max for k in ks: n_max(q) = k
+    from q = k(k + 1) + 3, where 4(q - 3) + 1 = (2k + 1)^2, and k - 1 at the
+    q before, whose 4(q - 3) + 1 is (2k + 1)^2 - 4, the largest below."""
+    return [q for k in ks for q in (k * (k + 1) + 2, k * (k + 1) + 3)
+            if 5 <= q <= represent.MAX_Q]
+
+
+class TestNMaxVector:
+    """The kernel's n_max against the exact scalar one."""
+
+    @staticmethod
+    def check(qs):
+        got = represent._n_max_vector(np.array(qs, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [n_max(q) for q in qs]
+
+    @pytest.mark.parametrize("k0", [1, 1000, (1 << 25) - 600, (1 << 25) + 5, 1518500249 - 600])
+    def test_every_step_in_a_window(self, k0):
+        qs = edge_qs(range(k0, k0 + 600))
+        self.check(qs)
+        # alone, the q of the window up to 2^50 + 2 take the one-root path
+        self.check([q for q in qs if q <= _FAST_TOP])
+        self.check([q for q in qs if q > _FAST_TOP])
+
+    def test_both_sides_of_the_paths_and_the_height_limit(self):
+        top = represent.MAX_Q
+        self.check([_FAST_TOP - 1, _FAST_TOP])
+        self.check([_FAST_TOP, _FAST_TOP + 1])
+        self.check([5, 7, top - 2, top - 1, top])
+        self.check([])
+        with pytest.raises(ValueError, match="2\\^61"):
+            verify_range(top - 1, top + 1, Mode.SUN_ODD)
+        with pytest.raises(ValueError, match="2\\^61"):
+            verify_range(top + 1, top + 1, Mode.TWIN_MIN)
+
+    @settings(max_examples=200, deadline=None)
+    @given(qs=st.lists(st.one_of(st.integers(5, 10**6), st.integers(5, _FAST_TOP),
+                                 st.integers(5, represent.MAX_Q)), max_size=20))
+    def test_any_qs(self, qs):
+        self.check(qs)
 
 
 class TestRepresentation:
@@ -506,7 +555,8 @@ class TestVerifyRange:
     def test_merge_leaves_its_parts_unchanged(self, table_1e6):
         parts = [verify_range(a, b, Mode.TWIN_MIN, table_1e6).summary
                  for a, b in ((5, 3000), (3001, 6000))]
-        before = [part.to_json_dict() for part in parts]
+        # deep copies: to_json_dict shares the summary's lists
+        before = [copy.deepcopy(part.to_json_dict()) for part in parts]
         total = merged(parts)
         assert [part.to_json_dict() for part in parts] == before
         assert total.to_json_dict() == verify_range(5, 6000, Mode.TWIN_MIN,

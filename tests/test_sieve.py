@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twinrep import sieve
 from twinrep.arithmetic import euler_phi, is_squarefree, mobius
 from twinrep.sieve import (
     _CACHE_HEADER,
@@ -159,12 +160,80 @@ class TestCensus:
             assert flag == is_squarefree(int(v)), v
 
 
+# values the squarefree sieve must read right: 1, each p^2 and its
+# neighbours, and the numbers on both sides of every multiple of the
+# segment size below 2000
+_SQUARES = [p * p for p in (2, 3, 5, 7, 11, 13, 31, 43)]
+_SIEVE_EDGES = sorted({1, *_SQUARES, *(s - 1 for s in _SQUARES), *(s + 1 for s in _SQUARES)})
+
+
+class TestSquarefreeSieve:
+    """squarefree_mask against the scalar is_squarefree, with segments of a
+    few numbers, so that one call sieves many of them."""
+
+    @staticmethod
+    def check(values, table, segment):
+        values = np.asarray(values, dtype=np.int64)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "_SQUAREFREE_SEGMENT", segment)
+            mask = squarefree_mask(values, table)
+        assert mask.shape == values.shape and mask.dtype == bool
+        want = [is_squarefree(int(v)) for v in values.reshape(-1)]
+        assert mask.reshape(-1).tolist() == want
+
+    @pytest.mark.parametrize("segment", [1, 2, 3, 7, 64, 1 << 20])
+    def test_edges(self, table_1e5, segment):
+        around = [k * segment + d for k in range(1, 2000 // segment + 1) for d in (-1, 0, 1)]
+        self.check(_SIEVE_EDGES, table_1e5, segment)
+        self.check(sorted(v for v in around if v >= 1), table_1e5, segment)
+        # segments that start at a value, ending on each side of the next
+        self.check([5, 5 + segment - 1, 5 + segment, 5 + segment + 1], table_1e5, segment)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.one_of(st.integers(1, 5000), st.sampled_from(_SIEVE_EDGES),
+                                     st.integers(1, 10**10)), min_size=1, max_size=60),
+           segment=st.sampled_from([1, 5, 16, 100, 4096]), shape=st.sampled_from(["sorted", "as-is", "2-D"]))
+    def test_any_values_any_segment(self, table_1e5, values, segment, shape):
+        if shape == "sorted":
+            values = sorted(values)
+        arr = np.array(values, dtype=np.int64)
+        if shape == "2-D" and len(arr) % 2 == 0:
+            arr = arr.reshape(2, -1)
+        self.check(arr, table_1e5, segment)
+
+    def test_duplicates_and_unsorted_keep_their_places(self, table_1e5):
+        values = np.array([[50, 49, 1, 50], [7, 49, 4, 1]], dtype=np.int64)
+        assert squarefree_mask(values, table_1e5).tolist() == [[False, False, True, False],
+                                                               [True, False, False, True]]
+
+    def test_bad_values(self, table_1e5):
+        assert squarefree_mask(np.zeros(0, dtype=np.int64), table_1e5).shape == (0,)
+        with pytest.raises(ValueError):
+            squarefree_mask(np.array([5, 0, 7]), table_1e5)
+        with pytest.raises(CoverageError):  # isqrt(10^10 + 10^6) is past the table
+            squarefree_mask(np.array([7, 10**10 + 10**6]), build_prime_table(1000))
+
+
 class TestMuPhiTables:
     def test_against_scalars(self, table_1e5):
         mu, phi = mu_phi_tables(table_1e5, 2000)
         for n in range(1, 2001):
             assert mu[n] == mobius(n)
             assert phi[n] == euler_phi(n)
+
+    @pytest.mark.parametrize("share", [1, 8, 10**9])
+    def test_small_and_square_edges(self, table_1e5, share):
+        # the split at isqrt(upto) moves past p at upto = p^2; share 10^9
+        # gives one prime above it a pass, share 1 all of them one pass
+        edges = [1, 2, 3, 4] + [p * p + d for p in (2, 3, 5, 7, 11, 31) for d in (-1, 0, 1)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sieve, "_MU_PHI_SHARE", share)
+            for upto in edges:
+                mu, phi = mu_phi_tables(table_1e5, upto)
+                assert (mu.dtype, phi.dtype, len(mu), len(phi)) == (np.int8, np.int64, upto + 1, upto + 1)
+                assert (mu[0], phi[0]) == (0, 0)
+                assert mu[1:].tolist() == [mobius(n) for n in range(1, upto + 1)], upto
+                assert phi[1:].tolist() == [euler_phi(n) for n in range(1, upto + 1)], upto
 
     def test_past_table_limit_is_coverage_error(self):
         table = build_prime_table(1000)
