@@ -17,7 +17,7 @@ from twinrep import (
     find_min_twin_representation,
     verify_range,
 )
-from twinrep.represent import growth_rows_from_arrays
+from twinrep.represent import growth_columns
 
 LIMIT = 15_485_863  # the millionth prime
 
@@ -43,12 +43,10 @@ print()
 print("bucketed growth (minimal-p map):")
 # the first 100,000 q, read from the report's arrays (no Representation objects)
 first = slice(0, 100_000)
-rows = growth_rows_from_arrays(report.qs[first], report.ps[first], report.ns[first],
-                               bucket=300_000)
+columns = growth_columns(report.qs[first], report.ps[first], report.ns[first], bucket=300_000)
 print(f"{'bucket':>10} {'count':>7} {'max n':>6} {'min p':>6} {'min p/q^(1/3)':>14} {'max n/log q':>12}")
-for row in rows[:5]:
-    print(f"{row.q_bucket:>10,} {row.count:>7} {row.max_n:>6} {row.min_p:>6} "
-          f"{row.min_p_over_cbrt_q:>14.4f} {row.max_n_over_log_q:>12.4f}")
+for q_bucket, count, max_n, min_p, ratio, nlog in zip(*(col[:5].tolist() for col in columns)):
+    print(f"{q_bucket:>10,} {count:>7} {max_n:>6} {min_p:>6} {ratio:>14.4f} {nlog:>12.4f}")
 
 print()
 print("minimal-p vs smallest-n conventions:")

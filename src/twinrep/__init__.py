@@ -37,7 +37,6 @@ from .expsum import (
 )
 from .represent import (
     MAX_Q,
-    GrowthRow,
     Mode,
     Representation,
     VerificationReport,

@@ -40,14 +40,14 @@ import numpy as np
 
 from .arithmetic import is_prime_64
 from .asymptotic import variance_sweep
-from .expsum import evaluate_sigma_row
+from .expsum import _sigma_row
 from .represent import (
     _PIECE,
     MAX_Q,
     Mode,
     ShardSummary,
     _growth_ratios,
-    growth_rows_from_arrays,
+    growth_columns,
     n_max,
     summary_stats,
     verify_range,
@@ -365,10 +365,14 @@ def _cache_bits(path: str) -> int:
     return 8 * max(os.path.getsize(path) - _CACHE_HEADER.size, 0)
 
 
-def _cached_table(path: str) -> PrimeTable:
-    """The table of a cache file, loaded once per process while the file is unchanged."""
+def _cached_table(path: str, needed_limit: int) -> PrimeTable:
+    """The table of a cache file, loaded once per process while the file is
+    unchanged; ValueError when it stops below needed_limit."""
     stat = os.stat(path)
-    return _load_table(path, stat.st_mtime_ns, stat.st_size)
+    table = _load_table(path, stat.st_mtime_ns, stat.st_size)
+    if table.limit < needed_limit:
+        raise ValueError(f"cache {path} covers only {table.limit}, need {needed_limit}")
+    return table
 
 
 @functools.lru_cache(maxsize=1)
@@ -376,22 +380,18 @@ def _load_table(path: str, mtime_ns: int, size: int) -> PrimeTable:
     return load_prime_table(path)
 
 
-def _table_bytes(args, needed_limit: int) -> int:
-    """Bytes _acquire_table allocates: with --cache the packed payload, its
-    unpacked bytes and the bool table; otherwise the sieved bool table."""
-    return _cache_bits(args.cache) * 2 if args.cache else (needed_limit + 1) // 2
-
-
-def _acquire_table(args, needed_limit: int) -> PrimeTable:
+def _acquire_table(args, needed_limit: int, extra: int = 0, extra_what: str = "") -> PrimeTable:
+    """The command's prime table to needed_limit, after the command's one
+    memory check: the table's bytes plus extra, the bytes of what else the
+    command allocates (extra_what).  A --cache load takes the packed
+    payload, its unpacked bytes and the bool table; a sieve the bool table."""
     if args.cache:
-        _check_memory(_table_bytes(args, needed_limit), f"loading {args.cache}")
-        table = _cached_table(args.cache)
-        if table.limit < needed_limit:
-            raise ValueError(
-                f"cache {args.cache} covers only {table.limit}, need {needed_limit}"
-            )
-        return table
-    _check_memory(_table_bytes(args, needed_limit), f"a prime table to {needed_limit}")
+        table_bytes, what = _cache_bits(args.cache) * 2, f"loading {args.cache}"
+    else:
+        table_bytes, what = (needed_limit + 1) // 2, f"a prime table to {needed_limit}"
+    _check_memory(table_bytes + extra, f"{what} and {extra_what}" if extra_what else what)
+    if args.cache:
+        return _cached_table(args.cache, needed_limit)
     return build_prime_table(needed_limit)
 
 
@@ -415,7 +415,7 @@ class _ShardTask(NamedTuple):
 
 
 def _run_shard(task: _ShardTask):
-    table = None if task.cache is None else _cached_table(task.cache)
+    table = None if task.cache is None else _cached_table(task.cache, task.hi)
     report = verify_range(task.lo, task.hi, task.mode, table, task.include_small)
     arrays = (report.qs, report.ps, report.ns) if task.keep_arrays else None
     return report.summary, arrays
@@ -629,9 +629,10 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
     _check_memory(_verify_memory(args, mode, lo, hi, keep_arrays) + fold_bytes,
                   f"verify over {lo}:{hi}")
     if args.cache:
-        # loaded once here, so forked workers inherit it; the floor of 7 is
-        # part of the exit-code contract: a cache below 7 exits 2
-        _acquire_table(args, max(hi, 7))
+        # loaded once here, so forked workers inherit it, and counted by
+        # _verify_memory; the floor of 7 is part of the exit-code contract:
+        # a cache below 7 exits 2
+        _cached_table(args.cache, max(hi, 7))
     bounds = _shard_bounds(lo, hi, args.shard_size)
 
     checkpoint = _Checkpoint(args.checkpoint) if args.checkpoint else None
@@ -716,32 +717,47 @@ def _cmd_verify(args) -> int:
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
-# Bytes a growth row takes while stats holds it: tracemalloc holds 276 a
-# GrowthRow, and stats --range 5:10000000 --bucket 1 (664,577 rows) peaks
-# 239 MB, 377 bytes a row, above the same run with --bucket 1000.
-_GROWTH_ROW_BYTES = 400
+# Bytes a growth row takes while stats holds it, six 8-byte column values,
+# and bytes a shard's part of the rows takes beyond them: six array headers
+# and their list, up to twice over where a view drops the part's first row
+# (tracemalloc reads 833 and 1,569).
+_GROWTH_ROW_BYTES = 48
+_GROWTH_PART_BYTES = 1600
+
+# How a bucket that spans two shards joins the columns after q_bucket.
+_GROWTH_JOINS = (np.add, np.maximum, np.minimum, np.minimum, np.maximum)
 
 
 def _cmd_stats(args) -> int:
     lo, hi = args.range
-    rows = []  # growth rows in ascending bucket order
+    parts = []  # each shard's growth columns, in ascending bucket order
 
     def fold(qs, ps, ns):
         if len(qs) == 0:
             return
-        shard_rows = growth_rows_from_arrays(qs, ps, ns, args.bucket)
-        if rows and rows[-1].q_bucket == shard_rows[0].q_bucket:  # a bucket across shards
-            rows[-1] = rows[-1].merge(shard_rows.pop(0))
-        rows.extend(shard_rows)
+        part = growth_columns(qs, ps, ns, args.bucket)
+        if parts and parts[-1][0][-1] == part[0][0]:  # a bucket across shards
+            for held, new, join in zip(parts[-1][1:], part[1:], _GROWTH_JOINS):
+                held[-1] = join(held[-1], new[0])
+            part = [col[1:] for col in part]
+        if len(part[0]):
+            parts.append(part)
 
     # every shard runs, and each bucket holding a representation keeps its row to the end
     buckets = min(hi // args.bucket - lo // args.bucket + 1, _q_bound(Mode.TWIN_MIN, hi - lo + 1))
-    total = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, fold, _GROWTH_ROW_BYTES * buckets)
-    if not rows:
+    shards = -(-(hi - lo + 1) // args.shard_size)
+    held = _GROWTH_ROW_BYTES * buckets + _GROWTH_PART_BYTES * min(buckets, shards)
+    total = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, fold, held)
+    if not parts:
         print("error: no representations found in range", file=sys.stderr)
         return EXIT_BAD_INPUT
     header = ["q_bucket", "count", "max_n", "min_p", "min_p_over_cbrt_q", "max_n_over_log_q"]
-    _write_rows(args.out, header, args.format, [vars(row) for row in rows])
+    sink = _Sink(args.out, header, args.format)
+    try:
+        for part in parts:
+            sink.columns(part)
+    finally:
+        sink.close()
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
@@ -750,6 +766,7 @@ def _cmd_sigma(args) -> int:
         print(f"error: invalid grid qmax={args.qmax} pmax={args.pmax}", file=sys.stderr)
         return EXIT_BAD_INPUT
     table = _acquire_table(args, max(args.pmax, 2))
+    # the table's primes: no row of the grid tests them again
     primes = [int(p) for p in table.primes() if p <= args.pmax]
     rows = (
         {
@@ -761,7 +778,7 @@ def _cmd_sigma(args) -> int:
             "match": ev.match,
         }
         for q in range(1, args.qmax + 1)
-        for ev in evaluate_sigma_row(q, primes)
+        for ev in _sigma_row(q, primes)
     )
     _write_rows(args.out, ["q", "p", "kappa", "brute", "closed", "match"], args.format, rows)
     return EXIT_OK
@@ -775,9 +792,8 @@ _SINGULAR_BYTES = 48
 
 def _cmd_singular(args) -> int:
     needed = max(args.cutoff, args.pmax, 5)
-    _check_memory(_table_bytes(args, needed) + _SINGULAR_BYTES * args.cutoff,
-                  f"a prime table to {needed} and mu, phi tables to {args.cutoff}")
-    table = _acquire_table(args, needed)
+    table = _acquire_table(args, needed, _SINGULAR_BYTES * args.cutoff,
+                           f"mu, phi tables to {args.cutoff}")
     primes = [int(p) for p in table.primes() if p <= args.pmax]
     q1 = max(3, args.cutoff // 10)
     # every row exists before the writer opens, so a rejected cutoff
@@ -814,10 +830,8 @@ def _cmd_variance(args) -> int:
     # p <= (y + 1) // 4
     p_top = max((y + 1) // 4 for _, y in clamped)
     kernel = 20 * args.cutoff + 32 * _q_bound(Mode.ANY_PRIME, p_top)
-    _check_memory(_table_bytes(args, needed) + lam + kernel,
-                  f"a prime table to {needed}, a von Mangoldt table to {top} "
-                  f"and the singular series to {args.cutoff}")
-    table = _acquire_table(args, needed)
+    table = _acquire_table(args, needed, lam + kernel,
+                           f"a von Mangoldt table to {top} and the singular series to {args.cutoff}")
     reports = variance_sweep(
         runs, args.cutoff, table,
         baier_zhao=args.baier_zhao, keep_terms=bool(args.emit_records),
@@ -887,9 +901,7 @@ def _cmd_mirsky(args) -> int:
     needed = max(args.y, math.isqrt(4 * args.y) + 1, 2)
     # and one segment of the squarefree sieve's marks
     census = _CENSUS_BYTES * _q_bound(Mode.ANY_PRIME, args.y) + _SQUAREFREE_SEGMENT
-    _check_memory(_table_bytes(args, needed) + census,
-                  f"a prime table to {needed} and the squarefree census to {args.y}")
-    table = _acquire_table(args, needed)
+    table = _acquire_table(args, needed, census, f"the squarefree census to {args.y}")
     count, total = squarefree_kappa_census(table, args.y)
     row = {
         "y": args.y,

@@ -69,6 +69,7 @@ def sigma_bruteforce(q: int, p: int) -> int:
 
     The one-p case of the grid-row evaluation in evaluate_sigma_row.
     """
+    _require_prime(p)
     return int(_bruteforce_row(q, [p])[0])
 
 
@@ -77,7 +78,7 @@ _ROW_CELLS = 1 << 20
 
 
 def _bruteforce_row(q: int, ps: list[int]) -> np.ndarray:
-    """Sigma(q) for every p in ps, exact int64.
+    """Sigma(q) for every p in ps, each a prime, exact int64.
 
     The Ramanujan sums c_q(m), m = 0..q-1, are built once for q
     (_ramanujan_row) and read twice over, so each (p, n) cell costs one
@@ -86,8 +87,6 @@ def _bruteforce_row(q: int, ps: list[int]) -> np.ndarray:
     """
     if q < 1:
         raise ValueError(f"sigma_bruteforce requires q >= 1, got {q}")
-    for p in ps:
-        _require_prime(p)
     row = _ramanujan_row(q)
     doubled = np.concatenate((row, row))
     n = np.arange(q, dtype=np.int64)
@@ -200,6 +199,14 @@ def evaluate_sigma_row(q: int, ps: list[int]) -> list[SigmaEvaluation]:
     The divisor and coefficient table of q is built once for the whole
     row, which is what makes a grid report cheap.
     """
+    for p in ps:
+        _require_prime(p)
+    return _sigma_row(q, ps)
+
+
+def _sigma_row(q: int, ps: list[int]) -> list[SigmaEvaluation]:
+    """evaluate_sigma_row(q, ps) for ps known prime, such as a prime
+    table's, so a grid over many q tests no p again."""
     brute = _bruteforce_row(q, ps).tolist()
     closed = _closed_row(q, ps) if is_squarefree(q) else [None] * len(ps)
     return [

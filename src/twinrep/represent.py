@@ -35,7 +35,6 @@ __all__ = [
     "Representation",
     "VerificationReport",
     "ShardSummary",
-    "GrowthRow",
     "MAX_Q",
     "n_max",
     "find_min_twin_representation",
@@ -43,7 +42,7 @@ __all__ = [
     "find_any_prime_representation",
     "verify_range",
     "summary_stats",
-    "growth_rows_from_arrays",
+    "growth_columns",
 ]
 
 
@@ -336,7 +335,7 @@ def _tail_rounds(idx, h, n, step, pbits, found, steps):
 def _growth_ratios(qs: np.ndarray, ps: np.ndarray, ns: np.ndarray):
     """(p / cbrt(q), n / log(q)) of each representation, as float64 arrays.
 
-    Digests, records and growth rows all take their ratios from here, so
+    Digests, records and growth columns all take their ratios from here, so
     each ratio has the same bits wherever it is printed.  q is converted
     once for each ratio, so no float copy of it outlives its quotient."""
     return ps / np.cbrt(qs.astype(np.float64)), ns / np.log(qs.astype(np.float64))
@@ -575,55 +574,31 @@ def verify_range(
     )
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    """Aggregates over one q bucket; pure reporting, no claims."""
+def growth_columns(qs, ps, ns, bucket: int) -> list[np.ndarray]:
+    """Bucketed extrema of the map, for plotting or CSV export: the columns
+    q_bucket, count, max_n, min_p (int64), min_p_over_cbrt_q and
+    max_n_over_log_q (float64), one row for each bucket holding a q.
 
-    q_bucket: int
-    count: int
-    max_n: int
-    min_p: int
-    min_p_over_cbrt_q: float
-    max_n_over_log_q: float
-
-    def merge(self, other: "GrowthRow") -> "GrowthRow":
-        """This row joined with other, a row of the same bucket (one that
-        spans two shards, say)."""
-        return GrowthRow(
-            q_bucket=self.q_bucket,
-            count=self.count + other.count,
-            max_n=max(self.max_n, other.max_n),
-            min_p=min(self.min_p, other.min_p),
-            min_p_over_cbrt_q=min(self.min_p_over_cbrt_q, other.min_p_over_cbrt_q),
-            max_n_over_log_q=max(self.max_n_over_log_q, other.max_n_over_log_q),
-        )
-
-
-def growth_rows_from_arrays(qs, ps, ns, bucket: int) -> list[GrowthRow]:
-    """Bucketed extrema of the map, for plotting or CSV export.
-
-    One pass: a stable sort by bucket, then each bucket's extrema by
-    reduceat over its run of the sorted arrays.
+    qs ascends, so each bucket is one run of the arrays and its extrema
+    come from one reduceat over the runs' starts.
     """
     if bucket < 1:
         raise ValueError(f"bucket must be positive, got {bucket}")
-    if len(qs) == 0:
-        raise ValueError("growth needs at least one representation")
     qs = np.asarray(qs, dtype=np.int64)
     ps = np.asarray(ps, dtype=np.int64)
     ns = np.asarray(ns, dtype=np.int64)
-    keys = (qs // bucket) * bucket
-    order = np.argsort(keys, kind="stable")
-    keys, qs, ps, ns = keys[order], qs[order], ps[order], ns[order]
-    ratio, nlog = _growth_ratios(qs, ps, ns)
+    if len(qs) == 0:
+        raise ValueError("growth needs at least one representation")
+    if qs.ndim != 1 or np.any(qs[1:] < qs[:-1]):
+        raise ValueError("growth needs ascending 1-D q")
+    keys = qs // bucket * bucket
     starts = np.flatnonzero(np.diff(keys, prepend=keys[0] - 1))
-    counts = np.diff(starts, append=len(keys))
-    columns = zip(
-        keys[starts].tolist(),
-        counts.tolist(),
-        np.maximum.reduceat(ns, starts).tolist(),
-        np.minimum.reduceat(ps, starts).tolist(),
-        np.minimum.reduceat(ratio, starts).tolist(),
-        np.maximum.reduceat(nlog, starts).tolist(),
-    )
-    return [GrowthRow(*values) for values in columns]
+    ratio, nlog = _growth_ratios(qs, ps, ns)
+    return [
+        keys[starts],
+        np.diff(starts, append=len(keys)),
+        np.maximum.reduceat(ns, starts),
+        np.minimum.reduceat(ps, starts),
+        np.minimum.reduceat(ratio, starts),
+        np.maximum.reduceat(nlog, starts),
+    ]

@@ -213,45 +213,31 @@ _SQUAREFREE_SEGMENT = 1 << 20
 
 
 def squarefree_mask(values: np.ndarray, table: PrimeTable) -> np.ndarray:
-    """Boolean mask of the squarefree entries of values, of any shape.
+    """Boolean mask of the squarefree entries of values, 1-D and ascending
+    (equal neighbours allowed); ValueError for any other shape or order.
 
     A segmented sieve over the values' range: from each value not yet read,
     one segment of _SQUAREFREE_SEGMENT numbers has the multiples of every
-    p*p crossed off (p prime <= isqrt(max(values))), and the values in it
-    are read back, so a stretch holding no value is never sieved.  Sorted
-    1-D input, which every caller passes, is read in place; any other is
-    sorted first.  Needs table primes up to isqrt(max(values)).
+    p*p crossed off (p prime <= isqrt(values[-1])), and the values in it
+    are read back, so a stretch holding no value is never sieved.  A square
+    below the segment size is crossed off by a strided slice; a larger one
+    has at most one multiple in a segment, so all of those are found by one
+    vector of offsets.  Needs table primes up to isqrt(values[-1]).
     """
     values = np.asarray(values, dtype=np.int64)
+    if values.ndim != 1 or np.any(values[1:] < values[:-1]):
+        raise ValueError("squarefree_mask needs ascending 1-D values")
     if values.size == 0:
-        return np.ones(values.shape, dtype=bool)
-    flat = values.reshape(-1)
-    ascending = bool(np.all(flat[1:] >= flat[:-1]))
-    order = None if ascending else np.argsort(flat, kind="stable")
-    ordered = flat if ascending else flat[order]
-    if int(ordered[0]) < 1:
+        return np.ones(0, dtype=bool)
+    if int(values[0]) < 1:
         raise ValueError("squarefree_mask requires positive values")
-    root = math.isqrt(int(ordered[-1]))
+    root = math.isqrt(int(values[-1]))
     if root > table.limit:
         raise CoverageError(
             f"squarefree test needs primes up to {root}, table limit is {table.limit}"
         )
     primes = table.primes()
-    ells = primes[: np.searchsorted(primes, root, side="right")]
-    mask = _squarefree_sorted(ordered, ells * ells)
-    if not ascending:
-        mask[order] = mask.copy()
-    return mask.reshape(values.shape)
-
-
-def _squarefree_sorted(values: np.ndarray, squares: np.ndarray) -> np.ndarray:
-    """squarefree_mask of ascending values >= 1, given the ascending squares
-    p*p of the primes p <= isqrt(values[-1]).
-
-    A square below the segment size is crossed off by a strided slice; a
-    larger one has at most one multiple in a segment, so all of those are
-    found by one vector of offsets.
-    """
+    squares = primes[: np.searchsorted(primes, root, side="right")] ** 2
     size = _SQUAREFREE_SEGMENT
     split = int(np.searchsorted(squares, size))
     small, large = squares[:split].tolist(), squares[split:]

@@ -844,6 +844,11 @@ _REPORT_RUNS = {
     "mirsky-1e7": ["mirsky", "--y", "10000000"],
     "sigma-1200": ["sigma", "--qmax", "1200", "--pmax", "200"],
     "stats": ["stats", "--range", "5:40000", "--bucket", "7000", "--workers", "1"],
+    # buckets over many shards, most of which only continue the bucket before
+    "stats-spanning": ["stats", "--range", "5:60000", "--bucket", "20000",
+                       "--shard-size", "1000", "--workers", "2"],
+    # 17,982 rows, more than one 2^14-row chunk of the column writer
+    "stats-1": ["stats", "--range", "5:200000", "--bucket", "1", "--workers", "1"],
     "variance": ["variance", "--x", "40,60", "--cutoff", "2000"],
 }
 _REPORT_DIGESTS = {  # SHA-256 of the stdout the per-report dict rows and scan copy wrote
@@ -869,6 +874,11 @@ _REPORT_DIGESTS = {  # SHA-256 of the stdout the per-report dict rows and scan c
     ("sigma-1200", "jsonl"): "40641d8d1e44f2f01d8d72bb62816e6c82d54f344d014a20d8f2604a8c6e9a58",
     ("stats", "csv"): "5293c2994ede085949b9770b4180d1c836179e867f3c62cf8a429c6e90314a08",
     ("stats", "jsonl"): "4c740774ed4462e3a7e487714994de65a30aa867d30a812ea49e5400a6bed4c6",
+    # as the per-bucket growth rows and their per-row writer printed them
+    ("stats-spanning", "csv"): "cc05a44544481ee568cd36198bfa389c6691e0c57b00e8b5f0cc674a463bd7d1",
+    ("stats-spanning", "jsonl"): "a25fc5e8c46913beeb2136521245c5fc2e81230cfef486c7a14d1459596606fc",
+    ("stats-1", "csv"): "c69c57d9fa7eb83f86d8c37d22fc157b8f274edf9cc1291b1d07a42ff8df7aaa",
+    ("stats-1", "jsonl"): "8b2f6d7b2563fc185467cd81d18ef8332bf7d3daff8c1a146b69ac10f52377e5",
     ("variance", "csv"): "46a702af99a27eb17561818be57f2dd277a625c0bcf00320109835f664dcc145",
     ("variance", "jsonl"): "13913fdfefd0c11c3659096825c8fc372243be5bad986797688a0b57d3c30d76",
 }
@@ -1016,6 +1026,27 @@ class TestMemoryBudget:
         assert estimates and not out.exists() and not ck.exists() and not rec.exists()
         monkeypatch.setattr(cli, "_memory_budget", lambda: None)  # unreadable: no check
         assert run_cli(argv)[0] == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--mode", "twin", "--range", "5:1000", "--workers", "1"],
+        ["stats", "--range", "5:1000", "--bucket", "100", "--workers", "1"],
+        ["density", "--x", "1000"],
+        ["sigma", "--qmax", "5", "--pmax", "20"],
+        ["singular", "--pmax", "20", "--cutoff", "1000"],
+        ["variance", "--x", "40", "--cutoff", "500"],
+        ["mirsky", "--y", "1000"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_each_command_reads_the_budget_once(self, tmp_path, monkeypatch, argv, cached):
+        # one estimate covers the command's table and the rest of its memory
+        reads = []
+        monkeypatch.setattr(cli, "_memory_budget", lambda: reads.append(1))  # None: no figure
+        cache = str(tmp_path / "primes.bin")
+        assert run_cli(["sieve-cache", "--limit", "20000", "--cache-out", cache])[0] == 0
+        assert len(reads) == 1
+        reads.clear()
+        code, _, err = run_cli(argv + (["--cache", cache] if cached else []))
+        assert (code, len(reads)) == (0, 1), err
 
     def test_density_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch):
         # its prime table to 10^6 would fit 2 MiB; its verify pass does not

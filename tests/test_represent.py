@@ -19,7 +19,7 @@ from twinrep.represent import (
     find_any_prime_representation,
     find_min_n_twin_representation,
     find_min_twin_representation,
-    growth_rows_from_arrays,
+    growth_columns,
     n_max,
     summary_stats,
     verify_range,
@@ -629,27 +629,33 @@ class TestLemmaChecks:
 class TestGrowthSeries:
     def test_single_bucket_is_global(self, table_1e6):
         report = verify_range(5, 10**4, Mode.TWIN_MIN, table_1e6)
-        rows = growth_rows_from_arrays(report.qs, report.ps, report.ns, bucket=10**6)
-        assert len(rows) == 1
-        row = rows[0]
-        assert row.count == len(report.qs)
-        assert row.max_n == max(report.ns.tolist())
-        assert row.min_p == min(report.ps.tolist())
+        columns = growth_columns(report.qs, report.ps, report.ns, bucket=10**6)
+        assert [len(col) for col in columns] == [1] * 6
+        assert [col.dtype for col in columns] == [np.int64] * 4 + [np.float64] * 2
+        q_bucket, count, max_n, min_p = (int(col[0]) for col in columns[:4])
+        assert (q_bucket, count) == (0, len(report.qs))
+        assert max_n == max(report.ns.tolist())
+        assert min_p == min(report.ps.tolist())
 
     def test_frozen_extrema_to_1e6(self, table_1e6):
         # measured, not assumed: the minimal-p map dips far below the
         # cube root (p = 3 whenever q - 3 = n(n+1)), so the global
         # minimum ratio over [5, 1e6] is 0.0300500767... at q = 995009
         report = verify_range(5, 10**6, Mode.TWIN_MIN, table_1e6)
-        rows = growth_rows_from_arrays(report.qs, report.ps, report.ns, bucket=10**7)
-        assert rows[0].min_p == 3
-        assert abs(rows[0].min_p_over_cbrt_q - 0.030050076714553987) < 1e-12
+        _, _, _, min_p, min_ratio, max_nlog = growth_columns(report.qs, report.ps, report.ns,
+                                                             bucket=10**7)
+        assert min_p.tolist() == [3]
+        assert abs(min_ratio[0] - 0.030050076714553987) < 1e-12
         assert report.stats["min_p_over_cbrt_q_at"] == 995009
-        assert abs(rows[0].max_n_over_log_q - 72.3152315298092) < 1e-10
+        assert abs(max_nlog[0] - 72.3152315298092) < 1e-10
 
     def test_rejects_bad_bucket(self, table_1e6):
         r = find_min_twin_representation(13, table_1e6)
         with pytest.raises(ValueError):
-            growth_rows_from_arrays([r.q], [r.p], [r.n], bucket=0)
+            growth_columns([r.q], [r.p], [r.n], bucket=0)
         with pytest.raises(ValueError):
-            growth_rows_from_arrays([], [], [], bucket=10)
+            growth_columns([], [], [], bucket=10)
+        with pytest.raises(ValueError):  # q must ascend: buckets are runs of the arrays
+            growth_columns([17, 13], [3, 3], [3, 2], bucket=10)
+        with pytest.raises(ValueError):
+            growth_columns([[13, 17]], [[3, 3]], [[2, 3]], bucket=10)

@@ -178,8 +178,7 @@ class TestSquarefreeSieve:
             mp.setattr(sieve, "_SQUAREFREE_SEGMENT", segment)
             mask = squarefree_mask(values, table)
         assert mask.shape == values.shape and mask.dtype == bool
-        want = [is_squarefree(int(v)) for v in values.reshape(-1)]
-        assert mask.reshape(-1).tolist() == want
+        assert mask.tolist() == [is_squarefree(int(v)) for v in values]
 
     @pytest.mark.parametrize("segment", [1, 2, 3, 7, 64, 1 << 20])
     def test_edges(self, table_1e5, segment):
@@ -194,17 +193,24 @@ class TestSquarefreeSieve:
                                      st.integers(1, 10**10)), min_size=1, max_size=60),
            segment=st.sampled_from([1, 5, 16, 100, 4096]), shape=st.sampled_from(["sorted", "as-is", "2-D"]))
     def test_any_values_any_segment(self, table_1e5, values, segment, shape):
-        if shape == "sorted":
-            values = sorted(values)
-        arr = np.array(values, dtype=np.int64)
-        if shape == "2-D" and len(arr) % 2 == 0:
-            arr = arr.reshape(2, -1)
-        self.check(arr, table_1e5, segment)
+        # ascending 1-D input is sieved; a descending pair or a second axis is rejected
+        arr = np.array(sorted(values) if shape == "sorted" else values, dtype=np.int64)
+        if shape == "2-D":
+            arr = arr.reshape(1, -1)
+        if arr.ndim == 1 and not np.any(arr[1:] < arr[:-1]):
+            self.check(arr, table_1e5, segment)
+        else:
+            with pytest.raises(ValueError):
+                squarefree_mask(arr, table_1e5)
 
-    def test_duplicates_and_unsorted_keep_their_places(self, table_1e5):
-        values = np.array([[50, 49, 1, 50], [7, 49, 4, 1]], dtype=np.int64)
-        assert squarefree_mask(values, table_1e5).tolist() == [[False, False, True, False],
-                                                               [True, False, False, True]]
+    def test_duplicates_pass_and_unsorted_or_2d_is_rejected(self, table_1e5):
+        values = np.array([1, 1, 4, 7, 49, 49, 50, 50], dtype=np.int64)
+        assert squarefree_mask(values, table_1e5).tolist() == [True, True, False, True,
+                                                               False, False, False, False]
+        with pytest.raises(ValueError):
+            squarefree_mask(np.array([50, 49, 1, 50], dtype=np.int64), table_1e5)
+        with pytest.raises(ValueError):
+            squarefree_mask(values.reshape(2, -1), table_1e5)
 
     def test_bad_values(self, table_1e5):
         assert squarefree_mask(np.zeros(0, dtype=np.int64), table_1e5).shape == (0,)
