@@ -26,10 +26,9 @@ for x in (100, 200, 400, 800):
 
 print()
 print("a few per-kappa residuals at x = 200:")
-report = variance_sum(200, 40_000, CUTOFF, table, keep_terms=True)
+terms = variance_sum(200, 40_000, CUTOFF, table).terms
 print(f"{'p':>6} {'kappa':>6} {'psi_p(x)':>10} {'S trunc':>9} {'main':>9} {'residual':>10}")
-for term in report.terms[:8]:
-    print(f"{term.p:>6} {term.kappa:>6} {term.psi_value:>10.3f} "
-          f"{term.singular_value:>9.5f} {term.main_term:>9.3f} {term.residual:>10.3f}")
+for p, kappa, psi_p, s, main, residual, _ in zip(*(col[:8].tolist() for col in terms)):
+    print(f"{p:>6} {kappa:>6} {psi_p:>10.3f} {s:>9.5f} {main:>9.3f} {residual:>10.3f}")
 print("(p = 2 is the standing outlier: n^2 + n + 2 is even, so psi_2 only")
 print(" sees powers of two while the main term stays of size S * x/2)")

@@ -19,7 +19,7 @@ from .arithmetic import (
 from .asymptotic import (
     KahanSum,
     VarianceReport,
-    VarianceTerm,
+    VarianceTerms,
     exception_count,
     psi,
     variance_sum,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .singular import singular_series_many
 
 __all__ = [
     "KahanSum",
-    "VarianceTerm",
+    "VarianceTerms",
     "VarianceReport",
     "von_mangoldt_table",
     "psi",
@@ -92,7 +93,7 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _BLOCK_CELLS = 1 << 13  # 64 KB temporaries; 1 << 15 raised the variance CLI peak RSS 0.6 MB
 
 
-def _psi_rows(lam: np.ndarray, ps: np.ndarray, x: int) -> list[float]:
+def _psi_rows(lam: np.ndarray, ps: np.ndarray, x: int) -> np.ndarray:
     """psi_p(x) for each p in ps from a von Mangoldt table, equal to math.fsum.
 
     Values outside {0} and [1/2, 64) are not integer multiples of 2^-53
@@ -101,7 +102,7 @@ def _psi_rows(lam: np.ndarray, ps: np.ndarray, x: int) -> list[float]:
     n = np.arange(1, x + 1, dtype=np.int64)
     nsq = n * n + n
     rows = max(1, _BLOCK_CELLS // x)
-    out: list[float] = []
+    out = np.empty(len(ps), dtype=np.float64)
     for start in range(0, len(ps), rows):
         block = lam[ps[start : start + rows, None] + nsq]
         if not np.all(((block >= 0.5) & (block < 64.0)) | (block == 0.0)):
@@ -109,7 +110,8 @@ def _psi_rows(lam: np.ndarray, ps: np.ndarray, x: int) -> list[float]:
         units = (block * float(_PSI_SCALE)).astype(np.int64)
         high = (units >> _LIMB_BITS).sum(axis=1).tolist()
         low = (units & _LIMB_MASK).sum(axis=1).tolist()
-        out.extend(((h << _LIMB_BITS) + l) / _PSI_SCALE for h, l in zip(high, low))
+        out[start : start + rows] = [((h << _LIMB_BITS) + l) / _PSI_SCALE
+                                     for h, l in zip(high, low)]
     return out
 
 
@@ -133,24 +135,21 @@ def psi(p: int, x: int, lam: np.ndarray | None = None) -> float:
     if lam is not None:
         if x * x + x + p >= len(lam):
             raise CoverageError(f"von Mangoldt table too short for x={x}, p={p}")
-        return _psi_rows(lam, np.array([p], dtype=np.int64), x)[0]
+        return float(_psi_rows(lam, np.array([p], dtype=np.int64), x)[0])
     return math.fsum(von_mangoldt(n * n + n + p) for n in range(1, x + 1))
 
 
-@dataclass(frozen=True)
-class VarianceTerm:
-    """One kappa's contribution to the averaged residual."""
+class VarianceTerms(NamedTuple):
+    """Each kappa's contribution to the averaged residual, as columns in
+    ascending p: p and kappa = 4p - 1 are int64, the rest float64."""
 
-    p: int
-    kappa: int
-    psi_value: float
-    singular_value: float
-    main_term: float
-    residual: float
-
-    @property
-    def residual_sq(self) -> float:
-        return self.residual * self.residual
+    p: np.ndarray
+    kappa: np.ndarray
+    psi: np.ndarray
+    s_trunc: np.ndarray
+    main_term: np.ndarray
+    residual: np.ndarray
+    residual_sq: np.ndarray
 
 
 @dataclass
@@ -159,6 +158,7 @@ class VarianceReport:
 
     term_count is the number of primes p with 4p - 1 <= y squarefree;
     ratio = lhs / (y * x^2) is the quantity expected to decay in x.
+    terms holds each such kappa's term, as columns.
     """
 
     x: int
@@ -167,7 +167,7 @@ class VarianceReport:
     term_count: int
     lhs: float
     ratio: float
-    terms: list | None = None
+    terms: VarianceTerms
 
 
 def variance_sum(
@@ -176,7 +176,6 @@ def variance_sum(
     cutoff: int,
     table: PrimeTable,
     baier_zhao: bool = False,
-    keep_terms: bool = False,
 ) -> VarianceReport:
     """Sum of (psi_p(x) - S(kappa) x/2)^2 over kappa = 4p - 1 <= y squarefree.
 
@@ -184,7 +183,7 @@ def variance_sum(
     Kahan compensation.  With baier_zhao=True the main term is S * x
     instead of S * x / 2 (comparison normalization only).
     """
-    return variance_sweep([(x, y)], cutoff, table, baier_zhao, keep_terms)[0]
+    return variance_sweep([(x, y)], cutoff, table, baier_zhao)[0]
 
 
 def variance_sweep(
@@ -192,14 +191,14 @@ def variance_sweep(
     cutoff: int,
     table: PrimeTable,
     baier_zhao: bool = False,
-    keep_terms: bool = False,
 ) -> list[VarianceReport]:
     """variance_sum at every (x, y) of runs, one report per run in the given order.
 
     Every (x, y) is validated before any work.  The squarefree kappa up to
     the largest y, their singular values and one von Mangoldt table are
-    computed once; each run takes the prefix kappa <= y.  Each report is
-    bit-identical to its own variance_sum call.
+    computed once; each run takes the prefix kappa <= y, and its p, kappa
+    and s_trunc columns are views of them.  Each report is bit-identical to
+    its own variance_sum call.
     """
     runs = list(runs)
     for x, y in runs:
@@ -229,22 +228,14 @@ def variance_sweep(
 
     reports = []
     for (x, y), k in zip(runs, counts):
+        psis = _psi_rows(lam, ps[:k], x) if k else np.zeros(0)
+        main = svals[:k] * (float(x) if baier_zhao else x / 2.0)
+        residual = psis - main
+        terms = VarianceTerms(ps[:k], kappas[:k], psis, svals[:k], main, residual,
+                              residual * residual)
         acc = KahanSum()
-        terms: list[VarianceTerm] | None = [] if keep_terms else None
-        if k:
-            psis = np.array(_psi_rows(lam, ps[:k], x))
-            main = svals[:k] * (float(x) if baier_zhao else x / 2.0)
-            residual = psis - main
-            for sq in (residual * residual).tolist():
-                acc.add(sq)
-            if keep_terms:
-                terms = [
-                    VarianceTerm(p=p, kappa=kappa, psi_value=psi_p, singular_value=s,
-                                 main_term=m, residual=r)
-                    for p, kappa, psi_p, s, m, r in zip(
-                        ps[:k].tolist(), kappas[:k].tolist(), psis.tolist(),
-                        svals[:k].tolist(), main.tolist(), residual.tolist())
-                ]
+        for sq in terms.residual_sq.tolist():
+            acc.add(sq)
         lhs = acc.value
         reports.append(VarianceReport(
             x=x, y=y, cutoff=cutoff, term_count=k,
@@ -253,8 +244,9 @@ def variance_sweep(
     return reports
 
 
-def exception_count(y: int, x: int, table: PrimeTable, return_exceptions: bool = False):
-    """N(y): primes p <= y/4 with squarefree 4p - 1 but no prime value.
+def exception_count(y: int, x: int, table: PrimeTable) -> list[int]:
+    """The primes p <= y/4 with squarefree 4p - 1 but no prime value, ascending;
+    N(y) is their number.
 
     The n-range is {n >= 1 : 2n + 1 <= x}.  An empty range (x < 3)
     makes the nonexistence vacuous, so every censused p counts.
@@ -270,17 +262,12 @@ def exception_count(y: int, x: int, table: PrimeTable, return_exceptions: bool =
         raise CoverageError(f"exception_count needs table limit >= {needed}, have {table.limit}")
     primes = table.primes()
     ps = primes[primes <= p_top]
-    if len(ps) == 0:
-        return (0, []) if return_exceptions else 0
     ps = ps[squarefree_mask(4 * ps - 1, table)]
     exceptions = []
-    for p in ps:
-        p = int(p)
+    for p in ps.tolist():
         for n in range(1, n_top + 1):
             if table.is_prime(n * n + n + p):
                 break
         else:
             exceptions.append(p)
-    if return_exceptions:
-        return len(exceptions), exceptions
-    return len(exceptions)
+    return exceptions

@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arithmetic import is_prime_64
-from .asymptotic import variance_sweep
+from .asymptotic import VarianceTerms, variance_sweep
 from .expsum import _sigma_row
 from .represent import (
     _PIECE,
@@ -830,30 +830,22 @@ def _cmd_variance(args) -> int:
     # p <= (y + 1) // 4
     p_top = max((y + 1) // 4 for _, y in clamped)
     kernel = 20 * args.cutoff + 32 * _q_bound(Mode.ANY_PRIME, p_top)
-    table = _acquire_table(args, needed, lam + kernel,
-                           f"a von Mangoldt table to {top} and the singular series to {args.cutoff}")
-    reports = variance_sweep(
-        runs, args.cutoff, table,
-        baier_zhao=args.baier_zhao, keep_terms=bool(args.emit_records),
-    )
+    # each run's report keeps four 8-byte columns over its kappa: psi,
+    # main_term, residual and residual_sq (the others are views)
+    kept = sum(32 * _q_bound(Mode.ANY_PRIME, (y + 1) // 4) for _, y in clamped)
+    table = _acquire_table(args, needed, lam + kernel + kept,
+                           f"a von Mangoldt table to {top}, the singular series to "
+                           f"{args.cutoff} and the terms of {len(runs)} runs")
+    reports = variance_sweep(runs, args.cutoff, table, baier_zhao=args.baier_zhao)
     header = ["x", "y", "cutoff", "term_count", "lhs", "ratio"]
     _write_rows(args.out, header, args.format, [vars(report) for report in reports])
     if args.emit_records:
         (report,) = reports  # a single --x
-        terms = (
-            {
-                "p": term.p,
-                "kappa": term.kappa,
-                "psi": term.psi_value,
-                "s_trunc": term.singular_value,
-                "main_term": term.main_term,
-                "residual": term.residual,
-                "residual_sq": term.residual_sq,
-            }
-            for term in report.terms
-        )
-        header = ["p", "kappa", "psi", "s_trunc", "main_term", "residual", "residual_sq"]
-        _write_rows(args.emit_records, header, args.format, terms)
+        sink = _Sink(args.emit_records, list(VarianceTerms._fields), args.format)
+        try:
+            sink.columns(list(report.terms))
+        finally:
+            sink.close()
     return EXIT_OK
 
 

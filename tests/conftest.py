@@ -1,6 +1,8 @@
 import contextlib
 import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
@@ -66,6 +68,17 @@ def cut_checkpoint():
     records_bytes; without, it stays longer, as after a crash between a
     shard's records sync and its SHARD line."""
     return _cut_checkpoint
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_its_test():
+    """Fail a test whose worker processes are still alive 0.5 s after it ends."""
+    yield
+    deadline = time.monotonic() + 0.5
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    alive = multiprocessing.active_children()
+    assert not alive, f"worker processes outlived the test: {alive}"
 
 
 def pytest_runtest_logreport(report):

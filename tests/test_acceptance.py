@@ -353,11 +353,11 @@ def test_criterion_7_mirsky_census_and_exception_count(table_1m):
 
     for y in (10**3, 10**4, 10**5):
         x = 2 * (math.isqrt(y - 1) + 1)  # 2 * ceil(sqrt(y))
-        n_count, exceptions = exception_count(y, x, table_1m, return_exceptions=True)
+        exceptions = exception_count(y, x, table_1m)
         census, _ = squarefree_kappa_census(table_1m, y // 4)
-        assert n_count <= census
+        assert len(exceptions) <= census
         assert exceptions == [2], (y, exceptions)
-    assert exception_count(7, 10, table_1m) == 0  # no prime p <= 7/4
+    assert exception_count(7, 10, table_1m) == []  # no prime p <= 7/4
 
 
 # -- criterion 8: oracle equivalences -----------------------------------------

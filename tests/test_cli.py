@@ -218,15 +218,35 @@ class TestOtherCommands:
         _, row40 = singles[1][1].splitlines(keepends=True)
         assert out == header + row60 + row40 + row60
 
-    def test_variance_records_bytes_pinned(self, tmp_path):
-        # SHA-256 of the file the fsum-per-p implementation wrote
-        rec = tmp_path / "terms.csv"
-        code, _, _ = run_cli(["variance", "--x", "60", "--cutoff", "2000",
-                              "--emit-records", str(rec)])
+    @pytest.mark.parametrize("argv, digest", [
+        # the file the fsum-per-p implementation wrote
+        pytest.param(["--x", "60"],
+                     "4b7779da4d24e45d80018212b43d5ce85870e9bad6c65f569338a6eb8dfa0acf",
+                     id="60-csv"),
+        pytest.param(["--x", "60", "--format", "jsonl"],
+                     "3911b41dd2528dfe97a8179e28008671bf698a794a59aed07f7073b148513ad4",
+                     id="60-jsonl"),
+        # 16,482 rows: more than one chunk of the column writer
+        pytest.param(["--x", "1000"],
+                     "66753f9922613297d9240ebb209e08f2d27cc19f6af710ec5e2b2983ca84dba5",
+                     id="1000-csv"),
+        pytest.param(["--x", "1000", "--format", "jsonl"],
+                     "af6d38938121b6492110c15ea2dde9d3f4b49d454051732d74146a2db209140f",
+                     id="1000-jsonl"),
+        # no kappa: the header line alone, and an empty JSONL file
+        pytest.param(["--x", "2"],
+                     hashlib.sha256(b"p,kappa,psi,s_trunc,main_term,residual,residual_sq\n")
+                     .hexdigest(),
+                     id="2-csv"),
+        pytest.param(["--x", "2", "--format", "jsonl"], hashlib.sha256(b"").hexdigest(),
+                     id="2-jsonl"),
+    ])
+    def test_variance_records_bytes_pinned(self, tmp_path, argv, digest):
+        # SHA-256 of the files the per-term row writer wrote
+        rec = tmp_path / "terms"
+        code, _, _ = run_cli(["variance", "--cutoff", "2000", "--emit-records", str(rec)] + argv)
         assert code == 0
-        assert hashlib.sha256(rec.read_bytes()).hexdigest() == (
-            "4b7779da4d24e45d80018212b43d5ce85870e9bad6c65f569338a6eb8dfa0acf"
-        )
+        assert hashlib.sha256(rec.read_bytes()).hexdigest() == digest
 
     def test_variance_sweep_bytes_pinned(self, tmp_path):
         # SHA-256 of the file the int64 % singular-series kernel wrote; a
@@ -271,6 +291,19 @@ class TestOtherCommands:
                                      "--out", str(out)])
         assert (code, stdout) == (3, "")
         assert err.startswith("resource failure:") and "singular series" in err
+        assert not out.exists()
+
+    def test_variance_kept_terms_over_budget_is_exit_3_before_any_file(self, tmp_path,
+                                                                         monkeypatch):
+        # 50 runs at x = 100: the tables and the kernel take under 200 KB, but
+        # each run keeps four float64 columns over its 277 kappa <= 10^4,
+        # counted as 50 * 32 * 640 bytes, 1 MB
+        monkeypatch.setattr(cli, "_memory_budget", lambda: 2**19)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(["variance", "--x", ",".join(["100"] * 50),
+                                     "--cutoff", "1000", "--out", str(out)])
+        assert (code, stdout) == (3, "")
+        assert err.startswith("resource failure:") and "terms of 50 runs" in err
         assert not out.exists()
 
     def test_variance_records(self, tmp_path):
