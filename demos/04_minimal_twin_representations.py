@@ -32,12 +32,12 @@ for q in (5, 11, 13, 59, 113, 997):
 report = verify_range(5, LIMIT, Mode.TWIN_MIN, table)
 print()
 print(f"verified {report.checked:,} primes, failures: {len(report.failures)}")
-stats = report.stats
-print(f"min p_q/q^(1/3) = {stats['min_p_over_cbrt_q']:.6f} at q={stats['min_p_over_cbrt_q_at']:,}")
-print(f"max n_q/log(q)  = {stats['max_n_over_log_q']:.4f} at q={stats['max_n_over_log_q_at']:,}")
-print(f"order lemma violations: {stats['same_n_order_violations']}, "
-      f"sqrt bound violations: {stats['sqrt_bound_violations']}")
-print(f"dichotomy exceptions ({stats['dichotomy_violations']}): {stats['dichotomy_examples']}")
+digest = report.summary
+print(f"min p_q/q^(1/3) = {digest.min_ratio:.6f} at q={digest.min_ratio_q:,}")
+print(f"max n_q/log(q)  = {digest.max_nlog:.4f} at q={digest.max_nlog_q:,}")
+print(f"order lemma violations: {digest.same_n_order_violations}, "
+      f"sqrt bound violations: {digest.sqrt_bound_violations}")
+print(f"dichotomy exceptions ({digest.dichotomy_violations}): {digest.dichotomy_examples}")
 
 print()
 print("bucketed growth (minimal-p map):")

@@ -40,7 +40,7 @@ import numpy as np
 
 from .arithmetic import is_prime_64
 from .asymptotic import VarianceTerms, variance_sweep
-from .expsum import _sigma_row
+from .expsum import _ROW_CELLS, _sigma_row
 from .represent import (
     _PIECE,
     MAX_Q,
@@ -49,7 +49,6 @@ from .represent import (
     _growth_ratios,
     growth_columns,
     n_max,
-    summary_stats,
     verify_range,
 )
 from .sieve import (
@@ -90,7 +89,7 @@ def _fmt_cell(value) -> str:
         return f"{value:.6f}"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return ";".join(str(v) for v in value)
     return str(value)
 
@@ -98,8 +97,6 @@ def _fmt_cell(value) -> str:
 def _json_cell(value):
     if isinstance(value, float):
         return float(f"{value:.6f}")
-    if isinstance(value, tuple):
-        return list(value)
     return value
 
 
@@ -380,18 +377,20 @@ def _load_table(path: str, mtime_ns: int, size: int) -> PrimeTable:
     return load_prime_table(path)
 
 
-def _acquire_table(args, needed_limit: int, extra: int = 0, extra_what: str = "") -> PrimeTable:
-    """The command's prime table to needed_limit, after the command's one
-    memory check: the table's bytes plus extra, the bytes of what else the
-    command allocates (extra_what).  A --cache load takes the packed
-    payload, its unpacked bytes and the bool table; a sieve the bool table."""
-    if args.cache:
-        table_bytes, what = _cache_bits(args.cache) * 2, f"loading {args.cache}"
+def _acquire_table(cache: str | None, needed_limit: int, extra: int = 0,
+                   extra_what: str = "") -> PrimeTable:
+    """The command's prime table to needed_limit, loaded from the cache path
+    or, with None, sieved, after the command's one memory check: the
+    table's bytes plus extra, the bytes of what else the command allocates
+    (extra_what).  A cache load takes the packed payload, its unpacked
+    bytes and the bool table; a sieve the bool table."""
+    if cache:
+        table_bytes, what = _cache_bits(cache) * 2, f"loading {cache}"
     else:
         table_bytes, what = (needed_limit + 1) // 2, f"a prime table to {needed_limit}"
     _check_memory(table_bytes + extra, f"{what} and {extra_what}" if extra_what else what)
-    if args.cache:
-        return _cached_table(args.cache, needed_limit)
+    if cache:
+        return _cached_table(cache, needed_limit)
     return build_prime_table(needed_limit)
 
 
@@ -574,27 +573,9 @@ class _Checkpoint:
         self.size += len(data)
 
 
-_VERIFY_HEADER = [
-    "mode",
-    "lo",
-    "hi",
-    "checked",
-    "represented",
-    "failures",
-    "failure_list",
-    "min_p_over_cbrt_q",
-    "min_p_over_cbrt_q_at",
-    "max_n_over_log_q",
-    "max_n_over_log_q_at",
-    "dichotomy_violations",
-    "same_n_order_violations",
-    "sqrt_bound_violations",
-]
-
-
 def _summary_row(mode: Mode, total: ShardSummary) -> dict:
+    """The verify report's one row; its keys, in order, are the header."""
     return {
-        **summary_stats(total),
         "mode": mode.value,
         "lo": total.lo,
         "hi": total.hi,
@@ -602,6 +583,13 @@ def _summary_row(mode: Mode, total: ShardSummary) -> dict:
         "represented": total.represented,
         "failures": len(total.failures),
         "failure_list": total.failures[:32],
+        "min_p_over_cbrt_q": total.min_ratio,
+        "min_p_over_cbrt_q_at": total.min_ratio_q,
+        "max_n_over_log_q": total.max_nlog,
+        "max_n_over_log_q_at": total.max_nlog_q,
+        "dichotomy_violations": total.dichotomy_violations,
+        "same_n_order_violations": total.same_n_order_violations,
+        "sqrt_bound_violations": total.sqrt_bound_violations,
     }
 
 
@@ -713,7 +701,8 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_BAD_INPUT
     total = _run_sharded_verify(args, mode, lo, hi)
-    _write_rows(args.out, _VERIFY_HEADER, args.format, [_summary_row(mode, total)])
+    row = _summary_row(mode, total)
+    _write_rows(args.out, list(row), args.format, [row])
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
@@ -761,13 +750,23 @@ def _cmd_stats(args) -> int:
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
+# Bytes a prime p <= pmax that sigma holds beyond its prime table: the int64
+# primes and their list, and one grid row's brute and closed values and
+# SigmaEvaluation cells.  tracemalloc reads 217-250 at pmax 2e5 to 5e6 (qmax
+# 2 and 30).  A row's gather adds 16 bytes a cell, up to _ROW_CELLS cells.
+_SIGMA_BYTES = 256
+
+
 def _cmd_sigma(args) -> int:
     if args.qmax < 1 or args.pmax < 2:
         print(f"error: invalid grid qmax={args.qmax} pmax={args.pmax}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    table = _acquire_table(args, max(args.pmax, 2))
+    table = _acquire_table(args.cache, args.pmax,
+                           _SIGMA_BYTES * _q_bound(Mode.ANY_PRIME, args.pmax) + 16 * _ROW_CELLS,
+                           f"the sigma grid over the primes to {args.pmax}")
     # the table's primes: no row of the grid tests them again
-    primes = [int(p) for p in table.primes() if p <= args.pmax]
+    primes = table.primes()
+    primes = primes[: np.searchsorted(primes, args.pmax, side="right")].tolist()
     rows = (
         {
             "q": q,
@@ -792,9 +791,10 @@ _SINGULAR_BYTES = 48
 
 def _cmd_singular(args) -> int:
     needed = max(args.cutoff, args.pmax, 5)
-    table = _acquire_table(args, needed, _SINGULAR_BYTES * args.cutoff,
+    table = _acquire_table(args.cache, needed, _SINGULAR_BYTES * args.cutoff,
                            f"mu, phi tables to {args.cutoff}")
-    primes = [int(p) for p in table.primes() if p <= args.pmax]
+    primes = table.primes()
+    primes = primes[: np.searchsorted(primes, args.pmax, side="right")].tolist()
     q1 = max(3, args.cutoff // 10)
     # every row exists before the writer opens, so a rejected cutoff
     # leaves stdout and --out untouched
@@ -833,7 +833,7 @@ def _cmd_variance(args) -> int:
     # each run's report keeps four 8-byte columns over its kappa: psi,
     # main_term, residual and residual_sq (the others are views)
     kept = sum(32 * _q_bound(Mode.ANY_PRIME, (y + 1) // 4) for _, y in clamped)
-    table = _acquire_table(args, needed, lam + kernel + kept,
+    table = _acquire_table(args.cache, needed, lam + kernel + kept,
                            f"a von Mangoldt table to {top}, the singular series to "
                            f"{args.cutoff} and the terms of {len(runs)} runs")
     reports = variance_sweep(runs, args.cutoff, table, baier_zhao=args.baier_zhao)
@@ -862,15 +862,6 @@ def _cmd_density(args) -> int:
         if q < 5 or not any(is_prime_64(q - n * (n + 1)) for n in range(1, n_max(q) + 1))
     ]
     represented = twin.checked - len(exceptions)
-    header = [
-        "x",
-        "total_primes",
-        "representable_any_prime",
-        "representable_twin",
-        "density_any_prime",
-        "exceptions_any_prime",
-        "exceptions_twin",
-    ]
     row = {
         "x": args.x,
         "total_primes": twin.checked,
@@ -880,7 +871,7 @@ def _cmd_density(args) -> int:
         "exceptions_any_prime": exceptions[:32],
         "exceptions_twin": twin.failures[:32],
     }
-    _write_rows(args.out, header, args.format, [row])
+    _write_rows(args.out, list(row), args.format, [row])
     return EXIT_OK
 
 
@@ -893,7 +884,7 @@ def _cmd_mirsky(args) -> int:
     needed = max(args.y, math.isqrt(4 * args.y) + 1, 2)
     # and one segment of the squarefree sieve's marks
     census = _CENSUS_BYTES * _q_bound(Mode.ANY_PRIME, args.y) + _SQUAREFREE_SEGMENT
-    table = _acquire_table(args, needed, census, f"the squarefree census to {args.y}")
+    table = _acquire_table(args.cache, needed, census, f"the squarefree census to {args.y}")
     count, total = squarefree_kappa_census(table, args.y)
     row = {
         "y": args.y,
@@ -901,13 +892,12 @@ def _cmd_mirsky(args) -> int:
         "pi_y": total,
         "fraction": count / total if total else 0.0,
     }
-    _write_rows(args.out, ["y", "s_y", "pi_y", "fraction"], args.format, [row])
+    _write_rows(args.out, list(row), args.format, [row])
     return EXIT_OK
 
 
 def _cmd_sieve_cache(args) -> int:
-    _check_memory((args.limit + 1) // 2, f"a prime table to {args.limit}")
-    table = build_prime_table(args.limit)
+    table = _acquire_table(None, args.limit)
     save_prime_table(table, args.cache_out)
     row = {
         "limit": table.limit,
@@ -915,7 +905,7 @@ def _cmd_sieve_cache(args) -> int:
         "pi": prime_count(table, table.limit),
         "path": args.cache_out,
     }
-    _write_rows(args.out, ["limit", "segment_size", "pi", "path"], args.format, [row])
+    _write_rows(args.out, list(row), args.format, [row])
     return EXIT_OK
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "find_min_n_twin_representation",
     "find_any_prime_representation",
     "verify_range",
-    "summary_stats",
     "growth_columns",
 ]
 
@@ -467,34 +466,19 @@ class ShardSummary:
         return cls(**values)
 
 
-def summary_stats(summary: ShardSummary) -> dict:
-    """The stats block reported for a verified range."""
-    return {
-        "min_p_over_cbrt_q": summary.min_ratio,
-        "min_p_over_cbrt_q_at": summary.min_ratio_q,
-        "max_n_over_log_q": summary.max_nlog,
-        "max_n_over_log_q_at": summary.max_nlog_q,
-        "dichotomy_violations": summary.dichotomy_violations,
-        "dichotomy_examples": list(summary.dichotomy_examples),
-        "same_n_order_violations": summary.same_n_order_violations,
-        "sqrt_bound_violations": summary.sqrt_bound_violations,
-    }
-
-
 @dataclass
 class VerificationReport:
-    """Outcome of a range run: counts, explicit failures, and statistics.
+    """Outcome of a range run: counts, explicit failures, the range's digest
+    (summary, whose fields are the reported statistics), and each
+    represented q with its p and n.
 
     failures empty means the representation property held for every
-    admissible q in [lo, hi]; checked == represented + len(failures).
+    admissible q in [summary.lo, summary.hi]; checked ==
+    summary.represented + len(failures).
     """
 
-    lo: int
-    hi: int
-    mode: Mode
     checked: int
     failures: list
-    stats: dict
     summary: ShardSummary
     qs: np.ndarray
     ps: np.ndarray
@@ -560,18 +544,8 @@ def verify_range(
     if summary.represented < len(qs):  # keep the represented q alone
         keep = ps != 0
         qs, ps, ns = qs[keep], ps[keep], ns[keep]
-    return VerificationReport(
-        lo=lo,
-        hi=hi,
-        mode=mode,
-        checked=summary.checked,
-        failures=list(summary.failures),
-        stats=summary_stats(summary),
-        summary=summary,
-        qs=qs,
-        ps=ps,
-        ns=ns,
-    )
+    return VerificationReport(checked=summary.checked, failures=list(summary.failures),
+                              summary=summary, qs=qs, ps=ps, ns=ns)
 
 
 def growth_columns(qs, ps, ns, bucket: int) -> list[np.ndarray]:

@@ -79,7 +79,7 @@ def singular_series(kappa: int, cutoff: int, table: PrimeTable) -> SingularValue
     if cutoff > table.limit:
         raise CoverageError(f"cutoff {cutoff} exceeds table limit {table.limit}")
     primes = table.primes()
-    ells = primes[(primes >= 3) & (primes <= cutoff)]
+    ells = primes[1 : np.searchsorted(primes, cutoff, side="right")]  # primes[0] is 2
     factors = 1.0 - jacobi_many(_neg_kappa(kappa, ells), ells) / (ells - 1.0)
     # accumulate multiplies strictly left to right, so its last element
     # carries the same bits as a running `value *= factor` loop
@@ -122,7 +122,7 @@ def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> 
     if len(kappas) and kappas.min() < 1:
         raise ValueError(f"singular_series_many needs kappa >= 1, got {kappas.min()}")
     primes = table.primes()
-    ells = primes[(primes >= 3) & (primes <= cutoff)]
+    ells = primes[1 : np.searchsorted(primes, cutoff, side="right")]  # primes[0] is 2
     values = np.ones(len(kappas))  # before the scratch, so freeing that can shrink the heap
     k = kappas.astype(np.uint64)
     gathered, residues = np.empty(len(k)), np.empty(len(k), np.intp)

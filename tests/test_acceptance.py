@@ -128,8 +128,8 @@ def test_criterion_2_min_p_over_cbrt_q_above_one(desk_run):
     ratio = ps / np.cbrt(qs.astype(np.float64))
     i = int(np.argmin(ratio))
     print(f"\n  |E| = {len(expected)}; min p_q/q^(1/3) = {ratio[i]:.6f} at q = {int(qs[i])}")
-    assert report.stats["min_p_over_cbrt_q"] == float(ratio[i])
-    assert report.stats["min_p_over_cbrt_q_at"] == int(qs[i])
+    assert report.summary.min_ratio == float(ratio[i])
+    assert report.summary.min_ratio_q == int(qs[i])
     assert int(qs[i]) == max(q for q, t in expected.items() if t == 3) == 15409553
     assert int(ps[i]) == 3
 
@@ -143,8 +143,8 @@ def test_criterion_2_min_p_over_cbrt_q_above_one(desk_run):
 
 def test_criterion_2_max_n_over_log_q_reported(desk_run):
     _, report, _ = desk_run
-    value = report.stats["max_n_over_log_q"]
-    print(f"\n  max n_q/log q = {value:.6f} at q = {report.stats['max_n_over_log_q_at']}")
+    value = report.summary.max_nlog
+    print(f"\n  max n_q/log q = {value:.6f} at q = {report.summary.max_nlog_q}")
     assert math.isfinite(value) and value > 0
     # regression band for the measured extremum
     assert abs(value - 237.63097538137282) < 1e-6
@@ -152,7 +152,7 @@ def test_criterion_2_max_n_over_log_q_reported(desk_run):
 
 def test_criterion_2_n_below_sqrt_q(desk_run):
     _, report, _ = desk_run
-    assert report.stats["sqrt_bound_violations"] == 0
+    assert report.summary.sqrt_bound_violations == 0
     assert bool((report.ns * report.ns <= report.qs).all())
 
 
@@ -183,8 +183,8 @@ def test_criterion_2_dichotomy_zero_exceptions(desk_run):
     n2_exceptions = qs[(2 * ps < qs) & (2 * ns * ns < qs)].tolist()
     print(f"\n  n^2-form exceptions: {len(n2_exceptions)} at {n2_exceptions}")
     assert n2_exceptions == DICHOTOMY_N2_EXCEPTIONS
-    assert report.stats["dichotomy_violations"] == len(DICHOTOMY_N2_EXCEPTIONS)
-    assert report.stats["dichotomy_examples"] == DICHOTOMY_N2_EXCEPTIONS
+    assert report.summary.dichotomy_violations == len(DICHOTOMY_N2_EXCEPTIONS)
+    assert report.summary.dichotomy_examples == DICHOTOMY_N2_EXCEPTIONS
 
     for q in DICHOTOMY_N2_EXCEPTIONS:
         assert is_prime_64(q)
@@ -201,7 +201,7 @@ def test_criterion_2_dichotomy_zero_exceptions(desk_run):
 
 def test_criterion_3_same_n_forces_smaller_p(desk_run):
     _, report, _ = desk_run
-    assert report.stats["same_n_order_violations"] == 0
+    assert report.summary.same_n_order_violations == 0
     # that stat counts failures of p + n(n+1) = q; the lemma itself is checked here:
     # within each n, in ascending q, p increases strictly
     order = np.argsort(report.ns, kind="stable")

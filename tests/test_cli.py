@@ -401,11 +401,16 @@ class TestOtherCommands:
         assert code == 2
         assert "covers only" in err
 
-    def test_sigma_reads_cache(self, tmp_path):
+    @pytest.mark.parametrize("argv", [
+        ["sigma", "--qmax", "6", "--pmax", "30"],
+        ["singular", "--pmax", "30", "--cutoff", "40"],
+    ], ids=lambda argv: argv[0])
+    def test_report_reads_cache(self, tmp_path, argv):
+        # a larger cache holds primes past --pmax and the cutoff: the report
+        # takes only the table's primes up to them
         small, large = str(tmp_path / "small.bin"), str(tmp_path / "large.bin")
         assert run_cli(["sieve-cache", "--limit", "20", "--cache-out", small])[0] == 0
         assert run_cli(["sieve-cache", "--limit", "100", "--cache-out", large])[0] == 0
-        argv = ["sigma", "--qmax", "6", "--pmax", "30"]
         code, out, err = run_cli(argv + ["--cache", small])
         assert (code, out) == (2, "")
         assert "covers only" in err
@@ -1112,6 +1117,9 @@ class TestMemoryBudget:
         (["mirsky", "--y", "10000000"], 5_000_000),
         # the table to 10^6 (0.5 MB) fits; the mu and phi tables to 10^6 do not
         (["singular", "--pmax", "20", "--cutoff", "1000000"], 500_000),
+        # the table to 10^6 (0.5 MB) fits; the grid's lists and cells over its
+        # 78,498 primes (counted as 256 bytes each of at most 144,765) do not
+        (["sigma", "--qmax", "2", "--pmax", "1000000"], 500_000),
     ])
     def test_report_tables_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch,
                                                                  argv, table_bytes):

@@ -21,7 +21,6 @@ from twinrep.represent import (
     find_min_twin_representation,
     growth_columns,
     n_max,
-    summary_stats,
     verify_range,
 )
 from twinrep.sieve import CoverageError, build_prime_table, sieve_segment, twin_segment
@@ -289,7 +288,7 @@ class TestVerifyRange:
         a = verify_range(5, 20_000, Mode.TWIN_MIN, table_1e6)
         with patched(_BLOCK_SIZE=211):
             b = verify_range(5, 20_000, Mode.TWIN_MIN, table_1e6)
-        assert a.stats == b.stats
+        assert a.summary == b.summary
         assert np.array_equal(a.ps, b.ps) and np.array_equal(a.ns, b.ns)
 
     def test_sharding_determinism(self, table_1e6):
@@ -302,7 +301,7 @@ class TestVerifyRange:
             for a, b in bounds
         ]
         total = merged(parts)
-        assert summary_stats(total) == whole.stats
+        assert total == whole.summary
         assert total.checked == whole.checked
         assert total.failures == whole.failures
 
@@ -549,7 +548,6 @@ class TestVerifyRange:
     def test_summary_json_round_trip(self, table_1e6):
         report = verify_range(5, 30_000, Mode.TWIN_MIN, table_1e6)
         clone = ShardSummary.from_json_dict(report.summary.to_json_dict())
-        assert summary_stats(clone) == report.stats
         assert clone == report.summary
 
     def test_merge_leaves_its_parts_unchanged(self, table_1e6):
@@ -597,14 +595,14 @@ class TestLemmaChecks:
             "sqrt_bound_violations": 0,
             "dichotomy_violations": 8,
         }
-        assert report.stats["dichotomy_examples"] == [11, 19, 293, 307, 587, 727, 2909, 3593]
+        assert report.summary.dichotomy_examples == [11, 19, 293, 307, 587, 727, 2909, 3593]
 
     def test_scalar_equals_vectorized(self, table_1e6):
         report = verify_range(5, 10**5, Mode.TWIN_MIN, table_1e6)
         checks = lemma_counts(report.qs, report.ps, report.ns)
-        assert checks["same_n_order_violations"] == report.stats["same_n_order_violations"]
-        assert checks["sqrt_bound_violations"] == report.stats["sqrt_bound_violations"]
-        assert checks["dichotomy_violations"] == report.stats["dichotomy_violations"]
+        assert checks["same_n_order_violations"] == report.summary.same_n_order_violations
+        assert checks["sqrt_bound_violations"] == report.summary.sqrt_bound_violations
+        assert checks["dichotomy_violations"] == report.summary.dichotomy_violations
 
     def test_dichotomy_counterexample_q11(self, table_1e6):
         # q = 11 -> (p, n) = (5, 2): 2*5 < 11 and 2*4 < 11, yet the
@@ -646,7 +644,7 @@ class TestGrowthSeries:
                                                              bucket=10**7)
         assert min_p.tolist() == [3]
         assert abs(min_ratio[0] - 0.030050076714553987) < 1e-12
-        assert report.stats["min_p_over_cbrt_q_at"] == 995009
+        assert report.summary.min_ratio_q == 995009
         assert abs(max_nlog[0] - 72.3152315298092) < 1e-10
 
     def test_rejects_bad_bucket(self, table_1e6):
