@@ -27,10 +27,7 @@ from .asymptotic import (
     von_mangoldt_table,
 )
 from .expsum import (
-    SigmaEvaluation,
     check_multiplicativity,
-    evaluate_sigma,
-    evaluate_sigma_row,
     sigma_bruteforce,
     sigma_closed,
     sigma_complex_check,

@@ -217,9 +217,7 @@ def variance_sweep(
     if needed > table.limit:
         raise CoverageError(f"variance_sum needs table limit >= {needed}, have {table.limit}")
 
-    primes = table.primes()
-    # 4p - 1 <= y exactly when p <= (y + 1) // 4
-    ps = primes[: np.searchsorted(primes, p_top, side="right")]
+    ps = table.primes(p_top)  # 4p - 1 <= y exactly when p <= (y + 1) // 4
     ps = ps[squarefree_mask(4 * ps - 1, table)]
     kappas = 4 * ps - 1
     svals = singular_series_many(kappas, cutoff, table) if len(ps) else np.zeros(0)
@@ -261,8 +259,7 @@ def exception_count(y: int, x: int, table: PrimeTable) -> list[int]:
     needed = max(p_top, n_top * n_top + n_top + p_top)
     if needed > table.limit:
         raise CoverageError(f"exception_count needs table limit >= {needed}, have {table.limit}")
-    primes = table.primes()
-    ps = primes[: np.searchsorted(primes, p_top, side="right")]
+    ps = table.primes(p_top)
     ps = ps[squarefree_mask(4 * ps - 1, table)]
     exceptions = []
     for p in ps.tolist():

@@ -38,9 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arithmetic import is_prime_64
+from .arithmetic import is_prime_64, is_squarefree
 from .asymptotic import VarianceTerms, variance_sweep
-from .expsum import _ROW_CELLS, _sigma_row
+from .expsum import _ROW_CELLS, _bruteforce_row, _closed_row
 from .represent import (
     _PIECE,
     MAX_Q,
@@ -357,9 +357,11 @@ def _check_memory(estimate: int, what: str) -> None:
         )
 
 
-def _cache_bits(path: str) -> int:
-    """Odd-number bits a TPT1 cache holds, from its size (8 per payload byte)."""
-    return 8 * max(os.path.getsize(path) - _CACHE_HEADER.size, 0)
+def _cache_load_bytes(path: str) -> int:
+    """Bytes load_prime_table holds for a TPT1 cache, from the file's size:
+    the packed payload, the bool table of 8 bits a payload byte, and 16 KiB
+    for the file object and its read buffer (6.5 KB under tracemalloc)."""
+    return 9 * max(os.path.getsize(path) - _CACHE_HEADER.size, 0) + (1 << 14)
 
 
 def _cached_table(path: str, needed_limit: int) -> PrimeTable:
@@ -382,10 +384,10 @@ def _acquire_table(cache: str | None, needed_limit: int, extra: int = 0,
     """The command's prime table to needed_limit, loaded from the cache path
     or, with None, sieved, after the command's one memory check: the
     table's bytes plus extra, the bytes of what else the command allocates
-    (extra_what).  A cache load takes the packed payload, its unpacked
-    bytes and the bool table; a sieve the bool table."""
+    (extra_what).  A cache load takes the packed payload and the bool
+    table; a sieve the bool table."""
     if cache:
-        table_bytes, what = _cache_bits(cache) * 2, f"loading {cache}"
+        table_bytes, what = _cache_load_bytes(cache), f"loading {cache}"
     else:
         table_bytes, what = (needed_limit + 1) // 2, f"a prime table to {needed_limit}"
     _check_memory(table_bytes + extra, f"{what} and {extra_what}" if extra_what else what)
@@ -492,8 +494,8 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     filled pieces below a bound on the largest p_q of 8 sqrt(hi) log(hi)^2
     and one piece being sieved; the measured largest p_q is a half to a
     third of the bound (4.59e6 to 1.6e7 and 2.22e7 to 2e8, about half;
-    2.08e9 at 1e12, a third).  With --cache the table and its load
-    temporaries come once, since forked workers share them.  With
+    2.08e9 at 1e12, a third).  With --cache the table and the payload
+    it is unpacked from come once, since forked workers share them.  With
     keep_arrays (records or a fold), the per-q arrays a shard returns, 24
     bytes a q, wait in the parent for up to two shards a process.
     """
@@ -503,7 +505,7 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     filled = -(-(p_bound // 2 + 1) // _PIECE) * _PIECE
     total = (_SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2 + filled + _PIECE) * processes
     if args.cache:
-        total += _cache_bits(args.cache) * 2
+        total += _cache_load_bytes(args.cache)
     if keep_arrays and processes > 1:
         total += 2 * processes * 24 * _q_bound(mode, span)
     return total
@@ -750,11 +752,12 @@ def _cmd_stats(args) -> int:
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
-# Bytes a prime p <= pmax that sigma holds beyond its prime table: the int64
-# primes and their list, and one grid row's brute and closed values and
-# SigmaEvaluation cells.  tracemalloc reads 217-250 at pmax 2e5 to 5e6 (qmax
-# 2 and 30).  A row's gather adds 16 bytes a cell, up to _ROW_CELLS cells.
-_SIGMA_BYTES = 256
+# Bytes a prime p <= pmax that sigma holds beyond its prime table and a row's
+# gather: the int64 primes and their list, and one grid row's p mod q and its
+# brute and closed values.  tracemalloc reads 81-89 at qmax 2 (pmax 2e5 to
+# 5e6), where the values are small cached ints, and 174-196 at qmax 300 and
+# 400, where they are not.  The gather adds 16 bytes a cell, up to _ROW_CELLS.
+_SIGMA_BYTES = 192
 
 
 def _cmd_sigma(args) -> int:
@@ -765,21 +768,17 @@ def _cmd_sigma(args) -> int:
                            _SIGMA_BYTES * _q_bound(Mode.ANY_PRIME, args.pmax) + 16 * _ROW_CELLS,
                            f"the sigma grid over the primes to {args.pmax}")
     # the table's primes: no row of the grid tests them again
-    primes = table.primes()
-    primes = primes[: np.searchsorted(primes, args.pmax, side="right")].tolist()
-    rows = (
-        {
-            "q": q,
-            "p": ev.p,
-            "kappa": ev.kappa,
-            "brute": ev.brute_value,
-            "closed": ev.closed_value,
-            "match": ev.match,
-        }
-        for q in range(1, args.qmax + 1)
-        for ev in _sigma_row(q, primes)
-    )
-    _write_rows(args.out, ["q", "p", "kappa", "brute", "closed", "match"], args.format, rows)
+    ps = table.primes(args.pmax).tolist()
+    sink = _Sink(args.out, ["q", "p", "kappa", "brute", "closed", "match"], args.format)
+    try:
+        for q in range(1, args.qmax + 1):
+            brute = _bruteforce_row(q, ps).tolist()
+            closed = _closed_row(q, ps) if is_squarefree(q) else [None] * len(ps)
+            for p, b, c in zip(ps, brute, closed):
+                sink.row({"q": q, "p": p, "kappa": 4 * p - 1, "brute": b, "closed": c,
+                          "match": None if c is None else b == c})
+    finally:
+        sink.close()
     return EXIT_OK
 
 
@@ -793,8 +792,7 @@ def _cmd_singular(args) -> int:
     needed = max(args.cutoff, args.pmax, 5)
     table = _acquire_table(args.cache, needed, _SINGULAR_BYTES * args.cutoff,
                            f"mu, phi tables to {args.cutoff}")
-    primes = table.primes()
-    primes = primes[: np.searchsorted(primes, args.pmax, side="right")].tolist()
+    primes = table.primes(args.pmax).tolist()
     q1 = max(3, args.cutoff // 10)
     # every row exists before the writer opens, so a rejected cutoff
     # leaves stdout and --out untouched

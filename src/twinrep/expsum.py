@@ -20,7 +20,6 @@ to Sigma(2m) = -2*Sigma(m) for odd m.  See tests for the numerics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,35 +27,11 @@ import numpy as np
 from .arithmetic import _factorize, is_prime_64, is_squarefree, jacobi
 
 __all__ = [
-    "SigmaEvaluation",
     "sigma_bruteforce",
     "sigma_complex_check",
     "sigma_closed",
     "check_multiplicativity",
-    "evaluate_sigma",
-    "evaluate_sigma_row",
 ]
-
-
-@dataclass(frozen=True)
-class SigmaEvaluation:
-    """One grid cell: exact brute-force value next to the closed form.
-
-    closed_value is None when q is not squarefree (no closed form is
-    claimed there); match compares the two where both exist.
-    """
-
-    q: int
-    p: int
-    kappa: int
-    brute_value: int
-    closed_value: int | None
-
-    @property
-    def match(self) -> bool | None:
-        if self.closed_value is None:
-            return None
-        return self.brute_value == self.closed_value
 
 
 def _require_prime(p: int) -> None:
@@ -67,7 +42,7 @@ def _require_prime(p: int) -> None:
 def sigma_bruteforce(q: int, p: int) -> int:
     """Sigma(q) as an exact integer; O(q) Ramanujan-sum terms, no floats.
 
-    The one-p case of the grid-row evaluation in evaluate_sigma_row.
+    The one-p case of the grid-row evaluation _bruteforce_row.
     """
     _require_prime(p)
     return int(_bruteforce_row(q, [p])[0])
@@ -186,30 +161,3 @@ def check_multiplicativity(q1: int, q2: int, p: int) -> bool:
     if math.gcd(q1, q2) != 1:
         raise ValueError(f"multiplicativity check needs coprime factors, got {q1}, {q2}")
     return 2 * sigma_bruteforce(q1 * q2, p) == sigma_bruteforce(q1, p) * sigma_bruteforce(q2, p)
-
-
-def evaluate_sigma(q: int, p: int) -> SigmaEvaluation:
-    """Brute force plus closed form (where defined) for one (q, p) cell."""
-    return evaluate_sigma_row(q, [p])[0]
-
-
-def evaluate_sigma_row(q: int, ps: list[int]) -> list[SigmaEvaluation]:
-    """evaluate_sigma(q, p) for every p in ps, in order.
-
-    The divisor and coefficient table of q is built once for the whole
-    row, which is what makes a grid report cheap.
-    """
-    for p in ps:
-        _require_prime(p)
-    return _sigma_row(q, ps)
-
-
-def _sigma_row(q: int, ps: list[int]) -> list[SigmaEvaluation]:
-    """evaluate_sigma_row(q, ps) for ps known prime, such as a prime
-    table's, so a grid over many q tests no p again."""
-    brute = _bruteforce_row(q, ps).tolist()
-    closed = _closed_row(q, ps) if is_squarefree(q) else [None] * len(ps)
-    return [
-        SigmaEvaluation(q=q, p=p, kappa=4 * p - 1, brute_value=b, closed_value=c)
-        for p, b, c in zip(ps, brute, closed)
-    ]

@@ -52,13 +52,15 @@ class ResourceLimitError(RuntimeError):
 class PrimeTable:
     """Primality bits for [2, limit]; odd_bits[i] answers for m = 2*i + 1.
 
-    Immutable after construction and safe for concurrent reads.  Equality
-    and hashing are by identity, so caches can key on the table itself.
+    The bits never change after construction; primes() caches the primes
+    it builds.  Equality and hashing are by identity, so caches can key on
+    the table itself.
     """
 
     limit: int
     odd_bits: np.ndarray  # bool, length (limit + 1) // 2
-    _primes: np.ndarray | None = field(default=None, repr=False)
+    _primes: np.ndarray | None = field(default=None, repr=False)  # every prime <= _primes_upto
+    _primes_upto: int = field(default=1, repr=False)
 
     def is_prime(self, m: int) -> bool:
         """Exact verdict for 0 <= m <= limit; raises CoverageError above."""
@@ -79,12 +81,22 @@ class PrimeTable:
             raise ValueError(f"segment needs lo >= 0, got {lo}")
         return self.odd_bits[lo >> 1 : (hi + 1) >> 1]
 
-    def primes(self) -> np.ndarray:
-        """All primes <= limit as an ascending int64 array (cached)."""
-        if self._primes is None:
-            odds = np.flatnonzero(self.odd_bits).astype(np.int64) * 2 + 1
-            self._primes = np.concatenate(([2], odds)) if self.limit >= 2 else odds
-        return self._primes
+    def primes(self, upto: int | None = None) -> np.ndarray:
+        """The primes <= upto (default limit) as an ascending int64 array.
+
+        A prefix of one cached array, which grows only as far as a caller
+        has asked; CoverageError above the limit, empty below 2.
+        """
+        upto = self.limit if upto is None else upto
+        if upto > self.limit:
+            raise CoverageError(f"primes up to {upto} are outside table limit {self.limit}")
+        if upto < 2:
+            return np.zeros(0, dtype=np.int64)
+        if upto > self._primes_upto:
+            odds = np.flatnonzero(self.odd_bits[: (upto + 1) // 2]).astype(np.int64) * 2 + 1
+            self._primes = np.concatenate(([2], odds))
+            self._primes_upto = upto
+        return self._primes[: np.searchsorted(self._primes, upto, side="right")]
 
 
 def _cross_off(out: np.ndarray, first: int, base: list[int]) -> None:
@@ -231,13 +243,7 @@ def squarefree_mask(values: np.ndarray, table: PrimeTable) -> np.ndarray:
         return np.ones(0, dtype=bool)
     if int(values[0]) < 1:
         raise ValueError("squarefree_mask requires positive values")
-    root = math.isqrt(int(values[-1]))
-    if root > table.limit:
-        raise CoverageError(
-            f"squarefree test needs primes up to {root}, table limit is {table.limit}"
-        )
-    primes = table.primes()
-    squares = primes[: np.searchsorted(primes, root, side="right")] ** 2
+    squares = table.primes(math.isqrt(int(values[-1]))) ** 2
     size = _SQUAREFREE_SEGMENT
     split = int(np.searchsorted(squares, size))
     small, large = squares[:split].tolist(), squares[split:]
@@ -263,14 +269,9 @@ def squarefree_mask(values: np.ndarray, table: PrimeTable) -> np.ndarray:
 
 def squarefree_kappa_census(table: PrimeTable, y: int) -> tuple[int, int]:
     """(s(y), pi(y)): primes p <= y with 4p - 1 squarefree, and all primes <= y."""
-    if y > table.limit:
-        raise CoverageError(f"census at {y} exceeds table limit {table.limit}")
     if math.isqrt(4 * y) > table.limit:
         raise CoverageError(f"census needs primes up to isqrt({4 * y})")
-    if y < 2:
-        return (0, 0)
-    primes = table.primes()
-    ps = primes[: np.searchsorted(primes, y, side="right")]
+    ps = table.primes(y)
     kappas = ps * 4
     kappas -= 1
     count = int(np.count_nonzero(squarefree_mask(kappas, table)))
@@ -296,13 +297,10 @@ def mu_phi_tables(table: PrimeTable, upto: int) -> tuple[np.ndarray, np.ndarray]
     """
     if upto < 1:
         raise ValueError(f"mu_phi_tables requires upto >= 1, got {upto}")
-    if upto > table.limit:
-        raise CoverageError(f"mu_phi_tables({upto}) exceeds table limit {table.limit}")
+    primes = table.primes(upto)  # before mu and phi: a coverage gap allocates nothing
     mu = np.ones(upto + 1, dtype=np.int8)
     mu[0] = 0
     phi = np.arange(upto + 1, dtype=np.int64)
-    primes = table.primes()
-    primes = primes[: np.searchsorted(primes, upto, side="right")]
     split = int(np.searchsorted(primes, math.isqrt(upto), side="right"))
     for p in primes[:split].tolist():
         mu[p::p] *= -1
@@ -373,5 +371,6 @@ def load_prime_table(path: str) -> PrimeTable:
     if len(payload) != need:
         # unpackbits(count=nbits) would pad a short payload with composites
         raise ValueError(f"{path}: payload has {len(payload)} bytes, {nbits} bits need {need}")
-    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits).astype(bool)
+    # unpackbits writes 0 and 1, valid bools as they are: a view, not a second copy
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=nbits).view(bool)
     return PrimeTable(limit=int(limit), odd_bits=bits)

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arithmetic import is_prime_64, jacobi_many
-from .sieve import CoverageError, PrimeTable, mu_phi_tables
+from .sieve import PrimeTable, mu_phi_tables
 
 # the tables are read-only here; caching (keyed on the table's identity)
 # spares repeated rebuilds when a report sweeps many kappa at one truncation
@@ -76,10 +76,7 @@ def singular_series(kappa: int, cutoff: int, table: PrimeTable) -> SingularValue
     _require_kappa(kappa)
     if cutoff < 3:
         raise ValueError(f"singular_series needs cutoff >= 3, got {cutoff}")
-    if cutoff > table.limit:
-        raise CoverageError(f"cutoff {cutoff} exceeds table limit {table.limit}")
-    primes = table.primes()
-    ells = primes[1 : np.searchsorted(primes, cutoff, side="right")]  # primes[0] is 2
+    ells = table.primes(cutoff)[1:]  # the first prime is 2
     factors = 1.0 - jacobi_many(_neg_kappa(kappa, ells), ells) / (ells - 1.0)
     # accumulate multiplies strictly left to right, so its last element
     # carries the same bits as a running `value *= factor` loop
@@ -117,12 +114,9 @@ def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> 
     kappas = np.asarray(kappas, dtype=np.int64)
     if cutoff < 3:
         raise ValueError(f"singular_series_many needs cutoff >= 3, got {cutoff}")
-    if cutoff > table.limit:
-        raise CoverageError(f"cutoff {cutoff} exceeds table limit {table.limit}")
+    ells = table.primes(cutoff)[1:]  # the first prime is 2
     if len(kappas) and kappas.min() < 1:
         raise ValueError(f"singular_series_many needs kappa >= 1, got {kappas.min()}")
-    primes = table.primes()
-    ells = primes[1 : np.searchsorted(primes, cutoff, side="right")]  # primes[0] is 2
     values = np.ones(len(kappas))  # before the scratch, so freeing that can shrink the heap
     k = kappas.astype(np.uint64)
     gathered, residues = np.empty(len(k)), np.empty(len(k), np.intp)

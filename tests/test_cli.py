@@ -24,8 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twinrep import cli, represent
+from twinrep.arithmetic import is_prime_64
 from twinrep.cli import _format_rows, _json_cell, main
-from twinrep.sieve import prime_count
+from twinrep.sieve import build_prime_table, load_prime_table, prime_count, save_prime_table
 
 
 def run_cli(argv):
@@ -417,6 +418,19 @@ class TestOtherCommands:
         plain = run_cli(argv)
         assert plain[0] == 0
         assert run_cli(argv + ["--cache", large]) == plain
+
+    @pytest.mark.parametrize("argv, upto", [
+        (["sigma", "--qmax", "6", "--pmax", "30"], 30),
+        (["singular", "--pmax", "30", "--cutoff", "40"], 40),
+    ], ids=["sigma", "singular"])
+    def test_report_builds_primes_only_to_what_it_reads(self, tmp_path, argv, upto):
+        # the cached table's primes stop at --pmax (and the cutoff), not at its limit
+        cache = str(tmp_path / "primes.bin")
+        assert run_cli(["sieve-cache", "--limit", "1000", "--cache-out", cache])[0] == 0
+        assert run_cli(argv + ["--cache", cache])[0] == 0
+        table = cli._cached_table(cache, 0)  # the table the report read
+        assert table._primes is not None
+        assert table._primes.tolist() == [p for p in range(upto + 1) if is_prime_64(p)]
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_sieve_cache_prints_a_non_ascii_path(self, tmp_path, fmt):
@@ -1191,7 +1205,20 @@ class TestMemoryBudget:
         assert cli._verify_memory(args, represent.Mode.ANY_PRIME, 5, 200_000, False) == twin
         args.cache = None
         sieved = cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 200_000, False)
-        assert twin == sieved + 2 * cli._cache_bits(cache)
+        assert twin == sieved + cli._cache_load_bytes(cache)
+
+    @pytest.mark.parametrize("limit", [1000, 2_000_000])
+    def test_cache_load_peaks_within_its_bytes(self, tmp_path, limit):
+        cache = str(tmp_path / "primes.bin")
+        save_prime_table(build_prime_table(limit), cache)
+        load_prime_table(cache)  # numpy's first-call set-up is not the load's
+        tracemalloc.start()
+        try:
+            load_prime_table(cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._cache_load_bytes(cache)
 
     def test_estimate_counts_only_the_processes_and_lanes_the_run_uses(self):
         args = cli.build_parser().parse_args(["verify", "--mode", "twin", "--range", "5:1000",

@@ -10,8 +10,6 @@ from twinrep import expsum
 from twinrep.arithmetic import euler_phi, is_squarefree, jacobi, mobius, ramanujan_sum
 from twinrep.expsum import (
     check_multiplicativity,
-    evaluate_sigma,
-    evaluate_sigma_row,
     sigma_bruteforce,
     sigma_closed,
     sigma_complex_check,
@@ -156,22 +154,22 @@ class TestMultiplicativity:
 
 
 class TestEvaluateSigma:
+    """A sigma cell: the brute-force value next to the closed form where q is
+    squarefree, as the grid report prints them."""
+
     def test_squarefree_cell(self):
-        cell = evaluate_sigma(15, 5)
-        assert cell.kappa == 19
-        assert cell.brute_value == cell.closed_value == -30
-        assert cell.match is True
+        assert sigma_bruteforce(15, 5) == sigma_closed(15, 5) == -30
+        assert expsum._bruteforce_row(15, [5]).tolist() == expsum._closed_row(15, [5]) == [-30]
 
     def test_non_squarefree_cell(self):
-        cell = evaluate_sigma(4, 5)
-        assert cell.closed_value is None and cell.match is None
-        assert cell.brute_value == 0  # c_4 of an odd argument vanishes
+        assert sigma_bruteforce(4, 5) == 0  # c_4 of an odd argument vanishes
+        with pytest.raises(ValueError):  # no closed form is claimed
+            sigma_closed(4, 5)
 
     def test_even_squarefree_mismatch_is_visible(self):
         # the honest grid output: brute -12 vs claimed closed 0
-        cell = evaluate_sigma(6, 3)
-        assert cell.brute_value == -12 and cell.closed_value == 0
-        assert cell.match is False
+        assert sigma_bruteforce(6, 3) == -12
+        assert sigma_closed(6, 3) == 0
 
 
 class TestGridRows:
@@ -179,15 +177,15 @@ class TestGridRows:
     per-cell scalar evaluation exactly."""
 
     def check_row(self, q, ps):
-        row = evaluate_sigma_row(q, ps)
-        assert [ev.p for ev in row] == ps
-        for ev in row:
-            assert ev.q == q and ev.kappa == 4 * ev.p - 1
-            assert type(ev.brute_value) is int
-            assert ev.brute_value == sigma_bruteforce_scalar(q, ev.p), (q, ev.p)
-            assert ev.closed_value == sigma_closed_scalar(q, ev.p), (q, ev.p)
-            assert sigma_bruteforce(q, ev.p) == ev.brute_value
-            assert evaluate_sigma(q, ev.p) == ev
+        brute = expsum._bruteforce_row(q, ps).tolist()
+        assert len(brute) == len(ps)
+        closed = expsum._closed_row(q, ps) if is_squarefree(q) else [None] * len(ps)
+        for p, b, c in zip(ps, brute, closed):
+            assert type(b) is int
+            assert b == sigma_bruteforce_scalar(q, p) == sigma_bruteforce(q, p), (q, p)
+            assert c == sigma_closed_scalar(q, p), (q, p)
+            if c is not None:
+                assert type(c) is int and sigma_closed(q, p) == c
 
     def test_grid_edges(self):
         # q sharing a factor with kappa (kappa = 7, 11, 19, 27, 51, 91), even,
@@ -209,11 +207,14 @@ class TestGridRows:
             self.check_row(60, PRIMES_100[:7])
 
     def test_empty_row_and_validation(self):
-        assert evaluate_sigma_row(15, []) == []
+        assert expsum._bruteforce_row(15, []).tolist() == []
+        assert expsum._closed_row(15, []) == []
         with pytest.raises(ValueError):
-            evaluate_sigma_row(0, [3])
+            expsum._bruteforce_row(0, [3])
+        with pytest.raises(ValueError):  # the rows take ps known prime; the cells test p
+            sigma_bruteforce(15, 9)
         with pytest.raises(ValueError):
-            evaluate_sigma_row(15, [3, 5, 9])
+            sigma_closed(15, 9)
 
 
 class TestRamanujanRows:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinrep import sieve
-from twinrep.arithmetic import euler_phi, is_squarefree, mobius
+from twinrep.arithmetic import euler_phi, is_prime_64, is_squarefree, mobius
 from twinrep.sieve import (
     _CACHE_HEADER,
     CoverageError,
@@ -57,6 +57,24 @@ class TestPrimeTable:
     def test_rejects_bad_limit(self):
         with pytest.raises(ValueError):
             build_prime_table(1)
+
+    def test_primes_upto_is_a_prefix_in_any_call_order(self):
+        small = [p for p in range(1001) if is_prime_64(p)]
+        uptos = {0, 1, -5, 2, 3, 1000} | {p + d for p in small for d in (-1, 0, 1)}
+        results = []
+        for order in (sorted(uptos), sorted(uptos, reverse=True)):
+            table = build_prime_table(1000)
+            assert table._primes is None  # nothing is built before the first call
+            got = {upto: table.primes(upto) for upto in order}
+            for upto, primes in got.items():
+                assert primes.dtype == np.int64
+                assert primes.tolist() == [p for p in range(upto + 1) if is_prime_64(p)], upto
+            with pytest.raises(CoverageError):
+                table.primes(table.limit + 1)
+            assert np.array_equal(table.primes(), got[1000])
+            results.append(got)
+        ascending, descending = results
+        assert all(np.array_equal(ascending[u], descending[u]) for u in uptos)
 
     def test_query_past_limit_is_error(self, table_1e5):
         with pytest.raises(CoverageError):
@@ -256,6 +274,7 @@ class TestBinaryCache:
         loaded = load_prime_table(path)
         assert loaded.limit == table_1e5.limit
         assert np.array_equal(loaded.odd_bits, table_1e5.odd_bits)
+        assert loaded._primes is None  # built on the first primes() call only
 
     def test_header_segment_field_is_ignored(self, tmp_path, table_1e5):
         # a cache written with another segment width holds the same bits
