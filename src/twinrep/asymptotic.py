@@ -12,13 +12,18 @@ variance_sweep evaluates many (x, y) at once: the kappa sets are nested
 in y, so the squarefree kappa, their singular values and one von
 Mangoldt table are built for the largest y and each run takes a prefix.
 
-psi sums are exact.  Every nonzero von Mangoldt value is log p >=
-log 2 > 1/2 and below 2^6, so it is an integer multiple of 2^-53 below
-2^59.  Scaled by 2^53, the gathered values of a block of rows are
-summed exactly in two int64 limbs; the joined Python integer divided by
-2^53 is correctly rounded, which is exactly what math.fsum returns.
-The squared residuals are streamed through a Kahan accumulator in
-ascending p, so every result is bit-reproducible.
+psi sums are exact.  Every nonzero von Mangoldt value of an odd integer
+is log r >= log 3 > 1 and below 2^6, so it is an integer multiple of
+2^-52 below 2^6: von_mangoldt_table holds it as int64 units of 2^-53
+below 2^59, over the odd integers only, since n^2 + n + p is odd for
+every odd p (p = 2, whose values are all even, counts its powers of two
+instead).  The sweep sums psi for every run in one pass over n: column n
+gathers the units of n^2 + n + p for all p at once and adds them into two
+int64 limbs, the bits above 2^26 and those below.  Joined as
+high * 2^-27 + low * 2^-53, both terms are exact floats, so their one
+rounded addition is the exact sum correctly rounded, which is what
+math.fsum returns.  The squared residuals are streamed through a Kahan
+accumulator in ascending p, so every result is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -62,56 +67,104 @@ class KahanSum:
         self.value = t
 
 
-def von_mangoldt_table(limit: int) -> np.ndarray:
-    """Array L with L[m] = von Mangoldt of m for 0 <= m <= limit.
+_LOG_CHUNK = 1 << 12  # primes whose math.log a Python list holds at once
 
-    Prime logs are taken with math.log so table entries are identical
-    to the scalar function's values.
+
+def von_mangoldt_table(limit: int) -> np.ndarray:
+    """Von Mangoldt over the odd integers to limit, as exact int64 units:
+    U[i] = von_mangoldt(2i + 1) * 2^53 for 0 <= i < (limit + 1) // 2.
+
+    Prime logs are taken with math.log, so U[i] / 2^53 is the scalar
+    function's float.  Every nonzero entry is log r of an odd prime r, in
+    [log 3, 64): an integer multiple of 2^-52, so its units are exact
+    integers below 2^59.
     """
     if limit < 1:
         raise ValueError(f"von_mangoldt_table requires limit >= 1, got {limit}")
-    table = np.zeros(limit + 1, dtype=np.float64)
-    for p in build_prime_table(max(limit, 2)).primes():  # at limit = 1, p = 2 sets nothing
-        p = int(p)
-        logp = math.log(p)
-        pk = p
-        while pk <= limit:
-            table[pk] = logp
-            pk *= p
-    return table
+    units = np.zeros((limit + 1) // 2, dtype=np.int64)
+    primes = build_prime_table(max(limit, 2)).primes()[1:]  # the odd primes
+    for start in range(0, len(primes), _LOG_CHUNK):
+        chunk = primes[start : start + _LOG_CHUNK]
+        logs = np.fromiter(map(math.log, chunk.tolist()), np.float64, len(chunk))
+        units[chunk >> 1] = logs * float(_PSI_SCALE)
+    small = int(np.searchsorted(primes, math.isqrt(limit), side="right"))
+    for r, unit in zip(primes[:small].tolist(), units[primes[:small] >> 1].tolist()):
+        rk = r * r
+        while rk <= limit:
+            units[rk >> 1] = unit
+            rk *= r
+    return units
 
 
 _INT63_MAX = (1 << 63) - 1
 
-# psi blocks: gathered values scaled to integers, split into a low limb of
-# _LIMB_BITS bits and the high rest (< 2^33), so a row of x < 2^30 cells
-# sums in int64 without overflow.  A table long enough to gather x^2 + x
-# has far fewer than 2^60 entries, so x < 2^30 always holds.
+# A unit (< 2^59) splits into a high limb of the bits above _LIMB_BITS and a
+# low limb below them.  Summed over x cells, the low limbs stay below
+# 2^26 x < 2^53 for any x whose table fits in memory, so they convert to
+# float64 exactly; the high limbs are checked against 2^53 at each join.
 _PSI_SCALE = 2**53
 _LIMB_BITS = 26
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_BLOCK_CELLS = 1 << 13  # 64 KB temporaries; 1 << 15 raised the variance CLI peak RSS 0.6 MB
+_UNIT_BOUND = 2**59
 
 
-def _psi_rows(lam: np.ndarray, ps: np.ndarray, x: int) -> np.ndarray:
-    """psi_p(x) for each p in ps from a von Mangoldt table, equal to math.fsum.
-
-    Values outside {0} and [1/2, 64) are not integer multiples of 2^-53
-    below 2^59, so the integer sum would not be exact: they are rejected.
-    """
+def _psi_two(x: int) -> float:
+    """psi_2(x): n^2 + n + 2 is even, so only its powers of two count, each
+    math.log(2), as von_mangoldt gives them; math.fsum adds them."""
     n = np.arange(1, x + 1, dtype=np.int64)
-    nsq = n * n + n
-    rows = max(1, _BLOCK_CELLS // x)
-    out = np.empty(len(ps), dtype=np.float64)
-    for start in range(0, len(ps), rows):
-        block = lam[ps[start : start + rows, None] + nsq]
-        if not np.all(((block >= 0.5) & (block < 64.0)) | (block == 0.0)):
-            raise ValueError("psi needs von Mangoldt values: 0 or in [1/2, 64)")
-        units = (block * float(_PSI_SCALE)).astype(np.int64)
-        high = (units >> _LIMB_BITS).sum(axis=1).tolist()
-        low = (units & _LIMB_MASK).sum(axis=1).tolist()
-        out[start : start + rows] = [((h << _LIMB_BITS) + l) / _PSI_SCALE
-                                     for h, l in zip(high, low)]
+    m = n * n + n + 2
+    return math.fsum([math.log(2)] * int(np.count_nonzero(m & (m - 1) == 0)))
+
+
+def _check_units(cells: np.ndarray) -> None:
+    """Refuse anything but von Mangoldt units: int64 in [0, 2^59)."""
+    if cells.dtype != np.int64 or (len(cells) and (
+            cells.min() < 0 or cells.max() >= _UNIT_BOUND)):
+        raise ValueError("psi needs von Mangoldt units: int64 in [0, 2^59)")
+
+
+def _psi_columns(units: np.ndarray, ps: np.ndarray,
+                 runs: list[tuple[int, int]]) -> list[np.ndarray]:
+    """psi_p(x) for the first k primes p of ps (ascending), at each (x, k)
+    of runs, in the given order, each equal to math.fsum of its terms.
+
+    Column n gathers units[(p >> 1) + n(n+1)/2], the unit of n^2 + n + p,
+    over the odd p of the runs with x >= n, at ascending addresses, and
+    adds its limbs into two int64 accumulators; each run reads them after
+    its column x.  A joined sum high 2^-27 + low 2^-53 is one correctly
+    rounded addition of two exact floats, so it is the exact sum rounded
+    once.  p = 2, whose values are even, takes _psi_two.
+
+    The caller guarantees units: int64 in [0, 2^59) (_check_units), and
+    long enough that (x^2 + x + p) // 2 < len(units) for every run's odd
+    p.  Neither is checked here, and the gather clips, so a short table
+    gives wrong sums rather than an error.
+    """
+    even = int(len(ps) > 0 and ps[0] == 2)
+    order = sorted(range(len(runs)), key=lambda r: runs[r][0])
+    widths = [max(k - even, 0) for _, k in (runs[r] for r in order)]
+    for i in range(len(widths) - 2, -1, -1):  # the odd p of every run reaching column n
+        widths[i] = max(widths[i], widths[i + 1])
+    half = ps[even : even + (widths[0] if widths else 0)] >> 1
+    high, low = np.zeros(len(half), np.int64), np.zeros(len(half), np.int64)
+    cells, limb = np.empty(len(half), np.int64), np.empty(len(half), np.int64)
+    out: list[np.ndarray] = [np.zeros(0)] * len(runs)
+    n = t = 0  # t = n(n+1)/2
+    for r, w in zip(order, widths):
+        x, k = runs[r]
+        while n < x:
+            n += 1
+            t += n
+            c = np.take(units[t:], half[:w], out=cells[:w], mode="clip")
+            np.add(high[:w], np.right_shift(c, _LIMB_BITS, out=limb[:w]), out=high[:w])
+            np.add(low[:w], np.bitwise_and(c, _LIMB_MASK, out=c), out=low[:w])
+        odd = max(k - even, 0)
+        if odd and high[:odd].max() >= 2**53:
+            raise OverflowError(f"psi limb sum passes 2^53 at x={x}")
+        out[r] = psis = np.empty(k)
+        np.add(high[:odd] * 2.0 ** (_LIMB_BITS - 53), low[:odd] * 2.0**-53, out=psis[k - odd :])
+        if k > odd:
+            psis[0] = _psi_two(x)
     return out
 
 
@@ -119,10 +172,11 @@ def psi(p: int, x: int, lam: np.ndarray | None = None) -> float:
     """Sum of von Mangoldt over n^2 + n + p for 1 <= n <= x.
 
     The scalar path generates terms in ascending n and combines them
-    with math.fsum (exactly rounded).  Passing a precomputed
-    von_mangoldt_table as ``lam`` gathers the terms and sums them
-    exactly in integers (see the module docstring); both paths produce
-    identical floats.
+    with math.fsum (exactly rounded).  Passing von_mangoldt_table's units
+    as ``lam`` sums the gathered units exactly in integers instead (see
+    the module docstring), after checking the x cells it reads; both
+    paths produce identical floats.  The table holds odd integers only,
+    so an even p (p = 2, whose values are all even) takes the scalar path.
     """
     if x < 0:
         raise ValueError(f"psi requires x >= 0, got {x}")
@@ -132,10 +186,12 @@ def psi(p: int, x: int, lam: np.ndarray | None = None) -> float:
         raise OverflowError(f"x^2 + x + p overflows 64-bit range for x={x}, p={p}")
     if x == 0:
         return 0.0
-    if lam is not None:
-        if x * x + x + p >= len(lam):
+    if lam is not None and p % 2:
+        if (x * x + x + p) // 2 >= len(lam):
             raise CoverageError(f"von Mangoldt table too short for x={x}, p={p}")
-        return float(_psi_rows(lam, np.array([p], dtype=np.int64), x)[0])
+        n = np.arange(1, x + 1, dtype=np.int64)
+        _check_units(lam[(n * n + n + p) >> 1])
+        return float(_psi_columns(lam, np.array([p], dtype=np.int64), [(x, 1)])[0][0])
     return math.fsum(von_mangoldt(n * n + n + p) for n in range(1, x + 1))
 
 
@@ -220,14 +276,16 @@ def variance_sweep(
     ps = table.primes(p_top)  # 4p - 1 <= y exactly when p <= (y + 1) // 4
     ps = ps[squarefree_mask(4 * ps - 1, table)]
     kappas = 4 * ps - 1
-    svals = singular_series_many(kappas, cutoff, table) if len(ps) else np.zeros(0)
+    svals = singular_series_many(kappas, cutoff, table)
     counts = np.searchsorted(kappas, [y for _, y in runs], side="right").tolist()
-    tops = [x * x + x + int(ps[k - 1]) for (x, _), k in zip(runs, counts) if k]
-    lam = von_mangoldt_table(max(tops)) if tops else None
+    # p = 2 (kappa = 7) leads every nonempty run, and the table holds the odd p's values
+    tops = [x * x + x + int(ps[k - 1]) for (x, _), k in zip(runs, counts) if k > 1]
+    units = von_mangoldt_table(max(tops)) if tops else np.zeros(0, np.int64)
+    _check_units(units)  # once, on the whole table: the kernel reads it unchecked
+    columns = _psi_columns(units, ps, [(x, k) for (x, _), k in zip(runs, counts)])
 
     reports = []
-    for (x, y), k in zip(runs, counts):
-        psis = _psi_rows(lam, ps[:k], x) if k else np.zeros(0)
+    for (x, y), k, psis in zip(runs, counts, columns):
         main = svals[:k] * (float(x) if baier_zhao else x / 2.0)
         residual = psis - main
         terms = VarianceTerms(ps[:k], kappas[:k], psis, svals[:k], main, residual,

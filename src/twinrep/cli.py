@@ -64,7 +64,7 @@ from .sieve import (
     save_prime_table,
     squarefree_kappa_census,
 )
-from .singular import singular_series, tail_partial
+from .singular import singular_series, singular_series_many_scratch, tail_partial
 
 __all__ = ["main"]
 
@@ -807,6 +807,26 @@ def _cmd_singular(args) -> int:
     return EXIT_OK
 
 
+def _variance_memory(runs: list[tuple[int, int]], cutoff: int) -> int:
+    """Bytes variance_sweep needs beyond the prime table for runs with
+    0 <= y <= x^2 (larger y are rejected before any table is built)."""
+    # the von Mangoldt units, 8 bytes an odd integer up to x^2 + x + p for the
+    # largest p <= (y + 1) // 4 of each run holding an odd p (y >= 11), with
+    # the bool table and the int64 primes it sieves to that limit, and the
+    # psi kernel's two limb accumulators and two cell buffers, one 8-byte slot
+    # each an odd p of the widest run
+    top = max((x * x + x + (y + 1) // 4 for x, y in runs if y >= 11), default=0)
+    p_top = max((y + 1) // 4 for _, y in runs)
+    lam = 4 * (top + 1) + (top + 1) // 2 + 8 * _q_bound(Mode.ANY_PRIME, top)
+    psi = 32 * _q_bound(Mode.ANY_PRIME, p_top)
+    # singular_series_many over the kappa = 4p - 1, one a prime p <= (y + 1) // 4
+    kernel = singular_series_many_scratch(_q_bound(Mode.ANY_PRIME, p_top), cutoff)
+    # each run's report keeps four 8-byte columns over its kappa: psi,
+    # main_term, residual and residual_sq (the others are views)
+    kept = sum(32 * _q_bound(Mode.ANY_PRIME, (y + 1) // 4) for _, y in runs)
+    return lam + psi + kernel + kept
+
+
 def _cmd_variance(args) -> int:
     xs = args.x
     if args.emit_records and len(xs) != 1:
@@ -817,21 +837,8 @@ def _cmd_variance(args) -> int:
     # that region before any output exists, and no table is built for it
     clamped = [(x, min(max(y, 0), x * x)) for x, y in runs]
     needed = max(max(args.cutoff, (y + 1) // 4, math.isqrt(y) + 1) for _, y in clamped)
-    # the sweep's von Mangoldt table: 8 bytes an integer up to x^2 + x + p for
-    # the largest p <= (y + 1) // 4 of each run holding a kappa = 4p - 1 (y >= 7),
-    # with the bool table and the int64 primes it sieves to that limit
-    top = max((x * x + x + (y + 1) // 4 for x, y in clamped if y >= 7), default=0)
-    lam = 8 * (top + 1) + (top + 1) // 2 + 8 * _q_bound(Mode.ANY_PRIME, top)
-    # singular_series_many's scratch: its r^2, mark and factor buffers and
-    # the ell, 17 bytes an integer up to the cutoff under tracemalloc (20
-    # counted), and four 8-byte arrays over the kappa = 4p - 1, one a prime
-    # p <= (y + 1) // 4
-    p_top = max((y + 1) // 4 for _, y in clamped)
-    kernel = 20 * args.cutoff + 32 * _q_bound(Mode.ANY_PRIME, p_top)
-    # each run's report keeps four 8-byte columns over its kappa: psi,
-    # main_term, residual and residual_sq (the others are views)
-    kept = sum(32 * _q_bound(Mode.ANY_PRIME, (y + 1) // 4) for _, y in clamped)
-    table = _acquire_table(args.cache, needed, lam + kernel + kept,
+    top = max((x * x + x + (y + 1) // 4 for x, y in clamped if y >= 11), default=0)
+    table = _acquire_table(args.cache, needed, _variance_memory(clamped, args.cutoff),
                            f"a von Mangoldt table to {top}, the singular series to "
                            f"{args.cutoff} and the terms of {len(runs)} runs")
     reports = variance_sweep(runs, args.cutoff, table, baier_zhao=args.baier_zhao)

@@ -30,6 +30,7 @@ __all__ = [
     "SingularValue",
     "singular_series",
     "singular_series_many",
+    "singular_series_many_scratch",
     "tail_partial",
     "dirichlet_series_partial",
 ]
@@ -100,25 +101,36 @@ def _mod(u: np.ndarray, ell: int, buf: np.ndarray) -> np.ndarray:
     return out
 
 
-def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> np.ndarray:
-    """Vectorized truncated product for many kappa >= 1 at once.
+# An odd prime ell takes its factors from jacobi_many, one symbol a kappa,
+# when ell >= _JACOBI_RATIO * (number of kappa), and from a factor table
+# over kappa mod ell below that.  A table costs about 2.7 ns an integer
+# below ell, a symbol about 250 ns a kappa (2 vCPUs), so they break even
+# near ell = 90 kappa.  Timed over 18 to 2,000 kappa at cutoffs 1e5 and
+# 2e5, ratios 60 to 125 ran alike; 25 and 400 were up to 1.7 times slower.
+_JACOBI_RATIO = 100
+_JACOBI_LANES = 1 << 13  # (ell, kappa) pairs a jacobi_many call takes at once
 
-    Streams odd primes ell in ascending order through a table over
-    a = kappa mod ell: 1.0 at a = 0, 1.0 - 1/d where -kappa is a nonzero
-    square, at a = ell - (r^2 mod ell) for r = 1..(ell-1)/2, and
-    1.0 - (-1)/d elsewhere, with d = ell - 1.0: the scalar path's floats
-    for the symbols 0, 1 and -1, multiplied in its order, so the two agree
-    bit for bit.  _mod fills intp buffers, so no index is converted; the
-    gather may clip, since every index is below ell.
+
+def singular_series_many_scratch(n_kappa: int, cutoff: int) -> int:
+    """Bytes singular_series_many allocates for at most n_kappa kappa at
+    cutoff, beyond the prime table and its input.
+
+    The factor tables' r^2, mark and factor buffers and their ell, 17 bytes
+    an integer up to the cutoff under tracemalloc (20 counted, whether or
+    not the switch stops the tables sooner); one chunk of Jacobi symbols,
+    85 bytes a lane (96 counted), once the cutoff leaves any ell to
+    jacobi_many; and four 8-byte arrays over the kappa.
     """
-    kappas = np.asarray(kappas, dtype=np.int64)
-    if cutoff < 3:
-        raise ValueError(f"singular_series_many needs cutoff >= 3, got {cutoff}")
-    ells = table.primes(cutoff)[1:]  # the first prime is 2
-    if len(kappas) and kappas.min() < 1:
-        raise ValueError(f"singular_series_many needs kappa >= 1, got {kappas.min()}")
-    values = np.ones(len(kappas))  # before the scratch, so freeing that can shrink the heap
-    k = kappas.astype(np.uint64)
+    most = min(n_kappa, cutoff // _JACOBI_RATIO)  # the most kappa that reach jacobi_many
+    lanes = max(_JACOBI_LANES, most) if most else 0
+    return 20 * cutoff + 96 * lanes + 32 * n_kappa
+
+
+def _table_factors(values: np.ndarray, k: np.ndarray, ells: np.ndarray) -> None:
+    """Multiply values by each ell's factor, in ascending ell, from one table
+    over a = kappa mod ell per ell (see singular_series_many).  _mod fills
+    intp buffers, so no index is converted; the gather may clip, since every
+    index is below ell."""
     gathered, residues = np.empty(len(k)), np.empty(len(k), np.intp)
     squares = np.arange(1, (int(ells[-1]) - 1) // 2 + 1, dtype=np.uint64) ** 2
     marks, factor = np.empty(len(squares), dtype=np.intp), np.empty(ells[-1])
@@ -130,6 +142,39 @@ def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> 
         factor[mark] = 1.0 - 1 / d
         factor[0] = 1.0
         values *= np.take(factor[:ell], _mod(k, ell, residues), out=gathered, mode="clip")
+
+
+def singular_series_many(kappas: np.ndarray, cutoff: int, table: PrimeTable) -> np.ndarray:
+    """Vectorized truncated product for many kappa >= 1 at once.
+
+    Streams odd primes ell in ascending order.  Below _JACOBI_RATIO times
+    the number of kappa, each ell builds a table over a = kappa mod ell:
+    1.0 at a = 0, 1.0 - 1/d where -kappa is a nonzero square, at
+    a = ell - (r^2 mod ell) for r = 1..(ell-1)/2, and 1.0 - (-1)/d
+    elsewhere, with d = ell - 1.0.  From there on, where a table would
+    cost more than the kappa it serves, the factors 1.0 - symbol/d come
+    from jacobi_many over (ell, kappa) pairs, _JACOBI_LANES at a time.
+    Both are the scalar path's floats for the symbols 0, 1 and -1,
+    multiplied in its order, so the two agree bit for bit.
+    """
+    kappas = np.asarray(kappas, dtype=np.int64)
+    if cutoff < 3:
+        raise ValueError(f"singular_series_many needs cutoff >= 3, got {cutoff}")
+    ells = table.primes(cutoff)[1:]  # the first prime is 2
+    if len(kappas) and kappas.min() < 1:
+        raise ValueError(f"singular_series_many needs kappa >= 1, got {kappas.min()}")
+    values = np.ones(len(kappas))  # before the scratch, so freeing that can shrink the heap
+    if not len(kappas):
+        return values
+    split = int(np.searchsorted(ells, _JACOBI_RATIO * len(kappas)))
+    if split:
+        _table_factors(values, kappas.astype(np.uint64), ells[:split])
+    step = max(1, _JACOBI_LANES // len(kappas))
+    for start in range(split, len(ells), step):
+        chunk = ells[start : start + step, None]
+        factors = 1.0 - jacobi_many(-kappas, chunk) / (chunk - 1.0)
+        factors[0] *= values  # so row j of the running product is values * f_0 * ... * f_j
+        values[:] = np.multiply.accumulate(factors, out=factors)[-1]
     return values
 
 

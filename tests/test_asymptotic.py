@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from twinrep.asymptotic import (
     KahanSum,
     VarianceReport,
     VarianceTerms,
-    _psi_rows,
+    _psi_columns,
     exception_count,
     psi,
     variance_sum,
@@ -27,9 +28,13 @@ from twinrep.singular import singular_series_many
 
 class TestVonMangoldtTable:
     def test_matches_scalar(self):
-        table = von_mangoldt_table(5000)
-        for m in range(1, 5001):
-            assert table[m] == von_mangoldt(m), m  # identical floats
+        # odd integers only, as exact int64 units of 2^-53
+        for limit in (5000, 5001):
+            table = von_mangoldt_table(limit)
+            assert table.dtype == np.int64 and len(table) == (limit + 1) // 2
+            for m in range(1, limit + 1, 2):
+                assert table[m >> 1] == von_mangoldt(m) * 2.0**53, m  # identical floats
+                assert table[m >> 1] / 2**53 == von_mangoldt(m), m
 
 
 class TestPsi:
@@ -74,11 +79,23 @@ class TestPsi:
             psi(3, 4 * 10**9)
 
     def test_rejects_values_the_integer_sum_cannot_hold(self):
-        for bad in (0.25, 64.0, -1.0):
-            lam = np.full(20, 1.0)
-            lam[5] = bad  # n = 1, p = 3
+        # units outside [0, 2^59) could overflow the limbs; a float table is
+        # not units at all
+        for bad in (-1, 2**59, 2**62):
+            units = np.full(20, 2**52, dtype=np.int64)
+            units[2] = bad  # n = 1, p = 3: 5 = 2 * 2 + 1
             with pytest.raises(ValueError, match="von Mangoldt"):
-                psi(3, 2, lam=lam)
+                psi(3, 2, lam=units)
+        with pytest.raises(ValueError, match="von Mangoldt"):
+            psi(3, 2, lam=np.full(20, 1.0))
+
+    def test_coverage(self):
+        units = von_mangoldt_table(11 * 12 + 13)
+        assert psi(13, 11, lam=units) == psi(13, 11)
+        with pytest.raises(CoverageError):
+            psi(13, 12, lam=units)
+        with pytest.raises(CoverageError):
+            psi(17, 11, lam=units)
 
 
 _PSI_X = 300
@@ -94,24 +111,56 @@ def lam_psi():
 @given(p=st.sampled_from(_PSI_P), x=st.integers(0, _PSI_X))
 def test_limb_sum_equals_fsum_and_scalar(lam_psi, p, x):
     n = np.arange(1, x + 1, dtype=np.int64)
-    expected = math.fsum(lam_psi[n * n + n + p].tolist())
+    if p % 2:  # the table's units, as floats, summed by math.fsum
+        expected = math.fsum((lam_psi[(n * n + n + p) >> 1] / 2**53).tolist())
+    else:
+        expected = math.fsum(von_mangoldt(m) for m in (n * n + n + p).tolist())
     assert psi(p, x, lam=lam_psi) == expected == psi(p, x)
+
+
+_SCALAR_PSI_P = [p for p in _PSI_P if p < 400]
+
+
+@st.composite
+def _psi_runs(draw):
+    """Ascending primes with 2 and 3 among them, and runs (x, k), each the
+    first k primes at x: unsorted, an x repeated, a run narrower than the
+    widest (as a y below x^2 is), and empty runs."""
+    ps = sorted({2, 3} | set(draw(st.lists(st.sampled_from(_SCALAR_PSI_P), max_size=10))))
+    xs = draw(st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    runs = [(x, draw(st.integers(0, len(ps)))) for x in xs + xs[:1]]
+    runs += [(draw(st.integers(1, 60)), len(ps)), (draw(st.integers(1, 60)), 1)]
+    return ps, draw(st.permutations(runs))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_psi_runs())
+def test_columns_equal_scalar_psi_at_every_run(case):
+    ps, runs = case
+    units = von_mangoldt_table(max(x for x, _ in runs) ** 2 + 60 + ps[-1])
+    columns = _psi_columns(units, np.array(ps, dtype=np.int64), runs)
+    assert len(columns) == len(runs)
+    for (x, k), column in zip(runs, columns):
+        assert column.dtype == np.float64
+        assert column.tolist() == [psi(p, x) for p in ps[:k]], (x, k)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), x=st.integers(1, 600), rows=st.integers(1, 200))
 def test_limb_rows_equal_fsum_on_any_admissible_values(seed, x, rows):
-    # values anywhere in {0} and [1/2, 64), many one ulp apart, over blocks
-    # of rows that split at the gather limit
+    # values anywhere in {0} and [1/2, 64), many one ulp apart, as units of
+    # an odd-only table, gathered for odd p = 2c + 1 and summed in columns
     rng = np.random.default_rng(seed)
     size = x * x + x + 200
     lam = np.ldexp(rng.uniform(1.0, 2.0, size), rng.integers(-1, 6, size))
     lam[rng.random(size) < 0.5] = 0.0
     lam[rng.random(size) < 0.1] = 0.5 + 2.0**-53 * rng.integers(1, 1 << 20, 1)[0]
+    units = (lam * 2.0**53).astype(np.int64)
     offsets = np.sort(rng.integers(0, 200, rows)).astype(np.int64)
-    n = np.arange(1, x + 1, dtype=np.int64)
-    expected = [math.fsum(lam[n * n + n + c].tolist()) for c in offsets]
-    assert _psi_rows(lam, offsets, x).tolist() == expected
+    t = np.cumsum(np.arange(1, x + 1, dtype=np.int64))  # n(n+1)/2
+    expected = [math.fsum(lam[t + c].tolist()) for c in offsets]
+    (got,) = _psi_columns(units, 2 * offsets + 1, [(x, rows)])
+    assert got.tolist() == expected
 
 
 class TestVarianceSum:
@@ -173,9 +222,18 @@ class TestVarianceSum:
         assert report.ratio == report.lhs / (9999.0 * 100 * 100)
 
 
+_LAMBDA_LIMIT = 70 * 70 + 70 + (70 * 70 + 1) // 4  # the largest x^2 + x + p of _variance_runs
+
+
+@functools.cache
+def _scalar_lambda():
+    """Float von Mangoldt of every integer to _LAMBDA_LIMIT, from the scalar function."""
+    return np.array([0.0] + [von_mangoldt(m) for m in range(1, _LAMBDA_LIMIT + 1)])
+
+
 def _reference_variance(x, y, cutoff, table, baier_zhao=False):
-    """One run computed on its own: its own kappa set, its own table, a
-    math.fsum loop per p."""
+    """One run computed on its own: its own kappa set, a float table from the
+    scalar von_mangoldt, a math.fsum loop per p."""
     primes = table.primes()
     ps = primes[4 * primes - 1 <= y]
     ps = ps[squarefree_mask(4 * ps - 1, table)]
@@ -184,7 +242,7 @@ def _reference_variance(x, y, cutoff, table, baier_zhao=False):
     if len(ps):
         kappas = 4 * ps - 1
         svals = singular_series_many(kappas, cutoff, table)
-        lam = von_mangoldt_table(x * x + x + int(ps[-1]))
+        lam = _scalar_lambda()
         n = np.arange(1, x + 1, dtype=np.int64)
         scale = float(x) if baier_zhao else x / 2.0
         for p, kappa, s in zip(ps.tolist(), kappas.tolist(), svals.tolist()):

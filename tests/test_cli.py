@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from twinrep import cli, represent
 from twinrep.arithmetic import is_prime_64
+from twinrep.asymptotic import variance_sweep
 from twinrep.cli import _format_rows, _json_cell, main
 from twinrep.sieve import build_prime_table, load_prime_table, prime_count, save_prime_table
 
@@ -260,6 +261,41 @@ class TestOtherCommands:
             "c41ef1f3a651a3019084b713954ea52eb8d47b764d050aee30e43a70bfd44739"
         )
 
+    @pytest.mark.parametrize("fmt, digest, records_digest", [
+        ("csv", "151f7ae557fb8250c53343ca325543e7b7dfc6818c5ad3075bc9052d30c95d39",
+         "b520a3fe6dd89109abc525d8029d4eb8b38fa2976b545cfe1f822c9d6c8cf948"),
+        ("jsonl", "8969152c4b34c5ed877003d5c8337ef0324f4e6e290cca0590f183c977015145",
+         "4ccd9169331c6112435603920937793427c5355baf3ebb73569bc66b7c59bca4"),
+    ])
+    def test_variance_jacobi_side_bytes_pinned(self, tmp_path, fmt, digest, records_digest):
+        # SHA-256 of the files the all-table singular-series kernel wrote: the
+        # 18 kappa <= 400 take Jacobi symbols from ell = 1801 on
+        out, rec = tmp_path / "variance", tmp_path / "terms"
+        code, _, _ = run_cli(["variance", "--x", "20", "--cutoff", "20000", "--format", fmt,
+                              "--out", str(out), "--emit-records", str(rec)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(rec.read_bytes()).hexdigest() == records_digest
+
+    @pytest.mark.parametrize("runs, cutoff", [
+        # the von Mangoldt table is most of the peak; the singular tables
+        pytest.param([(600, 360_000), (300, 90_000)], 3, id="lambda"),
+        pytest.param([(100, 10_000), (140, 19_600), (100, 10_000)], 4000, id="table"),
+        pytest.param([(20, 400)], 20_000, id="jacobi"),
+        pytest.param([(12, 100)], 200_000, id="jacobi-wide-cutoff"),
+    ])
+    def test_variance_sweep_peaks_within_its_estimate(self, runs, cutoff):
+        needed = max(max(cutoff, (y + 1) // 4, math.isqrt(y) + 1) for _, y in runs)
+        table = build_prime_table(needed)
+        variance_sweep(runs[:1], 3, table)  # the table's primes, counted with the table
+        tracemalloc.start()
+        try:
+            variance_sweep(runs, cutoff, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli._variance_memory(runs, cutoff)
+
     @pytest.mark.parametrize("extra", [["--x", "0"], ["--x", "10", "--y", "0"],
                                        ["--x", "10", "--y", "101"]])
     def test_variance_rejects_before_writing(self, tmp_path, extra):
@@ -273,7 +309,7 @@ class TestOtherCommands:
 
     def test_variance_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch):
         # the prime table to 10^6 fits 5 MiB; the von Mangoldt table to
-        # x^2 + x + 10^6 = 5002000, 40 MB, does not
+        # x^2 + x + 10^6 = 5002000, 20 MB over its odd integers, does not
         monkeypatch.setattr(cli, "_memory_budget", lambda: 5 * 2**20)
         out = tmp_path / "out.csv"
         code, stdout, err = run_cli(["variance", "--x", "2000", "--cutoff", "1000",
@@ -296,8 +332,8 @@ class TestOtherCommands:
 
     def test_variance_kept_terms_over_budget_is_exit_3_before_any_file(self, tmp_path,
                                                                          monkeypatch):
-        # 50 runs at x = 100: the tables and the kernel take under 200 KB, but
-        # each run keeps four float64 columns over its 277 kappa <= 10^4,
+        # 50 runs at x = 100: the tables and the kernels are counted as 417 KB,
+        # but each run keeps four float64 columns over its 277 kappa <= 10^4,
         # counted as 50 * 32 * 640 bytes, 1 MB
         monkeypatch.setattr(cli, "_memory_budget", lambda: 2**19)
         out = tmp_path / "out.csv"

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinrep import singular
 from twinrep.arithmetic import euler_phi, is_prime_64, is_squarefree, jacobi, mobius
-from twinrep.sieve import CoverageError, mu_phi_tables
+from twinrep.sieve import CoverageError, mu_phi_tables, squarefree_mask
 from twinrep.singular import (
     dirichlet_series_partial,
     singular_series,
@@ -148,6 +149,19 @@ class TestSingularSeries:
             singular_series(11, 10**6, table_1e5)
 
 
+# _JACOBI_RATIO at which every ell takes a factor table (none is this large),
+# and at which every ell takes Jacobi symbols
+ALL_TABLE, ALL_JACOBI = 10**9, 0
+
+
+def many_with(kappas, cutoff, table, **constants):
+    """singular_series_many with the module constants monkeypatched."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in constants.items():
+            mp.setattr(singular, name, value)
+        return singular_series_many(kappas, cutoff, table)
+
+
 class TestBatchEvaluation:
     def test_matches_scalar_bitwise(self, table_1e5):
         kappas = np.array([4 * p - 1 for p in (2, 3, 5, 7, 11, 13, 97, 997)], dtype=np.int64)
@@ -167,6 +181,30 @@ class TestBatchEvaluation:
         assert batch.tolist() == [
             singular_series(int(k), cutoff, table_1e5).value for k in kappas
         ]
+
+    # either side of the small-kappa switch alone, the switch at an ell
+    # inside the range, and Jacobi chunks of one ell, of a few, and split
+    # across the switch
+    @settings(max_examples=25, deadline=None)
+    @given(extra=st.lists(st.integers(0, 2261), max_size=12), cutoff=st.integers(3, 3000),
+           ratio=st.sampled_from([ALL_TABLE, ALL_JACOBI, 1, 20, 100]),
+           lanes=st.sampled_from([1, 7, 64, 1 << 13]))
+    def test_both_sides_of_the_switch_match_scalar(self, table_1e5, extra, cutoff, ratio,
+                                                   lanes):
+        primes = table_1e5.primes()
+        ps = sorted({2, 3, 7, 13, 23} | {int(primes[i]) for i in extra})
+        kappas = np.array([4 * p - 1 for p in ps], dtype=np.int64)
+        batch = many_with(kappas, cutoff, table_1e5, _JACOBI_RATIO=ratio, _JACOBI_LANES=lanes)
+        assert [v.hex() for v in batch.tolist()] == [
+            singular_series(int(k), cutoff, table_1e5).value.hex() for k in kappas
+        ]
+
+    def test_benchmark_sweep_stays_on_the_table(self, table_1e5):
+        # variance --x 400,560 --cutoff 40000: its 5,753 squarefree kappa
+        # <= 560^2 put the switch past the cutoff, so every ell builds a table
+        ps = table_1e5.primes((560 * 560 + 1) // 4)
+        count = int(np.count_nonzero(squarefree_mask(4 * ps - 1, table_1e5)))
+        assert count == 5753 and singular._JACOBI_RATIO * count > 40_000
 
 
 def _primes_from(start, step, count):
@@ -189,12 +227,14 @@ class TestBatchEdges:
           + _primes_from(2**61 - 1, -1, 4) + [2, 3, 7, 13, 23])
 
     def assert_matches_scalar(self, ps, cutoff, table):
+        # on either side of the small-kappa switch, and with the switch where
+        # these few kappa put it
         kappas = np.array([4 * p - 1 for p in ps], dtype=np.int64)
-        batch = singular_series_many(kappas, cutoff, table)
-        assert batch.dtype == np.float64
-        assert [v.hex() for v in batch.tolist()] == [
-            singular_series(int(k), cutoff, table).value.hex() for k in kappas
-        ], cutoff
+        expected = [singular_series(int(k), cutoff, table).value.hex() for k in kappas]
+        for ratio in (ALL_TABLE, ALL_JACOBI, singular._JACOBI_RATIO):
+            batch = many_with(kappas, cutoff, table, _JACOBI_RATIO=ratio)
+            assert batch.dtype == np.float64
+            assert [v.hex() for v in batch.tolist()] == expected, (cutoff, ratio)
 
     def test_kappa_beyond_32_bits(self, table_1e5):
         assert 4 * self.PS[0] - 1 >= 2**32 and 2**63 - 4 * self.PS[6] < 2**8
@@ -203,8 +243,9 @@ class TestBatchEdges:
 
     def test_cutoff_3_is_one_factor(self, table_1e5):
         # 1 - (symbol of -kappa over 3)/2: 1/2, 1 or 3/2
-        batch = singular_series_many(np.array([7, 11, 27]), 3, table_1e5)
-        assert batch.tolist() == [1.5, 0.5, 1.0]
+        for ratio in (ALL_TABLE, ALL_JACOBI):
+            batch = many_with(np.array([7, 11, 27]), 3, table_1e5, _JACOBI_RATIO=ratio)
+            assert batch.tolist() == [1.5, 0.5, 1.0]
 
     def test_cutoff_between_primes(self, table_1e5):
         # 1008 lies between the primes 997 and 1009, 10006 between 9973 and 10007
@@ -221,8 +262,9 @@ class TestBatchEdges:
         self.assert_matches_scalar(self.PS[::3], 131_200, table_2e5)
 
     def test_empty(self, table_1e5):
-        batch = singular_series_many(np.zeros(0, dtype=np.int64), 1000, table_1e5)
-        assert batch.dtype == np.float64 and batch.shape == (0,)
+        for ratio in (ALL_TABLE, ALL_JACOBI):
+            batch = many_with(np.zeros(0, dtype=np.int64), 1000, table_1e5, _JACOBI_RATIO=ratio)
+            assert batch.dtype == np.float64 and batch.shape == (0,)
 
     @pytest.mark.parametrize("kappas", [[0], [-7], [11, 0, 19], [-(2**63)]])
     def test_kappa_below_1_raises(self, table_1e5, kappas):
