@@ -168,15 +168,11 @@ def _psi_columns(units: np.ndarray, ps: np.ndarray,
     return out
 
 
-def psi(p: int, x: int, lam: np.ndarray | None = None) -> float:
+def psi(p: int, x: int) -> float:
     """Sum of von Mangoldt over n^2 + n + p for 1 <= n <= x.
 
-    The scalar path generates terms in ascending n and combines them
-    with math.fsum (exactly rounded).  Passing von_mangoldt_table's units
-    as ``lam`` sums the gathered units exactly in integers instead (see
-    the module docstring), after checking the x cells it reads; both
-    paths produce identical floats.  The table holds odd integers only,
-    so an even p (p = 2, whose values are all even) takes the scalar path.
+    The scalar reference: terms in ascending n, combined with math.fsum
+    (exactly rounded).  variance_sweep's integer columns equal it.
     """
     if x < 0:
         raise ValueError(f"psi requires x >= 0, got {x}")
@@ -184,14 +180,6 @@ def psi(p: int, x: int, lam: np.ndarray | None = None) -> float:
         raise ValueError(f"psi requires a prime p >= 2, got {p}")
     if x * x + x + p > _INT63_MAX:
         raise OverflowError(f"x^2 + x + p overflows 64-bit range for x={x}, p={p}")
-    if x == 0:
-        return 0.0
-    if lam is not None and p % 2:
-        if (x * x + x + p) // 2 >= len(lam):
-            raise CoverageError(f"von Mangoldt table too short for x={x}, p={p}")
-        n = np.arange(1, x + 1, dtype=np.int64)
-        _check_units(lam[(n * n + n + p) >> 1])
-        return float(_psi_columns(lam, np.array([p], dtype=np.int64), [(x, 1)])[0][0])
     return math.fsum(von_mangoldt(n * n + n + p) for n in range(1, x + 1))
 
 

@@ -23,12 +23,10 @@ worker count and across checkpoint interruptions.
 from __future__ import annotations
 
 import argparse
-import collections
 import contextlib
 import errno
 import functools
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -107,9 +105,9 @@ def _format_row(header: list[str], values: dict, fmt: str) -> str:
     return json.dumps({k: _json_cell(values[k]) for k in header}) + "\n"
 
 
-# Rows per chunk of the column formatter.  A chunk's byte matrix and digit
-# temporaries stay near a megabyte, where one buffer per shard would double
-# the peak RSS of a records run, and numpy's per-call cost stays small.
+# Rows per chunk of the column formatter.  A chunk of the five record columns
+# peaks at 3.7 MB (CSV) to 7.3 MB (JSONL) under tracemalloc, where one buffer a
+# shard would double a records run's peak RSS, and numpy's per-call cost is small.
 _RECORD_CHUNK_ROWS = 1 << 14
 
 
@@ -422,50 +420,51 @@ def _run_shard(task: _ShardTask):
     return report.summary, arrays
 
 
-def _worker_init() -> None:
-    # Ctrl-C reaches the workers with the parent, which stops the run; a
-    # worker it killed while writing a result would leave the pool waiting
-    # for the rest of that message forever
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _shard_worker(tasks: list[_ShardTask], pipe) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends its workers
+    for task in tasks:
+        try:
+            pipe.send((True, _run_shard(task)))  # looked up at call time: a wrapper set on cli runs
+        except Exception as exc:
+            pipe.send((False, exc))
+            return
 
 
 @contextlib.contextmanager
 def _shard_results(tasks: list[_ShardTask], workers: int):
-    """An iterator of _run_shard(task) for each task, in order.
-
-    With two or more tasks and workers, min(workers, tasks) forked processes
-    run at most two tasks per process ahead of the consumer.  A worker that
-    ends mid-run (killed by the kernel when memory runs out, say) posts no
-    result: the pool sees it gone, ends the other workers, and the run
-    fails with ResourceLimitError instead of waiting for that result
-    forever.  On any exit, Ctrl-C too, the tasks not yet started are
-    dropped and the running ones waited for.
-    """
+    """An iterator of _run_shard(task) for each task, in order.  Where fork
+    exists, worker i of P = min(workers, tasks) > 1 runs tasks i, i + P, ...,
+    ahead as far as its pipe buffers.  It holds its pipe's only write end, so
+    a worker that ends mid-shard or mid-result reads as an end of file."""
+    import multiprocessing  # here, so runs that fork no workers do not load it
     processes = min(workers, len(tasks))
-    if processes <= 1:
+    if processes <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         yield map(_run_shard, tasks)
         return
-    # imported here, so runs that fork no workers do not load it
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(processes, initializer=_worker_init)
+    fork, pool, pipes = multiprocessing.get_context("fork"), [], []
     try:
-        yield _results_ahead(pool, tasks, 2 * processes)
-    except BrokenProcessPool as exc:
-        raise ResourceLimitError("a verify worker ended before its shard was done") from exc
+        for i in range(processes):
+            reader, writer = fork.Pipe(duplex=False)
+            pool.append(fork.Process(target=_shard_worker, args=(tasks[i::processes], writer)))
+            pool[-1].start()
+            writer.close()  # before the next fork, so worker i holds the only write end
+            pipes.append(reader)
+        yield (_received(pipes[k % processes]) for k in range(len(tasks)))
     finally:
-        pool.shutdown(cancel_futures=True)
+        for worker in pool:
+            worker.terminate()
+            worker.join()
 
 
-def _results_ahead(pool, tasks: list[_ShardTask], ahead: int):
-    todo = iter(tasks)
-    running = collections.deque(
-        pool.submit(_run_shard, task) for task in itertools.islice(todo, ahead)
-    )
-    while running:
-        result = running.popleft().result()
-        running.extend(pool.submit(_run_shard, task) for task in itertools.islice(todo, 1))
-        yield result
+def _received(pipe):
+    """The next result on pipe; ResourceLimitError where its worker ended."""
+    try:
+        ok, result = pipe.recv()
+    except (EOFError, OSError) as exc:
+        raise ResourceLimitError("a verify worker ended before its shard was done") from exc
+    if not ok:
+        raise result
+    return result
 
 
 # Peak bytes of one shard's verify_range per admissible q: its q domain,
@@ -475,6 +474,14 @@ def _results_ahead(pool, tasks: list[_ShardTask], ahead: int):
 # 37-50 in longer sun shards, and up to 108 with the q bits in twin and prime
 # shards of 2^17 numbers, which hold a third of the 2y / log y bound.
 _SHARD_BYTES_PER_Q = 80
+
+
+# Peak bytes a q of the one result the parent of a pool reads at a time: the
+# pickled message and the arrays unpickled from it, 24 bytes a q each, then
+# the ratios records take and a formatted chunk.  tracemalloc in the parent
+# of 2-worker runs, shards of 2^20: 51.3 (verify --mode sun --emit-records,
+# 5:4200000), 57.8 (the same in JSONL at 1e8) and 32.3 (stats, 5:4200000).
+_RESULT_BYTES_PER_Q = 64
 
 
 def _q_bound(mode: Mode, span: int) -> int:
@@ -496,8 +503,8 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     third of the bound (4.59e6 to 1.6e7 and 2.22e7 to 2e8, about half;
     2.08e9 at 1e12, a third).  With --cache the table and the payload
     it is unpacked from come once, since forked workers share them.  With
-    keep_arrays (records or a fold), the per-q arrays a shard returns, 24
-    bytes a q, wait in the parent for up to two shards a process.
+    keep_arrays (records or a fold) and a pool, the parent holds the one
+    result it is reading, _RESULT_BYTES_PER_Q a q.
     """
     span = min(args.shard_size, hi - lo + 1)
     processes = min(args.workers, -(-(hi - lo + 1) // args.shard_size))  # shards
@@ -507,7 +514,7 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     if args.cache:
         total += _cache_load_bytes(args.cache)
     if keep_arrays and processes > 1:
-        total += 2 * processes * 24 * _q_bound(mode, span)
+        total += _RESULT_BYTES_PER_Q * _q_bound(mode, span)
     return total
 
 

@@ -11,6 +11,7 @@ from twinrep.asymptotic import (
     KahanSum,
     VarianceReport,
     VarianceTerms,
+    _check_units,
     _psi_columns,
     exception_count,
     psi,
@@ -43,11 +44,6 @@ class TestPsi:
         assert psi(3, 2) == math.fsum([math.log(5), math.log(3)])  # 9 = 3^2
         assert psi(7, 0) == 0.0
 
-    def test_table_path_identical(self):
-        lam = von_mangoldt_table(1000 * 1001 + 11)
-        for p in (2, 3, 11):
-            assert psi(p, 1000) == psi(p, 1000, lam=lam)
-
     def test_prime_power_split(self):
         # cross-check: direct log over prime values plus the prime-power rest
         x, p = 1000, 3
@@ -64,8 +60,7 @@ class TestPsi:
 
     def test_p2_values_are_powers_of_two_only(self):
         # n^2 + n + 2 is always even, so only powers of two contribute
-        lam = von_mangoldt_table(10_102)
-        value = psi(2, 100, lam=lam)
+        value = psi(2, 100)
         expected = math.fsum(
             math.log(2) for n in range(1, 101)
             if (n * n + n + 2) & (n * n + n + 1) == 0  # power of two
@@ -85,17 +80,9 @@ class TestPsi:
             units = np.full(20, 2**52, dtype=np.int64)
             units[2] = bad  # n = 1, p = 3: 5 = 2 * 2 + 1
             with pytest.raises(ValueError, match="von Mangoldt"):
-                psi(3, 2, lam=units)
+                _check_units(units)
         with pytest.raises(ValueError, match="von Mangoldt"):
-            psi(3, 2, lam=np.full(20, 1.0))
-
-    def test_coverage(self):
-        units = von_mangoldt_table(11 * 12 + 13)
-        assert psi(13, 11, lam=units) == psi(13, 11)
-        with pytest.raises(CoverageError):
-            psi(13, 12, lam=units)
-        with pytest.raises(CoverageError):
-            psi(17, 11, lam=units)
+            _check_units(np.full(20, 1.0))
 
 
 _PSI_X = 300
@@ -115,7 +102,8 @@ def test_limb_sum_equals_fsum_and_scalar(lam_psi, p, x):
         expected = math.fsum((lam_psi[(n * n + n + p) >> 1] / 2**53).tolist())
     else:
         expected = math.fsum(von_mangoldt(m) for m in (n * n + n + p).tolist())
-    assert psi(p, x, lam=lam_psi) == expected == psi(p, x)
+    (column,) = _psi_columns(lam_psi, np.array([p], dtype=np.int64), [(x, 1)])
+    assert column.tolist() == [expected] == [psi(p, x)]
 
 
 _SCALAR_PSI_P = [p for p in _PSI_P if p < 400]
@@ -185,12 +173,11 @@ class TestVarianceSum:
         report = variance_sum(50, 500, 1000, table_1e5)
         terms = report.terms
         assert [col.dtype for col in terms] == [np.int64] * 2 + [np.float64] * 5
-        lam = von_mangoldt_table(50 * 51 + 130)
         acc = KahanSum()
         for p, kappa, psi_p, s_trunc, main, residual, residual_sq in zip(
                 *(col.tolist() for col in terms)):
             assert kappa == 4 * p - 1
-            assert psi_p == psi(p, 50, lam=lam)
+            assert psi_p == psi(p, 50)
             s = singular_series(kappa, 1000, table_1e5).value
             assert s_trunc == s
             assert main == s * 25.0

@@ -7,11 +7,13 @@ import io
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import pathlib
 import re
 import shlex
 import signal
+import struct
 import tempfile
 import time
 import tracemalloc
@@ -319,16 +321,27 @@ class TestOtherCommands:
         assert not out.exists()
 
     def test_variance_cutoff_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch):
-        # the prime table to 2 * 10^5 (100 KB) and the von Mangoldt table to
-        # 135 fit 2 MiB; the singular series' scratch, 20 bytes an integer up
-        # to the cutoff, does not
+        # the prime table to 2 * 10^5 (100 KB), the von Mangoldt table to
+        # 200,400 (1.2 MB) and the kept terms fit 2 MiB; the singular series'
+        # factor tables, which with 3,132 kappa reach the cutoff, 20 bytes an
+        # integer, do not (the sweep's traced peak is 3.5 MB)
         monkeypatch.setattr(cli, "_memory_budget", lambda: 2 * 2**20)
         out = tmp_path / "out.csv"
-        code, stdout, err = run_cli(["variance", "--x", "10", "--cutoff", "200000",
+        code, stdout, err = run_cli(["variance", "--x", "400", "--cutoff", "200000",
                                      "--out", str(out)])
         assert (code, stdout) == (3, "")
         assert err.startswith("resource failure:") and "singular series" in err
         assert not out.exists()
+
+    def test_variance_few_kappa_at_a_wide_cutoff_fit_a_small_budget(self, tmp_path, monkeypatch):
+        # with 7 kappa the factor tables stop below ell = 1,300 and the rest
+        # is Jacobi chunks: the sweep's traced peak is 0.84 MB
+        argv = ["variance", "--x", "10", "--cutoff", "200000", "--out", str(tmp_path / "out.csv")]
+        assert run_cli(argv)[0] == 0
+        expected = (tmp_path / "out.csv").read_bytes()
+        monkeypatch.setattr(cli, "_memory_budget", lambda: 2 * 2**20)
+        assert run_cli(argv) == (0, "", "")
+        assert (tmp_path / "out.csv").read_bytes() == expected
 
     def test_variance_kept_terms_over_budget_is_exit_3_before_any_file(self, tmp_path,
                                                                          monkeypatch):
@@ -1045,9 +1058,10 @@ def _verify_files(tmp, mode, fmt, workers, extra=()):
 
 _TABLE_FILES: dict = {}
 
-# a monkeypatched module reaches pool workers only when they are forked
-_FORKED_WORKERS = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                                     reason="pool workers are not forked here")
+# a monkeypatched module reaches pool workers only when they are forked, and
+# the pool forks them wherever fork exists, whatever the default start method
+_FORKED_WORKERS = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                     reason="fork is not available here")
 
 
 @_FORKED_WORKERS
@@ -1214,7 +1228,7 @@ class TestMemoryBudget:
         assert cli._verify_memory(args, twin, 10**12, 1_000_000_200_000, False) > 1046 * 2**20
         args.workers = 2
         assert cli._verify_memory(args, twin, 5, 10**7, False) == 2 * small
-        # records or a fold: the arrays of up to two shards a worker wait in the parent
+        # records or a fold: the parent holds the shard result it is reading
         assert cli._verify_memory(args, twin, 5, 10**7, True) > 2 * small
 
     @pytest.mark.parametrize("mode", [represent.Mode.TWIN_MIN, represent.Mode.SUN_ODD])
@@ -1231,6 +1245,24 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= cli._SHARD_BYTES_PER_Q * report.checked
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--mode", "sun", "--emit-records"],
+        ["verify", "--mode", "sun", "--format", "jsonl", "--emit-records"],
+        ["stats", "--bucket", "1000", "--out"],
+    ])
+    def test_parent_of_a_pool_peaks_within_its_result_bytes(self, tmp_path, command):
+        # the parent's allocations while two workers send it whole shards
+        argv = [*command, str(tmp_path / "file"), "--range", "5:2000000", "--workers", "2"]
+        mode = represent.Mode.SUN_ODD if command[0] == "verify" else represent.Mode.TWIN_MIN
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= cli._RESULT_BYTES_PER_Q * cli._q_bound(mode, cli.DEFAULT_SHARD_SIZE)
 
     def test_cache_adds_its_table_once_to_the_same_estimate(self, tmp_path):
         cache = str(tmp_path / "primes.bin")
@@ -1399,6 +1431,69 @@ def test_killed_worker_exits_3_promptly(monkeypatch):
     assert (code, out) == (3, "")
     assert err.startswith("resource failure:") and "worker" in err
     assert not multiprocessing.active_children()
+
+
+@_FORKED_WORKERS
+def test_torn_result_exits_3_promptly(tmp_path, monkeypatch):
+    # a worker that ends halfway through writing its result, after the length
+    # header and half the body: the parent must not wait for the rest
+    parent, send = os.getpid(), multiprocessing.connection.Connection._send_bytes
+
+    def torn(self, buf):
+        if os.getpid() == parent:
+            return send(self, buf)
+        self._send(struct.pack("!i", len(buf)) + bytes(buf[: len(buf) // 2]))
+        os._exit(9)
+
+    def hang(signum, frame):
+        pytest.fail("verify did not return")
+
+    monkeypatch.setattr(multiprocessing.connection.Connection, "_send_bytes", torn)
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:400000",
+                                  "--shard-size", "50000", "--workers", "2",
+                                  "--emit-records", str(tmp_path / "rec")])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (3, "")
+    assert err.startswith("resource failure:") and "worker" in err
+    assert not multiprocessing.active_children()
+
+
+@_FORKED_WORKERS
+def test_workers_are_forked_whatever_the_default_start_method(monkeypatch):
+    # a spawned worker would import represent afresh and miss the patch
+    def broken(*args):
+        raise ValueError("scan kernel failed")
+
+    monkeypatch.setattr(represent, "_scan_block", broken)
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:400000",
+                                  "--shard-size", "50000", "--workers", "2"])
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert (code, out) == (2, "")
+    assert "scan kernel failed" in err
+    assert not multiprocessing.active_children()
+
+
+def test_without_fork_the_shards_run_in_the_parent(tmp_path, monkeypatch):
+    expected = _verify_files(str(tmp_path), "twin", "csv", "1")
+    run_shard, pids = cli._run_shard, []
+
+    def spied(task):
+        pids.append(os.getpid())
+        return run_shard(task)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(cli, "_run_shard", spied)
+    assert _verify_files(str(tmp_path), "twin", "csv", "2") == expected
+    assert pids == [os.getpid()] * 5  # 5:3000 in shards of 700
 
 
 @pytest.mark.parametrize("cache", [False, True])
