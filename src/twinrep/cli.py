@@ -422,36 +422,35 @@ def _run_shard(task: _ShardTask):
 
 def _shard_worker(tasks: list[_ShardTask], pipe) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends its workers
-    for task in tasks:
-        try:
+    try:
+        for task in tasks:
             pipe.send((True, _run_shard(task)))  # looked up at call time: a wrapper set on cli runs
-        except Exception as exc:
-            pipe.send((False, exc))
-            return
+    except Exception as exc:
+        pipe.send((False, exc))
 
 
 @contextlib.contextmanager
 def _shard_results(tasks: list[_ShardTask], workers: int):
-    """An iterator of _run_shard(task) for each task, in order.  Where fork
-    exists, worker i of P = min(workers, tasks) > 1 runs tasks i, i + P, ...,
-    ahead as far as its pipe buffers.  It holds its pipe's only write end, so
-    a worker that ends mid-shard or mid-result reads as an end of file."""
-    import multiprocessing  # here, so runs that fork no workers do not load it
+    """An iterator of _run_shard(task) for each task, in order.  Where fork exists,
+    worker i of P = min(workers, tasks) > 1 runs tasks i, i + P, ..., ahead as far as
+    its pipe buffers, and alone writes that pipe: its end mid-result reads as EOF."""
     processes = min(workers, len(tasks))
+    if processes > 1:
+        import multiprocessing  # here, so runs that fork no workers do not load it
     if processes <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         yield map(_run_shard, tasks)
         return
-    fork, pool, pipes = multiprocessing.get_context("fork"), [], []
+    fork, pool = multiprocessing.get_context("fork"), []
     try:
         for i in range(processes):
             reader, writer = fork.Pipe(duplex=False)
-            pool.append(fork.Process(target=_shard_worker, args=(tasks[i::processes], writer)))
-            pool[-1].start()
-            writer.close()  # before the next fork, so worker i holds the only write end
-            pipes.append(reader)
-        yield (_received(pipes[k % processes]) for k in range(len(tasks)))
+            worker = fork.Process(target=_shard_worker, args=(tasks[i::processes], writer))
+            with writer:  # closed before the next fork, so worker i holds the only write end
+                worker.start()
+            pool.append((worker, reader))
+        yield (_received(pool[k % processes][1]) for k in range(len(tasks)))
     finally:
-        for worker in pool:
+        for worker, _ in pool:
             worker.terminate()
             worker.join()
 
@@ -828,10 +827,13 @@ def _variance_memory(runs: list[tuple[int, int]], cutoff: int) -> int:
     psi = 32 * _q_bound(Mode.ANY_PRIME, p_top)
     # singular_series_many over the kappa = 4p - 1, one a prime p <= (y + 1) // 4
     kernel = singular_series_many_scratch(_q_bound(Mode.ANY_PRIME, p_top), cutoff)
+    # the table's int64 primes, cached to the larger of the cutoff and p_top:
+    # 16 bytes a prime under tracemalloc while they are built
+    primes = 16 * _q_bound(Mode.ANY_PRIME, max(cutoff, p_top))
     # each run's report keeps four 8-byte columns over its kappa: psi,
     # main_term, residual and residual_sq (the others are views)
     kept = sum(32 * _q_bound(Mode.ANY_PRIME, (y + 1) // 4) for _, y in runs)
-    return lam + psi + kernel + kept
+    return lam + psi + kernel + primes + kept
 
 
 def _cmd_variance(args) -> int:

@@ -113,18 +113,16 @@ _JACOBI_LANES = 1 << 13  # (ell, kappa) pairs a jacobi_many call takes at once
 
 def singular_series_many_scratch(n_kappa: int, cutoff: int) -> int:
     """Bytes singular_series_many allocates for at most n_kappa kappa at
-    cutoff, beyond the prime table and its input: as tracemalloc reads them,
-    with the bytes counted in parentheses, the int64 primes to the cutoff that
-    table.primes builds, 16 bytes a prime (24, with pi(x) < 1.26 x / log x);
-    the factor tables' r^2, mark and factor buffers and their ell, 17 bytes an integer
-    below the last table ell, itself below _JACOBI_RATIO * n_kappa (20); one
-    chunk of Jacobi symbols, 85 bytes a lane (96), once the cutoff leaves any
-    ell to jacobi_many; and four 8-byte arrays over the kappa."""
-    primes = int(1.26 * cutoff / math.log(cutoff)) + 1
+    cutoff, beyond the prime table, its primes and its input: as tracemalloc
+    reads them, with the bytes counted in parentheses, the factor tables' r^2,
+    mark and factor buffers and their ell, 17 bytes an integer below the last
+    table ell, itself below _JACOBI_RATIO * n_kappa (20); one chunk of Jacobi
+    symbols, 85 bytes a lane (96), once the cutoff leaves any ell to
+    jacobi_many; and four 8-byte arrays over the kappa."""
     tables = min(cutoff, _JACOBI_RATIO * n_kappa)
     most = min(n_kappa, cutoff // _JACOBI_RATIO)  # the most kappa that reach jacobi_many
     lanes = max(_JACOBI_LANES, most) if most else 0
-    return 24 * primes + 20 * tables + 96 * lanes + 32 * n_kappa
+    return 20 * tables + 96 * lanes + 32 * n_kappa
 
 
 def _table_factors(values: np.ndarray, k: np.ndarray, ells: np.ndarray) -> None:

@@ -1464,6 +1464,28 @@ def test_torn_result_exits_3_promptly(tmp_path, monkeypatch):
 
 
 @_FORKED_WORKERS
+def test_refused_fork_is_a_resource_failure(monkeypatch):
+    # the kernel refuses the second fork (out of pids or memory): the run
+    # ends the worker already started and reports a resource failure
+    fork = multiprocessing.get_context("fork").Process
+    start, started = fork.start, []
+
+    def refused_after_one(self):
+        if started:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        started.append(self)
+        start(self)
+
+    monkeypatch.setattr(fork, "start", refused_after_one)
+    code, out, err = run_cli(["verify", "--mode", "twin", "--range", "5:400000",
+                              "--shard-size", "50000", "--workers", "2"])
+    assert (code, out) == (3, "")
+    assert err.startswith("resource failure:") and "Resource temporarily" in err
+    assert len(started) == 1 and started[0].exitcode is not None
+    assert not multiprocessing.active_children()
+
+
+@_FORKED_WORKERS
 def test_workers_are_forked_whatever_the_default_start_method(monkeypatch):
     # a spawned worker would import represent afresh and miss the patch
     def broken(*args):
