@@ -106,9 +106,15 @@ def _format_row(header: list[str], values: dict, fmt: str) -> str:
 
 
 # Rows per chunk of the column formatter.  A chunk of the five record columns
-# peaks at 3.7 MB (CSV) to 7.3 MB (JSONL) under tracemalloc, where one buffer a
-# shard would double a records run's peak RSS, and numpy's per-call cost is small.
+# of 5:1000001 peaks at 2.4 MB (CSV) to 5.2 MB (JSONL) under tracemalloc, where
+# one buffer a shard would double a records run's peak RSS, and numpy's
+# per-call cost is small.
 _RECORD_CHUNK_ROWS = 1 << 14
+
+# Peak bytes a row of one such chunk: tracemalloc read 148 (CSV) and 314
+# (JSONL) over the records of 5:1000001, and 346 and 564 over rows as wide as
+# any below 2^61 (a 19-digit q, a 13-digit p and a 10-digit n).
+_RECORD_ROW_BYTES = {"csv": 384, "jsonl": 640}
 
 
 def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -132,28 +138,25 @@ def _micro_units(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.rint(np.where(exact, y, 0.0)).astype(np.int64), exact
 
 
-# digit field kinds: a whole number, six zero-padded decimals, and six
-# decimals without their trailing zeros (one kept)
-_WHOLE, _SIX, _SIX_TRIMMED = range(3)
-
-
 def _format_rows(header: list[str], columns: list[np.ndarray], fmt: str) -> bytes:
     """The bytes _format_row writes for each row of int64 / float64 columns.
 
-    Each row is laid out as literals and right-aligned digit fields in one
-    uint8 matrix of fixed width; a mask of the bytes each row keeps (not a
-    leading or trimmed zero) compacts the matrix into the rows' bytes.  A
-    float prints as r // 10**6, '.' and the six digits of r % 10**6 (CSV),
-    or those digits trimmed (JSONL, which prints repr(float) of the
-    6-decimal value: for values in [1e-4, 1e9) that value has at most 15
-    significant digits, so its trimmed string is the shortest that
-    round-trips).  A row with a negative int, a float _micro_units cannot
-    round exactly, or a JSONL float outside that interval is formatted by
-    _format_row and spliced in place.
+    The rows are laid out in one uint8 matrix, one contiguous row of it for
+    each byte position: literals, and right-aligned digit fields whose
+    digits come from uint32 limbs of up to nine.  A float prints as the
+    fixed-point field r = rint(x * 1e6), '.' before its last six digits;
+    JSONL, which prints repr(float) of the 6-decimal value, trims its
+    trailing zeros but one (for values in [1e-4, 1e9) that value has at
+    most 15 significant digits, so its trimmed string is the shortest that
+    round-trips).  A dropped byte, a leading or trimmed zero, is 0, so one
+    transpose and matrix[matrix != 0] give the rows' bytes.  A row with a
+    negative int, a float _micro_units cannot round exactly, or a JSONL
+    float outside that interval is formatted by _format_row and spliced in
+    place.
     """
     rows = len(columns[0])
     scalar = np.zeros(rows, dtype=bool)
-    parts: list = []  # literal bytes alternating with (values, kind) fields
+    parts: list = []  # literal bytes alternating with (values, decimals) fields
     for i, (key, col) in enumerate(zip(header, columns)):
         if fmt == "csv":
             parts.append(b"," if i else b"")
@@ -161,57 +164,58 @@ def _format_rows(header: list[str], columns: list[np.ndarray], fmt: str) -> byte
             parts.append(("{" if i == 0 else ", ").encode() + json.dumps(key).encode() + b": ")
         if col.dtype.kind != "f":
             scalar |= col < 0
-            parts.append((col, _WHOLE))
+            parts.append((col, 0))
             continue
         r, exact = _micro_units(col)
-        if fmt == "csv":
-            scalar |= ~exact
-        else:
-            scalar |= ~(exact & (r >= 100) & (r < 10**15))
-        whole, frac = np.divmod(r, 10**6)
-        parts += [(whole, _WHOLE), b".", (frac, _SIX if fmt == "csv" else _SIX_TRIMMED)]
+        scalar |= ~exact if fmt == "csv" else ~(exact & (r >= 100) & (r < 10**15))
+        parts.append((r, 6))
     parts.append(b"\n" if fmt == "csv" else b"}\n")
 
-    spans = [
+    spans = [  # a field's digits (of its largest value, one whole at least) and its '.'
         len(p) if isinstance(p, bytes)
-        else 6 if p[1] != _WHOLE
-        else len(str(max(int(p[0].max(initial=0)), 0)))
+        else max(len(str(int(p[0].max(initial=0)))), p[1] + 1) + (p[1] > 0)
         for p in parts
     ]
-    # one template row holds every literal; digit fields overwrite the rest
-    template = b"".join(p if isinstance(p, bytes) else b"0" * n for p, n in zip(parts, spans))
-    matrix = np.empty((rows, len(template)), dtype=np.uint8)
-    matrix[:] = np.frombuffer(template, dtype=np.uint8)
-    keep = np.ones(matrix.shape, dtype=bool)
-    at = 0
+    matrix = np.zeros((sum(spans), rows), dtype=np.uint8)
+    end = 0
     for part, span in zip(parts, spans):
-        if not isinstance(part, bytes):
-            values, kind = part
-            for k in range(span):  # the k-th least significant digit
-                col = at + span - 1 - k
-                if kind == _WHOLE and k:
-                    keep[:, col] = values > 0
-                quotient = values // 10  # numpy divides by a scalar far faster than divmod
-                digit = values - 10 * quotient
-                if kind == _SIX_TRIMMED and k < span - 1:
-                    nonzero = digit != 0 if k == 0 else nonzero | (digit != 0)
-                    keep[:, col] = nonzero
-                digit += 48
-                matrix[:, col] = digit
-                values = quotient
-        at += span
+        end += span
+        if isinstance(part, bytes):
+            matrix[end - span : end] = np.frombuffer(part, dtype=np.uint8)[:, None]
+            continue
+        values, point = part
+        if point:
+            matrix[end - 1 - point] = ord(".")
+        digits, nonzero = span - (point > 0), 0  # nonzero: JSONL's decimals so far, ORed
+        for k in range(digits):  # the place of the digit, 0 the least significant
+            if k % 9 == 0:
+                rest = values // 10**9 if digits - k > 9 else 0
+                # 10^9 more where a higher limb is not 0 keeps this limb's leading zeros
+                limb = (values - np.maximum(rest - 1, 0) * 10**9).astype(np.uint32)
+                values = rest
+            quotient = limb // 10
+            digit = limb - 10 * quotient
+            byte = digit + 48
+            if k > point:  # a leading zero is dropped
+                byte *= np.minimum(limb, 1)
+            elif fmt != "csv" and k < point - 1:  # so is a trailing decimal zero
+                nonzero = digit | nonzero
+                byte *= np.minimum(nonzero, 1)
+            matrix[end - 1 - k - (0 < point <= k)] = byte
+            limb = quotient
 
-    keep[scalar] = False
-    fast = matrix[keep]
+    matrix = np.ascontiguousarray(matrix.T)
+    matrix[scalar] = 0
+    fast = matrix[matrix != 0].tobytes()
     if not scalar.any():
-        return fast.tobytes()
-    ends = np.cumsum(keep.sum(axis=1))  # a scalar row adds nothing to fast
+        return fast
+    ends = np.cumsum(np.count_nonzero(matrix, axis=1))  # a scalar row adds nothing to fast
     out, start = [], 0
     for i in np.flatnonzero(scalar):
         row = {k: col[i].item() for k, col in zip(header, columns)}
-        out += [fast[start : ends[i]].tobytes(), _format_row(header, row, fmt).encode()]
+        out += [fast[start : ends[i]], _format_row(header, row, fmt).encode()]
         start = ends[i]
-    out.append(fast[start:].tobytes())
+    out.append(fast[start:])
     return b"".join(out)
 
 
@@ -467,11 +471,12 @@ def _received(pipe):
 
 
 # Peak bytes of one shard's verify_range per admissible q: its q domain,
-# the scan lanes, the block digests and the p and n arrays it fills.
+# one block's scan lanes, the block digests and the p and n arrays it fills.
 # tracemalloc (p-bitmap grown first; shards of 2^17 to 2^22 numbers, all three
-# modes, at 1.6e7 and 2e8) read 75 where one block's scan lanes set the peak,
-# 37-50 in longer sun shards, and up to 108 with the q bits in twin and prime
-# shards of 2^17 numbers, which hold a third of the 2y / log y bound.
+# modes, at 1.6e7 and 2e8; blocks of 2^17 lanes) read 75 where the shard is one
+# block, 27-55 where it is two or more (sun shards of 2^19 numbers and more,
+# twin and prime shards of 2^22), and up to 108 with the q bits in twin and
+# prime shards of 2^17 numbers, which hold a third of the 2y / log y bound.
 _SHARD_BYTES_PER_Q = 80
 
 
@@ -503,7 +508,8 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     2.08e9 at 1e12, a third).  With --cache the table and the payload
     it is unpacked from come once, since forked workers share them.  With
     keep_arrays (records or a fold) and a pool, the parent holds the one
-    result it is reading, _RESULT_BYTES_PER_Q a q.
+    result it is reading, _RESULT_BYTES_PER_Q a q; with records, it formats
+    them one chunk at a time, _RECORD_ROW_BYTES a row.
     """
     span = min(args.shard_size, hi - lo + 1)
     processes = min(args.workers, -(-(hi - lo + 1) // args.shard_size))  # shards
@@ -514,6 +520,8 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
         total += _cache_load_bytes(args.cache)
     if keep_arrays and processes > 1:
         total += _RESULT_BYTES_PER_Q * _q_bound(mode, span)
+    if args.emit_records:
+        total += _RECORD_ROW_BYTES[args.format] * min(_RECORD_CHUNK_ROWS, _q_bound(mode, span))
     return total
 
 

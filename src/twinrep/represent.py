@@ -157,8 +157,12 @@ def find_any_prime_representation(q: int, table: PrimeTable) -> Representation |
     return _first_representation(q, table, Mode.ANY_PRIME)
 
 
-# Lanes per scanned block: the kernel's working set is about 60 bytes a lane.
-_BLOCK_SIZE = 1 << 19
+# Lanes per scanned block: the kernel's working set is about 60 bytes a lane,
+# 8 MB at 2^17.  A sun shard of 500k q scans alike within noise in blocks of
+# 2^15 to 2^17 lanes, and slower in blocks of 2^18 and 2^19, at a higher peak.
+# 2^17 is the least that keeps a twin or prime shard of 2^20 numbers (at
+# most about 82k q) one block.
+_BLOCK_SIZE = 1 << 17
 
 # Odd numbers in one sieved piece of the p-bitmap (a piece of bools is 1 MB).
 _PIECE = 1 << 20
@@ -393,15 +397,27 @@ class ShardSummary:
     def absorb_block(self, qs, ps, ns, found) -> None:
         """Fold one scanned block (qs ascending, following prior blocks)."""
         block = ShardSummary(lo=self.lo, hi=self.hi, checked=int(len(qs)))
-        block.failures = qs[~found].tolist()
-        qf, pf, nf = qs[found], ps[found], ns[found]
+        qf, pf, nf = qs, ps, ns
+        if not found.all():
+            block.failures = qs[~found].tolist()
+            qf, pf, nf = qs[found], ps[found], ns[found]
         block.represented = int(len(qf))
         if len(qf):
-            ratio, nlog = _growth_ratios(qf, pf, nf)
-            i = int(np.argmin(ratio))  # first index, so the smallest q on ties
-            block.min_ratio, block.min_ratio_q = float(ratio[i]), int(qf[i])
-            j = int(np.argmax(nlog))
-            block.max_nlog, block.max_nlog_q = float(nlog[j]), int(qf[j])
+            # The ratios are taken over candidates only.  With m the ratio of
+            # the least p, p / cbrt(q) <= m needs p <= m cbrt(max q); with M
+            # that of the largest n, n / log(q) >= M needs n >= M log(min q)
+            # (qs ascends).  The margin keeps every tie, so the first index,
+            # the least q, still wins.
+            i, j = int(np.argmin(pf)), int(np.argmax(nf))
+            least = pf[i] / np.cbrt(qf[i]) * np.cbrt(qf[-1]) * (1 + 1e-9)
+            most = nf[j] / np.log(qf[j]) * np.log(qf[0]) * (1 - 1e-9)
+            a, b = pf <= least, nf >= most
+            qa, qb = qf[a], qf[b]
+            ratio = _growth_ratios(qa, pf[a], nf[a])[0]
+            nlog = _growth_ratios(qb, pf[b], nf[b])[1]
+            i, j = np.argmin(ratio), np.argmax(nlog)
+            block.min_ratio, block.min_ratio_q = float(ratio[i]), int(qa[i])
+            block.max_nlog, block.max_nlog_q = float(nlog[j]), int(qb[j])
             dich = (2 * pf < qf) & (2 * nf * nf < qf)
             block.dichotomy_violations = int(np.count_nonzero(dich))
             block.dichotomy_examples = qf[dich][: self._EXAMPLE_CAP].tolist()

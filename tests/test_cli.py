@@ -912,6 +912,24 @@ _RECORD_DIGESTS = {  # SHA-256 of the records the per-row f-string / json.dumps 
 }
 
 
+_HEIGHT_RECORD_DIGESTS = {  # SHA-256 of the records the digit-by-digit formatter wrote
+    "csv": "8586f3d91d90da5d8214784601b7d731519f247dab4d17bff5f6d2e3ef51bf44",
+    "jsonl": "e9b03e32511bb8f920913fbee81a78ef8c78e3194f9646e1b3d5324821e4c7f3",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_HEIGHT_RECORD_DIGESTS))
+def test_records_at_height_bytes_pinned(tmp_path, fmt):
+    # 8,668 rows with q above 2^32: q and p take two limbs of nine digits
+    rec = tmp_path / "rec"
+    code, _, err = run_cli(["verify", "--mode", "twin", "--range", "10000000000:10000200000",
+                            "--format", fmt, "--emit-records", str(rec)])
+    assert code == 0, err
+    data = rec.read_bytes()
+    assert data.count(b"\n") == 8668 + (fmt == "csv")
+    assert hashlib.sha256(data).hexdigest() == _HEIGHT_RECORD_DIGESTS[fmt]
+
+
 @pytest.mark.parametrize("mode, fmt", sorted(_RECORD_DIGESTS))
 def test_verify_records_bytes_pinned(tmp_path, cut_checkpoint, mode, fmt):
     base = ["verify", "--mode", mode, "--range", "5:200001", "--shard-size", "65536",
@@ -1000,7 +1018,10 @@ def _ulps_from(base: float, steps: int) -> float:
     return float((np.float64(base).view(np.int64) + steps).view(np.float64))
 
 
-_EDGES = [0.0, 1.0, 1e-4, 1e-4 - 5e-7, 1e9, 1e9 - 5e-7, 2**52 / 1e6, 2**51 / 1e6]
+# the JSONL interval's ends, the exact range's end, and micro-units that cross
+# a nine-digit limb (10^9) and 2^32
+_EDGES = [0.0, 1.0, 1e-4, 1e-4 - 5e-7, 1e9, 1e9 - 5e-7, 2**52 / 1e6, 2**51 / 1e6,
+          1000.0, 4294.967296]
 _FLOATS = st.one_of(
     st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
     st.floats(min_value=0.0, max_value=1e4),
@@ -1010,7 +1031,9 @@ _FLOATS = st.one_of(
     st.builds(_ulps_from, st.sampled_from(_EDGES), st.integers(-40, 40)),
     st.sampled_from([-0.0, -2.5, math.inf, math.nan]),
 )
-_INTS = st.one_of(st.integers(0, 2**62), st.integers(0, 10**7), st.integers(-10, -1))
+_INTS = st.one_of(st.integers(0, 2**62), st.integers(0, 10**7), st.integers(-10, -1),
+                  # the ends of the nine-digit limbs and of int64
+                  st.sampled_from([10**9 - 1, 10**9, 10**18 - 1, 10**18, 2**63 - 1]))
 
 
 def _rows_by_scalar_rule(header, columns, fmt):
@@ -1245,6 +1268,24 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert peak <= cli._SHARD_BYTES_PER_Q * report.checked
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_records_in_small_shards_peak_within_the_estimate(self, tmp_path, fmt):
+        # each shard of 2^15 numbers holds 16,384 q, one whole chunk of records,
+        # so the formatted chunk, not the shard's scan, sets the peak
+        argv = ["verify", "--mode", "sun", "--range", "5:300000", "--workers", "1",
+                "--shard-size", "32768", "--format", fmt,
+                "--emit-records", str(tmp_path / "rec"), "--out", str(tmp_path / "out")]
+        args = cli.build_parser().parse_args(argv)
+        estimate = cli._verify_memory(args, represent.Mode.SUN_ODD, 5, 300_000, True)
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= estimate
 
     @pytest.mark.parametrize("command", [
         ["verify", "--mode", "sun", "--emit-records"],

@@ -3,6 +3,7 @@ import copy
 import math
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from twinrep.represent import (
     Mode,
     Representation,
     ShardSummary,
+    _growth_ratios,
     _PBits,
     _scan_block,
     find_any_prime_representation,
@@ -290,6 +292,23 @@ class TestVerifyRange:
             b = verify_range(5, 20_000, Mode.TWIN_MIN, table_1e6)
         assert a.summary == b.summary
         assert np.array_equal(a.ps, b.ps) and np.array_equal(a.ns, b.ns)
+
+    def test_a_long_sun_shard_holds_one_block_of_lanes(self):
+        # a sun shard of 2^21 numbers holds 2^20 q, eight blocks of 2^17: its
+        # peak counts the per-q arrays (q, p and n, 24 bytes a q) for every q
+        # and the scan's lanes (about 60 bytes a lane) for one block only
+        lo = 10**7
+        hi = lo + (1 << 21) - 1
+        verify_range(lo, hi, Mode.SUN_ODD)  # the p-bitmap is grown first
+        tracemalloc.start()
+        try:
+            report = verify_range(lo, hi, Mode.SUN_ODD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.checked == 1 << 20
+        assert report.checked > 4 * represent._BLOCK_SIZE
+        assert peak <= 32 * report.checked + 64 * represent._BLOCK_SIZE
 
     def test_sharding_determinism(self, table_1e6):
         whole = verify_range(5, 50_000, Mode.TWIN_MIN, table_1e6)
@@ -581,6 +600,42 @@ class TestVerifyRange:
         total.merge(ShardSummary.from_json_dict(second))
         assert (total.failures, total.dichotomy_examples) == ([2, 13], [11, 19])
         assert (first["failures"], first["dichotomy_examples"]) == ([2], [11])
+
+
+# q values whose ratios tie: 8q has twice the cube root of q and q^2 about
+# twice the log; the odd q just above 2^60 are one double, so equal p or
+# equal n tie exactly
+_TIE_QS = [5, 25, 40, 125, 320, 625, 1_000_003, 8_000_024]
+_ONE_DOUBLE = [2**60 + 1, 2**60 + 3, 2**60 + 5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), size=st.integers(1, 50), tied=st.booleans())
+def test_block_extrema_match_the_full_arrays(data, size, tied):
+    # absorb_block takes the ratios of its candidates only; its extrema and
+    # their q must be the argmin and argmax over every represented q, ties
+    # going to the first index, so the least q
+    def draw(values, least, most):
+        some = st.sampled_from(values)
+        if not tied:
+            some = st.one_of(some, st.integers(least, most))
+        return np.array(data.draw(st.lists(some, min_size=size, max_size=size)), dtype=np.int64)
+    qs = np.sort(draw(_ONE_DOUBLE if tied else _TIE_QS + _ONE_DOUBLE, 5, 2**61))
+    # n stays small: the digest's per-n tables take 8 bytes for each n up to the largest
+    ps, ns = draw([2, 3, 12, 2**40], 2, 2**61), draw([1, 2, 8, 5000], 1, 5000)
+    found = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    if data.draw(st.booleans()):
+        found[:] = True
+    summary = ShardSummary(lo=1, hi=2**61)
+    summary.absorb_block(qs, ps, ns, found)
+    want = (None, None, None, None)
+    if found.any():
+        qf = qs[found]
+        ratio, nlog = _growth_ratios(qf, ps[found], ns[found])
+        i, j = int(np.argmin(ratio)), int(np.argmax(nlog))
+        want = (float(ratio[i]), int(qf[i]), float(nlog[j]), int(qf[j]))
+    assert (summary.min_ratio, summary.min_ratio_q, summary.max_nlog, summary.max_nlog_q) == want
+    assert summary.failures == qs[~found].tolist()
 
 
 class TestLemmaChecks:
