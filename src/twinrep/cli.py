@@ -32,7 +32,6 @@ import math
 import os
 import signal
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
@@ -366,19 +365,12 @@ def _cache_load_bytes(path: str) -> int:
     return 9 * max(os.path.getsize(path) - _CACHE_HEADER.size, 0) + (1 << 14)
 
 
-def _cached_table(path: str, needed_limit: int) -> PrimeTable:
-    """The table of a cache file, loaded once per process while the file is
-    unchanged; ValueError when it stops below needed_limit."""
-    stat = os.stat(path)
-    table = _load_table(path, stat.st_mtime_ns, stat.st_size)
+def _load_cache(path: str, needed_limit: int) -> PrimeTable:
+    """The table of a cache file; ValueError when it stops below needed_limit."""
+    table = load_prime_table(path)
     if table.limit < needed_limit:
         raise ValueError(f"cache {path} covers only {table.limit}, need {needed_limit}")
     return table
-
-
-@functools.lru_cache(maxsize=1)
-def _load_table(path: str, mtime_ns: int, size: int) -> PrimeTable:
-    return load_prime_table(path)
 
 
 def _acquire_table(cache: str | None, needed_limit: int, extra: int = 0,
@@ -393,9 +385,7 @@ def _acquire_table(cache: str | None, needed_limit: int, extra: int = 0,
     else:
         table_bytes, what = (needed_limit + 1) // 2, f"a prime table to {needed_limit}"
     _check_memory(table_bytes + extra, f"{what} and {extra_what}" if extra_what else what)
-    if cache:
-        return _cached_table(cache, needed_limit)
-    return build_prime_table(needed_limit)
+    return _load_cache(cache, needed_limit) if cache else build_prime_table(needed_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -406,49 +396,41 @@ def _shard_bounds(lo: int, hi: int, shard_size: int) -> list[tuple[int, int]]:
     return [(a, min(a + shard_size - 1, hi)) for a in range(lo, hi + 1, shard_size)]
 
 
-class _ShardTask(NamedTuple):
-    """Everything a shard needs, so a pool task carries its whole context."""
-
-    mode: Mode
-    lo: int
-    hi: int
-    include_small: bool
-    cache: str | None  # TPT1 path; None sieves the shard and its p-bitmap
-    keep_arrays: bool  # return the per-q arrays (records, a fold)
-
-
-def _run_shard(task: _ShardTask):
-    table = None if task.cache is None else _cached_table(task.cache, task.hi)
-    report = verify_range(task.lo, task.hi, task.mode, table, task.include_small)
-    arrays = (report.qs, report.ps, report.ns) if task.keep_arrays else None
+def _run_shard(mode: Mode, table: PrimeTable | None, include_small: bool,
+               keep_arrays: bool, bounds: tuple[int, int]):
+    """One shard's summary and, with keep_arrays (records, a fold), its per-q
+    arrays.  Without a table the shard sieves its own p-bitmap."""
+    report = verify_range(*bounds, mode, table, include_small)
+    arrays = (report.qs, report.ps, report.ns) if keep_arrays else None
     return report.summary, arrays
 
 
-def _shard_worker(tasks: list[_ShardTask], pipe) -> None:
+def _shard_worker(fn, tasks: list, pipe) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends its workers
     try:
         for task in tasks:
-            pipe.send((True, _run_shard(task)))  # looked up at call time: a wrapper set on cli runs
+            pipe.send((True, fn(task)))
     except Exception as exc:
         pipe.send((False, exc))
 
 
 @contextlib.contextmanager
-def _shard_results(tasks: list[_ShardTask], workers: int):
-    """An iterator of _run_shard(task) for each task, in order.  Where fork exists,
-    worker i of P = min(workers, tasks) > 1 runs tasks i, i + P, ..., ahead as far as
-    its pipe buffers, and alone writes that pipe: its end mid-result reads as EOF."""
+def _shard_results(fn, tasks: list, workers: int):
+    """An iterator of fn(task) for each task, in order.  Where fork exists, worker
+    i of P = min(workers, tasks) > 1 runs tasks i, i + P, ..., ahead as far as its
+    pipe buffers, and alone writes that pipe: its end mid-result reads as EOF.  A
+    worker inherits fn and its tasks from the fork, so nothing is pickled to it."""
     processes = min(workers, len(tasks))
     if processes > 1:
         import multiprocessing  # here, so runs that fork no workers do not load it
     if processes <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        yield map(_run_shard, tasks)
+        yield map(fn, tasks)
         return
     fork, pool = multiprocessing.get_context("fork"), []
     try:
         for i in range(processes):
             reader, writer = fork.Pipe(duplex=False)
-            worker = fork.Process(target=_shard_worker, args=(tasks[i::processes], writer))
+            worker = fork.Process(target=_shard_worker, args=(fn, tasks[i::processes], writer))
             with writer:  # closed before the next fork, so worker i holds the only write end
                 worker.start()
             pool.append((worker, reader))
@@ -632,11 +614,10 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
     keep_arrays = fold is not None or bool(args.emit_records)
     _check_memory(_verify_memory(args, mode, lo, hi, keep_arrays) + fold_bytes,
                   f"verify over {lo}:{hi}")
-    if args.cache:
-        # loaded once here, so forked workers inherit it, and counted by
-        # _verify_memory; the floor of 7 is part of the exit-code contract:
-        # a cache below 7 exits 2
-        _cached_table(args.cache, max(hi, 7))
+    # loaded once a run, so forked workers inherit it, and counted by
+    # _verify_memory; the floor of 7 is part of the exit-code contract: a
+    # cache below 7 exits 2
+    table = _load_cache(args.cache, max(hi, 7)) if args.cache else None
     bounds = _shard_bounds(lo, hi, args.shard_size)
 
     checkpoint = _Checkpoint(args.checkpoint) if args.checkpoint else None
@@ -679,12 +660,10 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
     if checkpoint is not None and not checkpoint.size:
         checkpoint.append("META", json.dumps(meta, sort_keys=True))
 
-    tasks = [
-        _ShardTask(mode, a, b, bool(args.include_small), args.cache, keep_arrays)
-        for a, b in bounds[folded:]
-    ]
+    # _run_shard is looked up here, so a wrapper set on cli runs in every shard
+    run = functools.partial(_run_shard, mode, table, bool(args.include_small), keep_arrays)
     try:
-        with _shard_results(tasks, args.workers) as results:
+        with _shard_results(run, bounds[folded:], args.workers) as results:
             for summary, shard_arrays in results:
                 if sink is not None:
                     sink.columns([*shard_arrays, *_growth_ratios(*shard_arrays)])
@@ -1040,6 +1019,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_paths(args) -> None:
+    """ValueError where two path flags name one file, or '-' names a file that
+    is not stdout's.  Only regular files and paths not yet made are compared,
+    so /dev/null may be named twice, as may '-' (stdout) by --out and --emit-records."""
+    seen = {}  # a file's device and inode, os.path.samefile's test, or a new path's realpath
+    for name in ("out", "emit_records", "checkpoint", "cache", "cache_out"):
+        path, flag = getattr(args, name, None), "--" + name.replace("_", "-")
+        if path == "-" and name not in ("out", "emit_records"):
+            raise ValueError(f"{flag} needs a file path, not '-'")
+        if path in (None, "-") or (os.path.exists(path) and not os.path.isfile(path)):
+            continue
+        stat = os.stat(path) if os.path.exists(path) else None
+        key = (stat.st_dev, stat.st_ino) if stat else os.path.realpath(path)
+        if key in seen:
+            raise ValueError(f"{seen[key]} and {flag} name one file, {path}")
+        seen[key] = flag
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1065,6 +1062,7 @@ def main(argv=None) -> int:
             raise ValueError(f"--y must be >= 0, got {args.y}")
         if getattr(args, "bucket", 1) < 1:
             raise ValueError(f"bucket must be positive, got {args.bucket}")
+        _check_paths(args)
         return args.func(args)
     except (ValueError, CoverageError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,5 @@
 import contextlib
+import glob
 import json
 import multiprocessing
 import os
@@ -70,15 +71,43 @@ def cut_checkpoint():
     return _cut_checkpoint
 
 
+def _children() -> set[int]:
+    """Pids of this process's children, from each thread's /proc children
+    file where the kernel has one, else multiprocessing's children."""
+    files = glob.glob("/proc/self/task/*/children")
+    if not files:
+        return {p.pid for p in multiprocessing.active_children()}
+    pids = set()
+    for path in files:
+        with contextlib.suppress(OSError), open(path, encoding="ascii") as fh:
+            pids.update(int(pid) for pid in fh.read().split())
+    return pids
+
+
+def _cmdline(pid: int) -> str:
+    try:
+        with open(f"/proc/{pid}/cmdline", "rb") as fh:
+            return fh.read().replace(b"\0", b" ").decode(errors="replace").strip()
+    except OSError:
+        return "?"
+
+
 @pytest.fixture(autouse=True)
 def no_worker_outlives_its_test():
-    """Fail a test whose worker processes are still alive 0.5 s after it ends."""
+    """Fail a test whose child processes, of any kind, are still there 0.5 s
+    after it ends, naming each by pid and command line; a child that was
+    there before the test is an earlier test's."""
+    earlier = _children()
     yield
     deadline = time.monotonic() + 0.5
-    while multiprocessing.active_children() and time.monotonic() < deadline:
+    while True:
+        multiprocessing.active_children()  # reaps the workers that ended
+        alive = _children() - earlier
+        if not alive or time.monotonic() >= deadline:
+            break
         time.sleep(0.01)
-    alive = multiprocessing.active_children()
-    assert not alive, f"worker processes outlived the test: {alive}"
+    assert not alive, "processes outlived the test: " + "; ".join(
+        f"{pid} {_cmdline(pid)!r}" for pid in sorted(alive))
 
 
 def pytest_runtest_logreport(report):

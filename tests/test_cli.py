@@ -472,12 +472,16 @@ class TestOtherCommands:
         (["sigma", "--qmax", "6", "--pmax", "30"], 30),
         (["singular", "--pmax", "30", "--cutoff", "40"], 40),
     ], ids=["sigma", "singular"])
-    def test_report_builds_primes_only_to_what_it_reads(self, tmp_path, argv, upto):
+    def test_report_builds_primes_only_to_what_it_reads(self, tmp_path, monkeypatch, argv,
+                                                        upto):
         # the cached table's primes stop at --pmax (and the cutoff), not at its limit
         cache = str(tmp_path / "primes.bin")
         assert run_cli(["sieve-cache", "--limit", "1000", "--cache-out", cache])[0] == 0
+        loaded = []
+        monkeypatch.setattr(cli, "load_prime_table",
+                            lambda path: loaded.append(load_prime_table(path)) or loaded[-1])
         assert run_cli(argv + ["--cache", cache])[0] == 0
-        table = cli._cached_table(cache, 0)  # the table the report read
+        (table,) = loaded  # the table the report read
         assert table._primes is not None
         assert table._primes.tolist() == [p for p in range(upto + 1) if is_prime_64(p)]
 
@@ -1549,9 +1553,9 @@ def test_without_fork_the_shards_run_in_the_parent(tmp_path, monkeypatch):
     expected = _verify_files(str(tmp_path), "twin", "csv", "1")
     run_shard, pids = cli._run_shard, []
 
-    def spied(task):
+    def spied(*args):
         pids.append(os.getpid())
-        return run_shard(task)
+        return run_shard(*args)
 
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(cli, "_run_shard", spied)
@@ -1561,14 +1565,14 @@ def test_without_fork_the_shards_run_in_the_parent(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("cache", [False, True])
 def test_shard_returns_arrays_only_when_asked(tmp_path, cache):
-    path = None
+    table = None
     if cache:
         path = str(tmp_path / "primes.bin")
         assert run_cli(["sieve-cache", "--limit", "20000", "--cache-out", path])[0] == 0
-    bare = cli._ShardTask(represent.Mode.TWIN_MIN, 5, 20000, False, path, False)
-    summary, arrays = cli._run_shard(bare)
+        table = load_prime_table(path)
+    summary, arrays = cli._run_shard(represent.Mode.TWIN_MIN, table, False, False, (5, 20000))
     assert arrays is None and summary.checked == 2260  # pi(20000) - 2
-    summary, arrays = cli._run_shard(bare._replace(keep_arrays=True))
+    summary, arrays = cli._run_shard(represent.Mode.TWIN_MIN, table, False, True, (5, 20000))
     assert [len(a) for a in arrays] == [2260] * 3
 
 
@@ -1579,6 +1583,86 @@ def test_path_that_is_a_directory_is_exit_2(tmp_path, flag):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Is a directory" in err
     assert list(tmp_path.iterdir()) == []
+
+
+_VERIFY_20000 = ["verify", "--mode", "twin", "--range", "5:20000", "--workers", "1"]
+
+
+def _same_file_cases():
+    """verify and sieve-cache runs whose path flags F and G name one file (G
+    through a symlinked directory where spelled "alias"), then '-' where a
+    file is needed; an existing cache is always there to be named."""
+    sieve = ["sieve-cache", "--limit", "1000"]
+    for first, second in [("--out", "--emit-records"), ("--out", "--checkpoint"),
+                          ("--emit-records", "--checkpoint"), ("--cache", "--out"),
+                          ("--cache", "--emit-records"), ("--cache", "--checkpoint"),
+                          ("--cache-out", "--out")]:
+        argv = [*(sieve if first == "--cache-out" else _VERIFY_20000), first, "F", second, "G"]
+        spellings = ("existing", "alias") if first == "--cache" else ("new", "existing", "alias")
+        for spelling in spellings:
+            yield pytest.param(argv, spelling, id=f"{first[2:]}+{second[2:]}-{spelling}")
+    for argv in [[*_VERIFY_20000, "--checkpoint"], [*_VERIFY_20000, "--cache"],
+                 [*sieve, "--cache-out"]]:
+        yield pytest.param([*argv, "-"], "new", id=f"{argv[-1][2:]}-stdout")
+
+
+@pytest.mark.parametrize("argv, spelling", _same_file_cases())
+def test_path_flags_naming_one_file_are_exit_2(tmp_path, monkeypatch, argv, spelling):
+    monkeypatch.chdir(tmp_path)  # where a file named '-' would appear
+    cache = tmp_path / "primes.bin"
+    assert run_cli(["sieve-cache", "--limit", "20000", "--cache-out", str(cache)])[0] == 0
+    (tmp_path / "link").symlink_to(tmp_path)
+    shared = cache if "--cache" in argv else tmp_path / "f"
+    if spelling != "new" and not shared.exists():
+        shared.write_bytes(b"kept\n")
+    alias = tmp_path / "link" / shared.name if spelling == "alias" else shared
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    argv = [{"F": str(shared), "G": str(alias)}.get(a, a) for a in argv]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, ""), err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+def test_devices_and_stdout_may_be_named_twice(tmp_path):
+    code, out, err = run_cli([*_VERIFY_20000, "--out", os.devnull, "--emit-records", os.devnull])
+    assert (code, out) == (0, ""), err
+    code, out, _ = run_cli([*_VERIFY_20000, "--out", "-", "--emit-records", "-"])
+    assert code == 0 and out.startswith("q,p,n,") and "\nmode," in out
+
+
+@_FORKED_WORKERS
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("change", ["removed", "rewritten"])
+def test_a_cached_run_survives_its_cache_file_changing(tmp_path, monkeypatch, change, workers):
+    # the run's one table is loaded in the parent, and no shard reads the file again
+    cache, log = str(tmp_path / "primes.bin"), tmp_path / "loads"
+    sieve = ["sieve-cache", "--limit", "40000", "--cache-out", cache, "--out", os.devnull]
+    assert run_cli(sieve)[0] == 0
+    paths = [str(tmp_path / name) for name in ("out", "rec", "ck")]
+    argv = ["verify", "--mode", "sun", "--range", "5:40000", "--shard-size", "7000",
+            "--workers", workers, "--cache", cache, "--out", paths[0],
+            "--emit-records", paths[1], "--checkpoint", paths[2]]
+    assert run_cli(argv)[0] == 0
+    expected = [pathlib.Path(path).read_bytes() for path in paths]
+    for path in paths:
+        os.unlink(path)
+    load = cli.load_prime_table
+
+    def spied(path):
+        with open(log, "a", encoding="ascii") as fh:  # a worker's call shows here too
+            fh.write(f"{os.getpid()}\n")
+        table = load(path)
+        if change == "removed":
+            os.unlink(path)
+        else:
+            assert main(sieve) == 0
+        return table
+
+    monkeypatch.setattr(cli, "load_prime_table", spied)
+    code, _, err = run_cli(argv)
+    assert code == 0, err
+    assert [pathlib.Path(path).read_bytes() for path in paths] == expected
+    assert log.read_text().split() == [str(os.getpid())]
 
 
 def test_full_disk_is_exit_3(monkeypatch):
