@@ -63,7 +63,7 @@ from .sieve import (
 )
 from .singular import singular_series, singular_series_many_scratch, tail_partial
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 DEFAULT_CUTOFF = 10**5
 DEFAULT_SHARD_SIZE = 1 << 20
@@ -1081,5 +1081,23 @@ def main(argv=None) -> int:
         return EXIT_INTERRUPTED
 
 
+def run() -> None:
+    """The entry point of ``twinrep`` and ``python -m twinrep.cli``: main(),
+    then os._exit, which skips the interpreter's teardown (about 20 ms, mostly
+    a final collection over numpy's import-time objects).  It has nothing to
+    do: main() has closed every file it wrote and joined every worker, and no
+    thread runs.  A stdout that cannot be flushed, its reader gone, takes the
+    normal exit, which reports that as it always has.  In-process callers
+    call main(), which returns the exit code."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None where the process started with that fd closed
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -423,13 +423,19 @@ class ShardSummary:
             block.dichotomy_examples = qf[dich][: self._EXAMPLE_CAP].tolist()
             block.sqrt_bound_violations = int(np.count_nonzero(nf * nf > qf))
             block.same_n_order_violations = int(np.count_nonzero(pf + nf * (nf + 1) != qf))
-            present = np.flatnonzero(np.bincount(nf))
-            least = np.full(int(nf.max()) + 1, np.iinfo(np.int64).max)
-            np.minimum.at(least, nf, pf)
+            # the per-n tables span the block's own n, from its least: a least
+            # p puts n just below n_max, which is about 1.5e9 near 2^61
+            base = int(nf.min())
+            offset = nf - base
+            counts = np.bincount(offset)
+            present = np.flatnonzero(counts)
+            least = np.full(len(counts), np.iinfo(np.int64).max)
+            np.minimum.at(least, offset, pf)
             greatest = np.zeros_like(least)
-            np.maximum.at(greatest, nf, pf)
-            block.same_n_first = dict(zip(present.tolist(), least[present].tolist()))
-            block.same_n_last = dict(zip(present.tolist(), greatest[present].tolist()))
+            np.maximum.at(greatest, offset, pf)
+            keys = (present + base).tolist()
+            block.same_n_first = dict(zip(keys, least[present].tolist()))
+            block.same_n_last = dict(zip(keys, greatest[present].tolist()))
         self._fold(block)
 
     def merge(self, nxt: "ShardSummary") -> None:

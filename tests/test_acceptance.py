@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import pathlib
 import random
 import time
 import types
@@ -478,7 +479,7 @@ def test_criterion_9_outputs_byte_identical_across_workers(tmp_path):
              "--out", summary, "--emit-records", records]
         )
         assert code == 0, err
-        files.append((open(summary, "rb").read(), open(records, "rb").read()))
+        files.append((pathlib.Path(summary).read_bytes(), pathlib.Path(records).read_bytes()))
     assert files[0] == files[1]
 
 
@@ -494,9 +495,9 @@ def test_criterion_9_checkpoint_resume_byte_identical(tmp_path, cut_checkpoint):
         cut_checkpoint(cp, stop, got_rec)
         os.unlink(got_sum)
         assert _run_cli(argv)[0] == 0
-        assert open(cp).read().splitlines()[-1].startswith("DONE ")
-        assert open(got_sum, "rb").read() == open(ref_sum, "rb").read()
-        assert open(got_rec, "rb").read() == open(ref_rec, "rb").read()
+        assert pathlib.Path(cp).read_text().splitlines()[-1].startswith("DONE ")
+        assert pathlib.Path(got_sum).read_bytes() == pathlib.Path(ref_sum).read_bytes()
+        assert pathlib.Path(got_rec).read_bytes() == pathlib.Path(ref_rec).read_bytes()
 
 
 def test_criterion_9_jsonl_matches_csv_values(tmp_path):
@@ -504,9 +505,9 @@ def test_criterion_9_jsonl_matches_csv_values(tmp_path):
     base = ["verify", "--mode", "twin", "--range", "5:100000"]
     assert _run_cli(base + ["--out", a])[0] == 0
     assert _run_cli(base + ["--format", "jsonl", "--out", b])[0] == 0
-    header, row = open(a).read().strip().splitlines()
+    header, row = pathlib.Path(a).read_text().strip().splitlines()
     csv_row = dict(zip(header.split(","), row.split(",")))
-    json_row = json.loads(open(b).read())
+    json_row = json.loads(pathlib.Path(b).read_text())
     for key, raw in csv_row.items():
         jv = json_row[key]
         if isinstance(jv, int):

@@ -83,7 +83,7 @@ class TestVerifyCommand:
                                     "--workers", workers, "--shard-size", "17000",
                                     "--out", path])
             assert code == 0, err
-            outs.append(open(path, "rb").read())
+            outs.append(pathlib.Path(path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_shard_size_invariance(self, tmp_path):
@@ -93,7 +93,7 @@ class TestVerifyCommand:
             code, _, _ = run_cli(["verify", "--mode", "twin", "--range", "5:100000",
                                   "--shard-size", shard, "--out", path, "--workers", "2"])
             assert code == 0
-            outs.append(open(path, "rb").read())
+            outs.append(pathlib.Path(path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_checkpoint_resume_byte_identical(self, tmp_path, cut_checkpoint):
@@ -113,14 +113,14 @@ class TestVerifyCommand:
         # stopped after 3 shards, with the records of later shards already written
         cut_checkpoint(cp, 3)
         os.unlink(out)
-        lines = open(cp).read().splitlines()
+        lines = pathlib.Path(cp).read_text().splitlines()
         assert lines[0].startswith("META ") and len(lines) == 4  # META + 3 shards
         code, _, _ = run_cli(base + ["--out", out, "--emit-records", rec,
                                      "--checkpoint", cp, "--workers", "2"])
         assert code == 0
-        assert open(cp).read().splitlines()[-1].startswith("DONE ")
-        assert open(out, "rb").read() == open(ref_out, "rb").read()
-        assert open(rec, "rb").read() == open(ref_rec, "rb").read()
+        assert pathlib.Path(cp).read_text().splitlines()[-1].startswith("DONE ")
+        assert pathlib.Path(out).read_bytes() == pathlib.Path(ref_out).read_bytes()
+        assert pathlib.Path(rec).read_bytes() == pathlib.Path(ref_rec).read_bytes()
 
     def test_checkpoint_complete_run_is_idempotent(self, tmp_path):
         cp = str(tmp_path / "ck.txt")
@@ -130,7 +130,7 @@ class TestVerifyCommand:
                 "--checkpoint", cp]
         assert run_cli(base + ["--out", out1])[0] == 0
         assert run_cli(base + ["--out", out2])[0] == 0  # everything from checkpoint
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert pathlib.Path(out1).read_bytes() == pathlib.Path(out2).read_bytes()
 
     def test_checkpoint_parameter_mismatch_rejected(self, tmp_path, cut_checkpoint):
         cp = str(tmp_path / "ck.txt")
@@ -147,7 +147,7 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--mode", "twin", "--range", "5:100",
                               "--emit-records", rec])
         assert code == 0
-        rows = parse_csv(open(rec).read())
+        rows = parse_csv(pathlib.Path(rec).read_text())
         assert rows[0] == {"q": "5", "p": "3", "n": "1",
                            "p_over_cbrt_q": f"{3 / 5 ** (1 / 3):.6f}",
                            "n_over_log_q": f"{1 / __import__('math').log(5):.6f}"}
@@ -162,8 +162,8 @@ class TestFormats:
         assert run_cli(["mirsky", "--y", "10000", "--out", csv_path])[0] == 0
         assert run_cli(["mirsky", "--y", "10000", "--format", "jsonl",
                         "--out", jsonl_path])[0] == 0
-        csv_row = parse_csv(open(csv_path).read())[0]
-        json_row = json.loads(open(jsonl_path).read())
+        csv_row = parse_csv(pathlib.Path(csv_path).read_text())[0]
+        json_row = json.loads(pathlib.Path(jsonl_path).read_text())
         assert int(csv_row["s_y"]) == json_row["s_y"]
         assert int(csv_row["pi_y"]) == json_row["pi_y"]
         assert float(csv_row["fraction"]) == json_row["fraction"]
@@ -174,8 +174,8 @@ class TestFormats:
         base = ["verify", "--mode", "twin", "--range", "5:20000"]
         assert run_cli(base + ["--out", a])[0] == 0
         assert run_cli(base + ["--format", "jsonl", "--out", b])[0] == 0
-        csv_row = parse_csv(open(a).read())[0]
-        json_row = json.loads(open(b).read())
+        csv_row = parse_csv(pathlib.Path(a).read_text())[0]
+        json_row = json.loads(pathlib.Path(b).read_text())
         for key in ("checked", "represented", "failures", "dichotomy_violations"):
             assert int(csv_row[key]) == json_row[key], key
         assert float(csv_row["min_p_over_cbrt_q"]) == json_row["min_p_over_cbrt_q"]
@@ -361,7 +361,7 @@ class TestOtherCommands:
         code, _, _ = run_cli(["variance", "--x", "40", "--cutoff", "500",
                               "--emit-records", rec])
         assert code == 0
-        rows = parse_csv(open(rec).read())
+        rows = parse_csv(pathlib.Path(rec).read_text())
         assert rows[0]["p"] == "2"
         assert all(float(r["residual_sq"]) >= 0 for r in rows)
 
@@ -511,7 +511,7 @@ class TestOtherCommands:
                                   "--shard-size", "9000", "--workers", workers,
                                   "--out", path])
             assert code == 0
-            outs.append(open(path, "rb").read())
+            outs.append(pathlib.Path(path).read_bytes())
         assert outs[0] == outs[1]
 
 
@@ -703,20 +703,20 @@ class TestResumeFaults:
             fh.write('SHARD {"records_bytes": 12')
         code, _, err = self._resume(paths)
         assert code == 0, err
-        lines = open(paths["ck"]).read().splitlines()
+        lines = pathlib.Path(paths["ck"]).read_text().splitlines()
         assert lines[-1].startswith("DONE ") and len(lines) == 1 + 9 + 1  # META, shards, DONE
-        assert open(paths["out"], "rb").read() == open(paths["ref-out"], "rb").read()
-        assert open(paths["rec"], "rb").read() == open(paths["ref-rec"], "rb").read()
+        assert pathlib.Path(paths["out"]).read_bytes() == pathlib.Path(paths["ref-out"]).read_bytes()
+        assert pathlib.Path(paths["rec"]).read_bytes() == pathlib.Path(paths["ref-rec"]).read_bytes()
 
     def test_short_records_file_is_exit_2(self, tmp_path, cut_checkpoint):
         paths = self._interrupted(tmp_path, cut_checkpoint)
         os.truncate(paths["rec"], 100)
-        checkpoint = open(paths["ck"], "rb").read()
+        checkpoint = pathlib.Path(paths["ck"]).read_bytes()
         code, _, err = self._resume(paths)
         assert code == 2
         assert "records" in err
         assert os.path.getsize(paths["rec"]) == 100
-        assert open(paths["ck"], "rb").read() == checkpoint
+        assert pathlib.Path(paths["ck"]).read_bytes() == checkpoint
         assert not os.path.exists(paths["out"])
 
     def test_complete_checkpoint_with_wrong_digest_is_exit_2(self, tmp_path):
@@ -749,7 +749,7 @@ class TestResumeFaults:
                                       *WRONG_TYPES])
     def test_shard_line_with_other_fields_is_exit_2(self, tmp_path, cut_checkpoint, edit):
         paths = self._interrupted(tmp_path, cut_checkpoint)
-        lines = open(paths["ck"]).read().splitlines(keepends=True)
+        lines = pathlib.Path(paths["ck"]).read_text().splitlines(keepends=True)
         kind, payload = lines[1].split(" ", 1)
         entry = json.loads(payload)
         if edit == "drop":
@@ -764,8 +764,8 @@ class TestResumeFaults:
         else:  # valid JSON of another shape
             entry = {} if edit == "object" else []
         lines[1] = f"{kind} {json.dumps(entry, sort_keys=True)}\n"
-        open(paths["ck"], "w").write("".join(lines))
-        records = open(paths["rec"], "rb").read()
+        pathlib.Path(paths["ck"]).write_text("".join(lines))
+        records = pathlib.Path(paths["rec"]).read_bytes()
         code, out, err = self._resume(paths)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: checkpoint {paths['ck']}: bad SHARD line 2")
@@ -773,8 +773,8 @@ class TestResumeFaults:
             assert "fields differ" in err
         if edit in self.WRONG_TYPES:
             assert f"field {self.WRONG_TYPES[edit][0]} is not" in err
-        assert open(paths["ck"]).read() == "".join(lines)
-        assert open(paths["rec"], "rb").read() == records
+        assert pathlib.Path(paths["ck"]).read_text() == "".join(lines)
+        assert pathlib.Path(paths["rec"]).read_bytes() == records
         assert not os.path.exists(paths["out"])
 
     def test_checkpoint_with_more_shards_than_the_run_is_exit_2(self, tmp_path):
@@ -1080,7 +1080,7 @@ def _verify_files(tmp, mode, fmt, workers, extra=()):
                             "--out", paths[0], "--emit-records", paths[1],
                             "--checkpoint", paths[2], *extra])
     assert code == 0, err
-    return [open(path, "rb").read() for path in paths]
+    return [pathlib.Path(path).read_bytes() for path in paths]
 
 
 _TABLE_FILES: dict = {}
@@ -1696,7 +1696,7 @@ def test_interrupt_between_shards_resumes_to_identical_bytes(tmp_path, monkeypat
             "--workers", workers, "--out", paths[0], "--emit-records", paths[1],
             "--checkpoint", paths[2]]
     assert run_cli(argv)[0] == 0
-    uninterrupted = [open(path, "rb").read() for path in paths]
+    uninterrupted = [pathlib.Path(path).read_bytes() for path in paths]
     for path in paths:
         os.unlink(path)
 
@@ -1712,12 +1712,12 @@ def test_interrupt_between_shards_resumes_to_identical_bytes(tmp_path, monkeypat
         patch.setattr(cli._Checkpoint, "append", interrupted)
         code, _, err = run_cli(argv)
     assert (code, err) == (130, f"interrupted: rerun the same command to resume from {paths[2]}\n")
-    assert [line.split()[0] for line in open(paths[2])] == ["META", "SHARD"]
+    assert [line.split()[0] for line in pathlib.Path(paths[2]).read_text().splitlines()] == ["META", "SHARD"]
     assert os.path.getsize(paths[1]) > shards[0]  # the second shard's records
     assert not os.path.exists(paths[0])
     code, _, err = run_cli(argv)
     assert code == 0, err
-    assert [open(path, "rb").read() for path in paths] == uninterrupted
+    assert [pathlib.Path(path).read_bytes() for path in paths] == uninterrupted
 
 
 def test_readme_names_every_flag_and_only_those():

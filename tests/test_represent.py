@@ -621,7 +621,7 @@ def test_block_extrema_match_the_full_arrays(data, size, tied):
             some = st.one_of(some, st.integers(least, most))
         return np.array(data.draw(st.lists(some, min_size=size, max_size=size)), dtype=np.int64)
     qs = np.sort(draw(_ONE_DOUBLE if tied else _TIE_QS + _ONE_DOUBLE, 5, 2**61))
-    # n stays small: the digest's per-n tables take 8 bytes for each n up to the largest
+    # n spans little: the digest's per-n tables take 8 bytes for each n from the least to the largest
     ps, ns = draw([2, 3, 12, 2**40], 2, 2**61), draw([1, 2, 8, 5000], 1, 5000)
     found = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
     if data.draw(st.booleans()):
@@ -636,6 +636,32 @@ def test_block_extrema_match_the_full_arrays(data, size, tied):
         want = (float(ratio[i]), int(qf[i]), float(nlog[j]), int(qf[j]))
     assert (summary.min_ratio, summary.min_ratio_q, summary.max_nlog, summary.max_nlog_q) == want
     assert summary.failures == qs[~found].tolist()
+
+
+def test_per_n_tables_at_height_span_only_the_blocks_n():
+    # near 10^18 every n is near 10^9: tables from n = 0 would take 8 GB, so
+    # the digest's same-n dicts must come from tables over the block's n alone
+    rng = np.random.default_rng(5)
+    size = 1000
+    qs = np.sort(rng.choice(10**7, size, replace=False)) * 2 + 2 * 10**18 + 1
+    ns = 10**9 + rng.integers(0, 300, size)  # repeated n, so first and last differ
+    ps = qs - ns * (ns + 1)
+    found = rng.random(size) < 0.95
+    summary = ShardSummary(lo=1, hi=2**61)
+    tracemalloc.start()
+    try:
+        summary.absorb_block(qs, ps, ns, found)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    first, last = {}, {}
+    for p, n in zip(ps[found].tolist(), ns[found].tolist()):  # in ascending q
+        first.setdefault(n, p)
+        last[n] = p
+    assert summary.same_n_first == first
+    assert summary.same_n_last == last
+    assert len(first) > 250 and first != last
+    assert peak < 1 << 20
 
 
 class TestLemmaChecks:

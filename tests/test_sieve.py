@@ -1,4 +1,5 @@
 import math
+import pathlib
 import zlib
 
 import numpy as np
@@ -280,11 +281,11 @@ class TestBinaryCache:
         # a cache written with another segment width holds the same bits
         path = str(tmp_path / "table.bin")
         save_prime_table(table_1e5, path)
-        raw = open(path, "rb").read()
+        raw = pathlib.Path(path).read_bytes()
         fields = list(_CACHE_HEADER.unpack(raw[: _CACHE_HEADER.size]))
         assert fields[4] == 1 << 20
         fields[4] = 16
-        open(path, "wb").write(_CACHE_HEADER.pack(*fields) + raw[_CACHE_HEADER.size :])
+        pathlib.Path(path).write_bytes(_CACHE_HEADER.pack(*fields) + raw[_CACHE_HEADER.size :])
         loaded = load_prime_table(path)
         assert loaded.limit == table_1e5.limit
         assert np.array_equal(loaded.odd_bits, table_1e5.odd_bits)
@@ -292,26 +293,26 @@ class TestBinaryCache:
     def test_rejects_bad_magic(self, tmp_path, table_1e5):
         path = str(tmp_path / "table.bin")
         save_prime_table(table_1e5, path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(pathlib.Path(path).read_bytes())
         raw[0] ^= 0xFF
-        open(path, "wb").write(raw)
+        pathlib.Path(path).write_bytes(raw)
         with pytest.raises(ValueError, match="magic"):
             load_prime_table(path)
 
     def test_rejects_corrupt_payload(self, tmp_path, table_1e5):
         path = str(tmp_path / "table.bin")
         save_prime_table(table_1e5, path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(pathlib.Path(path).read_bytes())
         raw[-1] ^= 0x55
-        open(path, "wb").write(raw)
+        pathlib.Path(path).write_bytes(raw)
         with pytest.raises(ValueError, match="checksum"):
             load_prime_table(path)
 
     def test_rejects_truncated(self, tmp_path, table_1e5):
         path = str(tmp_path / "table.bin")
         save_prime_table(table_1e5, path)
-        raw = open(path, "rb").read()
-        open(path, "wb").write(raw[:10])
+        raw = pathlib.Path(path).read_bytes()
+        pathlib.Path(path).write_bytes(raw[:10])
         with pytest.raises(ValueError):
             load_prime_table(path)
 
@@ -320,10 +321,10 @@ class TestBinaryCache:
         # the CRC matches, so only the length tells; unpackbits would pad a short payload
         path = str(tmp_path / "table.bin")
         save_prime_table(table_1e5, path)
-        raw = open(path, "rb").read()
+        raw = pathlib.Path(path).read_bytes()
         fields = _CACHE_HEADER.unpack(raw[: _CACHE_HEADER.size])
         payload = resize(raw[_CACHE_HEADER.size :])
         header = _CACHE_HEADER.pack(*fields[:-1], zlib.crc32(payload))
-        open(path, "wb").write(header + payload)
+        pathlib.Path(path).write_bytes(header + payload)
         with pytest.raises(ValueError, match="payload has"):
             load_prime_table(path)
