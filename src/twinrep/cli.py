@@ -227,7 +227,8 @@ class _Sink:
     per-call cost would outweigh any vector formatting.  columns() formats
     int64 / float64 columns by _format_rows, one write per chunk.  With
     resume_bytes, the file is cut back to that length and appended to,
-    with no header; stdout is never resumed.
+    with no header; stdout is never resumed.  Each sink is used in a with
+    block, which closes the file or flushes stdout.
     """
 
     def __init__(self, path: str | None, header: list[str], fmt: str,
@@ -284,15 +285,18 @@ class _Sink:
         else:
             self._fh.flush()
 
+    def __enter__(self) -> _Sink:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
 
 def _write_rows(path: str | None, header: list[str], fmt: str, rows) -> None:
     """Write each row, a dict holding header's keys, to path or stdout."""
-    sink = _Sink(path, header, fmt)
-    try:
+    with _Sink(path, header, fmt) as sink:
         for row in rows:
             sink.row(row)
-    finally:
-        sink.close()
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +646,8 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
             total.merge(summary)
             folded += 1
 
-    sink = None
-    if checkpoint is not None and checkpoint.done_hash is not None:
+    complete = checkpoint is not None and checkpoint.done_hash is not None
+    if complete:
         # a complete checkpoint must still fold to the digest it recorded
         if folded != len(bounds) or checkpoint.done_hash != _summary_digest(total):
             raise ValueError(
@@ -655,14 +659,14 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
                 f"records file {args.emit_records} has {os.path.getsize(args.emit_records)} "
                 f"bytes, complete checkpoint expects {resume_bytes}"
             )
-    elif args.emit_records:
-        sink = _Sink(args.emit_records, _RECORD_HEADER, args.format, resume_bytes)
-    if checkpoint is not None and not checkpoint.size:
-        checkpoint.append("META", json.dumps(meta, sort_keys=True))
 
     # _run_shard is looked up here, so a wrapper set on cli runs in every shard
     run = functools.partial(_run_shard, mode, table, bool(args.include_small), keep_arrays)
-    try:
+    records = (_Sink(args.emit_records, _RECORD_HEADER, args.format, resume_bytes)
+               if args.emit_records and not complete else contextlib.nullcontext())
+    with records as sink:  # None without records
+        if checkpoint is not None and not checkpoint.size:
+            checkpoint.append("META", json.dumps(meta, sort_keys=True))
         with _shard_results(run, bounds[folded:], args.workers) as results:
             for summary, shard_arrays in results:
                 if sink is not None:
@@ -676,9 +680,6 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
                 total.merge(summary)
                 # free this shard's digest and arrays before the next one arrives
                 del summary, shard_arrays
-    finally:
-        if sink is not None:
-            sink.close()
 
     if checkpoint is not None and checkpoint.done_hash is None:
         checkpoint.append("DONE", _summary_digest(total))
@@ -689,12 +690,10 @@ def _cmd_verify(args) -> int:
     lo, hi = args.range
     mode = Mode(args.mode)
     if hi < 5 and not args.include_small:
-        print(
-            f"error: no admissible q in range {lo}:{hi} (q >= 5 needed; "
-            "use --include-small to count small q as failures)",
-            file=sys.stderr,
+        raise ValueError(
+            f"no admissible q in range {lo}:{hi} (q >= 5 needed; "
+            "use --include-small to count small q as failures)"
         )
-        return EXIT_BAD_INPUT
     total = _run_sharded_verify(args, mode, lo, hi)
     row = _summary_row(mode, total)
     _write_rows(args.out, list(row), args.format, [row])
@@ -733,15 +732,11 @@ def _cmd_stats(args) -> int:
     held = _GROWTH_ROW_BYTES * buckets + _GROWTH_PART_BYTES * min(buckets, shards)
     total = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, fold, held)
     if not parts:
-        print("error: no representations found in range", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("no representations found in range")
     header = ["q_bucket", "count", "max_n", "min_p", "min_p_over_cbrt_q", "max_n_over_log_q"]
-    sink = _Sink(args.out, header, args.format)
-    try:
+    with _Sink(args.out, header, args.format) as sink:
         for part in parts:
             sink.columns(part)
-    finally:
-        sink.close()
     return EXIT_MATH_FAILURE if total.failures else EXIT_OK
 
 
@@ -755,23 +750,19 @@ _SIGMA_BYTES = 192
 
 def _cmd_sigma(args) -> int:
     if args.qmax < 1 or args.pmax < 2:
-        print(f"error: invalid grid qmax={args.qmax} pmax={args.pmax}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"invalid grid qmax={args.qmax} pmax={args.pmax}")
     table = _acquire_table(args.cache, args.pmax,
                            _SIGMA_BYTES * _q_bound(Mode.ANY_PRIME, args.pmax) + 16 * _ROW_CELLS,
                            f"the sigma grid over the primes to {args.pmax}")
     # the table's primes: no row of the grid tests them again
     ps = table.primes(args.pmax).tolist()
-    sink = _Sink(args.out, ["q", "p", "kappa", "brute", "closed", "match"], args.format)
-    try:
+    with _Sink(args.out, ["q", "p", "kappa", "brute", "closed", "match"], args.format) as sink:
         for q in range(1, args.qmax + 1):
             brute = _bruteforce_row(q, ps).tolist()
             closed = _closed_row(q, ps) if is_squarefree(q) else [None] * len(ps)
             for p, b, c in zip(ps, brute, closed):
                 sink.row({"q": q, "p": p, "kappa": 4 * p - 1, "brute": b, "closed": c,
                           "match": None if c is None else b == c})
-    finally:
-        sink.close()
     return EXIT_OK
 
 
@@ -826,8 +817,7 @@ def _variance_memory(runs: list[tuple[int, int]], cutoff: int) -> int:
 def _cmd_variance(args) -> int:
     xs = args.x
     if args.emit_records and len(xs) != 1:
-        print("error: --emit-records needs a single --x value", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("--emit-records needs a single --x value")
     runs = [(x, args.y if args.y is not None else x * x) for x in xs]
     # size the tables for 0 <= y <= x^2 only: the sweep rejects a run outside
     # that region before any output exists, and no table is built for it
@@ -842,11 +832,8 @@ def _cmd_variance(args) -> int:
     _write_rows(args.out, header, args.format, [vars(report) for report in reports])
     if args.emit_records:
         (report,) = reports  # a single --x
-        sink = _Sink(args.emit_records, list(VarianceTerms._fields), args.format)
-        try:
+        with _Sink(args.emit_records, list(VarianceTerms._fields), args.format) as sink:
             sink.columns(list(report.terms))
-        finally:
-            sink.close()
     return EXIT_OK
 
 
@@ -994,7 +981,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("density", help="representability census over primes <= x")
     p.add_argument("--x", type=int, required=True)
-    # one process by default: at --x 5000000 a pool costs more than it saves
+    # one process by default; on 2 vCPUs a second one made no clear difference
+    # at --x 5000000 (medians 0.239 and 0.229 s) and saved 16% at 5e7 (0.833 s
+    # and 0.696 s)
     p.add_argument("--workers", type=int, default=1)
     _add_output_flags(p)
     # the verify engine's other settings, fixed
@@ -1049,6 +1038,8 @@ def main(argv=None) -> int:
             raise ValueError(f"bad range {lo}:{hi}")
         if hi > MAX_Q:
             raise ValueError(f"range end {hi} exceeds the highest supported q, 2^61")
+        if args.subcommand == "density" and args.x > MAX_Q:
+            raise ValueError(f"--x {args.x} exceeds the highest supported q, 2^61")
         if getattr(args, "cutoff", 3) < 3:
             raise ValueError(f"cutoff must be >= 3, got {args.cutoff}")
         if args.subcommand == "singular" and args.cutoff < 4:
@@ -1086,16 +1077,18 @@ def run() -> None:
     then os._exit, which skips the interpreter's teardown (about 20 ms, mostly
     a final collection over numpy's import-time objects).  It has nothing to
     do: main() has closed every file it wrote and joined every worker, and no
-    thread runs.  A stdout that cannot be flushed, its reader gone, takes the
-    normal exit, which reports that as it always has.  In-process callers
-    call main(), which returns the exit code."""
-    code = main()
+    thread runs.  A flush that fails is not reported again: every stdout
+    sink flushes as it closes, so main() has already turned a stdout whose
+    reader has gone into exit 2.  In-process callers call main(), which
+    returns the exit code."""
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None where the process started with that fd closed
+        code = main()
+    except SystemExit as exc:  # argparse's errors and --help, already printed
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None where the process started with that fd closed
+            with contextlib.suppress(OSError):
                 stream.flush()
-    except OSError:
-        sys.exit(code)
     os._exit(code)
 
 

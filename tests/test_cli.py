@@ -210,6 +210,19 @@ class TestOtherCommands:
         assert [r["x"] for r in rows] == ["40", "80"]
         assert all(float(r["ratio"]) > 0 for r in rows)
 
+    def test_variance_baier_zhao_rows_are_the_library_reports(self, table_1e5):
+        argv = ["variance", "--x", "40,80", "--cutoff", "500"]
+        code, out, err = run_cli(argv + ["--baier-zhao"])
+        assert code == 0, err
+        header = ["x", "y", "cutoff", "term_count", "lhs", "ratio"]
+        reports = variance_sweep([(40, 1600), (80, 6400)], 500, table_1e5, baier_zhao=True)
+        assert out == ",".join(header) + "\n" + "".join(
+            cli._format_row(header, vars(report), "csv") for report in reports)
+        plain = parse_csv(run_cli(argv)[1])
+        for scaled, unscaled in zip(parse_csv(out), plain):
+            assert scaled["term_count"] == unscaled["term_count"]
+            assert scaled["lhs"] != unscaled["lhs"] and scaled["ratio"] != unscaled["ratio"]
+
     def test_variance_region_violation(self):
         assert run_cli(["variance", "--x", "10", "--y", "101"])[0] == 2
 
@@ -1227,16 +1240,20 @@ class TestMemoryBudget:
         asked = []
         monkeypatch.setattr(cli, "_memory_budget", lambda: asked.append(1) or 1024)
         out = tmp_path / "out.csv"
-        for cmd in (["verify", "--mode", "sun"], ["stats", "--bucket", "10"]):
-            code, stdout, err = run_cli(cmd + ["--range", f"{top - 1}:{top + 1}", "--out", str(out)])
-            assert (code, stdout, asked) == (2, "", [])
+        for argv in (["verify", "--mode", "sun", "--range", f"{top - 1}:{top + 1}"],
+                     ["stats", "--bucket", "10", "--range", f"{top - 1}:{top + 1}"],
+                     ["density", "--x", str(top + 1)]):
+            code, stdout, err = run_cli(argv + ["--out", str(out)])
+            assert (code, stdout, asked) == (2, "", []), argv
             assert err.startswith("error:") and "2^61" in err
             assert not out.exists()
         # q = 2^61 itself passes the height check and reaches the memory check
-        code, _, err = run_cli(["verify", "--mode", "sun", "--range", f"{top - 1}:{top}",
-                                "--out", str(out)])
-        assert (code, asked) == (3, [1])
-        assert not out.exists()
+        for argv in (["verify", "--mode", "sun", "--range", f"{top - 1}:{top}"],
+                     ["density", "--x", str(top)]):
+            asked.clear()
+            code, _, err = run_cli(argv + ["--out", str(out)])
+            assert (code, asked) == (3, [1]), argv
+            assert not out.exists()
 
     def test_budget_reads_a_positive_figure(self):
         budget = cli._memory_budget()

@@ -130,20 +130,14 @@ def test_exit_codes_come_through_the_process(spawn, code, argv):
 
 
 def test_closed_reader_reports_the_broken_pipe(spawn):
-    # a buffered stdout still holds bytes at exit, so the interpreter's
-    # teardown fails to flush them too, and exits 120
+    # main() reports the failed write or flush once; where stdout is
+    # buffered, run()'s own flush of the bytes it still holds fails silently
     children = {buffering: spawn(RECORDS, buffering) for buffering in BUFFERINGS}
     for child in children.values():
         child.stdout.close()
     for buffering, child in children.items():
         code, err = child.wait(timeout=120), child.stderr.read().decode()
-        if buffering == "unbuffered":
-            assert (code, err) == (2, "error: [Errno 32] Broken pipe\n")
-        else:
-            lines = err.splitlines()
-            assert (code, lines[0], lines[-1]) == (
-                120, "error: [Errno 32] Broken pipe", "BrokenPipeError: [Errno 32] Broken pipe")
-            assert lines[1].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert (code, err) == (2, "error: [Errno 32] Broken pipe\n"), buffering
 
 
 def test_closed_stdout_descriptor_is_no_error(tmp_path, monkeypatch, spawn):
