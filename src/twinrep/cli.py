@@ -26,8 +26,6 @@ import argparse
 import contextlib
 import errno
 import functools
-import hashlib
-import json
 import math
 import os
 import signal
@@ -35,9 +33,9 @@ import sys
 
 import numpy as np
 
-from .arithmetic import is_prime_64, is_squarefree
-from .asymptotic import VarianceTerms, variance_sweep
-from .expsum import _ROW_CELLS, _bruteforce_row, _closed_row
+# represent and sieve, which every command uses, are imported here; the other
+# library modules, json and hashlib are imported where a command reaches them,
+# so a process compiles only what its command runs
 from .represent import (
     _PIECE,
     MAX_Q,
@@ -61,7 +59,6 @@ from .sieve import (
     save_prime_table,
     squarefree_kappa_census,
 )
-from .singular import singular_series, singular_series_many_scratch, tail_partial
 
 __all__ = ["main", "run"]
 
@@ -101,6 +98,7 @@ def _format_row(header: list[str], values: dict, fmt: str) -> str:
     """One CSV or JSONL line: the scalar rule every writer's output follows."""
     if fmt == "csv":
         return ",".join(_fmt_cell(values[k]) for k in header) + "\n"
+    import json
     return json.dumps({k: _json_cell(values[k]) for k in header}) + "\n"
 
 
@@ -160,6 +158,7 @@ def _format_rows(header: list[str], columns: list[np.ndarray], fmt: str) -> byte
         if fmt == "csv":
             parts.append(b"," if i else b"")
         else:
+            import json
             parts.append(("{" if i == 0 else ", ").encode() + json.dumps(key).encode() + b": ")
         if col.dtype.kind != "f":
             scalar |= col < 0
@@ -534,6 +533,7 @@ class _Checkpoint:
         line sets done_hash."""
         if not os.path.exists(self.path):
             return
+        import json
         with open(self.path, "rb") as fh:
             for number, raw in enumerate(fh, 1):
                 if not raw.endswith(b"\n"):
@@ -553,6 +553,7 @@ class _Checkpoint:
                 self.size += len(raw)
 
     def _shard(self, payload: str, number: int) -> tuple[ShardSummary, int]:
+        import json
         try:
             entry = json.loads(payload)
             summary = ShardSummary.from_json_dict(entry["summary"])
@@ -595,9 +596,16 @@ def _summary_row(mode: Mode, total: ShardSummary) -> dict:
     }
 
 
+def _sorted_json(obj) -> str:
+    """obj as JSON with sorted keys: a META or SHARD line's payload, and what
+    the DONE digest hashes."""
+    import json
+    return json.dumps(obj, sort_keys=True)
+
+
 def _summary_digest(total: ShardSummary) -> str:
-    blob = json.dumps(total.to_json_dict(), sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    import hashlib
+    return hashlib.sha256(_sorted_json(total.to_json_dict()).encode()).hexdigest()[:16]
 
 
 def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_bytes: int = 0):
@@ -666,7 +674,7 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
                if args.emit_records and not complete else contextlib.nullcontext())
     with records as sink:  # None without records
         if checkpoint is not None and not checkpoint.size:
-            checkpoint.append("META", json.dumps(meta, sort_keys=True))
+            checkpoint.append("META", _sorted_json(meta))
         with _shard_results(run, bounds[folded:], args.workers) as results:
             for summary, shard_arrays in results:
                 if sink is not None:
@@ -676,7 +684,7 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
                 if checkpoint is not None:
                     records_bytes = sink.sync() if sink is not None else 0
                     entry = {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
-                    checkpoint.append("SHARD", json.dumps(entry, sort_keys=True))
+                    checkpoint.append("SHARD", _sorted_json(entry))
                 total.merge(summary)
                 # free this shard's digest and arrays before the next one arrives
                 del summary, shard_arrays
@@ -749,6 +757,8 @@ _SIGMA_BYTES = 192
 
 
 def _cmd_sigma(args) -> int:
+    from .arithmetic import is_squarefree
+    from .expsum import _ROW_CELLS, _bruteforce_row, _closed_row
     if args.qmax < 1 or args.pmax < 2:
         raise ValueError(f"invalid grid qmax={args.qmax} pmax={args.pmax}")
     table = _acquire_table(args.cache, args.pmax,
@@ -773,6 +783,7 @@ _SINGULAR_BYTES = 48
 
 
 def _cmd_singular(args) -> int:
+    from .singular import singular_series, tail_partial
     needed = max(args.cutoff, args.pmax, 5)
     table = _acquire_table(args.cache, needed, _SINGULAR_BYTES * args.cutoff,
                            f"mu, phi tables to {args.cutoff}")
@@ -794,6 +805,7 @@ def _cmd_singular(args) -> int:
 def _variance_memory(runs: list[tuple[int, int]], cutoff: int) -> int:
     """Bytes variance_sweep needs beyond the prime table for runs with
     0 <= y <= x^2 (larger y are rejected before any table is built)."""
+    from .singular import singular_series_many_scratch
     # the von Mangoldt units, 8 bytes an odd integer up to x^2 + x + p for the
     # largest p <= (y + 1) // 4 of each run holding an odd p (y >= 11), with
     # the bool table and the int64 primes it sieves to that limit, and the
@@ -815,6 +827,7 @@ def _variance_memory(runs: list[tuple[int, int]], cutoff: int) -> int:
 
 
 def _cmd_variance(args) -> int:
+    from .asymptotic import VarianceTerms, variance_sweep
     xs = args.x
     if args.emit_records and len(xs) != 1:
         raise ValueError("--emit-records needs a single --x value")
@@ -842,6 +855,7 @@ def _cmd_density(args) -> int:
     twin verify over [2, x], which counts q = 2 and q = 3 as failures.  A twin
     prime is a prime, so a q lacks a prime representation only if the pass
     fails it and q < 5 or no n in 1..n_max(q) makes q - n(n+1) prime."""
+    from .arithmetic import is_prime_64
     if args.x < 2:
         raise ValueError(f"density requires x >= 2, got {args.x}")
     twin = _run_sharded_verify(args, Mode.TWIN_MIN, 2, args.x)

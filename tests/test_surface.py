@@ -1,6 +1,4 @@
-import ast
 import importlib
-import inspect
 import pkgutil
 
 import twinrep
@@ -14,8 +12,13 @@ def test_public_names_resolve_and_the_package_exports_only_public_names():
     for name, module in modules.items():
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, f"twinrep.{name}.__all__ names {missing}, which do not exist"
-    tree = ast.parse(inspect.getsource(twinrep))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            private = [a.name for a in node.names if a.name not in modules[node.module].__all__]
-            assert not private, f"twinrep imports {private} from .{node.module}, not in its __all__"
+    # the package's lazy exports: each is public in its module and is that object
+    exports = twinrep._EXPORTS
+    assert twinrep.__all__ == list(exports)
+    for name, module in exports.items():
+        assert name in modules[module].__all__, f"twinrep exports {name}, not in .{module}'s __all__"
+        assert getattr(twinrep, name) is getattr(modules[module], name)
+    namespace = {}
+    exec("from twinrep import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(exports)
+    assert set(exports) | set(exports.values()) <= set(dir(twinrep))
