@@ -14,7 +14,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# each public name and the submodule that defines it
+# each public name and the submodule that defines it: the package's one list
+# of public names, which no library module repeats in an __all__ of its own
 _EXPORTS = {
     name: module
     for module, names in {

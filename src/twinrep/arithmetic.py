@@ -16,17 +16,6 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "jacobi",
-    "jacobi_many",
-    "mobius",
-    "euler_phi",
-    "is_squarefree",
-    "is_prime_64",
-    "von_mangoldt",
-    "ramanujan_sum",
-]
-
 # Trial-division screen used before the Miller-Rabin rounds.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 

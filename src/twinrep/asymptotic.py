@@ -39,17 +39,6 @@ from .arithmetic import von_mangoldt
 from .sieve import CoverageError, PrimeTable, build_prime_table, squarefree_mask
 from .singular import singular_series_many
 
-__all__ = [
-    "KahanSum",
-    "VarianceTerms",
-    "VarianceReport",
-    "von_mangoldt_table",
-    "psi",
-    "variance_sum",
-    "variance_sweep",
-    "exception_count",
-]
-
 
 class KahanSum:
     """Compensated streaming accumulator; deterministic for a fixed order."""
@@ -105,7 +94,6 @@ _INT63_MAX = (1 << 63) - 1
 _PSI_SCALE = 2**53
 _LIMB_BITS = 26
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-_UNIT_BOUND = 2**59
 
 
 def _psi_two(x: int) -> float:
@@ -114,13 +102,6 @@ def _psi_two(x: int) -> float:
     n = np.arange(1, x + 1, dtype=np.int64)
     m = n * n + n + 2
     return math.fsum([math.log(2)] * int(np.count_nonzero(m & (m - 1) == 0)))
-
-
-def _check_units(cells: np.ndarray) -> None:
-    """Refuse anything but von Mangoldt units: int64 in [0, 2^59)."""
-    if cells.dtype != np.int64 or (len(cells) and (
-            cells.min() < 0 or cells.max() >= _UNIT_BOUND)):
-        raise ValueError("psi needs von Mangoldt units: int64 in [0, 2^59)")
 
 
 def _psi_columns(units: np.ndarray, ps: np.ndarray,
@@ -135,10 +116,10 @@ def _psi_columns(units: np.ndarray, ps: np.ndarray,
     rounded addition of two exact floats, so it is the exact sum rounded
     once.  p = 2, whose values are even, takes _psi_two.
 
-    The caller guarantees units: int64 in [0, 2^59) (_check_units), and
-    long enough that (x^2 + x + p) // 2 < len(units) for every run's odd
-    p.  Neither is checked here, and the gather clips, so a short table
-    gives wrong sums rather than an error.
+    The caller guarantees units: von_mangoldt_table's, so int64 in
+    [0, 2^59), and long enough that (x^2 + x + p) // 2 < len(units) for
+    every run's odd p.  Neither is checked here, and the gather clips, so a
+    short table gives wrong sums rather than an error.
     """
     even = int(len(ps) > 0 and ps[0] == 2)
     order = sorted(range(len(runs)), key=lambda r: runs[r][0])
@@ -230,6 +211,17 @@ def variance_sum(
     return variance_sweep([(x, y)], cutoff, table, baier_zhao)[0]
 
 
+def _check_runs(runs: list[tuple[int, int]]) -> None:
+    """Reject the first (x, y) outside the region x >= 1, 1 <= y <= x^2."""
+    for x, y in runs:
+        if x < 1:
+            raise ValueError(f"variance_sum requires x >= 1, got {x}")
+        if y < 1:
+            raise ValueError(f"variance_sum requires y >= 1, got {y}")
+        if y > x * x:
+            raise ValueError(f"region violation: y={y} exceeds x^2={x * x}; need y <= x^2")
+
+
 def variance_sweep(
     runs: Iterable[tuple[int, int]],
     cutoff: int,
@@ -245,13 +237,7 @@ def variance_sweep(
     its own variance_sum call.
     """
     runs = list(runs)
-    for x, y in runs:
-        if x < 1:
-            raise ValueError(f"variance_sum requires x >= 1, got {x}")
-        if y < 1:
-            raise ValueError(f"variance_sum requires y >= 1, got {y}")
-        if y > x * x:
-            raise ValueError(f"region violation: y={y} exceeds x^2={x * x}; need y <= x^2")
+    _check_runs(runs)
     if cutoff < 3:
         raise ValueError(f"variance_sum requires cutoff >= 3, got {cutoff}")
     if not runs:
@@ -269,7 +255,6 @@ def variance_sweep(
     # p = 2 (kappa = 7) leads every nonempty run, and the table holds the odd p's values
     tops = [x * x + x + int(ps[k - 1]) for (x, _), k in zip(runs, counts) if k > 1]
     units = von_mangoldt_table(max(tops)) if tops else np.zeros(0, np.int64)
-    _check_units(units)  # once, on the whole table: the kernel reads it unchecked
     columns = _psi_columns(units, ps, [(x, k) for (x, _), k in zip(runs, counts)])
 
     reports = []

@@ -804,7 +804,7 @@ def _cmd_singular(args) -> int:
 
 def _variance_memory(runs: list[tuple[int, int]], cutoff: int) -> int:
     """Bytes variance_sweep needs beyond the prime table for runs with
-    0 <= y <= x^2 (larger y are rejected before any table is built)."""
+    1 <= y <= x^2."""
     from .singular import singular_series_many_scratch
     # the von Mangoldt units, 8 bytes an odd integer up to x^2 + x + p for the
     # largest p <= (y + 1) // 4 of each run holding an odd p (y >= 11), with
@@ -827,17 +827,15 @@ def _variance_memory(runs: list[tuple[int, int]], cutoff: int) -> int:
 
 
 def _cmd_variance(args) -> int:
-    from .asymptotic import VarianceTerms, variance_sweep
+    from .asymptotic import VarianceTerms, _check_runs, variance_sweep
     xs = args.x
     if args.emit_records and len(xs) != 1:
         raise ValueError("--emit-records needs a single --x value")
     runs = [(x, args.y if args.y is not None else x * x) for x in xs]
-    # size the tables for 0 <= y <= x^2 only: the sweep rejects a run outside
-    # that region before any output exists, and no table is built for it
-    clamped = [(x, min(max(y, 0), x * x)) for x, y in runs]
-    needed = max(max(args.cutoff, (y + 1) // 4, math.isqrt(y) + 1) for _, y in clamped)
-    top = max((x * x + x + (y + 1) // 4 for x, y in clamped if y >= 11), default=0)
-    table = _acquire_table(args.cache, needed, _variance_memory(clamped, args.cutoff),
+    _check_runs(runs)  # before the tables are sized for them
+    needed = max(max(args.cutoff, (y + 1) // 4, math.isqrt(y) + 1) for _, y in runs)
+    top = max((x * x + x + (y + 1) // 4 for x, y in runs if y >= 11), default=0)
+    table = _acquire_table(args.cache, needed, _variance_memory(runs, args.cutoff),
                            f"a von Mangoldt table to {top}, the singular series to "
                            f"{args.cutoff} and the terms of {len(runs)} runs")
     reports = variance_sweep(runs, args.cutoff, table, baier_zhao=args.baier_zhao)

@@ -26,13 +26,6 @@ import numpy as np
 
 from .arithmetic import _factorize, is_prime_64, is_squarefree, jacobi
 
-__all__ = [
-    "sigma_bruteforce",
-    "sigma_complex_check",
-    "sigma_closed",
-    "check_multiplicativity",
-]
-
 
 def _require_prime(p: int) -> None:
     if not is_prime_64(p):

@@ -30,20 +30,6 @@ import numpy as np
 
 from .sieve import CoverageError, PrimeTable, sieve_segment, twin_segment
 
-__all__ = [
-    "Mode",
-    "Representation",
-    "VerificationReport",
-    "ShardSummary",
-    "MAX_Q",
-    "n_max",
-    "find_min_twin_representation",
-    "find_min_n_twin_representation",
-    "find_any_prime_representation",
-    "verify_range",
-    "growth_columns",
-]
-
 
 class Mode(str, enum.Enum):
     """Which representation condition a scan enforces."""

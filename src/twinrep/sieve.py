@@ -18,21 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "CoverageError",
-    "ResourceLimitError",
-    "PrimeTable",
-    "build_prime_table",
-    "sieve_segment",
-    "twin_segment",
-    "prime_count",
-    "squarefree_kappa_census",
-    "squarefree_mask",
-    "mu_phi_tables",
-    "save_prime_table",
-    "load_prime_table",
-]
-
 # Numbers per segment of a prime-table build, written in the cache header.
 SEGMENT_SIZE = 1 << 20
 

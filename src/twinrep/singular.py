@@ -26,15 +26,6 @@ from .sieve import PrimeTable, mu_phi_tables
 # spares repeated rebuilds when a report sweeps many kappa at one truncation
 _mu_phi_cached = lru_cache(maxsize=4)(mu_phi_tables)
 
-__all__ = [
-    "SingularValue",
-    "singular_series",
-    "singular_series_many",
-    "singular_series_many_scratch",
-    "tail_partial",
-    "dirichlet_series_partial",
-]
-
 
 @dataclass(frozen=True)
 class SingularValue:

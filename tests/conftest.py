@@ -8,7 +8,7 @@ import time
 import pytest
 
 from twinrep import represent
-from twinrep.sieve import build_prime_table, twin_segment
+from twinrep.sieve import PrimeTable, build_prime_table, twin_segment
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +19,15 @@ def table_1e5():
 @pytest.fixture(scope="session")
 def table_2e5():
     return build_prime_table(200_000)
+
+
+@pytest.fixture(scope="session")
+def table_without_5(table_2e5):
+    """table_2e5 with 5 read as composite: 7 = 5 + 1*2 and 11 = 5 + 2*3 then
+    have no representation in any mode, the only q >= 5 to 200,000 without."""
+    bits = table_2e5.odd_bits.copy()
+    bits[5 >> 1] = False
+    return PrimeTable(limit=table_2e5.limit, odd_bits=bits)
 
 
 @pytest.fixture(scope="session")

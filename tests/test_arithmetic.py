@@ -230,6 +230,20 @@ class TestRoots:
                 r = integer_nth_root(n, k)
                 assert r**k <= n and (r + 1) ** k > n, (n, k)
 
+    def test_integer_nth_root_far_beyond_64_bits(self):
+        # near 10^51 the float seed of a cube root is hundreds too low, so
+        # the upward correction runs
+        for m in (10**17, 10**17 + 1, 10**17 + 3, 2**60 - 1):
+            for n in (m**3 - 1, m**3, m**3 + 1, (m + 1) ** 3 - 1):
+                seed = int(round(n ** (1.0 / 3)))
+                r = integer_nth_root(n, 3)
+                assert r**3 <= n < (r + 1) ** 3, n
+                assert r > seed, n
+            for k in (2, 4, 5, 7):
+                n = m**k + 1
+                r = integer_nth_root(n, k)
+                assert r**k <= n < (r + 1) ** k, (n, k)
+
 
 class TestVonMangoldt:
     def test_values(self):

@@ -11,7 +11,6 @@ from twinrep.asymptotic import (
     KahanSum,
     VarianceReport,
     VarianceTerms,
-    _check_units,
     _psi_columns,
     exception_count,
     psi,
@@ -36,6 +35,16 @@ class TestVonMangoldtTable:
             for m in range(1, limit + 1, 2):
                 assert table[m >> 1] == von_mangoldt(m) * 2.0**53, m  # identical floats
                 assert table[m >> 1] / 2**53 == von_mangoldt(m), m
+
+    @pytest.mark.parametrize("limit", [3, 5000, 1_000_001])
+    def test_units_fit_the_limb_sum(self, limit):
+        # the psi kernel adds the units unchecked: each is log r * 2^53 for an
+        # odd prime r <= limit, in [0, 2^59), the largest from the largest r
+        table = von_mangoldt_table(limit)
+        assert table.dtype == np.int64
+        assert table.min() >= 0 and table.max() < 2**59
+        p = int(build_prime_table(limit).primes()[-1])
+        assert table.max() == int(math.log(p) * 2**53)
 
 
 class TestPsi:
@@ -72,17 +81,6 @@ class TestPsi:
             psi(3, -1)
         with pytest.raises(OverflowError):
             psi(3, 4 * 10**9)
-
-    def test_rejects_values_the_integer_sum_cannot_hold(self):
-        # units outside [0, 2^59) could overflow the limbs; a float table is
-        # not units at all
-        for bad in (-1, 2**59, 2**62):
-            units = np.full(20, 2**52, dtype=np.int64)
-            units[2] = bad  # n = 1, p = 3: 5 = 2 * 2 + 1
-            with pytest.raises(ValueError, match="von Mangoldt"):
-                _check_units(units)
-        with pytest.raises(ValueError, match="von Mangoldt"):
-            _check_units(np.full(20, 1.0))
 
 
 _PSI_X = 300

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinrep import cli, represent
+from twinrep import cli, represent, sieve
 from twinrep.arithmetic import is_prime_64
 from twinrep.asymptotic import variance_sweep
 from twinrep.cli import _format_rows, _json_cell, main
@@ -321,6 +321,20 @@ class TestOtherCommands:
         path = tmp_path / "out.csv"
         assert run_cli(argv + ["--out", str(path)])[0] == 2
         assert not path.exists()
+
+    @pytest.mark.parametrize("xs, y", [("100000", "10000000001"), ("100000,3", "10")])
+    def test_variance_outside_the_region_is_exit_2_before_the_budget(self, tmp_path,
+                                                                      monkeypatch, xs, y):
+        # y > x^2 for one run: sized as given, the first case's tables would
+        # need about 86 GiB; no table is sized or built for a rejected run
+        reads = []
+        monkeypatch.setattr(cli, "_memory_budget", lambda: reads.append(1) or 2**20)
+        out = tmp_path / "out.csv"
+        code, stdout, err = run_cli(["variance", "--x", xs, "--y", y, "--out", str(out)])
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: region violation")
+        assert reads == []
+        assert not out.exists()
 
     def test_variance_over_budget_is_exit_3_before_any_file(self, tmp_path, monkeypatch):
         # the prime table to 10^6 fits 5 MiB; the von Mangoldt table to
@@ -759,7 +773,7 @@ class TestResumeFaults:
     }
 
     @pytest.mark.parametrize("edit", ["drop", "add", "object", "list", "no-records-bytes",
-                                      *WRONG_TYPES])
+                                      "negative-records-bytes", *WRONG_TYPES])
     def test_shard_line_with_other_fields_is_exit_2(self, tmp_path, cut_checkpoint, edit):
         paths = self._interrupted(tmp_path, cut_checkpoint)
         lines = pathlib.Path(paths["ck"]).read_text().splitlines(keepends=True)
@@ -771,6 +785,8 @@ class TestResumeFaults:
             entry["summary"]["extra"] = 0
         elif edit == "no-records-bytes":
             del entry["records_bytes"]
+        elif edit == "negative-records-bytes":
+            entry["records_bytes"] = -1
         elif edit in self.WRONG_TYPES:
             key, value = self.WRONG_TYPES[edit]
             entry["summary"][key] = value
@@ -786,8 +802,29 @@ class TestResumeFaults:
             assert "fields differ" in err
         if edit in self.WRONG_TYPES:
             assert f"field {self.WRONG_TYPES[edit][0]} is not" in err
+        if edit == "negative-records-bytes":
+            assert "records_bytes -1" in err
         assert pathlib.Path(paths["ck"]).read_text() == "".join(lines)
         assert pathlib.Path(paths["rec"]).read_bytes() == records
+        assert not os.path.exists(paths["out"])
+
+    @pytest.mark.parametrize("edit, message", [
+        ("unknown-kind", "unexpected checkpoint line 2 ('NOTE')"),
+        ("swapped", "checkpoint shard 11005 misaligned"),
+    ], ids=["unknown-kind", "swapped"])
+    def test_checkpoint_lines_out_of_place_are_exit_2(self, tmp_path, cut_checkpoint, edit,
+                                                      message):
+        paths = self._interrupted(tmp_path, cut_checkpoint)
+        lines = pathlib.Path(paths["ck"]).read_text().splitlines(keepends=True)
+        if edit == "unknown-kind":
+            lines.insert(1, "NOTE {}\n")
+        else:  # the second shard's line before the first's
+            lines[1], lines[2] = lines[2], lines[1]
+        pathlib.Path(paths["ck"]).write_text("".join(lines))
+        code, out, err = self._resume(paths)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err
+        assert pathlib.Path(paths["ck"]).read_text() == "".join(lines)
         assert not os.path.exists(paths["out"])
 
     def test_checkpoint_with_more_shards_than_the_run_is_exit_2(self, tmp_path):
@@ -831,6 +868,36 @@ class TestResumeFaults:
         assert (code, out) == (2, "")
         assert "stdout" in err
         assert not cp.exists()
+
+
+def test_failures_give_the_same_bytes_for_every_worker_count_and_resume(
+        tmp_path, table_without_5, cut_checkpoint):
+    # with 5 read as composite, 7 and 11 fail: the run exits 1 and its
+    # records hold the other 17,979 of the 17,981 prime q it checks
+    cache = tmp_path / "cache"
+    save_prime_table(table_without_5, str(cache))
+    base = ["verify", "--mode", "twin", "--range", "5:200000", "--cache", str(cache),
+            "--shard-size", "50000"]
+
+    def files(name, workers):
+        paths = [tmp_path / f"{name}.{kind}" for kind in ("out", "rec", "ck")]
+        code, stdout, err = run_cli(base + ["--out", str(paths[0]), "--emit-records",
+                                            str(paths[1]), "--checkpoint", str(paths[2]),
+                                            "--workers", workers])
+        assert (code, stdout) == (1, ""), err
+        return paths
+
+    one = files("one", "1")
+    rows = parse_csv(one[0].read_text())
+    assert (rows[0]["checked"], rows[0]["failure_list"]) == ("17981", "7;11")
+    assert len(one[1].read_text().splitlines()) == 1 + 17_979
+    two = files("two", "2")
+    assert [p.read_bytes() for p in two] == [p.read_bytes() for p in one]
+    # cut after the first shard, which holds both failures, and resumed
+    cut_checkpoint(str(two[2]), 1, str(two[1]))
+    two[0].unlink()
+    assert files("two", "2") == two
+    assert [p.read_bytes() for p in two] == [p.read_bytes() for p in one]
 
 
 def test_parent_holds_a_bounded_number_of_digests(tmp_path, cut_checkpoint):
@@ -895,6 +962,44 @@ def test_stats_does_not_resume(tmp_path, capsys, extra):
     stdout, err = capsys.readouterr()
     assert stdout == "" and "unrecognized arguments" in err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "--range", "1:4", "--bucket", "1"], "error: no representations found in range"),
+    (["stats", "--range", "5:100", "--bucket", "0"], "error: bucket must be positive, got 0"),
+    (["variance", "--x", "40,80", "--emit-records", "F"],
+     "error: --emit-records needs a single --x value"),
+    (["variance", "--x", "4,a"], "x must be an integer or comma list, got '4,a'"),
+], ids=["stats-none-found", "stats-bucket-0", "variance-records-of-two-x", "variance-x-not-int"])
+def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, argv, message):
+    argv = [a.replace("F", str(tmp_path / "F")) for a in argv]
+    try:
+        code = main(argv + ["--out", str(tmp_path / "out")])
+    except SystemExit as exit_:  # argparse's errors
+        code = exit_.code
+    stdout, err = capsys.readouterr()
+    assert (code, stdout) == (2, "")
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("field, message", [
+    (1, "unsupported cache version 2"),  # the version, 1 in every cache written
+    (5, "inconsistent header (limit vs bit count)"),  # the bit count, one too many
+], ids=["version-2", "bit-count"])
+def test_cache_with_a_bad_header_is_exit_2_before_any_file(tmp_path, table_1e5, field, message):
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    save_prime_table(table_1e5, str(cache))
+    raw = cache.read_bytes()
+    header = sieve._CACHE_HEADER
+    fields = list(header.unpack(raw[: header.size]))
+    fields[field] += 1
+    cache.write_bytes(header.pack(*fields) + raw[header.size :])
+    code, stdout, err = run_cli(["verify", "--mode", "twin", "--range", "5:1000",
+                                 "--cache", str(cache), "--out", str(out)])
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, extra", [

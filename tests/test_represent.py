@@ -286,6 +286,23 @@ class TestVerifyRange:
         counted = verify_range(2, 4, Mode.TWIN_MIN, table_1e6, include_small=True)
         assert counted.checked == 2 and counted.failures == [2, 3]
 
+    @pytest.mark.parametrize("mode", [Mode.TWIN_MIN, Mode.ANY_PRIME, Mode.SUN_ODD])
+    def test_unrepresented_q_leave_the_arrays(self, table_without_5, mode):
+        # the arrays keep the represented q alone, each with its scalar (p, n)
+        find = (find_min_twin_representation if mode == Mode.TWIN_MIN
+                else find_any_prime_representation)
+        report = verify_range(5, 30_000, mode, table_without_5)
+        domain = [q for q in range(5, 30_001, 2)
+                  if mode == Mode.SUN_ODD or table_without_5.is_prime(q)]
+        reps = [find(q, table_without_5) for q in domain]
+        assert report.failures == [q for q, r in zip(domain, reps) if r is None] == [7, 11]
+        assert report.qs.tolist() == [r.q for r in reps if r]
+        assert report.ps.tolist() == [r.p for r in reps if r]
+        assert report.ns.tolist() == [r.n for r in reps if r]
+        assert report.summary.represented == len(report.qs) == report.checked - 2
+        whole = verify_range(5, table_without_5.limit, mode, table_without_5)
+        assert whole.failures == [7, 11] and len(whole.qs) == whole.checked - 2
+
     def test_block_size_invariance(self, table_1e6):
         a = verify_range(5, 20_000, Mode.TWIN_MIN, table_1e6)
         with patched(_BLOCK_SIZE=211):
