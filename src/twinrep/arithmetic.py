@@ -176,18 +176,29 @@ def is_prime_64(m: int) -> bool:
 def integer_nth_root(n: int, k: int) -> int:
     """Floor k-th root of n >= 0 for k >= 1, exact for any size of n."""
     if n < 0 or k < 1:
-        raise ValueError(f"integer_nth_root requires n >= 0 and k >= 1")
+        raise ValueError("integer_nth_root requires n >= 0 and k >= 1")
     if k == 1 or n == 0:
         return n
     if k == 2:
         return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    # the float seed can be off by one in either direction
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    if n < 1 << 53:
+        r = int(round(n ** (1.0 / k)))
+        # the float seed can be off by one in either direction
+        while r > 0 and r**k > n:
+            r -= 1
+        while (r + 1) ** k <= n:
+            r += 1
+        return r
+    # Above 2^53 the float seed drifts from the root.  Integer Newton steps
+    # from 2^ceil(bits / k), at or above the root, fall strictly while above
+    # it and never below it (AM-GM), so the first step that does not fall
+    # starts from the floor root.
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        step = ((k - 1) * r + n // r ** (k - 1)) // k
+        if step >= r:
+            return r
+        r = step
 
 
 def von_mangoldt(m: int) -> float:

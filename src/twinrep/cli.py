@@ -37,6 +37,7 @@ import numpy as np
 # library modules, json and hashlib are imported where a command reaches them,
 # so a process compiles only what its command runs
 from .represent import (
+    _BLOCK_SIZE,
     _PIECE,
     MAX_Q,
     Mode,
@@ -400,76 +401,93 @@ def _shard_bounds(lo: int, hi: int, shard_size: int) -> list[tuple[int, int]]:
 
 
 def _run_shard(mode: Mode, table: PrimeTable | None, include_small: bool,
-               keep_arrays: bool, bounds: tuple[int, int]):
-    """One shard's summary and, with keep_arrays (records, a fold), its per-q
-    arrays.  Without a table the shard sieves its own p-bitmap."""
-    report = verify_range(*bounds, mode, table, include_small)
-    arrays = (report.qs, report.ps, report.ns) if keep_arrays else None
-    return report.summary, arrays
+               bounds: tuple[int, int], on_block=None) -> ShardSummary:
+    """One shard's summary.  Each block's represented q, p and n go to
+    on_block (records, a fold) as they are found, or are dropped without
+    one, so the shard holds one block's arrays at a time.  Without a table
+    the shard sieves its own p-bitmap."""
+    return verify_range(*bounds, mode, table, include_small,
+                        on_block=on_block or (lambda *block: None)).summary
 
 
-def _shard_worker(fn, tasks: list, pipe) -> None:
+def _shard_worker(fn, tasks: list, pipe, parts: bool) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends its workers
+
+    def send_part(*part):
+        pipe.send((None, part))
+
     try:
         for task in tasks:
-            pipe.send((True, fn(task)))
+            pipe.send((True, fn(task, send_part if parts else None)))
     except Exception as exc:
         pipe.send((False, exc))
 
 
 @contextlib.contextmanager
-def _shard_results(fn, tasks: list, workers: int):
-    """An iterator of fn(task) for each task, in order.  Where fork exists, worker
-    i of P = min(workers, tasks) > 1 runs tasks i, i + P, ..., ahead as far as its
-    pipe buffers, and alone writes that pipe: its end mid-result reads as EOF.  A
-    worker inherits fn and its tasks from the fork, so nothing is pickled to it."""
+def _shard_results(fn, tasks: list, workers: int, on_part=None):
+    """An iterator of fn(task, on_part) for each task, in order; every call
+    of on_part a task makes comes before its result, in task order.  Where
+    fork exists, worker i of P = min(workers, tasks) > 1 runs tasks i, i + P,
+    ..., ahead as far as its pipe buffers, and alone writes that pipe: each
+    part is a message of its own, so the parent holds one part at a time,
+    and the worker's end mid-message reads as EOF.  A worker inherits fn
+    and its tasks from the fork, so nothing is pickled to it."""
     processes = min(workers, len(tasks))
     if processes > 1:
         import multiprocessing  # here, so runs that fork no workers do not load it
     if processes <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        yield map(fn, tasks)
+        yield (fn(task, on_part) for task in tasks)
         return
     fork, pool = multiprocessing.get_context("fork"), []
     try:
         for i in range(processes):
             reader, writer = fork.Pipe(duplex=False)
-            worker = fork.Process(target=_shard_worker, args=(fn, tasks[i::processes], writer))
+            worker = fork.Process(target=_shard_worker,
+                                  args=(fn, tasks[i::processes], writer, on_part is not None))
             with writer:  # closed before the next fork, so worker i holds the only write end
                 worker.start()
             pool.append((worker, reader))
-        yield (_received(pool[k % processes][1]) for k in range(len(tasks)))
+        yield (_received(pool[k % processes][1], on_part) for k in range(len(tasks)))
     finally:
         for worker, _ in pool:
             worker.terminate()
             worker.join()
 
 
-def _received(pipe):
-    """The next result on pipe; ResourceLimitError where its worker ended."""
-    try:
-        ok, result = pipe.recv()
-    except (EOFError, OSError) as exc:
-        raise ResourceLimitError("a verify worker ended before its shard was done") from exc
-    if not ok:
-        raise result
-    return result
+def _received(pipe, on_part):
+    """The next result on pipe, its parts passed to on_part first;
+    ResourceLimitError where its worker ended."""
+    while True:
+        try:
+            ok, result = pipe.recv()
+        except (EOFError, OSError) as exc:
+            raise ResourceLimitError("a verify worker ended before its shard was done") from exc
+        if ok is None:
+            on_part(*result)
+            del result  # before the next part is read
+        elif not ok:
+            raise result
+        else:
+            return result
 
 
-# Peak bytes of one shard's verify_range per admissible q: its q domain,
-# one block's scan lanes, the block digests and the p and n arrays it fills.
-# tracemalloc (p-bitmap grown first; shards of 2^17 to 2^22 numbers, all three
-# modes, at 1.6e7 and 2e8; blocks of 2^17 lanes) read 75 where the shard is one
-# block, 27-55 where it is two or more (sun shards of 2^19 numbers and more,
-# twin and prime shards of 2^22), and up to 108 with the q bits in twin and
-# prime shards of 2^17 numbers, which hold a third of the 2y / log y bound.
-_SHARD_BYTES_PER_Q = 80
+# Peak bytes a q of one block of a shard's verify_range: the block's scan
+# lanes, its digest and the p and n arrays it fills, then the represented q, p
+# and n it hands on.  tracemalloc (p-bitmap grown first; shards of 2^17 to 2^22
+# numbers, all three modes, at 1e7 and 2e8; blocks of 2^17 q), less the q bits
+# of a twin or prime shard, read 65-67 in sun mode, 56-58 in twin and prime
+# shards of 2^20 numbers and more, and up to 81 in twin and prime shards of
+# 2^17 numbers, which hold a third of the 2y / log y bound.
+_BLOCK_BYTES_PER_Q = 80
 
 
-# Peak bytes a q of the one result the parent of a pool reads at a time: the
+# Peak bytes a q of the one block the parent of a pool reads at a time: the
 # pickled message and the arrays unpickled from it, 24 bytes a q each, then
-# the ratios records take and a formatted chunk.  tracemalloc in the parent
-# of 2-worker runs, shards of 2^20: 51.3 (verify --mode sun --emit-records,
-# 5:4200000), 57.8 (the same in JSONL at 1e8) and 32.3 (stats, 5:4200000).
+# the ratios records take or stats' growth columns.  tracemalloc in the parent
+# of 2-worker runs, blocks of 2^17 q, shards of 2^20 and 2^22 numbers: 36.1 and
+# 57.7 (stats, 5:4200000); 59.0 and 49.9 (verify --mode sun --emit-records,
+# 5:4200000) and 82.1 and 81.1 (the same in JSONL at 1e8), each with one
+# formatted chunk, which the estimate counts apart.
 _RESULT_BYTES_PER_Q = 64
 
 
@@ -485,28 +503,33 @@ def _q_bound(mode: Mode, span: int) -> int:
 def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int:
     """Bytes a verify run needs beyond the interpreter, estimated from the run.
 
-    Each of min(workers, shards) processes holds one shard at a time, its
-    q bits and _SHARD_BYTES_PER_Q a q, and keeps its own p-bitmap: the
-    filled pieces below a bound on the largest p_q of 8 sqrt(hi) log(hi)^2
-    and one piece being sieved; the measured largest p_q is a half to a
-    third of the bound (4.59e6 to 1.6e7 and 2.22e7 to 2e8, about half;
-    2.08e9 at 1e12, a third).  With --cache the table and the payload
-    it is unpacked from come once, since forked workers share them.  With
-    keep_arrays (records or a fold) and a pool, the parent holds the one
-    result it is reading, _RESULT_BYTES_PER_Q a q; with records, it formats
-    them one chunk at a time, _RECORD_ROW_BYTES a row.
+    Each of min(workers, shards) processes scans one block of at most
+    _BLOCK_SIZE q at a time, _BLOCK_BYTES_PER_Q a q, with its shard's domain
+    in twin and prime mode (the q bits, then the primes, 8 bytes each; a sun
+    block makes its own q), and keeps its own p-bitmap: the filled
+    pieces below a bound on the largest p_q of 8 sqrt(hi) log(hi)^2 and one
+    piece being sieved; the measured largest p_q is a half to a third of
+    the bound (4.59e6 to 1.6e7 and 2.22e7 to 2e8, about half; 2.08e9 at
+    1e12, a third).  With --cache the table and the payload it is unpacked
+    from come once, since forked workers share them.  With keep_arrays
+    (records or a fold) and a pool, the parent holds the one block it is
+    reading, _RESULT_BYTES_PER_Q a q; with records, it formats them one
+    chunk at a time, _RECORD_ROW_BYTES a row.  Each process that allocates
+    blocks may also keep _MALLOC_TRIM bytes of freed heap (see _tune_malloc).
     """
     span = min(args.shard_size, hi - lo + 1)
     processes = min(args.workers, -(-(hi - lo + 1) // args.shard_size))  # shards
+    block = min(_q_bound(mode, span), _BLOCK_SIZE)
+    domain = 0 if mode == Mode.SUN_ODD else span // 2 + 8 * _q_bound(mode, span)
     p_bound = min(hi, 8 * math.isqrt(hi) * math.ceil(math.log(max(hi, 3))) ** 2)
     filled = -(-(p_bound // 2 + 1) // _PIECE) * _PIECE
-    total = (_SHARD_BYTES_PER_Q * _q_bound(mode, span) + span // 2 + filled + _PIECE) * processes
+    total = (_BLOCK_BYTES_PER_Q * block + domain + filled + _PIECE + _MALLOC_TRIM) * processes
     if args.cache:
         total += _cache_load_bytes(args.cache)
     if keep_arrays and processes > 1:
-        total += _RESULT_BYTES_PER_Q * _q_bound(mode, span)
+        total += _RESULT_BYTES_PER_Q * block + _MALLOC_TRIM
     if args.emit_records:
-        total += _RECORD_ROW_BYTES[args.format] * min(_RECORD_CHUNK_ROWS, _q_bound(mode, span))
+        total += _RECORD_ROW_BYTES[args.format] * min(_RECORD_CHUNK_ROWS, block)
     return total
 
 
@@ -618,9 +641,11 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
     so the result is identical for every worker count.  Each shard, read
     from the checkpoint or computed, is folded into one running summary as
     it arrives, so the parent holds one shard digest at a time however
-    many shards the range has.  fold(qs, ps, ns) is called with each
-    computed shard's representations, in range order, and may keep up to
-    fold_bytes until the run ends.  Without --cache no whole-range table
+    many shards the range has.  fold(qs, ps, ns) is called with each block
+    of the computed shards' representations, in range order, and may keep
+    up to fold_bytes until the run ends.  Like the records sink, it runs in
+    the parent and sees one block at a time, whatever the worker count.
+    Without --cache no whole-range table
     exists: each shard sieves its own q-range.
     """
     keep_arrays = fold is not None or bool(args.emit_records)
@@ -669,25 +694,30 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
             )
 
     # _run_shard is looked up here, so a wrapper set on cli runs in every shard
-    run = functools.partial(_run_shard, mode, table, bool(args.include_small), keep_arrays)
+    run = functools.partial(_run_shard, mode, table, bool(args.include_small))
     records = (_Sink(args.emit_records, _RECORD_HEADER, args.format, resume_bytes)
                if args.emit_records and not complete else contextlib.nullcontext())
     with records as sink:  # None without records
+
+        def on_block(qs, ps, ns):  # each block's representations, in range order
+            if sink is not None:  # the two ratios, one chunk of records at a time
+                for start in range(0, len(qs), _RECORD_CHUNK_ROWS):
+                    chunk = [a[start : start + _RECORD_CHUNK_ROWS] for a in (qs, ps, ns)]
+                    sink.columns([*chunk, *_growth_ratios(*chunk)])
+            if fold is not None:
+                fold(qs, ps, ns)
+
         if checkpoint is not None and not checkpoint.size:
             checkpoint.append("META", _sorted_json(meta))
-        with _shard_results(run, bounds[folded:], args.workers) as results:
-            for summary, shard_arrays in results:
-                if sink is not None:
-                    sink.columns([*shard_arrays, *_growth_ratios(*shard_arrays)])
-                if fold is not None:
-                    fold(*shard_arrays)
+        with _shard_results(run, bounds[folded:], args.workers,
+                            on_block if keep_arrays else None) as results:
+            for summary in results:
                 if checkpoint is not None:
                     records_bytes = sink.sync() if sink is not None else 0
                     entry = {"summary": summary.to_json_dict(), "records_bytes": records_bytes}
                     checkpoint.append("SHARD", _sorted_json(entry))
                 total.merge(summary)
-                # free this shard's digest and arrays before the next one arrives
-                del summary, shard_arrays
+                del summary  # free this shard's digest before the next one arrives
 
     if checkpoint is not None and checkpoint.done_hash is None:
         checkpoint.append("DONE", _summary_digest(total))
@@ -709,7 +739,7 @@ def _cmd_verify(args) -> int:
 
 
 # Bytes a growth row takes while stats holds it, six 8-byte column values,
-# and bytes a shard's part of the rows takes beyond them: six array headers
+# and bytes a block's part of the rows takes beyond them: six array headers
 # and their list, up to twice over where a view drops the part's first row
 # (tracemalloc reads 833 and 1,569).
 _GROWTH_ROW_BYTES = 48
@@ -721,13 +751,13 @@ _GROWTH_JOINS = (np.add, np.maximum, np.minimum, np.minimum, np.maximum)
 
 def _cmd_stats(args) -> int:
     lo, hi = args.range
-    parts = []  # each shard's growth columns, in ascending bucket order
+    parts = []  # each block's growth columns, in ascending bucket order
 
     def fold(qs, ps, ns):
         if len(qs) == 0:
             return
         part = growth_columns(qs, ps, ns, args.bucket)
-        if parts and parts[-1][0][-1] == part[0][0]:  # a bucket across shards
+        if parts and parts[-1][0][-1] == part[0][0]:  # a bucket across blocks
             for held, new, join in zip(parts[-1][1:], part[1:], _GROWTH_JOINS):
                 held[-1] = join(held[-1], new[0])
             part = [col[1:] for col in part]
@@ -736,8 +766,9 @@ def _cmd_stats(args) -> int:
 
     # every shard runs, and each bucket holding a representation keeps its row to the end
     buckets = min(hi // args.bucket - lo // args.bucket + 1, _q_bound(Mode.TWIN_MIN, hi - lo + 1))
-    shards = -(-(hi - lo + 1) // args.shard_size)
-    held = _GROWTH_ROW_BYTES * buckets + _GROWTH_PART_BYTES * min(buckets, shards)
+    span = min(args.shard_size, hi - lo + 1)
+    blocks = -(-(hi - lo + 1) // span) * -(-_q_bound(Mode.TWIN_MIN, span) // _BLOCK_SIZE)
+    held = _GROWTH_ROW_BYTES * buckets + _GROWTH_PART_BYTES * min(buckets, blocks)
     total = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, fold, held)
     if not parts:
         raise ValueError("no representations found in range")
@@ -1084,15 +1115,38 @@ def main(argv=None) -> int:
         return EXIT_INTERRUPTED
 
 
+# glibc's malloc settings for a CLI process (mallopt's M_MMAP_THRESHOLD and
+# M_TRIM_THRESHOLD): blocks below 4 MiB come from the heap, and up to 8 MiB of
+# freed heap is kept.  By default the mmap threshold adapts only after a large
+# free, so a run's first blocks and every formatted chunk are mmapped, and each
+# block's freed arrays go back to the kernel, to be faulted in again.
+_MALLOC_MMAP = 4 << 20
+_MALLOC_TRIM = 8 << 20
+
+
+def _tune_malloc() -> None:
+    """Apply _MALLOC_MMAP and _MALLOC_TRIM where libc has mallopt; forked
+    workers inherit them."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):  # no mallopt: not glibc, say
+        return
+    mallopt(-3, _MALLOC_MMAP)  # M_MMAP_THRESHOLD
+    mallopt(-1, _MALLOC_TRIM)  # M_TRIM_THRESHOLD
+
+
 def run() -> None:
-    """The entry point of ``twinrep`` and ``python -m twinrep.cli``: main(),
-    then os._exit, which skips the interpreter's teardown (about 20 ms, mostly
-    a final collection over numpy's import-time objects).  It has nothing to
-    do: main() has closed every file it wrote and joined every worker, and no
-    thread runs.  A flush that fails is not reported again: every stdout
-    sink flushes as it closes, so main() has already turned a stdout whose
-    reader has gone into exit 2.  In-process callers call main(), which
-    returns the exit code."""
+    """The entry point of ``twinrep`` and ``python -m twinrep.cli``: the
+    process's malloc settings (_tune_malloc), main(), then os._exit, which
+    skips the interpreter's teardown (about 20 ms, mostly a final collection
+    over numpy's import-time objects).  It has nothing to do: main() has
+    closed every file it wrote and joined every worker, and no thread runs.
+    A flush that fails is not reported again: every stdout sink flushes as
+    it closes, so main() has already turned a stdout whose reader has gone
+    into exit 2.  In-process callers call main(), which returns the exit
+    code and leaves malloc as it was."""
+    _tune_malloc()
     try:
         code = main()
     except SystemExit as exc:  # argparse's errors and --help, already printed

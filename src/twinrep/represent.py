@@ -174,10 +174,12 @@ class _PBits:
         while self.end <= h:
             stop = self.end + _PIECE
             # resize is a realloc, which moves a large array's pages without
-            # copying them, so a view of bits alive would be left on freed
-            # memory.  numpy's own check would also count a profiler's hold
-            # on the bound resize method; this one counts only bits's holders
-            # beyond the attribute and getrefcount's argument.
+            # copying them; a bitmap under the CLI's 4 MiB mmap threshold
+            # lives in the heap, where realloc may copy it.  Either way a view
+            # of bits alive would be left on freed memory.  numpy's own check
+            # would also count a profiler's hold on the bound resize method;
+            # this one counts only bits's holders beyond the attribute and
+            # getrefcount's argument.
             if sys.getrefcount(self.bits) > 2:
                 raise ValueError("cannot grow the p-bitmap while a view of it is alive")
             self.bits.resize(stop, refcheck=False)
@@ -493,16 +495,24 @@ class VerificationReport:
     ns: np.ndarray
 
 
-def _domain(lo: int, hi: int, mode: Mode, prime_bits) -> np.ndarray:
-    """Admissible q values (>= 5) in [lo, hi] for the given mode.
+def _domain(lo: int, hi: int, mode: Mode, prime_bits):
+    """Admissible q values (>= 5) in [lo, hi] for the given mode, as ascending
+    blocks of _BLOCK_SIZE q (the last may be shorter).
 
     Reads only the range's own prime bits from prime_bits, a sieve of
-    [lo, hi] alone or a table's segment, so a shard costs O(hi - lo).
+    [lo, hi] alone or a table's segment, so a shard costs O(hi - lo).  Sun
+    mode makes each block as it is asked for.  In twin and prime mode the
+    blocks are views of the range's primes, 8 bytes a prime, which take
+    less than the range's bits once q passes about 9e6.
     """
     first = max(lo, 5) >> 1  # index of the least odd m >= max(lo, 5)
     if mode == Mode.SUN_ODD:
-        return np.arange(2 * first + 1, hi + 1, 2, dtype=np.int64)
-    return (np.flatnonzero(prime_bits(2 * first + 1, hi)) + first) * 2 + 1
+        for start in range(2 * first + 1, hi + 1, 2 * _BLOCK_SIZE):
+            yield np.arange(start, min(start + 2 * _BLOCK_SIZE, hi + 1), 2, dtype=np.int64)
+        return
+    qs = (np.flatnonzero(prime_bits(2 * first + 1, hi)) + first) * 2 + 1
+    for start in range(0, len(qs), _BLOCK_SIZE):
+        yield qs[start : start + _BLOCK_SIZE]
 
 
 def verify_range(
@@ -511,6 +521,7 @@ def verify_range(
     mode: Mode,
     table: PrimeTable | None = None,
     include_small: bool = False,
+    on_block=None,
 ) -> VerificationReport:
     """Verify representability for every admissible q in [lo, hi].
 
@@ -519,6 +530,11 @@ def verify_range(
     result is independent of the block size and of how a caller shards
     the range.  q in {2, 3} have no admissible n and are skipped unless
     include_small, in which case they count as failures.
+
+    With on_block, each block's represented q, p and n are passed to
+    on_block(qs, ps, ns) as the block is done, in ascending q, and the
+    report's arrays are empty, so no array outlives its block; without it,
+    the report holds them all.
 
     Prime bits come from table or, when it is None, from a sieve of
     [lo, hi] alone.  p membership comes from one bitmap per process, grown
@@ -542,16 +558,21 @@ def verify_range(
         summary.checked += len(smalls)
         summary.failures.extend(smalls)
 
-    qs = _domain(lo, hi, mode, _prime_bits(table))
-    ps = np.zeros(len(qs), dtype=np.int64)
-    ns = np.zeros(len(qs), dtype=np.int64)
-    for start in range(0, len(qs), _BLOCK_SIZE):
-        block = slice(start, start + _BLOCK_SIZE)
-        found = _scan_block(qs[block], pbits, ps[block], ns[block])
-        summary.absorb_block(qs[block], ps[block], ns[block], found)
-    if summary.represented < len(qs):  # keep the represented q alone
-        keep = ps != 0
-        qs, ps, ns = qs[keep], ps[keep], ns[keep]
+    held = [[np.zeros(0, dtype=np.int64)] for _ in range(3)]  # without on_block: q, p, n
+    for qs in _domain(lo, hi, mode, _prime_bits(table)):
+        ps = np.zeros(len(qs), dtype=np.int64)
+        ns = np.zeros(len(qs), dtype=np.int64)
+        found = _scan_block(qs, pbits, ps, ns)
+        summary.absorb_block(qs, ps, ns, found)
+        if not found.all():  # keep the represented q alone
+            qs, ps, ns = qs[found], ps[found], ns[found]
+        if on_block is not None:
+            on_block(qs, ps, ns)
+        else:
+            for column, values in zip(held, (qs, ps, ns)):
+                column.append(values)
+    # one column at a time, each block list freed once joined
+    qs, ps, ns = (np.concatenate(held.pop(0)) for _ in range(3))
     return VerificationReport(checked=summary.checked, failures=list(summary.failures),
                               summary=summary, qs=qs, ps=ps, ns=ns)
 

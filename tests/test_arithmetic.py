@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from functools import reduce
 
 import numpy as np
@@ -231,8 +233,8 @@ class TestRoots:
                 assert r**k <= n and (r + 1) ** k > n, (n, k)
 
     def test_integer_nth_root_far_beyond_64_bits(self):
-        # near 10^51 the float seed of a cube root is hundreds too low, so
-        # the upward correction runs
+        # near 10^51 the float seed of a cube root is hundreds too low, which
+        # is why roots above 2^53 take integer Newton steps instead
         for m in (10**17, 10**17 + 1, 10**17 + 3, 2**60 - 1):
             for n in (m**3 - 1, m**3, m**3 + 1, (m + 1) ** 3 - 1):
                 seed = int(round(n ** (1.0 / 3)))
@@ -243,6 +245,27 @@ class TestRoots:
                 n = m**k + 1
                 r = integer_nth_root(n, k)
                 assert r**k <= n < (r + 1) ** k, (n, k)
+
+    @pytest.mark.parametrize("n, k", [(10**90, 3), (2**4000 - 1, 5), (2**4000 - 1, 7)])
+    def test_integer_nth_root_past_the_float_range(self, n, k):
+        # a float seed is 3.8e15 below the cube root of 10^30 and cannot be
+        # taken at all from 2^4000: the roots come from integer steps alone
+        start = time.perf_counter()
+        r = integer_nth_root(n, k)
+        assert time.perf_counter() - start < 1.0
+        assert r**k <= n < (r + 1) ** k
+        if n == 10**90:
+            assert r == 10**30
+
+    def test_integer_nth_root_of_random_wide_n(self):
+        rng = random.Random(35)
+        for _ in range(300):
+            n, k = rng.getrandbits(rng.randint(1, 600)), rng.randint(3, 12)
+            r = integer_nth_root(n, k)
+            assert r**k <= n < (r + 1) ** k, (n, k)
+            # exact powers and the integers just below them, where an off-by-one shows
+            assert integer_nth_root(r**k, k) == r
+            assert integer_nth_root((r + 1) ** k - 1, k) == r
 
 
 class TestVonMangoldt:

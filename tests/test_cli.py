@@ -1377,23 +1377,29 @@ class TestMemoryBudget:
         assert cli._verify_memory(args, twin, 10**12, 1_000_000_200_000, False) > 1046 * 2**20
         args.workers = 2
         assert cli._verify_memory(args, twin, 5, 10**7, False) == 2 * small
-        # records or a fold: the parent holds the shard result it is reading
+        # records or a fold: the parent holds the block it is reading
         assert cli._verify_memory(args, twin, 5, 10**7, True) > 2 * small
 
     @pytest.mark.parametrize("mode", [represent.Mode.TWIN_MIN, represent.Mode.SUN_ODD])
     def test_a_shard_peaks_within_its_bytes_a_q(self, mode):
-        # numpy's allocations of one default shard, its p-bitmap grown first:
-        # the domain, the per-q arrays and the scan's lanes and temporaries
+        # numpy's allocations of one shard, its p-bitmap grown first: one
+        # block's per-q arrays, lanes and temporaries, and in twin mode the
+        # shard's domain, for a default shard and one four times as long
         lo = 10**7
-        hi = lo + cli.DEFAULT_SHARD_SIZE - 1
-        represent.verify_range(lo, hi, mode)
-        tracemalloc.start()
-        try:
-            report = represent.verify_range(lo, hi, mode)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= cli._SHARD_BYTES_PER_Q * report.checked
+        for size in (cli.DEFAULT_SHARD_SIZE, 4 * cli.DEFAULT_SHARD_SIZE):
+            hi = lo + size - 1
+            cli._run_shard(mode, None, False, (lo, hi))
+            tracemalloc.start()
+            try:
+                summary = cli._run_shard(mode, None, False, (lo, hi))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            block = min(summary.checked, represent._BLOCK_SIZE)
+            domain = size // 2 + 8 * cli._q_bound(mode, size)  # the q bits, then the primes
+            if mode == represent.Mode.SUN_ODD:
+                domain = 0
+            assert peak <= cli._BLOCK_BYTES_PER_Q * block + domain, size
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     def test_records_in_small_shards_peak_within_the_estimate(self, tmp_path, fmt):
@@ -1419,9 +1425,14 @@ class TestMemoryBudget:
         ["stats", "--bucket", "1000", "--out"],
     ])
     def test_parent_of_a_pool_peaks_within_its_result_bytes(self, tmp_path, command):
-        # the parent's allocations while two workers send it whole shards
+        # the parent's allocations while two workers send it their shards one
+        # block at a time, with one formatted chunk where it writes records
         argv = [*command, str(tmp_path / "file"), "--range", "5:2000000", "--workers", "2"]
+        args = cli.build_parser().parse_args(argv)
         mode = represent.Mode.SUN_ODD if command[0] == "verify" else represent.Mode.TWIN_MIN
+        block = min(cli._q_bound(mode, cli.DEFAULT_SHARD_SIZE), represent._BLOCK_SIZE)
+        chunk = (cli._RECORD_ROW_BYTES[args.format] * cli._RECORD_CHUNK_ROWS
+                 if args.emit_records else 0)
         tracemalloc.start()
         try:
             code = run_cli(argv)[0]
@@ -1429,7 +1440,7 @@ class TestMemoryBudget:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak <= cli._RESULT_BYTES_PER_Q * cli._q_bound(mode, cli.DEFAULT_SHARD_SIZE)
+        assert peak <= cli._RESULT_BYTES_PER_Q * block + chunk
 
     def test_cache_adds_its_table_once_to_the_same_estimate(self, tmp_path):
         cache = str(tmp_path / "primes.bin")
@@ -1461,7 +1472,8 @@ class TestMemoryBudget:
         one = cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 1000, False)
         args.workers = 1
         assert cli._verify_memory(args, represent.Mode.TWIN_MIN, 5, 1000, False) == one
-        assert one < 4 * 2**20  # one shard of 168 primes and its p-bitmap
+        # one shard of 168 primes, its p-bitmap and the freed heap malloc may keep
+        assert one < 4 * 2**20 + cli._MALLOC_TRIM
         # a 2^20 shard holds far fewer primes than odd numbers
         span = cli.DEFAULT_SHARD_SIZE
         assert cli._q_bound(represent.Mode.TWIN_MIN, span) < span // 6
@@ -1685,17 +1697,78 @@ def test_without_fork_the_shards_run_in_the_parent(tmp_path, monkeypatch):
     assert pids == [os.getpid()] * 5  # 5:3000 in shards of 700
 
 
+@_FORKED_WORKERS
+@pytest.mark.parametrize("shard_size", ["16384", "65536"])
+def test_shards_of_many_blocks_give_the_same_bytes(tmp_path, monkeypatch, cut_checkpoint,
+                                                   shard_size):
+    # with blocks of 2^10 q every shard spans several blocks (twin shards of
+    # 2^14 numbers near 2e5 hold about 1,300 q), each sent to the parent of a
+    # pool as a message of its own, and stats buckets of 7 straddle them;
+    # forked workers inherit the patch
+    out, rec, ck = (str(tmp_path / name) for name in ("out", "rec", "ck"))
+
+    def run(argv, paths):
+        for path in paths:
+            if os.path.exists(path):
+                os.unlink(path)
+        code, _, err = run_cli(argv)
+        assert code == 0, err
+        return [pathlib.Path(path).read_bytes() for path in paths]
+
+    shards = ["--range", "5:200000", "--shard-size", shard_size, "--out", out]
+    runs = [(["verify", "--mode", mode, "--format", fmt, *shards, "--emit-records", rec,
+              "--checkpoint", ck], [out, rec, ck])
+            for mode in ("twin", "sun") for fmt in ("csv", "jsonl")]
+    runs.append((["stats", "--bucket", "7", *shards], [out]))
+    expected = [run([*argv, "--workers", "1"], paths) for argv, paths in runs]
+    monkeypatch.setattr(represent, "_BLOCK_SIZE", 1 << 10)
+    for (argv, paths), want in zip(runs, expected):
+        for workers in ("1", "2"):
+            assert run([*argv, "--workers", workers], paths) == want, (argv, workers)
+        if argv[0] == "verify":  # cut after two shards and resumed
+            cut_checkpoint(ck, 2, rec)
+            os.unlink(out)
+            assert run_cli([*argv, "--workers", "2"])[0] == 0
+            assert [pathlib.Path(path).read_bytes() for path in paths] == want, argv
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_records_run_peak_does_not_grow_with_the_shard(tmp_path, workers):
+    # a process holds one block of per-q arrays, so shards of 2^18 and 2^20
+    # numbers peak alike, in the one process of a serial run and in the
+    # parent of a pool (where whole shards made it grow two- to threefold)
+    argv = ["verify", "--mode", "sun", "--range", "5:1100000", "--workers", workers,
+            "--emit-records", str(tmp_path / "rec"), "--out", str(tmp_path / "out")]
+    assert run_cli(argv)[0] == 0  # the p-bitmap is grown first
+    peaks = []
+    for shard_size in ("262144", "1048576"):
+        tracemalloc.start()
+        try:
+            code = run_cli([*argv, "--shard-size", shard_size])[0]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("cache", [False, True])
-def test_shard_returns_arrays_only_when_asked(tmp_path, cache):
+def test_shard_sends_blocks_only_when_asked(tmp_path, monkeypatch, cache):
     table = None
     if cache:
         path = str(tmp_path / "primes.bin")
         assert run_cli(["sieve-cache", "--limit", "20000", "--cache-out", path])[0] == 0
         table = load_prime_table(path)
-    summary, arrays = cli._run_shard(represent.Mode.TWIN_MIN, table, False, False, (5, 20000))
-    assert arrays is None and summary.checked == 2260  # pi(20000) - 2
-    summary, arrays = cli._run_shard(represent.Mode.TWIN_MIN, table, False, True, (5, 20000))
-    assert [len(a) for a in arrays] == [2260] * 3
+    summary = cli._run_shard(represent.Mode.TWIN_MIN, table, False, (5, 20000))
+    assert summary.checked == 2260  # pi(20000) - 2
+    monkeypatch.setattr(represent, "_BLOCK_SIZE", 1000)
+    blocks = []
+    assert cli._run_shard(represent.Mode.TWIN_MIN, table, False, (5, 20000),
+                          lambda *block: blocks.append(block)) == summary
+    assert [len(qs) for qs, _, _ in blocks] == [1000, 1000, 260]
+    report = represent.verify_range(5, 20000, represent.Mode.TWIN_MIN, table)
+    for whole, part in zip((report.qs, report.ps, report.ns), zip(*blocks)):
+        assert np.array_equal(np.concatenate(part), whole)
 
 
 @pytest.mark.parametrize("flag", ["--out", "--checkpoint", "--emit-records", "--cache"])

@@ -186,3 +186,58 @@ def test_main_leaves_no_descriptor_open(tmp_path, monkeypatch):
         assert code == 0, (argv, err)
         assert sorted(os.listdir("/proc/self/fd")) == before, argv
         assert [str(w.message) for w in caught if w.category is ResourceWarning] == [], argv
+
+
+# Replaces ctypes.CDLL, for CDLL(None) alone, with LIBC; run in a child before
+# twinrep is imported.
+STUB_LIBC = """
+import ctypes
+real_cdll = ctypes.CDLL
+ctypes.CDLL = lambda name, *args, **kwargs: (
+    LIBC if name is None else real_cdll(name, *args, **kwargs))
+"""
+
+
+def test_libc_without_mallopt_leaves_the_run_as_it_was(tmp_path, monkeypatch):
+    # a sitecustomize module runs in the fresh interpreter before -m twinrep.cli
+    (tmp_path / "site").mkdir()
+    (tmp_path / "site" / "sitecustomize.py").write_text("LIBC = object()  # no mallopt\n"
+                                                         + STUB_LIBC)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tmp_path / "site"), SRC,
+                                                      os.environ.get("PYTHONPATH")]))
+    argv = REPORTS["mirsky"] + ["--out", "report"]
+    for name in ("process", "ref"):
+        (tmp_path / name).mkdir()
+    done = subprocess.run([sys.executable, "-m", "twinrep.cli", *argv], cwd=tmp_path / "process",
+                          env=env, capture_output=True, timeout=120)
+    monkeypatch.chdir(tmp_path / "ref")
+    assert (done.returncode, done.stdout, done.stderr.decode()) == in_process(argv) == (0, b"", "")
+    assert files(tmp_path / "process") == files(tmp_path / "ref")
+
+
+def test_only_run_sets_the_malloc_thresholds(tmp_path):
+    # run() ends with os._exit, so the calls are printed from inside it
+    code = STUB_LIBC.replace("LIBC", "Libc()") + f"""
+import sys
+calls = []
+class Libc:
+    def mallopt(self, param, value):
+        calls.append((param, value))
+        return 1
+import twinrep.cli as cli
+assert calls == [], calls
+assert cli.main({REPORTS["mirsky"] + ["--out", "main.csv"]!r}) == 0
+assert calls == [], calls
+sys.argv = ["twinrep", *{REPORTS["mirsky"] + ["--out", "run.csv"]!r}]
+main = cli.main
+cli.main = lambda: print(calls, file=sys.stderr, flush=True) or main()
+cli.run()
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    # M_MMAP_THRESHOLD (-3) at 4 MiB and M_TRIM_THRESHOLD (-1) at 8 MiB
+    assert (done.returncode, done.stderr) == (0, f"{[(-3, 4 << 20), (-1, 8 << 20)]}\n")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
