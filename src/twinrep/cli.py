@@ -396,58 +396,59 @@ def _acquire_table(cache: str | None, needed_limit: int, extra: int = 0,
 # verify: sharded, checkpointable range verification
 
 
-def _shard_bounds(lo: int, hi: int, shard_size: int) -> list[tuple[int, int]]:
-    return [(a, min(a + shard_size - 1, hi)) for a in range(lo, hi + 1, shard_size)]
+def _shard_starts(lo: int, hi: int, shard_size: int) -> range:
+    """Where each shard of [lo, hi] starts; one ends at min(start + shard_size - 1, hi)."""
+    return range(lo, hi + 1, shard_size)
 
 
-def _run_shard(mode: Mode, table: PrimeTable | None, include_small: bool,
-               bounds: tuple[int, int], on_block=None) -> ShardSummary:
-    """One shard's summary.  Each block's represented q, p and n go to
-    on_block (records, a fold) as they are found, or are dropped without
-    one, so the shard holds one block's arrays at a time.  Without a table
-    the shard sieves its own p-bitmap."""
-    return verify_range(*bounds, mode, table, include_small,
+def _run_shard(mode: Mode, table: PrimeTable | None, include_small: bool, shard_size: int,
+               hi: int, start: int, on_block=None) -> ShardSummary:
+    """The summary of the shard from start of a run that ends at hi.  Each
+    block's represented q, p and n go to on_block (records, a fold) as they
+    are found, or are dropped without one, so the shard holds one block's
+    arrays at a time.  Without a table the shard sieves its own p-bitmap."""
+    return verify_range(start, min(start + shard_size - 1, hi), mode, table, include_small,
                         on_block=on_block or (lambda *block: None)).summary
 
 
-def _shard_worker(fn, tasks: list, pipe, parts: bool) -> None:
+def _shard_worker(fn, starts: range, pipe, parts: bool) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # on Ctrl-C the parent ends its workers
 
     def send_part(*part):
         pipe.send((None, part))
 
     try:
-        for task in tasks:
-            pipe.send((True, fn(task, send_part if parts else None)))
+        for start in starts:
+            pipe.send((True, fn(start, send_part if parts else None)))
     except Exception as exc:
         pipe.send((False, exc))
 
 
 @contextlib.contextmanager
-def _shard_results(fn, tasks: list, workers: int, on_part=None):
-    """An iterator of fn(task, on_part) for each task, in order; every call
-    of on_part a task makes comes before its result, in task order.  Where
-    fork exists, worker i of P = min(workers, tasks) > 1 runs tasks i, i + P,
-    ..., ahead as far as its pipe buffers, and alone writes that pipe: each
-    part is a message of its own, so the parent holds one part at a time,
-    and the worker's end mid-message reads as EOF.  A worker inherits fn
-    and its tasks from the fork, so nothing is pickled to it."""
-    processes = min(workers, len(tasks))
+def _shard_results(fn, starts: range, workers: int, on_part=None):
+    """An iterator of fn(start, on_part) for each shard start, in order; each
+    shard's calls of on_part come before its result.  Where fork exists,
+    worker i of P = min(workers, shards) > 1 runs the range starts[i::P],
+    ahead as far as its pipe buffers, and alone writes that pipe: each part
+    is a message of its own, so the parent holds one part at a time, and the
+    worker's end mid-message reads as EOF.  A worker inherits fn and its
+    starts from the fork, so nothing is pickled to it."""
+    processes = min(workers, len(starts))
     if processes > 1:
         import multiprocessing  # here, so runs that fork no workers do not load it
     if processes <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        yield (fn(task, on_part) for task in tasks)
+        yield (fn(start, on_part) for start in starts)
         return
     fork, pool = multiprocessing.get_context("fork"), []
     try:
         for i in range(processes):
             reader, writer = fork.Pipe(duplex=False)
             worker = fork.Process(target=_shard_worker,
-                                  args=(fn, tasks[i::processes], writer, on_part is not None))
+                                  args=(fn, starts[i::processes], writer, on_part is not None))
             with writer:  # closed before the next fork, so worker i holds the only write end
                 worker.start()
             pool.append((worker, reader))
-        yield (_received(pool[k % processes][1], on_part) for k in range(len(tasks)))
+        yield (_received(pool[k % processes][1], on_part) for k in range(len(starts)))
     finally:
         for worker, _ in pool:
             worker.terminate()
@@ -518,7 +519,7 @@ def _verify_memory(args, mode: Mode, lo: int, hi: int, keep_arrays: bool) -> int
     blocks may also keep _MALLOC_TRIM bytes of freed heap (see _tune_malloc).
     """
     span = min(args.shard_size, hi - lo + 1)
-    processes = min(args.workers, -(-(hi - lo + 1) // args.shard_size))  # shards
+    processes = min(args.workers, len(_shard_starts(lo, hi, args.shard_size)))
     block = min(_q_bound(mode, span), _BLOCK_SIZE)
     domain = 0 if mode == Mode.SUN_ODD else span // 2 + 8 * _q_bound(mode, span)
     p_bound = min(hi, 8 * math.isqrt(hi) * math.ceil(math.log(max(hi, 3))) ** 2)
@@ -636,17 +637,17 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
     [lo, hi] or raises.  A run cut short, by Ctrl-C or a crash, leaves a
     checkpoint that a rerun of the same command resumes to identical bytes.
 
-    Shards are processed in ascending range order; with workers > 1 the
-    pool computes them concurrently but folding still happens in order,
-    so the result is identical for every worker count.  Each shard, read
-    from the checkpoint or computed, is folded into one running summary as
-    it arrives, so the parent holds one shard digest at a time however
-    many shards the range has.  fold(qs, ps, ns) is called with each block
-    of the computed shards' representations, in range order, and may keep
-    up to fold_bytes until the run ends.  Like the records sink, it runs in
-    the parent and sees one block at a time, whatever the worker count.
-    Without --cache no whole-range table
-    exists: each shard sieves its own q-range.
+    Each shard, read from the checkpoint or computed, is folded into one
+    running summary as it arrives; a checkpoint's shard must start one past
+    its hi.  The shards left are the range of starts after it, so the parent
+    holds O(1) per shard however many the range has.  With workers > 1 the
+    pool computes them concurrently but folding still happens in range
+    order, so the result is identical for every worker count.
+    fold(qs, ps, ns) is called with each block of the computed shards'
+    representations, in range order, and may keep up to fold_bytes until
+    the run ends.  Like the records sink, it runs in the parent and sees one
+    block at a time, whatever the worker count.  Without --cache no
+    whole-range table exists: each shard sieves its own q-range.
     """
     keep_arrays = fold is not None or bool(args.emit_records)
     _check_memory(_verify_memory(args, mode, lo, hi, keep_arrays) + fold_bytes,
@@ -655,7 +656,6 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
     # _verify_memory; the floor of 7 is part of the exit-code contract: a
     # cache below 7 exits 2
     table = _load_cache(args.cache, max(hi, 7)) if args.cache else None
-    bounds = _shard_bounds(lo, hi, args.shard_size)
 
     checkpoint = _Checkpoint(args.checkpoint) if args.checkpoint else None
     meta = {
@@ -668,21 +668,19 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
         "format": args.format,
     }
     total = ShardSummary(lo=lo, hi=lo - 1)
-    folded = 0  # shards read back from the checkpoint
     resume_bytes = None  # records bytes of the last shard read from the checkpoint
     if checkpoint is not None:
         for summary, resume_bytes in checkpoint.shards(meta):
-            if folded == len(bounds):
+            if total.hi == hi:
                 raise ValueError(f"checkpoint {args.checkpoint} has more shards than the run")
-            if (summary.lo, summary.hi) != bounds[folded]:
+            if (summary.lo, summary.hi) != (total.hi + 1, min(total.hi + args.shard_size, hi)):
                 raise ValueError(f"checkpoint shard {summary.lo} misaligned")
             total.merge(summary)
-            folded += 1
 
     complete = checkpoint is not None and checkpoint.done_hash is not None
     if complete:
         # a complete checkpoint must still fold to the digest it recorded
-        if folded != len(bounds) or checkpoint.done_hash != _summary_digest(total):
+        if total.hi != hi or checkpoint.done_hash != _summary_digest(total):
             raise ValueError(
                 f"checkpoint {args.checkpoint} shards do not match its DONE digest"
             )
@@ -694,7 +692,7 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
             )
 
     # _run_shard is looked up here, so a wrapper set on cli runs in every shard
-    run = functools.partial(_run_shard, mode, table, bool(args.include_small))
+    run = functools.partial(_run_shard, mode, table, bool(args.include_small), args.shard_size, hi)
     records = (_Sink(args.emit_records, _RECORD_HEADER, args.format, resume_bytes)
                if args.emit_records and not complete else contextlib.nullcontext())
     with records as sink:  # None without records
@@ -709,7 +707,7 @@ def _run_sharded_verify(args, mode: Mode, lo: int, hi: int, fold=None, fold_byte
 
         if checkpoint is not None and not checkpoint.size:
             checkpoint.append("META", _sorted_json(meta))
-        with _shard_results(run, bounds[folded:], args.workers,
+        with _shard_results(run, _shard_starts(total.hi + 1, hi, args.shard_size), args.workers,
                             on_block if keep_arrays else None) as results:
             for summary in results:
                 if checkpoint is not None:
@@ -767,7 +765,8 @@ def _cmd_stats(args) -> int:
     # every shard runs, and each bucket holding a representation keeps its row to the end
     buckets = min(hi // args.bucket - lo // args.bucket + 1, _q_bound(Mode.TWIN_MIN, hi - lo + 1))
     span = min(args.shard_size, hi - lo + 1)
-    blocks = -(-(hi - lo + 1) // span) * -(-_q_bound(Mode.TWIN_MIN, span) // _BLOCK_SIZE)
+    shards = len(_shard_starts(lo, hi, args.shard_size))
+    blocks = shards * -(-_q_bound(Mode.TWIN_MIN, span) // _BLOCK_SIZE)
     held = _GROWTH_ROW_BYTES * buckets + _GROWTH_PART_BYTES * min(buckets, blocks)
     total = _run_sharded_verify(args, Mode.TWIN_MIN, lo, hi, fold, held)
     if not parts:
@@ -1070,8 +1069,10 @@ def _check_paths(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage errors (2) and --help (0), already printed
+        return exc.code
     try:
         # bounds no library call enforces, checked before any table or file exists
         if getattr(args, "workers", 1) < 1:
@@ -1145,12 +1146,9 @@ def run() -> None:
     A flush that fails is not reported again: every stdout sink flushes as
     it closes, so main() has already turned a stdout whose reader has gone
     into exit 2.  In-process callers call main(), which returns the exit
-    code and leaves malloc as it was."""
+    code for every argv, argparse's included, and leaves malloc as it was."""
     _tune_malloc()
-    try:
-        code = main()
-    except SystemExit as exc:  # argparse's errors and --help, already printed
-        code = exc.code
+    code = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None where the process started with that fd closed
             with contextlib.suppress(OSError):

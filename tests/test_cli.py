@@ -524,10 +524,9 @@ class TestOtherCommands:
             assert out.read_bytes().splitlines()[1].split(b",")[-1] == str(cache).encode("utf-8")
 
     def test_sieve_cache_has_no_cache_flag(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(["sieve-cache", "--limit", "100", "--cache-out", str(tmp_path / "pt.bin"),
-                     "--cache", str(tmp_path / "other.bin")])
-        assert exc.value.code == 2
+        code, _, err = run_cli(["sieve-cache", "--limit", "100", "--cache-out",
+                                str(tmp_path / "pt.bin"), "--cache", str(tmp_path / "other.bin")])
+        assert code == 2 and "unrecognized arguments" in err
         assert list(tmp_path.iterdir()) == []
 
     def test_stats_worker_invariance(self, tmp_path):
@@ -811,20 +810,28 @@ class TestResumeFaults:
     @pytest.mark.parametrize("edit, message", [
         ("unknown-kind", "unexpected checkpoint line 2 ('NOTE')"),
         ("swapped", "checkpoint shard 11005 misaligned"),
-    ], ids=["unknown-kind", "swapped"])
+        ("hi-moved", "checkpoint shard 11005 misaligned"),
+    ], ids=["unknown-kind", "swapped", "hi-moved"])
     def test_checkpoint_lines_out_of_place_are_exit_2(self, tmp_path, cut_checkpoint, edit,
                                                       message):
         paths = self._interrupted(tmp_path, cut_checkpoint)
         lines = pathlib.Path(paths["ck"]).read_text().splitlines(keepends=True)
         if edit == "unknown-kind":
             lines.insert(1, "NOTE {}\n")
-        else:  # the second shard's line before the first's
+        elif edit == "swapped":  # the second shard's line before the first's
             lines[1], lines[2] = lines[2], lines[1]
+        else:  # the second shard one q longer than the shard size puts its end
+            kind, payload = lines[2].split(" ", 1)
+            entry = json.loads(payload)
+            entry["summary"]["hi"] += 1
+            lines[2] = f"{kind} {json.dumps(entry, sort_keys=True)}\n"
         pathlib.Path(paths["ck"]).write_text("".join(lines))
+        records = pathlib.Path(paths["rec"]).read_bytes()
         code, out, err = self._resume(paths)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and message in err
         assert pathlib.Path(paths["ck"]).read_text() == "".join(lines)
+        assert pathlib.Path(paths["rec"]).read_bytes() == records
         assert not os.path.exists(paths["out"])
 
     def test_checkpoint_with_more_shards_than_the_run_is_exit_2(self, tmp_path):
@@ -956,9 +963,7 @@ def test_stats_does_not_resume(tmp_path, capsys, extra):
     argv = ["stats", "--range", "5:60000", "--bucket", "20000", "--shard-size", "9000",
             "--workers", "1", "--out", str(out)]
     argv += [a.replace("F", str(tmp_path / "F")) for a in extra]
-    with pytest.raises(SystemExit) as exit_:
-        main(argv)
-    assert exit_.value.code == 2
+    assert main(argv) == 2
     stdout, err = capsys.readouterr()
     assert stdout == "" and "unrecognized arguments" in err
     assert list(tmp_path.iterdir()) == []
@@ -973,10 +978,7 @@ def test_stats_does_not_resume(tmp_path, capsys, extra):
 ], ids=["stats-none-found", "stats-bucket-0", "variance-records-of-two-x", "variance-x-not-int"])
 def test_bad_input_is_exit_2_before_any_file(tmp_path, capsys, argv, message):
     argv = [a.replace("F", str(tmp_path / "F")) for a in argv]
-    try:
-        code = main(argv + ["--out", str(tmp_path / "out")])
-    except SystemExit as exit_:  # argparse's errors
-        code = exit_.code
+    code = main(argv + ["--out", str(tmp_path / "out")])
     stdout, err = capsys.readouterr()
     assert (code, stdout) == (2, "")
     assert message in err
@@ -1016,9 +1018,7 @@ def test_removed_flags_are_exit_2_before_any_file(tmp_path, capsys, argv, extra)
     # options no run of the subcommand reads: stats records and small q are
     # verify's, and a sieve-cache table has the same bits for every segment width
     argv = [a.replace("F", str(tmp_path / "F")) for a in argv + extra]
-    with pytest.raises(SystemExit) as exit_:
-        main(argv + ["--out", str(tmp_path / "out")])
-    assert exit_.value.code == 2
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     stdout, err = capsys.readouterr()
     assert stdout == "" and "unrecognized arguments" in err
     assert list(tmp_path.iterdir()) == []
@@ -1388,10 +1388,10 @@ class TestMemoryBudget:
         lo = 10**7
         for size in (cli.DEFAULT_SHARD_SIZE, 4 * cli.DEFAULT_SHARD_SIZE):
             hi = lo + size - 1
-            cli._run_shard(mode, None, False, (lo, hi))
+            cli._run_shard(mode, None, False, size, hi, lo)
             tracemalloc.start()
             try:
-                summary = cli._run_shard(mode, None, False, (lo, hi))
+                summary = cli._run_shard(mode, None, False, size, hi, lo)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1752,6 +1752,31 @@ def test_records_run_peak_does_not_grow_with_the_shard(tmp_path, workers):
     assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_shard_plan_holds_nothing_per_shard(tmp_path, monkeypatch, workers):
+    # the parent's set-up up to its first shard, over 16 and 2,000,000 shards:
+    # the shards left are a range of starts, where a list of (lo, hi) tuples
+    # traced 273 MB at 2,000,000 shards
+    def first_shard(*args):
+        raise ValueError("stopped at the first shard")
+
+    monkeypatch.setattr(cli, "_run_shard", first_shard)
+    peaks = {}
+    for shard_size in ("125000", "1"):
+        argv = ["verify", "--mode", "twin", "--range", "5:2000004", "--shard-size", shard_size,
+                "--workers", workers, "--out", str(tmp_path / "out")]
+        run_cli(argv)  # the modules the run imports are loaded first
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(argv)
+            peaks[shard_size] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "stopped at the first shard" in err
+    assert peaks["1"] < 2 * 2**20, peaks
+    assert abs(peaks["1"] - peaks["125000"]) < 2**19, peaks
+
+
 @pytest.mark.parametrize("cache", [False, True])
 def test_shard_sends_blocks_only_when_asked(tmp_path, monkeypatch, cache):
     table = None
@@ -1759,12 +1784,12 @@ def test_shard_sends_blocks_only_when_asked(tmp_path, monkeypatch, cache):
         path = str(tmp_path / "primes.bin")
         assert run_cli(["sieve-cache", "--limit", "20000", "--cache-out", path])[0] == 0
         table = load_prime_table(path)
-    summary = cli._run_shard(represent.Mode.TWIN_MIN, table, False, (5, 20000))
+    shard = (represent.Mode.TWIN_MIN, table, False, cli.DEFAULT_SHARD_SIZE, 20000, 5)
+    summary = cli._run_shard(*shard)
     assert summary.checked == 2260  # pi(20000) - 2
     monkeypatch.setattr(represent, "_BLOCK_SIZE", 1000)
     blocks = []
-    assert cli._run_shard(represent.Mode.TWIN_MIN, table, False, (5, 20000),
-                          lambda *block: blocks.append(block)) == summary
+    assert cli._run_shard(*shard, lambda *block: blocks.append(block)) == summary
     assert [len(qs) for qs, _, _ in blocks] == [1000, 1000, 260]
     report = represent.verify_range(5, 20000, represent.Mode.TWIN_MIN, table)
     for whole, part in zip((report.qs, report.ps, report.ns), zip(*blocks)):

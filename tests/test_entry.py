@@ -65,10 +65,7 @@ def finish(child):
 def in_process(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's errors
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue().encode(), err.getvalue()
 
 
@@ -111,13 +108,15 @@ def test_report_bytes_match_in_process(tmp_path, monkeypatch, spawn, argv):
 @pytest.mark.parametrize("code, argv", [
     (1, ["verify", "--mode", "twin", "--range", "2:4", "--include-small"]),
     (2, ["verify", "--mode", "twin", "--range", "50:10"]),
-    (2, ["verify", "--mode", "twin", "--range", "50"]),  # argparse's SystemExit
+    (2, ["verify", "--mode", "twin", "--range", "50"]),  # an argparse usage error
     (3, ["verify", "--mode", "twin", "--range", "1000000000000000:2000000000000000",
          "--workers", "1"]),
+    (0, ["verify", "--help"]),  # argparse's help, returned by main() as code 0
 ])
-def test_exit_codes_come_through_the_process(spawn, code, argv):
+def test_exit_codes_come_through_the_process(spawn, monkeypatch, code, argv):
     if code == 3 and cli._memory_budget() is None:
         pytest.skip("no memory limit or MemAvailable to refuse the range with")
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in this process and the children
     children = {buffering: spawn(argv, buffering) for buffering in BUFFERINGS}
 
     def stable(result):  # the free memory exit 3 reports moves between reads
